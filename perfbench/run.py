@@ -12,7 +12,8 @@ One run measures one workload in a single process, one caller at a time
 operations until ``--seconds`` have gone by, checks every output with the
 independent oracle, and prints, as its last line, one JSON object with the
 keys correct, attempted, failed and metrics.  ``--trace 0`` reports the
-end-to-end metrics; ``--trace 1`` alternates untraced and traced passes and
+end-to-end metrics, scaled to a reference host speed measured during the
+run (``speed.py``); ``--trace 1`` alternates untraced and traced passes and
 reports the per-layer metrics, writing the spans to
 ``.perfbench-out/trace-<workload>-<seed>.tsv``.
 
@@ -23,6 +24,7 @@ directory without it makes the benchmark exit with an error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import random
@@ -33,14 +35,16 @@ import sys
 import time
 from pathlib import Path
 
+import speed
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT_DIR = ROOT / ".perfbench-out"
-SETUP_PROBES = 9
+SETUP_PROBES = 15
 EVAL_POINTS = 2
 
-END_TO_END = (("setup_s", "s"), ("peak_rss_mb", "MB"), ("wall_s", "s"))
+END_TO_END = (("setup_s", "s"), ("peak_rss_mb", "MB"), ("pass_ref_s", "s"))
 
 
 def import_package():
@@ -67,41 +71,43 @@ def points(seed: int):
 
 
 class Tally:
-    """What a run has seen: timings, attempts, failures and wrong outputs.
-    ``best_s[i]`` is the fastest time of operation i over the passes."""
+    """What a run has seen: pass times, attempts, failures and wrong
+    outputs.  A pass time is net of the calibration units run inside it."""
 
     def __init__(self):
         self.pass_s: list[float] = []
-        self.best_s: list[float] = []
         self.attempted = 0
         self.failed = 0
         self.wrong: list[str] = []
 
 
-def run_pass(ops, tally: Tally, pts, tracer=None) -> list:
-    """Time every operation once, traced when a tracer is given, then check
-    the outputs untraced.  Returns the outputs (None where an operation
+def run_pass(ops, tally: Tally, pts, tracer=None, sampler=None) -> list:
+    """Time every operation once, traced when a tracer is given and with
+    calibration units interleaved when a sampler is given, then check the
+    outputs untraced.  Returns the outputs (None where an operation
     raised)."""
     gc.collect()
-    outputs, times = [], []
+    outputs = []
+    region = sampler if sampler is not None else contextlib.nullcontext()
+    units_s = sampler.units_s if sampler is not None else 0.0
     if tracer is not None:
         tracer.install()
     try:
-        start = time.perf_counter()
-        for op in ops:
-            t0 = time.perf_counter()
-            try:
-                out = op.run()
-            except Exception as exc:  # an operation that fails is counted, not fatal
-                out = exc
-            times.append(time.perf_counter() - t0)
-            outputs.append(out)
-        elapsed = time.perf_counter() - start
+        with region:
+            start = time.perf_counter()
+            for op in ops:
+                try:
+                    out = op.run()
+                except Exception as exc:  # an operation that fails is counted, not fatal
+                    out = exc
+                outputs.append(out)
+            elapsed = time.perf_counter() - start
     finally:
         if tracer is not None:
             tracer.uninstall()
+    if sampler is not None:
+        elapsed -= sampler.units_s - units_s
     tally.pass_s.append(elapsed)
-    tally.best_s = [min(pair) for pair in zip(tally.best_s, times)] if tally.best_s else times
     tally.attempted += len(ops)
     for op, out in zip(ops, outputs):
         if isinstance(out, Exception):
@@ -141,8 +147,8 @@ def run_controls(ops, outputs, pts) -> tuple[int, list[str]]:
 
 def setup_seconds(workload: str, seed: int) -> float:
     """Median over fresh interpreters of importing ncgeo and building the
-    workload's inputs."""
-    times = []
+    workload's inputs, at the reference speed."""
+    times, units = [], []
     for _ in range(SETUP_PROBES):
         proc = subprocess.run(
             [sys.executable, str(HERE / "run.py"), "--setup-probe",
@@ -151,17 +157,23 @@ def setup_seconds(workload: str, seed: int) -> float:
         )
         if proc.returncode != 0:
             sys.exit(f"perfbench: setup probe failed:\n{proc.stderr}")
-        times.append(float(proc.stdout.split()[-1]))
-    return statistics.median(times)
+        probe = json.loads(proc.stdout.splitlines()[-1])
+        times.append(probe["net_s"])
+        units += probe["units"]
+    return speed.scaled(statistics.median(times), units)
 
 
 def setup_probe(workload: str, seed: int) -> None:
-    t0 = time.perf_counter()
-    import_package()
-    import workloads
+    """Print the net set-up time and the calibration units run inside it."""
+    sampler = speed.Sampler()
+    with sampler:
+        t0 = time.perf_counter()
+        import_package()
+        import workloads
 
-    workloads.build(workload, seed)
-    print(repr(time.perf_counter() - t0))
+        workloads.build(workload, seed)
+        elapsed = time.perf_counter() - t0
+    print(json.dumps({"net_s": elapsed - sampler.units_s, "units": sampler.times}))
 
 
 def measure(workload: str, seed: int, seconds: float, trace: bool) -> dict:
@@ -176,11 +188,12 @@ def measure(workload: str, seed: int, seconds: float, trace: bool) -> dict:
     pts = points(seed)
     plain, traced = Tally(), Tally()
     tracer = tracing.Tracer(ncgeo) if trace else None
+    sampler = speed.Sampler()
     start = time.perf_counter()
     first = None
     while True:
         t0 = time.perf_counter()
-        outputs = run_pass(ops, plain, pts)
+        outputs = run_pass(ops, plain, pts, sampler=sampler)
         if first is None:
             first = outputs
         if tracer is not None:
@@ -196,7 +209,7 @@ def measure(workload: str, seed: int, seconds: float, trace: bool) -> dict:
         metrics = {
             "setup_s": setup,
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-            "wall_s": sum(plain.best_s),
+            "pass_ref_s": speed.scaled(statistics.mean(plain.pass_s), sampler.times),
         }
         units = dict(END_TO_END)
     else:
@@ -295,7 +308,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--workload")
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=30.0)
+    ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--smoke", action="store_true", help="small sizes, every workload and negative control")
     ap.add_argument("--setup-probe", action="store_true", help=argparse.SUPPRESS)
