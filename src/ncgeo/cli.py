@@ -63,15 +63,28 @@ def _numeric(value: Scalar, theta: float) -> list[float]:
     return [round(z.real, 12), round(z.imag, 12)]
 
 
-def _parse_windows(text: str, minimum: int = 3) -> list[int]:
+def _window_list(text: str) -> list[int]:
+    """Type of --window: comma-separated radii, each an integer >= 3."""
     try:
-        windows = [int(tok) for tok in text.split(",") if tok]
+        windows = [int(tok) for tok in text.split(",")]
     except ValueError:
-        raise SystemExit(2)
-    if not windows or any(w < minimum for w in windows):
-        sys.stderr.write(f"window radii must be integers >= {minimum}\n")
-        raise SystemExit(2)
+        raise argparse.ArgumentTypeError(
+            f"window radii must be comma-separated integers, got {text!r}"
+        ) from None
+    if any(w < 3 for w in windows):
+        raise argparse.ArgumentTypeError("window radii must be integers >= 3")
     return windows
+
+
+def _trial_count(text: str) -> int:
+    """Type of --h1-trials: a non-negative integer."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"trial count must be an integer, got {text!r}") from None
+    if count < 0:
+        raise argparse.ArgumentTypeError("trial count must be >= 0")
+    return count
 
 
 # -- verify-projections -------------------------------------------------------
@@ -168,7 +181,7 @@ EXPECTED_NULLITY = {"twisted_alpha1": 4, "alpha1": 1}
 
 
 def cmd_dimension_report(args) -> int:
-    windows = _parse_windows(args.window)
+    windows = args.window
     reports = []
     for operator in ("twisted_alpha1", "alpha1"):
         for window in windows:
@@ -286,7 +299,7 @@ def _generator_sections(window: int) -> tuple[list, list]:
 
 
 def cmd_cohomology_report(args) -> int:
-    windows = _parse_windows(args.window)
+    windows = args.window
     rng = random.Random(args.seed)
 
     kernel_rows = []
@@ -446,14 +459,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("dimension-report", help="windowed kernel dimensions")
     _add_common(sp)
-    sp.add_argument("--window", default="4", metavar="N[,N...]")
+    sp.add_argument("--window", type=_window_list, default="4", metavar="N[,N...]")
     sp.set_defaults(func=cmd_dimension_report)
 
     sp = sub.add_parser("cohomology-report", help="kernel, pullback, membership, h1 checks")
     _add_common(sp)
-    sp.add_argument("--window", default="4", metavar="N[,N...]")
+    sp.add_argument("--window", type=_window_list, default="4", metavar="N[,N...]")
     sp.add_argument("--seed", type=int, default=7)
-    sp.add_argument("--h1-trials", type=int, default=100)
+    sp.add_argument("--h1-trials", type=_trial_count, default=100)
     sp.set_defaults(func=cmd_cohomology_report)
 
     return parser

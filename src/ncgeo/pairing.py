@@ -103,8 +103,8 @@ def _twisted_value(
 ) -> Scalar:
     w = weight if weight is not None else (lambda n, m: twisted_weight(i, j, n, m))
     total = ZERO
-    for n, m in odd.support():
-        total = total + w(n, m) * odd.coeff(n, m)
+    for (n, m), c in odd.terms.items():
+        total = total + w(n, m) * c
     return total
 
 

@@ -202,6 +202,9 @@ class Scalar:
         return self.s == other.s and self.n == other.n and self.d == other.d
 
     def __hash__(self) -> int:
+        # __eq__ equates integer-valued scalars with ints, so they hash alike
+        if self.s == 0 and self.d == (1,) and len(self.n) <= 1:
+            return hash(self.n[0]) if self.n else 0
         return hash((self.s, self.n, self.d))
 
     def __neg__(self) -> "Scalar":

@@ -20,7 +20,12 @@ Two truncation conventions are used, on purpose:
 
 Elimination is exact Gauss-Jordan over the scalar field with a fixed pivot
 rule (variables ordered by (|n|+|m|, n, m), then slot), which makes every
-witness, basis and certificate deterministic.
+witness, basis and certificate deterministic.  The pivot row for a variable
+is the unused row holding it with the fewest nonzero coefficients, the lowest
+row index breaking ties; this only limits fill-in.  For a fixed variable
+order Gauss-Jordan ends in the same reduced echelon form whichever rows are
+chosen, so pivot columns, witnesses (free variables set to 0) and kernel
+bases depend on the variable order alone.
 
 The second half of the module implements the constructive proof that the
 flip-twisted first cohomology vanishes, as a two-phase pipeline:
@@ -233,14 +238,20 @@ def _scale_row(row: _Row, f: Scalar) -> None:
         row.combo = {k: f * c for k, c in row.combo.items()}
 
 
-def _axpy(row: _Row, f: Scalar, pivot: _Row) -> None:
-    """row -= f * pivot, pruning exact zeros."""
+def _axpy(row: _Row, f: Scalar, pivot: _Row, i: int, cols: dict[VarKey, set[int]]) -> None:
+    """row -= f * pivot, pruning exact zeros.  row is rows[i]; cols[k] gains
+    or loses i where the entry for k is created or cancels."""
+    coeffs = row.coeffs
     for k, c in pivot.coeffs.items():
-        nv = row.coeffs.get(k, ZERO) - f * c
+        old = coeffs.get(k)
+        nv = (ZERO if old is None else old) - f * c
         if nv:
-            row.coeffs[k] = nv
-        elif k in row.coeffs:
-            del row.coeffs[k]
+            if old is None:
+                cols[k].add(i)
+            coeffs[k] = nv
+        elif old is not None:
+            del coeffs[k]
+            cols[k].discard(i)
     row.rhs = row.rhs - f * pivot.rhs
     if row.combo is not None:
         for k, c in pivot.combo.items():
@@ -252,26 +263,30 @@ def _axpy(row: _Row, f: Scalar, pivot: _Row) -> None:
 
 
 def _eliminate(rows: list[_Row], var_order: list[VarKey]) -> dict[VarKey, int]:
-    """Gauss-Jordan in the fixed variable order; returns var -> pivot row."""
+    """Gauss-Jordan in the fixed variable order; returns var -> pivot row.
+
+    The pivot for v is the unused row holding v with the fewest entries
+    (lowest index on ties), found through a column index var -> rows.
+    """
+    cols: dict[VarKey, set[int]] = {v: set() for v in var_order}
+    for i, r in enumerate(rows):
+        for k in r.coeffs:
+            cols[k].add(i)
     pivots: dict[VarKey, int] = {}
     pivot_rows: set[int] = set()
     for v in var_order:
-        at = None
-        for i, r in enumerate(rows):
-            if i not in pivot_rows and r.coeffs.get(v):
-                at = i
-                break
-        if at is None:
+        holders = cols[v]
+        candidates = [(len(rows[i].coeffs), i) for i in holders if i not in pivot_rows]
+        if not candidates:
             continue
+        at = min(candidates)[1]
         piv = rows[at]
         lead = piv.coeffs[v]
         if lead != ONE:
             _scale_row(piv, lead.inv())
-        for i, r in enumerate(rows):
+        for i in list(holders):
             if i != at:
-                f = r.coeffs.get(v)
-                if f:
-                    _axpy(r, f, piv)
+                _axpy(rows[i], rows[i].coeffs[v], piv, i, cols)
         pivots[v] = at
         pivot_rows.add(at)
     return pivots

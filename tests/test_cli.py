@@ -91,6 +91,18 @@ class TestDimensionReport:
             main(["dimension-report", "--no-such-flag"])
         assert exc.value.code == 2
 
+    def test_non_integer_window_is_usage_error_with_message(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["dimension-report", "--window", "abc"])
+        assert exc.value.code == 2
+        assert "--window" in capsys.readouterr().err
+
+    def test_empty_window_token_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["dimension-report", "--window", "3,,4"])
+        assert exc.value.code == 2
+        assert "--window" in capsys.readouterr().err
+
 
 class TestCohomologyReport:
     def test_small_run(self, capsys):
@@ -109,6 +121,14 @@ class TestCohomologyReport:
         assert statuses[("twisted", (0, 0), 4)] == "unsolvable"
         assert statuses[("untwisted", (0, 2), 4)] == "solved"
         assert statuses[("untwisted", (-1, -1), 4)] == "solved"
+
+    def test_negative_trial_count_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["cohomology-report", "--h1-trials", "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--h1-trials" in captured.err
 
     def test_deterministic(self, capsys):
         argv = ["cohomology-report", "--window", "3", "--h1-trials", "3",

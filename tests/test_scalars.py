@@ -65,6 +65,15 @@ class TestCanonicalForm:
         b = ONE - lambda_pow(2)
         assert a == b and hash(a) == hash(b)
 
+    def test_integer_values_hash_like_ints(self):
+        # ONE == 1, so the two must be interchangeable as dict and set keys
+        assert {1: "x"}.get(ONE) == "x"
+        assert {ONE: "x"}.get(1) == "x"
+        assert len({ZERO, 0, Scalar.from_int(-3), -3, (MU * MU.inv()), 1}) == 3
+        for k in (-7, -1, 0, 1, 2, 10**20):
+            assert hash(Scalar.from_int(k)) == hash(k)
+        assert hash(HALF + HALF) == hash(1)
+
 
 class TestArithmetic:
     def test_mu_inverse_plus_mu(self):

@@ -15,6 +15,7 @@ from ncgeo.cochains import (
     twisted_alpha1,
     twisted_alpha2,
 )
+from ncgeo import solver
 from ncgeo.solver import (
     OPERATORS,
     NotACocycle,
@@ -151,6 +152,32 @@ class TestCoboundarySolve:
             assert rep.status == "unsolvable"
             self._check_certificate(rep, d(*site), "twisted_alpha2", 4)
 
+    def test_refuted_probe_certificates_at_radii_4_to_6(self):
+        probes = [("twisted_alpha2", site) for site in ((0, 0), (1, 0), (0, 1), (1, 1))]
+        probes.append(("alpha2", (1, 1)))
+        for operator, site in probes:
+            for window in (4, 5, 6):
+                rep = coboundary_solve(d(*site), operator, window)
+                assert rep.status == "unsolvable"
+                self._check_certificate(rep, d(*site), operator, window)
+
+    def test_fill_in_stays_small(self, monkeypatch):
+        # entries (coefficients and equation multipliers) of the pivot row
+        # that every elimination update reads; the first-unused-row pivot
+        # choice needed 66,688 here
+        touched = 0
+        axpy = solver._axpy
+
+        def counting(row, f, pivot, *rest):
+            nonlocal touched
+            touched += len(pivot.coeffs) + len(pivot.combo)
+            return axpy(row, f, pivot, *rest)
+
+        monkeypatch.setattr(solver, "_axpy", counting)
+        rep = coboundary_solve(d(0, 0), "twisted_alpha2", 6)
+        assert rep.status == "unsolvable"
+        assert 0 < touched < 10_000
+
     def test_margin_enforced(self):
         with pytest.raises(ValueError):
             coboundary_solve(d(3, 3), "twisted_alpha2", 4)
@@ -163,6 +190,96 @@ class TestCoboundarySolve:
     def test_type_mismatch(self):
         with pytest.raises(TypeError):
             coboundary_solve(CochainPair.zero(), "twisted_alpha2", 4)
+
+
+def first_row_gauss_jordan(rows, var_order):
+    """Reference Gauss-Jordan that pivots each variable on the first unused
+    row holding it.  Works on copies; returns (var -> pivot row, rows) with
+    rows as (coeffs, rhs) pairs."""
+    rows = [(dict(r.coeffs), r.rhs) for r in rows]
+    pivots, used = {}, set()
+    for v in var_order:
+        at = next((i for i, (c, _) in enumerate(rows) if i not in used and c.get(v)), None)
+        if at is None:
+            continue
+        coeffs, rhs = rows[at]
+        inv = ONE / coeffs[v]
+        coeffs = {k: inv * c for k, c in coeffs.items()}
+        rhs = inv * rhs
+        rows[at] = (coeffs, rhs)
+        for i, (c, b) in enumerate(rows):
+            f = c.get(v)
+            if i == at or not f:
+                continue
+            new = dict(c)
+            for k, pc in coeffs.items():
+                nv = new.get(k, ZERO) - f * pc
+                if nv:
+                    new[k] = nv
+                else:
+                    new.pop(k, None)
+            rows[i] = (new, b - f * rhs)
+        pivots[v] = at
+        used.add(at)
+    return pivots, rows
+
+
+def _engine_pivots(op, window, eqs, target=None):
+    rows = solver._assemble(op, window, eqs, target=target)
+    return solver._eliminate(rows, solver._variables(op, window))
+
+
+class TestPivotRuleOracle:
+    """The engine's pivot-row choice must not change its outputs: for a fixed
+    variable order, Gauss-Jordan ends in the same reduced echelon form."""
+
+    def test_kernel_bases_match_first_row_rule(self):
+        for name in ("twisted_alpha1", "alpha1"):
+            op = OPERATORS[name]
+            for window in (3, 4, 5, 6):
+                var_order = solver._variables(op, window)
+                eqs = solver._equations(op, window, full_stencil=True)
+                pivots, rows = first_row_gauss_jordan(
+                    solver._assemble(op, window, eqs), var_order
+                )
+                assert set(pivots) == set(_engine_pivots(op, window, eqs))
+                basis = []
+                for fv in (v for v in var_order if v not in pivots):
+                    vec = {fv[1]: ONE}
+                    for pv, i in pivots.items():
+                        c = rows[i][0].get(fv)
+                        if c:
+                            vec[pv[1]] = -c
+                    basis.append(LatticeFunctional(vec))
+                rep = kernel_dimension(name, window)
+                assert list(rep.basis) == basis
+
+    def test_solved_witnesses_match_first_row_rule(self):
+        targets = [
+            ("alpha2", d(0, 2)),
+            ("alpha2", d(2, 0)),
+            ("alpha2", d(-1, -1)),
+            ("twisted_alpha2", d(0, 0) - d(0, 2, LAMBDA)),
+            ("twisted_alpha2", d(2, 0) - d(0, 0, LAMBDA)),
+        ]
+        for name, target in targets:
+            op = OPERATORS[name]
+            for window in (4, 5, 6):
+                var_order = solver._variables(op, window)
+                eqs = solver._equations(op, window, full_stencil=False)
+                pivots, rows = first_row_gauss_jordan(
+                    solver._assemble(op, window, eqs, target=target), var_order
+                )
+                assert set(pivots) == set(_engine_pivots(op, window, eqs, target))
+                assert not any(b for c, b in rows if not c)
+                parts = ({}, {})
+                for (slot, site), i in pivots.items():
+                    if rows[i][1]:
+                        parts[slot][site] = rows[i][1]
+                witness = CochainPair(LatticeFunctional(parts[0]), LatticeFunctional(parts[1]))
+                rep = coboundary_solve(target, name, window)
+                assert rep.status == "solved"
+                assert rep.witness == witness
 
 
 class TestLineEliminate:
