@@ -47,15 +47,20 @@ DESIGN_HEADER = {
 
 
 def _emit(payload: str, out_path: str | None) -> None:
-    if out_path:
+    """Write the report; a path that cannot be written is a usage error."""
+    if not out_path:
+        sys.stdout.write(payload)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    except OSError as exc:
+        sys.stderr.write(f"ncgeo: cannot write --out {out_path}: {exc.strerror or exc}\n")
+        raise SystemExit(2) from None
 
 
 def _to_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(report, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def _numeric(value: Scalar, theta: float) -> list[float]:
@@ -74,6 +79,17 @@ def _window_list(text: str) -> list[int]:
     if any(w < 3 for w in windows):
         raise argparse.ArgumentTypeError("window radii must be integers >= 3")
     return windows
+
+
+def _angle(text: str) -> float:
+    """Type of --numeric: a finite angle with |THETA| <= 1e6."""
+    try:
+        theta = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"angle must be a number, got {text!r}") from None
+    if not math.isfinite(theta) or abs(theta) > 1e6:
+        raise argparse.ArgumentTypeError(f"angle must be finite with |THETA| <= 1e6, got {text!r}")
+    return theta
 
 
 def _trial_count(text: str) -> int:
@@ -180,23 +196,27 @@ def cmd_pairing_table(args) -> int:
 EXPECTED_NULLITY = {"twisted_alpha1": 4, "alpha1": 1}
 
 
-def cmd_dimension_report(args) -> int:
-    windows = args.window
-    reports = []
+def _kernel_rows(windows: list[int], with_basis: bool) -> list[dict]:
+    rows = []
     for operator in ("twisted_alpha1", "alpha1"):
         for window in windows:
             rep = kernel_dimension(operator, window)
             expected = EXPECTED_NULLITY[operator]
-            reports.append(
-                {
-                    "operator": operator,
-                    "window": window,
-                    "nullity": rep.nullity,
-                    "expected": expected,
-                    "ok": rep.nullity == expected,
-                    "basis": [vec.to_json() for vec in rep.basis],
-                }
-            )
+            row = {
+                "operator": operator,
+                "window": window,
+                "nullity": rep.nullity,
+                "expected": expected,
+                "ok": rep.nullity == expected,
+            }
+            if with_basis:
+                row["basis"] = [vec.to_json() for vec in rep.basis]
+            rows.append(row)
+    return rows
+
+
+def cmd_dimension_report(args) -> int:
+    reports = _kernel_rows(args.window, with_basis=True)
     all_ok = all(r["ok"] for r in reports)
     report = {
         "header": DESIGN_HEADER,
@@ -302,21 +322,7 @@ def cmd_cohomology_report(args) -> int:
     windows = args.window
     rng = random.Random(args.seed)
 
-    kernel_rows = []
-    for operator in ("twisted_alpha1", "alpha1"):
-        for window in windows:
-            rep = kernel_dimension(operator, window)
-            expected = EXPECTED_NULLITY[operator]
-            kernel_rows.append(
-                {
-                    "operator": operator,
-                    "window": window,
-                    "nullity": rep.nullity,
-                    "expected": expected,
-                    "ok": rep.nullity == expected,
-                }
-            )
-
+    kernel_rows = _kernel_rows(windows, with_basis=False)
     generator_checks, pullback_checks = _generator_sections(max(windows))
 
     probe_rows = []
@@ -428,7 +434,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--numeric",
         nargs="?",
-        type=float,
+        type=_angle,
         const=GOLDEN_THETA,
         default=None,
         metavar="THETA",

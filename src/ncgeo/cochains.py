@@ -2,14 +2,14 @@
 
 A degree-0 or degree-2 cochain is a coefficient map phi: Z^2 -> Q(u); a
 degree-1 cochain is a pair of such maps.  Finite cochains are identified
-with finite series sum phi[n,m] U1**n U2**m and multiplied with the same
-twisted product as the algebra itself, so the two short differentials of
-the twisted (flip-equivariant) complex are literally
+with finite series sum phi[n,m] U1**n U2**m, and the differentials are
+defined by twisted products with the generators: for the twisted
+(flip-equivariant) complex
 
     twisted_alpha1(phi)  = (U1**-1 phi - phi U1,  U2**-1 phi - phi U2)
     twisted_alpha2(f, g) = U2**-1 f - lambda f U2 - lambda U1**-1 g + g U1
 
-and of the untwisted complex
+and for the untwisted complex
 
     alpha1(phi)  = (U1 phi - phi U1,  U2 phi - phi U2)
     alpha2(f, g) = U2 f - lambda f U2 - lambda U1 g + g U1.
@@ -25,7 +25,16 @@ Coefficientwise these expand to the stencil recurrences
     alpha2:         out[n,m] = (lambda**n - lambda) f[n,m-1]
                                + (lambda**m - lambda) g[n-1,m]
 
-which is the form used for rule-backed cochains of unbounded support.
+and each recurrence is written down once, as a Stencil: a table of entries
+(out_slot, in_slot, dn, dm, coeff), read as "output out_slot at site (n, m)
+gains coeff(n, m) * input[in_slot][n+dn, m+dm]".  Everything else is
+derived from the four tables: the finite apply (each input term pushed
+through every entry), the rule-backed apply of unbounded inputs (each
+output site in a window pulled through every entry), and, in solver.py,
+the equation support and the rows of every windowed system.  The product
+formulas above are kept as the defining identities; the tables are checked
+against them, written with TorusElement products, by
+tests/test_cochains.py::TestProductOracle.
 
 The kernel of twisted_alpha1 is four dimensional: one generator per parity
 class of the lattice.  Solving the kernel recurrences from a seed value 1
@@ -51,11 +60,8 @@ from typing import Callable
 from .scalars import ONE, ZERO, Scalar, lambda_pow
 from .torus import Site, TorusElement
 
-_U1 = TorusElement.monomial(1, 0)
-_U2 = TorusElement.monomial(0, 1)
-_U1i = TorusElement.monomial(-1, 0)
-_U2i = TorusElement.monomial(0, -1)
 _LAM = lambda_pow(1)
+_MINUS_ONE = Scalar.from_int(-1)
 
 
 def site_key(site: Site) -> tuple[int, int, int]:
@@ -72,7 +78,7 @@ class LatticeFunctional:
     any site and can be restricted to a finite window.
     """
 
-    __slots__ = ("terms", "rule", "rule_json", "role")
+    __slots__ = ("terms", "rule", "rule_json")
 
     def __init__(
         self,
@@ -80,7 +86,6 @@ class LatticeFunctional:
         *,
         rule: Callable[[int, int], Scalar] | None = None,
         rule_json: dict | None = None,
-        role: str = "deg0",
     ):
         if rule is not None and terms is not None:
             raise ValueError("a functional is finite or rule-backed, not both")
@@ -95,7 +100,6 @@ class LatticeFunctional:
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "rule", rule)
         object.__setattr__(self, "rule_json", rule_json)
-        object.__setattr__(self, "role", role)
 
     def __setattr__(self, *a):  # pragma: no cover - guard rail
         raise AttributeError("LatticeFunctional is immutable")
@@ -103,16 +107,12 @@ class LatticeFunctional:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def zero(cls, role: str = "deg0") -> "LatticeFunctional":
-        return cls({}, role=role)
+    def zero(cls) -> "LatticeFunctional":
+        return cls({})
 
     @classmethod
-    def delta(cls, n: int, m: int, c: Scalar | int = 1, role: str = "deg0") -> "LatticeFunctional":
-        return cls({(n, m): c}, role=role)
-
-    @classmethod
-    def from_torus(cls, x: TorusElement, role: str = "deg0") -> "LatticeFunctional":
-        return cls(dict(x.terms), role=role)
+    def delta(cls, n: int, m: int, c: Scalar | int = 1) -> "LatticeFunctional":
+        return cls({(n, m): c})
 
     # -- queries ----------------------------------------------------------------
 
@@ -164,14 +164,14 @@ class LatticeFunctional:
                 for (n, m), c in self.terms.items()
                 if abs(n) <= radius and abs(m) <= radius
             }
-            return LatticeFunctional(kept, role=self.role)
+            return LatticeFunctional(kept)
         out = {}
         for n in range(-radius, radius + 1):
             for m in range(-radius, radius + 1):
                 c = self.rule(n, m)
                 if c:
                     out[(n, m)] = c
-        return LatticeFunctional(out, role=self.role)
+        return LatticeFunctional(out)
 
     # -- linear structure (finite only) -------------------------------------------
 
@@ -187,7 +187,7 @@ class LatticeFunctional:
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out.get(k, ZERO) + c
-        return LatticeFunctional(out, role=self.role)
+        return LatticeFunctional(out)
 
     def __sub__(self, other: "LatticeFunctional") -> "LatticeFunctional":
         if not isinstance(other, LatticeFunctional):
@@ -196,15 +196,15 @@ class LatticeFunctional:
 
     def __neg__(self) -> "LatticeFunctional":
         self._need_finite("-")
-        return LatticeFunctional({k: -c for k, c in self.terms.items()}, role=self.role)
+        return LatticeFunctional({k: -c for k, c in self.terms.items()})
 
     def scale(self, c: Scalar | int) -> "LatticeFunctional":
         self._need_finite("scale")
         if isinstance(c, int):
             c = Scalar.from_int(c)
         if not c:
-            return LatticeFunctional({}, role=self.role)
-        return LatticeFunctional({k: c * v for k, v in self.terms.items()}, role=self.role)
+            return LatticeFunctional({})
+        return LatticeFunctional({k: c * v for k, v in self.terms.items()})
 
     # -- evaluation against algebra elements ------------------------------------------
 
@@ -225,12 +225,12 @@ class LatticeFunctional:
         return self.as_torus().to_json()
 
     @classmethod
-    def from_json(cls, data: dict, role: str = "deg0") -> "LatticeFunctional":
+    def from_json(cls, data: dict) -> "LatticeFunctional":
         if "rule" in data:
             if data["rule"] == "D":
                 return make_D(int(data["i"]), int(data["j"]))
             raise ValueError(f"unknown functional rule {data['rule']!r}")
-        return cls.from_torus(TorusElement.from_json(data), role=role)
+        return cls(TorusElement.from_json(data).terms)
 
 
 @dataclass(frozen=True)
@@ -242,7 +242,7 @@ class CochainPair:
 
     @classmethod
     def zero(cls) -> "CochainPair":
-        return cls(LatticeFunctional.zero(role="deg1.1"), LatticeFunctional.zero(role="deg1.2"))
+        return cls(LatticeFunctional.zero(), LatticeFunctional.zero())
 
     def is_zero(self) -> bool:
         return self.first.is_zero() and self.second.is_zero()
@@ -262,8 +262,8 @@ class CochainPair:
     @classmethod
     def from_json(cls, data: dict) -> "CochainPair":
         return cls(
-            LatticeFunctional.from_json(data["first"], role="deg1.1"),
-            LatticeFunctional.from_json(data["second"], role="deg1.2"),
+            LatticeFunctional.from_json(data["first"]),
+            LatticeFunctional.from_json(data["second"]),
         )
 
 
@@ -271,103 +271,95 @@ class CochainPair:
 # differentials
 
 
-def _series(phi: LatticeFunctional | TorusElement) -> TorusElement:
-    if isinstance(phi, TorusElement):
-        return phi
-    return phi.as_torus()
+def cochain_slots(x: LatticeFunctional | CochainPair) -> tuple[LatticeFunctional, ...]:
+    """The coefficient maps of a cochain: (phi,) or (first, second)."""
+    return (x.first, x.second) if isinstance(x, CochainPair) else (x,)
+
+
+def cochain_from_slots(parts) -> LatticeFunctional | CochainPair:
+    """Inverse of cochain_slots."""
+    return parts[0] if len(parts) == 1 else CochainPair(*parts)
+
+
+StencilEntry = tuple[int, int, int, int, Callable[[int, int], Scalar]]
+
+
+class Stencil:
+    """A differential as a table of entries (out_slot, in_slot, dn, dm, coeff):
+    output out_slot at site (n, m) gains coeff(n, m) * input[in_slot][n+dn, m+dm].
+    """
+
+    __slots__ = ("entries", "in_slots", "out_slots")
+
+    def __init__(self, *entries: StencilEntry):
+        self.entries = entries
+        self.in_slots = 1 + max(e[1] for e in entries)
+        self.out_slots = 1 + max(e[0] for e in entries)
+
+    def apply(self, x, radius: int | None = None):
+        """Image of a cochain.  Finite inputs are pushed term by term through
+        the table; a rule-backed input is read at the stencil of every output
+        site in [-radius, radius]^2."""
+        parts = cochain_slots(x)
+        finite = all(p.is_finite() for p in parts)
+        if not finite and radius is None:
+            raise ValueError("rule-backed input needs a radius")
+        out: list[dict[Site, Scalar]] = [{} for _ in range(self.out_slots)]
+        for o, i, dn, dm, coeff in self.entries:
+            if finite:
+                terms = (((a - dn, b - dm), v) for (a, b), v in parts[i].terms.items())
+            else:
+                window = range(-radius, radius + 1)
+                terms = (((n, m), parts[i].coeff(n + dn, m + dm)) for n in window for m in window)
+            acc = out[o]
+            for site, v in terms:
+                c = coeff(*site) * v
+                if c:
+                    prev = acc.get(site)
+                    acc[site] = c if prev is None else prev + c
+        return cochain_from_slots([LatticeFunctional(t) for t in out])
+
+
+TWISTED_ALPHA1 = Stencil(
+    (0, 0, 1, 0, lambda n, m: ONE),
+    (0, 0, -1, 0, lambda n, m: -lambda_pow(m)),
+    (1, 0, 0, 1, lambda n, m: lambda_pow(-n)),
+    (1, 0, 0, -1, lambda n, m: _MINUS_ONE),
+)
+TWISTED_ALPHA2 = Stencil(
+    (0, 0, 0, 1, lambda n, m: lambda_pow(-n)),
+    (0, 0, 0, -1, lambda n, m: -_LAM),
+    (0, 1, 1, 0, lambda n, m: -_LAM),
+    (0, 1, -1, 0, lambda n, m: lambda_pow(m)),
+)
+ALPHA1 = Stencil(
+    (0, 0, -1, 0, lambda n, m: ONE - lambda_pow(m)),
+    (1, 0, 0, -1, lambda n, m: lambda_pow(n) - ONE),
+)
+ALPHA2 = Stencil(
+    (0, 0, 0, -1, lambda n, m: lambda_pow(n) - _LAM),
+    (0, 1, -1, 0, lambda n, m: lambda_pow(m) - _LAM),
+)
 
 
 def twisted_alpha1(phi: LatticeFunctional, radius: int | None = None) -> CochainPair:
     """First differential of the flip-twisted complex."""
-    if phi.is_finite():
-        a = _series(phi)
-        first = _U1i * a - a * _U1
-        second = _U2i * a - a * _U2
-        return CochainPair(
-            LatticeFunctional.from_torus(first, role="deg1.1"),
-            LatticeFunctional.from_torus(second, role="deg1.2"),
-        )
-    if radius is None:
-        raise ValueError("rule-backed input needs a radius")
-    f1, f2 = {}, {}
-    for n in range(-radius, radius + 1):
-        for m in range(-radius, radius + 1):
-            c = phi.coeff(n + 1, m) - lambda_pow(m) * phi.coeff(n - 1, m)
-            if c:
-                f1[(n, m)] = c
-            c = lambda_pow(-n) * phi.coeff(n, m + 1) - phi.coeff(n, m - 1)
-            if c:
-                f2[(n, m)] = c
-    return CochainPair(
-        LatticeFunctional(f1, role="deg1.1"), LatticeFunctional(f2, role="deg1.2")
-    )
+    return TWISTED_ALPHA1.apply(phi, radius)
 
 
 def twisted_alpha2(pair: CochainPair, radius: int | None = None) -> LatticeFunctional:
     """Second differential of the flip-twisted complex."""
-    f, g = pair.first, pair.second
-    if f.is_finite() and g.is_finite():
-        fs, gs = _series(f), _series(g)
-        out = _U2i * fs - _LAM * fs * _U2 - _LAM * (_U1i * gs) + gs * _U1
-        return LatticeFunctional.from_torus(out, role="deg2")
-    if radius is None:
-        raise ValueError("rule-backed input needs a radius")
-    out = {}
-    for n in range(-radius, radius + 1):
-        for m in range(-radius, radius + 1):
-            c = (
-                lambda_pow(-n) * f.coeff(n, m + 1)
-                - _LAM * f.coeff(n, m - 1)
-                - _LAM * g.coeff(n + 1, m)
-                + lambda_pow(m) * g.coeff(n - 1, m)
-            )
-            if c:
-                out[(n, m)] = c
-    return LatticeFunctional(out, role="deg2")
+    return TWISTED_ALPHA2.apply(pair, radius)
 
 
 def alpha1(phi: LatticeFunctional, radius: int | None = None) -> CochainPair:
     """First differential of the untwisted complex."""
-    if phi.is_finite():
-        a = _series(phi)
-        return CochainPair(
-            LatticeFunctional.from_torus(_U1 * a - a * _U1, role="deg1.1"),
-            LatticeFunctional.from_torus(_U2 * a - a * _U2, role="deg1.2"),
-        )
-    if radius is None:
-        raise ValueError("rule-backed input needs a radius")
-    f1, f2 = {}, {}
-    for n in range(-radius, radius + 1):
-        for m in range(-radius, radius + 1):
-            c = (ONE - lambda_pow(m)) * phi.coeff(n - 1, m)
-            if c:
-                f1[(n, m)] = c
-            c = (lambda_pow(n) - ONE) * phi.coeff(n, m - 1)
-            if c:
-                f2[(n, m)] = c
-    return CochainPair(
-        LatticeFunctional(f1, role="deg1.1"), LatticeFunctional(f2, role="deg1.2")
-    )
+    return ALPHA1.apply(phi, radius)
 
 
 def alpha2(pair: CochainPair, radius: int | None = None) -> LatticeFunctional:
     """Second differential of the untwisted complex."""
-    f, g = pair.first, pair.second
-    if f.is_finite() and g.is_finite():
-        fs, gs = _series(f), _series(g)
-        out = _U2 * fs - _LAM * fs * _U2 - _LAM * (_U1 * gs) + gs * _U1
-        return LatticeFunctional.from_torus(out, role="deg2")
-    if radius is None:
-        raise ValueError("rule-backed input needs a radius")
-    out = {}
-    for n in range(-radius, radius + 1):
-        for m in range(-radius, radius + 1):
-            c = (lambda_pow(n) - _LAM) * f.coeff(n, m - 1) + (
-                lambda_pow(m) - _LAM
-            ) * g.coeff(n - 1, m)
-            if c:
-                out[(n, m)] = c
-    return LatticeFunctional(out, role="deg2")
+    return ALPHA2.apply(pair, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -431,11 +423,10 @@ def twisted_pullback_deg2(phi: LatticeFunctional) -> LatticeFunctional:
     psi[a,b] = lambda**(b-a-1) phi[-a,-b]."""
     if phi.is_finite():
         return LatticeFunctional(
-            {(-n, -m): lambda_pow(-m + n - 1) * c for (n, m), c in phi.terms.items()},
-            role="deg2",
+            {(-n, -m): lambda_pow(-m + n - 1) * c for (n, m), c in phi.terms.items()}
         )
     return LatticeFunctional(
-        rule=lambda a, b: lambda_pow(b - a - 1) * phi.coeff(-a, -b), role="deg2"
+        rule=lambda a, b: lambda_pow(b - a - 1) * phi.coeff(-a, -b)
     )
 
 
@@ -448,11 +439,10 @@ def untwisted_pullback_deg2(phi: LatticeFunctional) -> LatticeFunctional:
             {
                 (-2 - n, -2 - m): lambda_pow(-n - m - 2) * c
                 for (n, m), c in phi.terms.items()
-            },
-            role="deg2",
+            }
         )
     return LatticeFunctional(
-        rule=lambda a, b: lambda_pow(a + b + 2) * phi.coeff(-2 - a, -2 - b), role="deg2"
+        rule=lambda a, b: lambda_pow(a + b + 2) * phi.coeff(-2 - a, -2 - b)
     )
 
 
@@ -468,10 +458,8 @@ def untwisted_pullback_deg1(pair: CochainPair) -> CochainPair:
         w2 = {
             (-n, -2 - m): -(lambda_pow(-n) * c) for (n, m), c in g.terms.items()
         }
-        return CochainPair(
-            LatticeFunctional(w1, role="deg1.1"), LatticeFunctional(w2, role="deg1.2")
-        )
+        return CochainPair(LatticeFunctional(w1), LatticeFunctional(w2))
     return CochainPair(
-        LatticeFunctional(rule=lambda a, b: -(lambda_pow(b) * f.coeff(-2 - a, -b)), role="deg1.1"),
-        LatticeFunctional(rule=lambda a, b: -(lambda_pow(a) * g.coeff(-a, -2 - b)), role="deg1.2"),
+        LatticeFunctional(rule=lambda a, b: -(lambda_pow(b) * f.coeff(-2 - a, -b))),
+        LatticeFunctional(rule=lambda a, b: -(lambda_pow(a) * g.coeff(-a, -2 - b))),
     )

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import re
 
 
@@ -437,6 +438,44 @@ def format_scalar(x: Scalar) -> str:
     return f"{ns}/{ds}"
 
 
+# Limits on parsed text, so that hostile input such as "(1+u)^100000" fails
+# at once: the magnitude of an exponent, the degree of a numerator or
+# denominator (powers of u excluded; they are free) and the bit length of a
+# coefficient.  Degrees are bounded before each operation, as gcd work grows
+# steeply with them.  The engine prints degrees under 20 and small integers.
+MAX_PARSE_EXPONENT = 100_000
+MAX_PARSE_DEGREE = 64
+MAX_PARSE_BITS = 256
+_BITS_ERROR = f"scalar text exceeds the coefficient limit of {MAX_PARSE_BITS} bits"
+_PARSE_OPS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": operator.pow
+}
+
+
+def _bounded(op: str, v: Scalar, w) -> Scalar:
+    """v op w for op in "+-*/^" (w an int for "^") within the MAX_PARSE_* limits."""
+    span = max(len(v.n), len(v.d)) - 1
+    bits = 0.0
+    if op == "^":
+        if abs(w) > MAX_PARSE_EXPONENT:
+            raise ValueError(f"exponent {w} exceeds the limit {MAX_PARSE_EXPONENT}")
+        # p**k has k times the degree of p, and coefficients below |p|_1**k
+        degree = abs(w) * span
+        bits = abs(w) * math.log2(max(sum(map(abs, v.n)), sum(map(abs, v.d))))
+    else:
+        degree = span + max(len(w.n), len(w.d)) - 1
+        if op in "+-" and v.n and w.n:
+            degree += abs(v.s - w.s)
+    if degree > MAX_PARSE_DEGREE:
+        raise ValueError(f"scalar text exceeds the degree limit {MAX_PARSE_DEGREE}")
+    if bits > MAX_PARSE_BITS:
+        raise ValueError(_BITS_ERROR)
+    out = _PARSE_OPS[op](v, w)
+    if max(abs(c).bit_length() for c in out.n + out.d) > MAX_PARSE_BITS:
+        raise ValueError(_BITS_ERROR)
+    return out
+
+
 _TOKEN = re.compile(r"\s*(\d+|u|\^|\+|-|\*|/|\(|\))")
 
 
@@ -477,7 +516,7 @@ class _Parser:
         while self.peek() in ("+", "-"):
             op = self.next()
             w = self.term()
-            v = v + w if op == "+" else v - w
+            v = _bounded(op, v, w)
         return v
 
     def term(self) -> Scalar:
@@ -487,9 +526,9 @@ class _Parser:
             if t in ("*", "/"):
                 self.next()
                 w = self.factor()
-                v = v * w if t == "*" else v / w
+                v = _bounded(t, v, w)
             elif t == "u" or t == "(":
-                v = v * self.factor()  # juxtaposition, e.g. "3u^2"
+                v = _bounded("*", v, self.factor())  # juxtaposition, e.g. "3u^2"
             else:
                 return v
 
@@ -508,7 +547,7 @@ class _Parser:
             t = self.next()
             if t is None or not t.isdigit():
                 raise ValueError("exponent must be an integer")
-            v = v ** (sign * int(t))
+            v = _bounded("^", v, sign * int(t))
         return -v if neg else v
 
     def atom(self) -> Scalar:
@@ -516,7 +555,7 @@ class _Parser:
         if t is None:
             raise ValueError("unexpected end of scalar text")
         if t.isdigit():
-            return Scalar.from_int(int(t))
+            return _bounded("*", Scalar.from_int(int(t)), ONE)
         if t == "u":
             return MU
         if t == "(":
@@ -528,5 +567,8 @@ class _Parser:
 
 
 def parse_scalar(text: str) -> Scalar:
-    """Parse the text form produced by format_scalar (round-trips exactly)."""
+    """Parse the text form produced by format_scalar (round-trips exactly).
+
+    Raises ValueError on malformed text and on text past the MAX_PARSE_*
+    limits above."""
     return _Parser(_tokenize(text)).parse()

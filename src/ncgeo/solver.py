@@ -3,7 +3,12 @@
 Everything here works on finite truncations of the lattice complexes: the
 variables are cochain coefficients on the square window [-N, N]^2 and the
 constraints are coefficient equations of one of the four named differentials
-(`twisted_alpha1`, `twisted_alpha2`, `alpha1`, `alpha2`).
+(`twisted_alpha1`, `twisted_alpha2`, `alpha1`, `alpha2`).  Both are read off
+the differential's stencil table in cochains.py: an equation (out_slot, site)
+references the input sites its table entries name, even where an entry's
+coefficient vanishes there (alpha1 at m = 0, alpha2 at n = 1 or m = 1), and
+its row holds the nonzero coefficients of the referenced sites inside the
+window.
 
 Two truncation conventions are used, on purpose:
 
@@ -52,10 +57,17 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .cochains import (
+    ALPHA1,
+    ALPHA2,
+    TWISTED_ALPHA1,
+    TWISTED_ALPHA2,
     CochainPair,
     LatticeFunctional,
+    Stencil,
     alpha1,
     alpha2,
+    cochain_from_slots,
+    cochain_slots,
     kernel_check_twisted_deg1,
     site_key,
     twisted_alpha1,
@@ -88,44 +100,18 @@ class NotACocycle(ValueError):
 # named operators
 
 
-def _refs_twisted_alpha1(slot: int, n: int, m: int):
-    if slot == 0:
-        return ((0, (n + 1, m)), (0, (n - 1, m)))
-    return ((0, (n, m + 1)), (0, (n, m - 1)))
-
-
-def _refs_twisted_alpha2(slot: int, n: int, m: int):
-    return ((0, (n, m + 1)), (0, (n, m - 1)), (1, (n + 1, m)), (1, (n - 1, m)))
-
-
-def _refs_alpha1(slot: int, n: int, m: int):
-    if slot == 0:
-        return ((0, (n - 1, m)),)
-    return ((0, (n, m - 1)),)
-
-
-def _refs_alpha2(slot: int, n: int, m: int):
-    return ((0, (n, m - 1)), (1, (n - 1, m)))
-
-
 @dataclass(frozen=True)
 class Operator:
     name: str
-    domain: str
-    codomain: str
     apply: Callable
-    refs: Callable[[int, int, int], tuple]
+    stencil: Stencil
 
 
 OPERATORS: dict[str, Operator] = {
-    "twisted_alpha1": Operator(
-        "twisted_alpha1", "functional", "pair", twisted_alpha1, _refs_twisted_alpha1
-    ),
-    "twisted_alpha2": Operator(
-        "twisted_alpha2", "pair", "functional", twisted_alpha2, _refs_twisted_alpha2
-    ),
-    "alpha1": Operator("alpha1", "functional", "pair", alpha1, _refs_alpha1),
-    "alpha2": Operator("alpha2", "pair", "functional", alpha2, _refs_alpha2),
+    "twisted_alpha1": Operator("twisted_alpha1", twisted_alpha1, TWISTED_ALPHA1),
+    "twisted_alpha2": Operator("twisted_alpha2", twisted_alpha2, TWISTED_ALPHA2),
+    "alpha1": Operator("alpha1", alpha1, ALPHA1),
+    "alpha2": Operator("alpha2", alpha2, ALPHA2),
 }
 
 
@@ -138,44 +124,11 @@ def _get_operator(name: str) -> Operator:
         ) from None
 
 
-def _nslots(kind: str) -> int:
-    return 2 if kind == "pair" else 1
-
-
-def _unit_input(op: Operator, slot: int, site: Site):
-    d = LatticeFunctional.delta(site[0], site[1])
-    if op.domain == "functional":
-        return d
-    z = LatticeFunctional.zero()
-    return CochainPair(d, z) if slot == 0 else CochainPair(z, d)
-
-
-def _items(op: Operator, out):
-    if op.codomain == "functional":
-        for site, c in out.terms.items():
-            yield (0, site, c)
-    else:
-        for site, c in out.first.terms.items():
-            yield (0, site, c)
-        for site, c in out.second.terms.items():
-            yield (1, site, c)
-
-
-def _coeff_of(op: Operator, obj, key: EqKey) -> Scalar:
-    slot, site = key
-    if op.codomain == "functional":
-        return obj.coeff(*site)
-    return (obj.first if slot == 0 else obj.second).coeff(*site)
-
-
 def _vector_object(op: Operator, vec: dict[VarKey, Scalar]):
-    if op.domain == "functional":
-        return LatticeFunctional({site: c for (_, site), c in vec.items()})
-    t0 = {site: c for (slot, site), c in vec.items() if slot == 0}
-    t1 = {site: c for (slot, site), c in vec.items() if slot == 1}
-    return CochainPair(
-        LatticeFunctional(t0, role="deg1.1"), LatticeFunctional(t1, role="deg1.2")
-    )
+    parts: list[dict[Site, Scalar]] = [{} for _ in range(op.stencil.in_slots)]
+    for (slot, site), c in vec.items():
+        parts[slot][site] = c
+    return cochain_from_slots([LatticeFunctional(t) for t in parts])
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +140,7 @@ def _variables(op: Operator, window: int) -> list[VarKey]:
         ((n, m) for n in range(-window, window + 1) for m in range(-window, window + 1)),
         key=site_key,
     )
-    return [(slot, s) for s in sites for slot in range(_nslots(op.domain))]
+    return [(slot, s) for s in sites for slot in range(op.stencil.in_slots)]
 
 
 def _inside(site: Site, window: int) -> bool:
@@ -195,13 +148,18 @@ def _inside(site: Site, window: int) -> bool:
 
 
 def _equations(op: Operator, window: int, full_stencil: bool) -> list[EqKey]:
+    """Equations (out_slot, site) whose stencil reads all (full_stencil) or
+    any of its input sites inside the window.  Every table entry counts,
+    also where its coefficient vanishes at that site."""
     keep = all if full_stencil else any
+    entries = op.stencil.entries
+    reach = window + max(max(abs(dn), abs(dm)) for _, _, dn, dm, _ in entries)
     out = []
-    for slot in range(_nslots(op.codomain)):
-        for n in range(-window - 1, window + 2):
-            for m in range(-window - 1, window + 2):
-                refs = op.refs(slot, n, m)
-                if keep(_inside(s, window) for _, s in refs):
+    for slot in range(op.stencil.out_slots):
+        offsets = [(dn, dm) for o, _, dn, dm, _ in entries if o == slot]
+        for n in range(-reach, reach + 1):
+            for m in range(-reach, reach + 1):
+                if keep(_inside((n + dn, m + dm), window) for dn, dm in offsets):
                     out.append((slot, (n, m)))
     out.sort(key=lambda e: (e[0], site_key(e[1])))
     return out
@@ -217,17 +175,23 @@ class _Row:
 
 
 def _assemble(op: Operator, window: int, eqs: list[EqKey], target=None, track=False):
-    eq_index = {e: i for i, e in enumerate(eqs)}
+    """One row per equation, read off the stencil table: zero coefficients
+    and variables outside the window are dropped."""
+    by_slot = [
+        [e for e in op.stencil.entries if e[0] == slot] for slot in range(op.stencil.out_slots)
+    ]
+    goal = None if target is None else cochain_slots(target)
     rows = []
-    for i, e in enumerate(eqs):
-        rhs = ZERO if target is None else _coeff_of(op, target, e)
-        rows.append(_Row({}, rhs, {i: ONE} if track else None))
-    for v in _variables(op, window):
-        out = op.apply(_unit_input(op, *v))
-        for slot, site, c in _items(op, out):
-            i = eq_index.get((slot, site))
-            if i is not None:
-                rows[i].coeffs[v] = c
+    for i, (slot, (n, m)) in enumerate(eqs):
+        coeffs = {}
+        for _, in_slot, dn, dm, coeff in by_slot[slot]:
+            site = (n + dn, m + dm)
+            if _inside(site, window):
+                c = coeff(n, m)
+                if c:
+                    coeffs[(in_slot, site)] = c
+        rhs = ZERO if goal is None else goal[slot].coeff(n, m)
+        rows.append(_Row(coeffs, rhs, {i: ONE} if track else None))
     return rows
 
 
@@ -372,14 +336,10 @@ def coboundary_solve(target, operator: str, window: int) -> SolveReport:
     op = _get_operator(operator)
     if window < 3:
         raise ValueError("window radius must be at least 3")
-    if op.codomain == "functional":
-        if not isinstance(target, LatticeFunctional):
-            raise TypeError(f"{op.name} needs a LatticeFunctional target")
-        sites = list(target.terms)
-    else:
-        if not isinstance(target, CochainPair):
-            raise TypeError(f"{op.name} needs a CochainPair target")
-        sites = list(target.first.terms) + list(target.second.terms)
+    kind = LatticeFunctional if op.stencil.out_slots == 1 else CochainPair
+    if not isinstance(target, kind):
+        raise TypeError(f"{op.name} needs a {kind.__name__} target")
+    sites = [s for part in cochain_slots(target) for s in part.terms]
     if any(abs(n) > window - 2 or abs(m) > window - 2 for n, m in sites):
         raise ValueError("target support must stay 2 sites clear of the window edge")
 

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from ncgeo.cli import main
+from ncgeo.cli import _to_json, main
 
 
 def run(capsys, *argv):
@@ -42,6 +42,15 @@ class TestVerifyProjections:
         assert code == 1
 
 
+    def test_nan_angle_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-projections", "--numeric", "nan", "--format", "json"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--numeric" in captured.err
+
+
 class TestPairingTable:
     def test_text_and_exit(self, capsys):
         code, out = run(capsys, "pairing-table")
@@ -61,6 +70,24 @@ class TestPairingTable:
         assert code == 0
         assert len(data["cells"]) == 30
         assert len(data["discrepancies"]) == 8
+
+    def test_infinite_angle_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["pairing-table", "--numeric", "inf", "--format", "json"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--numeric" in captured.err
+
+    def test_huge_angle_is_usage_error(self, capsys):
+        # 1e308 used to overflow inside the numeric evaluation
+        with pytest.raises(SystemExit) as exc:
+            main(["pairing-table", "--numeric", "1e308"])
+        assert exc.value.code == 2
+        assert "--numeric" in capsys.readouterr().err
+        code, out = run(capsys, "pairing-table", "--numeric", "1e6", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["numeric_theta"] == 1e6
 
     def test_byte_identical(self, capsys):
         _, a = run(capsys, "pairing-table", "--format", "json")
@@ -147,6 +174,20 @@ class TestOutput:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["all_ok"] is True
+
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["pairing-table", "--out", str(target)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(target) in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+
+    def test_json_never_carries_non_finite_numbers(self):
+        with pytest.raises(ValueError):
+            _to_json({"x": float("nan")})
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -54,6 +54,67 @@ def as_rule(phi):
     return LatticeFunctional(rule=phi.coeff)
 
 
+class TestProductOracle:
+    """The stencil tables against the defining twisted products, written here
+    with TorusElement multiplication and nothing from the tables."""
+
+    U1, U2 = TorusElement.monomial(1, 0), TorusElement.monomial(0, 1)
+    U1i, U2i = TorusElement.monomial(-1, 0), TorusElement.monomial(0, -1)
+
+    @staticmethod
+    def series(phi):
+        return TorusElement(phi.terms)
+
+    @staticmethod
+    def functional(x):
+        return LatticeFunctional(x.terms)
+
+    def twisted_alpha1(self, phi):
+        a = self.series(phi)
+        return CochainPair(
+            self.functional(self.U1i * a - a * self.U1),
+            self.functional(self.U2i * a - a * self.U2),
+        )
+
+    def twisted_alpha2(self, pair):
+        f, g = self.series(pair.first), self.series(pair.second)
+        lam = TorusElement.monomial(0, 0, LAMBDA)
+        return self.functional(
+            self.U2i * f - lam * f * self.U2 - lam * self.U1i * g + g * self.U1
+        )
+
+    def alpha1(self, phi):
+        a = self.series(phi)
+        return CochainPair(
+            self.functional(self.U1 * a - a * self.U1),
+            self.functional(self.U2 * a - a * self.U2),
+        )
+
+    def alpha2(self, pair):
+        f, g = self.series(pair.first), self.series(pair.second)
+        lam = TorusElement.monomial(0, 0, LAMBDA)
+        return self.functional(self.U2 * f - lam * f * self.U2 - lam * self.U1 * g + g * self.U1)
+
+    @given(small_functionals)
+    @settings(max_examples=40, deadline=None)
+    def test_degree_one_differentials(self, phi):
+        for route, oracle in ((twisted_alpha1, self.twisted_alpha1), (alpha1, self.alpha1)):
+            want = oracle(phi)
+            got = route(phi)
+            assert (got.first, got.second) == (want.first, want.second)
+            got = route(as_rule(phi), radius=8)
+            assert (got.first, got.second) == (want.first.restrict(8), want.second.restrict(8))
+
+    @given(small_pairs)
+    @settings(max_examples=40, deadline=None)
+    def test_degree_two_differentials(self, pair):
+        rule_pair = CochainPair(as_rule(pair.first), as_rule(pair.second))
+        for route, oracle in ((twisted_alpha2, self.twisted_alpha2), (alpha2, self.alpha2)):
+            want = oracle(pair)
+            assert route(pair) == want
+            assert route(rule_pair, radius=8) == want.restrict(8)
+
+
 class TestFunctional:
     def test_zero_pruning_and_support(self):
         phi = LatticeFunctional({(0, 0): ONE, (1, 2): ZERO, (0, -1): 3})

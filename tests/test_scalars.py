@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,9 @@ from hypothesis import given, settings, strategies as st
 from ncgeo.scalars import (
     HALF,
     LAMBDA,
+    MAX_PARSE_BITS,
+    MAX_PARSE_DEGREE,
+    MAX_PARSE_EXPONENT,
     MU,
     ONE,
     ZERO,
@@ -229,3 +233,57 @@ class TestMonomials:
     def test_lambda_pow_is_homomorphism(self, i, j):
         assert lambda_pow(i) * lambda_pow(j) == lambda_pow(i + j)
         assert lambda_pow(i).star() == lambda_pow(-i)
+
+
+class TestParseLimits:
+    def test_hostile_power_fails_fast(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"degree limit {MAX_PARSE_DEGREE}"):
+            parse_scalar("(1+u)^100000")
+        assert time.perf_counter() - start < 1.0
+
+    def test_each_limit_is_named(self):
+        with pytest.raises(ValueError, match=str(MAX_PARSE_EXPONENT)):
+            parse_scalar(f"u^{MAX_PARSE_EXPONENT + 1}")
+        with pytest.raises(ValueError, match=f"{MAX_PARSE_BITS} bits"):
+            parse_scalar("(2^200)^2")
+        with pytest.raises(ValueError, match=f"degree limit {MAX_PARSE_DEGREE}"):
+            parse_scalar(f"1 + u^{MAX_PARSE_DEGREE + 1}")
+
+    def test_values_at_the_limits_parse(self):
+        assert parse_scalar(f"u^{MAX_PARSE_EXPONENT}") == mu_pow(MAX_PARSE_EXPONENT)
+        assert parse_scalar(f"u^-{MAX_PARSE_EXPONENT}") == mu_pow(-MAX_PARSE_EXPONENT)
+        x = parse_scalar(f"1/(1 - u)^{MAX_PARSE_DEGREE}")
+        assert len(x.d) - 1 == MAX_PARSE_DEGREE
+
+    def test_high_phases_round_trip(self):
+        # h1 witnesses at window 16 carry phases up to a few hundred powers of u
+        for k in (128, 256, 511, -512, 4096):
+            x = -(lambda_pow(k) * HALF)
+            assert parse_scalar(format_scalar(x)) == x
+
+
+class TestSympyOracle:
+    """Field operations against sympy's rational-function normal form."""
+
+    @staticmethod
+    def parts(u, x: Scalar):
+        """x = u**s * num / den, with num and den as sympy polynomials in u."""
+        num = sum(c * u**k for k, c in enumerate(x.n))
+        den = sum(c * u**k for k, c in enumerate(x.d))
+        return u**x.s, num, den
+
+    @given(small_scalars, small_scalars)
+    @settings(max_examples=40, deadline=None)
+    def test_field_operations_match_cancel(self, a, b):
+        sympy = pytest.importorskip("sympy")
+        u = sympy.Symbol("u")
+        sa, sb = (shift * num / den for shift, num, den in (self.parts(u, a), self.parts(u, b)))
+        results = [(a + b, sa + sb), (a - b, sa - sb), (a * b, sa * sb)]
+        if b:
+            results += [(a / b, sa / sb), (b.inv(), 1 / sb)]
+        for got, want in results:
+            shift, num, den = self.parts(u, got)
+            assert sympy.cancel(shift * num / den - want) == 0
+            # canonical form: numerator and denominator share no factor
+            assert sympy.degree(sympy.gcd(num, den), u) <= 0

@@ -16,6 +16,7 @@ from ncgeo.cochains import (
     twisted_alpha2,
 )
 from ncgeo import solver
+from ncgeo.torus import TorusElement
 from ncgeo.solver import (
     OPERATORS,
     NotACocycle,
@@ -177,6 +178,26 @@ class TestCoboundarySolve:
         rep = coboundary_solve(d(0, 0), "twisted_alpha2", 6)
         assert rep.status == "unsolvable"
         assert 0 < touched < 10_000
+
+    def test_no_torus_products(self, monkeypatch):
+        # systems are read off the stencil tables and witnesses re-checked
+        # through them; no step multiplies series
+        products = 0
+        mul = TorusElement.__mul__
+
+        def counting(self, other):
+            nonlocal products
+            products += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(TorusElement, "__mul__", counting)
+        assert kernel_dimension("twisted_alpha1", 4).nullity == 4
+        assert kernel_dimension("alpha1", 4).nullity == 1
+        assert coboundary_solve(d(0, 0), "twisted_alpha2", 5).status == "unsolvable"
+        assert coboundary_solve(d(0, 2), "alpha2", 5).status == "solved"
+        pair = twisted_alpha1(random_functional(random.Random(3), radius=8, size=8))
+        assert h1_trivialize(pair, 10).residual.is_zero()
+        assert products == 0
 
     def test_margin_enforced(self):
         with pytest.raises(ValueError):
@@ -391,6 +412,17 @@ class TestH1Trivialize:
         pair = CochainPair(ZF, eta)
         rep = h1_trivialize(pair, window)
         assert rep.status == "solved"
+
+    def test_window_16_witness_round_trips_through_json(self):
+        # the telescoping rows carry phases up to u^256; parse_scalar's
+        # limits must leave every printed coefficient readable
+        window = 16
+        eta = LatticeFunctional(
+            {(n, 1): (ONE if n % 2 == 0 else LAMBDA) for n in range(-window, window + 1)}
+        )
+        witness = h1_trivialize(CochainPair(ZF, eta), window).witness
+        assert max(abs(c.s) for c in witness.terms.values()) >= 256
+        assert LatticeFunctional.from_json(witness.to_json()) == witness
 
     def test_rejects_non_cocycle(self):
         with pytest.raises(NotACocycle) as exc:
