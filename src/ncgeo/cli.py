@@ -36,6 +36,9 @@ from . import pairing as pairing_mod
 
 GOLDEN_THETA = (math.sqrt(5) - 1) / 2
 
+# Largest --window radius; at 32 each report command takes several seconds.
+MAX_WINDOW = 32
+
 DESIGN_HEADER = {
     "schema": "ncgeo/1",
     "scalars": "exact rational functions of the formal unit u; lambda = u^2",
@@ -69,15 +72,15 @@ def _numeric(value: Scalar, theta: float) -> list[float]:
 
 
 def _window_list(text: str) -> list[int]:
-    """Type of --window: comma-separated radii, each an integer >= 3."""
+    """Type of --window: comma-separated radii, each an integer in [3, MAX_WINDOW]."""
     try:
         windows = [int(tok) for tok in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"window radii must be comma-separated integers, got {text!r}"
         ) from None
-    if any(w < 3 for w in windows):
-        raise argparse.ArgumentTypeError("window radii must be integers >= 3")
+    if any(w < 3 or w > MAX_WINDOW for w in windows):
+        raise argparse.ArgumentTypeError(f"window radii must be integers from 3 to {MAX_WINDOW}")
     return windows
 
 

@@ -470,7 +470,10 @@ def _bounded(op: str, v: Scalar, w) -> Scalar:
         raise ValueError(f"scalar text exceeds the degree limit {MAX_PARSE_DEGREE}")
     if bits > MAX_PARSE_BITS:
         raise ValueError(_BITS_ERROR)
-    out = _PARSE_OPS[op](v, w)
+    try:
+        out = _PARSE_OPS[op](v, w)
+    except ZeroDivisionError:
+        raise ValueError("division by zero in scalar text") from None
     if max(abs(c).bit_length() for c in out.n + out.d) > MAX_PARSE_BITS:
         raise ValueError(_BITS_ERROR)
     return out
@@ -569,6 +572,6 @@ class _Parser:
 def parse_scalar(text: str) -> Scalar:
     """Parse the text form produced by format_scalar (round-trips exactly).
 
-    Raises ValueError on malformed text and on text past the MAX_PARSE_*
-    limits above."""
+    Raises ValueError on malformed text, on a division by zero and on text
+    past the MAX_PARSE_* limits above."""
     return _Parser(_tokenize(text)).parse()

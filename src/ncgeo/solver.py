@@ -32,6 +32,16 @@ order Gauss-Jordan ends in the same reduced echelon form whichever rows are
 chosen, so pivot columns, witnesses (free variables set to 0) and kernel
 bases depend on the variable order alone.
 
+A membership solve assembles and eliminates only the target's connected
+block: the equations reached from the target's support, two equations being
+connected when both hold some variable with a nonzero coefficient.  This
+cannot change an output.  Gauss-Jordan inside one block never touches another
+block, so an equation outside the target's block keeps its zero right side;
+it yields neither a witness entry nor an inconsistent row.  The block's rows
+are eliminated in equation order and keep their equation indices, so pivots
+and certificates are those of the whole system.  Kernel computations still
+eliminate every equation, as the nullity needs every block.
+
 The second half of the module implements the constructive proof that the
 flip-twisted first cohomology vanishes, as a two-phase pipeline:
 
@@ -174,15 +184,16 @@ class _Row:
         self.combo = combo
 
 
-def _assemble(op: Operator, window: int, eqs: list[EqKey], target=None, track=False):
-    """One row per equation, read off the stencil table: zero coefficients
-    and variables outside the window are dropped."""
+def _row_builder(op: Operator, window: int, target=None, track=False):
+    """build(i, eq): the row of equation eq (index i), read off the stencil
+    table: zero coefficients and variables outside the window are dropped."""
     by_slot = [
         [e for e in op.stencil.entries if e[0] == slot] for slot in range(op.stencil.out_slots)
     ]
     goal = None if target is None else cochain_slots(target)
-    rows = []
-    for i, (slot, (n, m)) in enumerate(eqs):
+
+    def build(i: int, eq: EqKey) -> _Row:
+        slot, (n, m) = eq
         coeffs = {}
         for _, in_slot, dn, dm, coeff in by_slot[slot]:
             site = (n + dn, m + dm)
@@ -191,8 +202,44 @@ def _assemble(op: Operator, window: int, eqs: list[EqKey], target=None, track=Fa
                 if c:
                     coeffs[(in_slot, site)] = c
         rhs = ZERO if goal is None else goal[slot].coeff(n, m)
-        rows.append(_Row(coeffs, rhs, {i: ONE} if track else None))
-    return rows
+        return _Row(coeffs, rhs, {i: ONE} if track else None)
+
+    return build
+
+
+def _assemble(op: Operator, window: int, eqs: list[EqKey], target=None, track=False):
+    """One row per equation."""
+    build = _row_builder(op, window, target, track)
+    return [build(i, eq) for i, eq in enumerate(eqs)]
+
+
+def _target_block(op: Operator, window: int, eqs: list[EqKey], target) -> dict[int, _Row]:
+    """Tracked rows of the equations connected to the target's support, keyed
+    by equation index.  Two rows are connected when both hold a variable with
+    a nonzero coefficient; a variable's equations are found by reading the
+    stencil offsets backwards, and rows outside the block are never built."""
+    index = {eq: i for i, eq in enumerate(eqs)}
+    readers = [
+        [(o, dn, dm, coeff) for o, s, dn, dm, coeff in op.stencil.entries if s == slot]
+        for slot in range(op.stencil.in_slots)
+    ]
+    build = _row_builder(op, window, target, track=True)
+    todo = [index[(slot, s)] for slot, part in enumerate(cochain_slots(target)) for s in part.terms]
+    block: dict[int, _Row] = {}
+    seen: set[VarKey] = set()
+    while todo:
+        i = todo.pop()
+        if i in block:
+            continue
+        block[i] = row = build(i, eqs[i])
+        for k in row.coeffs.keys() - seen:
+            seen.add(k)
+            in_slot, (a, b) = k
+            for o, dn, dm, coeff in readers[in_slot]:
+                n, m = a - dn, b - dm
+                if coeff(n, m):
+                    todo.append(index[(o, (n, m))])
+    return block
 
 
 def _scale_row(row: _Row, f: Scalar) -> None:
@@ -345,13 +392,14 @@ def coboundary_solve(target, operator: str, window: int) -> SolveReport:
 
     var_order = _variables(op, window)
     eqs = _equations(op, window, full_stencil=False)
-    rows = _assemble(op, window, eqs, target=target, track=True)
-    original = [(dict(r.coeffs), r.rhs) for r in rows]
+    block = _target_block(op, window, eqs, target)
+    rows = [block[i] for i in sorted(block)]
+    original = {i: (dict(r.coeffs), r.rhs) for i, r in block.items()}
     pivots = _eliminate(rows, var_order)
 
-    bad = next((i for i, r in enumerate(rows) if not r.coeffs and r.rhs), None)
+    bad = next((r for r in rows if not r.coeffs and r.rhs), None)
     if bad is not None:
-        combo = rows[bad].combo
+        combo = bad.combo
         lhs: dict[VarKey, Scalar] = {}
         rhs = ZERO
         for i, mult in combo.items():
@@ -501,18 +549,19 @@ def h1_trivialize(pair: CochainPair, window: int) -> SolveReport:
     if not ok:
         raise NotACocycle(site)
 
-    gamma = LatticeFunctional.zero()
+    # one accumulator: gamma's rows are disjoint, rho's stacks overlap
+    acc: dict[Site, Scalar] = {}
     for s0, rowf in _rows_of(pair.first).items():
-        gamma = gamma + line_eliminate(rowf, s0, window)
-    correction = twisted_alpha1(gamma)
+        acc.update(line_eliminate(rowf, s0, window).terms)
+    correction = twisted_alpha1(LatticeFunctional(acc))
     leftover = (pair.second - correction.second).restrict(window)
 
-    rho = LatticeFunctional.zero()
     for s0, rowf in _rows_of(leftover).items():
         direction = "above" if s0 < 0 else "below"
-        rho = rho + row_solve(rowf, s0, direction, window)
+        for site, c in row_solve(rowf, s0, direction, window).terms.items():
+            acc[site] = acc.get(site, ZERO) + c
 
-    psi = gamma + rho
+    psi = LatticeFunctional(acc)
     out = twisted_alpha1(psi)
     residual = CochainPair(
         (out.first - pair.first).restrict(window - 1),

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from ncgeo.cli import _to_json, main
+from ncgeo.cli import _to_json, _window_list, main
 
 
 def run(capsys, *argv):
@@ -129,6 +129,15 @@ class TestDimensionReport:
             main(["dimension-report", "--window", "3,,4"])
         assert exc.value.code == 2
         assert "--window" in capsys.readouterr().err
+
+    def test_window_past_limit_is_usage_error(self, capsys):
+        for command in ("dimension-report", "cohomology-report"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--window", "33"])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "--window" in err and "32" in err
+        assert _window_list("3,32") == [3, 32]
 
 
 class TestCohomologyReport:

@@ -256,6 +256,11 @@ class TestParseLimits:
         x = parse_scalar(f"1/(1 - u)^{MAX_PARSE_DEGREE}")
         assert len(x.d) - 1 == MAX_PARSE_DEGREE
 
+    def test_division_by_zero_is_value_error(self):
+        for text in ("1/0", "0^-1", "(1-u)/(u-u)"):
+            with pytest.raises(ValueError, match="division by zero"):
+                parse_scalar(text)
+
     def test_high_phases_round_trip(self):
         # h1 witnesses at window 16 carry phases up to a few hundred powers of u
         for k in (128, 256, 511, -512, 4096):

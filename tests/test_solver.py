@@ -12,6 +12,7 @@ from ncgeo.cochains import (
     LatticeFunctional,
     alpha2,
     make_D,
+    site_key,
     twisted_alpha1,
     twisted_alpha2,
 )
@@ -301,6 +302,77 @@ class TestPivotRuleOracle:
                 rep = coboundary_solve(target, name, window)
                 assert rep.status == "solved"
                 assert rep.witness == witness
+
+
+def full_system_solve(target, name, window):
+    """Reference membership solve: every imposed equation of the window is
+    assembled and eliminated, whatever the target reaches."""
+    op = OPERATORS[name]
+    eqs = solver._equations(op, window, full_stencil=False)
+    rows = solver._assemble(op, window, eqs, target=target, track=True)
+    pivots = solver._eliminate(rows, solver._variables(op, window))
+    bad = next((r for r in rows if not r.coeffs and r.rhs), None)
+    if bad is not None:
+        certificate = sorted(
+            ((eqs[i], c) for i, c in bad.combo.items() if c),
+            key=lambda kv: (kv[0][0], site_key(kv[0][1])),
+        )
+        return SolveReport(name, window, "unsolvable", certificate=tuple(certificate))
+    parts = ({}, {})
+    for (slot, site), i in pivots.items():
+        if rows[i].rhs:
+            parts[slot][site] = rows[i].rhs
+    witness = CochainPair(LatticeFunctional(parts[0]), LatticeFunctional(parts[1]))
+    return SolveReport(
+        name, window, "solved", witness=witness, residual=op.apply(witness) - target
+    )
+
+
+class TestTargetBlock:
+    """Membership solves eliminate only the equations connected to the
+    target; the other blocks have a zero right side and cannot matter."""
+
+    def test_outputs_match_full_system(self):
+        rng = random.Random(11)
+        statuses = set()
+        for name in ("twisted_alpha2", "alpha2"):
+            apply = OPERATORS[name].apply
+            for window in (4, 5, 6):
+                for _ in range(2):
+                    src = CochainPair(
+                        random_functional(rng, radius=window - 3),
+                        random_functional(rng, radius=window - 3),
+                    )
+                    exact = apply(src)
+                    spread = sum(
+                        (d(i, j, mu_pow(rng.randint(-2, 2))) for i in (0, 1) for j in (0, 1)),
+                        ZF,
+                    )
+                    for target in (exact, exact + spread, exact + d(1, 1), spread):
+                        rep = coboundary_solve(target, name, window)
+                        assert rep.to_json() == full_system_solve(target, name, window).to_json()
+                        statuses.add((name, rep.status))
+        assert statuses == {
+            (name, status)
+            for name in ("twisted_alpha2", "alpha2")
+            for status in ("solved", "unsolvable")
+        }
+
+    def test_eliminates_only_the_target_block(self, monkeypatch):
+        # the whole radius-6 systems have 221 (twisted) and 194 rows
+        sizes = []
+        eliminate = solver._eliminate
+
+        def recording(rows, var_order):
+            sizes.append(len(rows))
+            return eliminate(rows, var_order)
+
+        monkeypatch.setattr(solver, "_eliminate", recording)
+        assert coboundary_solve(d(0, 0), "twisted_alpha2", 6).status == "unsolvable"
+        assert coboundary_solve(d(1, 1), "alpha2", 6).status == "unsolvable"
+        assert coboundary_solve(d(0, 2), "alpha2", 6).status == "solved"
+        assert 0 < sizes[0] <= 60
+        assert sizes[1:] == [1, 1]
 
 
 class TestLineEliminate:
