@@ -48,13 +48,18 @@ flip-twisted first cohomology vanishes, as a two-phase pipeline:
 * `line_eliminate` cancels one row of the first component with a degree-0
   cochain supported on that row, walking outward in both directions from
   the gauge choice gamma[0] = gamma[1] = 0;
-* `row_solve` absorbs one surviving second-component row eta (which must
+* `row_solve` absorbs one second-component row eta at y=s0 (which must
   satisfy the row recurrence eta[w+1] = lambda**(s0-1) eta[w-1]; this is
-  checked, not assumed) with a telescoping stack of rows walking away from
-  it until the uncancelled remainder falls outside the window;
-* `h1_trivialize` composes the two over all rows of a windowed cocycle and
-  returns a witness whose differential reproduces the input exactly at
-  every interior site of the window.
+  checked, not assumed) with a telescoping sweep over the rows of the other
+  parity, carried below s0 down to y = -window or above it up to
+  y = window (|s0| <= window is required);
+* `h1_trivialize` cancels every first-component row with `line_eliminate`,
+  checks every surviving second-component row's recurrence, and absorbs
+  all of them at once: one carry sweep per direction (rows y >= 0 below,
+  y < 0 above) and parity chain of rows, which is the sum of the per-row
+  sweeps of `row_solve`, value for value, at a fraction of the products.
+  The witness's differential reproduces the input exactly at every
+  interior site of the window.
 
 Witnesses are not canonical: the gauge above and the walk directions are
 fixed choices among many, and different windows give different tails.
@@ -62,7 +67,6 @@ fixed choices among many, and different windows give different tails.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -438,6 +442,10 @@ def coboundary_solve(target, operator: str, window: int) -> SolveReport:
 
 
 def _one_row(f: LatticeFunctional, s0: int, window: int, what: str) -> dict[int, Scalar]:
+    if not isinstance(f, LatticeFunctional) or not f.is_finite():
+        raise TypeError(f"{what} must be a finite LatticeFunctional; restrict first")
+    if abs(s0) > window:
+        raise ValueError(f"{what} y={s0} lies outside the window |y| <= {window}")
     row: dict[int, Scalar] = {}
     for (n, m), c in f.terms.items():
         if m != s0:
@@ -483,22 +491,9 @@ def line_eliminate(row: LatticeFunctional, s0: int, window: int) -> LatticeFunct
     return LatticeFunctional({(n, s0): c for n, c in gamma.items()})
 
 
-def row_solve(
-    eta: LatticeFunctional, s0: int, direction: str, window: int
-) -> LatticeFunctional:
-    """Degree-0 cochain rho whose twisted differential is exactly the single
-    row eta at y=s0 (second component; first component zero) at all interior
-    sites, supported on rows walking below or above s0.
-
-    Requires eta[w+1] = lambda**(s0-1) eta[w-1] at every |w| <= window-1;
-    a violation is rejected with the offending site.  The telescoping stack
-    stops once the uncancelled row falls outside |y| <= window-1.
-    """
-    if window < 2:
-        raise ValueError("window radius must be at least 2")
-    if direction not in ("below", "above"):
-        raise ValueError("direction must be 'below' or 'above'")
-    h = _one_row(eta, s0, window, "row_solve row")
+def _check_recurrence(h: dict[int, Scalar], s0: int, window: int) -> None:
+    """Reject a row h = {n: eta[n]} at y=s0 that fails
+    eta[w+1] = lambda**(s0-1) eta[w-1] at some |w| <= window-1."""
     fact = lambda_pow(s0 - 1)
     for w in range(-window + 1, window):
         if h.get(w + 1, ZERO) != fact * h.get(w - 1, ZERO):
@@ -506,22 +501,73 @@ def row_solve(
                 (w, s0),
                 f"row fails eta[w+1] = lambda^(s0-1) eta[w-1] at w={w}, y={s0}",
             )
-    if not h:
-        return LatticeFunctional.zero()
+
+
+def _absorb(
+    rows: dict[int, dict[int, Scalar]], direction: str, window: int
+) -> dict[Site, Scalar]:
+    """Degree-0 cochain rho whose twisted differential's second component is
+    the given rows {y: {n: eta[n]}} (first component zero) at all interior
+    sites, as one carry sweep per parity chain of rows:
+
+        below:  rho_r[n] = lambda**-n rho_{r+2}[n] - eta_{r+1}[n],  r down to -window
+        above:  rho_r[n] = lambda**n (rho_{r-2}[n] + eta_{r-1}[n]),  r up to window
+
+    The sweep starts next to the first source row, stops at the window edge
+    and jumps to the next source row whenever the carry cancels to zero.
+    """
+    below = direction == "below"
+    step = -2 if below else 2
     rho: dict[Site, Scalar] = {}
-    if direction == "below":
-        depth = max(0, math.ceil((s0 + window) / 2))
-        for k in range(1, depth + 1):
-            r = s0 - (2 * k - 1)
-            for n, c in h.items():
-                rho[(n, r)] = -(lambda_pow(-(k - 1) * n) * c)
-    else:
-        depth = max(0, math.ceil((window - s0) / 2))
-        for k in range(1, depth + 1):
-            r = s0 + (2 * k - 1)
-            for n, c in h.items():
-                rho[(n, r)] = lambda_pow(k * n) * c
-    return LatticeFunctional(rho)
+    for parity in (0, 1):
+        todo = sorted((s for s in rows if s % 2 == parity), reverse=not below)
+        carry: dict[int, Scalar] = {}
+        r = 0
+        while todo or carry:
+            if not carry:
+                r = todo[-1] + step // 2
+            if abs(r) > window:
+                break
+            h = rows[todo.pop()] if todo and todo[-1] == r - step // 2 else {}
+            if below:
+                nxt = {n: lambda_pow(-n) * c for n, c in carry.items()}
+                for n, c in h.items():
+                    nxt[n] = nxt[n] - c if n in nxt else -c
+            else:
+                nxt = dict(carry)
+                for n, c in h.items():
+                    nxt[n] = nxt[n] + c if n in nxt else c
+                nxt = {n: lambda_pow(n) * c for n, c in nxt.items() if c}
+            carry = {n: c for n, c in nxt.items() if c}
+            for n, c in carry.items():
+                rho[(n, r)] = c
+            r += step
+    return rho
+
+
+def row_solve(
+    eta: LatticeFunctional, s0: int, direction: str, window: int
+) -> LatticeFunctional:
+    """Degree-0 cochain rho whose twisted differential is exactly the single
+    row eta at y=s0 (second component; first component zero) at all interior
+    sites, supported on the rows of the other parity below or above s0.
+
+    Requires |s0| <= window and eta[w+1] = lambda**(s0-1) eta[w-1] at every
+    |w| <= window-1; a violation is rejected with the offending site.  rho is
+    the telescoping sweep of _absorb: rho[n, s0-1] = -eta[n],
+    rho[n, r-2] = lambda**-n rho[n, r] below (rho[n, s0+1] = lambda**n eta[n],
+    rho[n, r+2] = lambda**n rho[n, r] above), over the rows |y| <= window.
+    """
+    if window < 2:
+        raise ValueError("window radius must be at least 2")
+    if direction not in ("below", "above"):
+        raise ValueError("direction must be 'below' or 'above'")
+    h = _one_row(eta, s0, window, "row_solve row")
+    _check_recurrence(h, s0, window)
+    return LatticeFunctional(_absorb({s0: h}, direction, window))
+
+
+_SECOND = [e for e in TWISTED_ALPHA1.entries if e[0] == 1]
 
 
 def _rows_of(f: LatticeFunctional) -> dict[int, LatticeFunctional]:
@@ -531,17 +577,36 @@ def _rows_of(f: LatticeFunctional) -> dict[int, LatticeFunctional]:
     return {m: LatticeFunctional(t) for m, t in sorted(rows.items())}
 
 
+def _interior_difference(
+    got: LatticeFunctional, want: LatticeFunctional, radius: int
+) -> LatticeFunctional:
+    """(got - want) restricted to [-radius, radius]^2."""
+    diff = {}
+    for n, m in got.terms.keys() | want.terms.keys():
+        if abs(n) <= radius and abs(m) <= radius:
+            a, b = got.terms.get((n, m), ZERO), want.terms.get((n, m), ZERO)
+            if a != b:
+                diff[(n, m)] = a - b
+    return LatticeFunctional(diff)
+
+
 def h1_trivialize(pair: CochainPair, window: int) -> SolveReport:
     """Constructive trivialization of a windowed twisted 1-cocycle.
 
     Phase 1 cancels every first-component row with line_eliminate; phase 2
-    absorbs each surviving second-component row with row_solve (walking
-    below for rows at y >= 0, above for y < 0).  The returned witness psi
-    satisfies twisted_alpha1(psi) = pair exactly at all sites with
-    |n|, |m| <= window-1; the report's residual is that restriction.
+    checks each surviving second-component row's recurrence as row_solve
+    does and absorbs the rows at y >= 0 in one sweep below and those at
+    y < 0 in one sweep above (_absorb), down to y = -window and up to
+    y = window.  The returned witness psi satisfies twisted_alpha1(psi) =
+    pair exactly at all sites with |n|, |m| <= window-1; the report's
+    residual is that restriction.
     """
     if window < 3:
         raise ValueError("window radius must be at least 3")
+    if not isinstance(pair, CochainPair) or not (
+        pair.first.is_finite() and pair.second.is_finite()
+    ):
+        raise TypeError("h1_trivialize needs a finite CochainPair; restrict first")
     for f in (pair.first, pair.second):
         if any(abs(n) > window or abs(m) > window for n, m in f.terms):
             raise ValueError("pair support exceeds the window")
@@ -549,23 +614,36 @@ def h1_trivialize(pair: CochainPair, window: int) -> SolveReport:
     if not ok:
         raise NotACocycle(site)
 
-    # one accumulator: gamma's rows are disjoint, rho's stacks overlap
+    # phase 1; gamma's rows are disjoint
     acc: dict[Site, Scalar] = {}
     for s0, rowf in _rows_of(pair.first).items():
         acc.update(line_eliminate(rowf, s0, window).terms)
-    correction = twisted_alpha1(LatticeFunctional(acc))
-    leftover = (pair.second - correction.second).restrict(window)
+    # leftover = pair.second - twisted_alpha1(gamma).second inside the window
+    leftover = dict(pair.second.terms)
+    for _, _, dn, dm, coeff in _SECOND:
+        for (a, b), v in acc.items():
+            n, m = a - dn, b - dm
+            if abs(n) <= window and abs(m) <= window:
+                c = coeff(n, m) * v
+                leftover[(n, m)] = leftover[(n, m)] - c if (n, m) in leftover else -c
 
-    for s0, rowf in _rows_of(leftover).items():
-        direction = "above" if s0 < 0 else "below"
-        for site, c in row_solve(rowf, s0, direction, window).terms.items():
-            acc[site] = acc.get(site, ZERO) + c
+    rows: dict[int, dict[int, Scalar]] = {}
+    for (n, m), c in leftover.items():
+        if c:
+            rows.setdefault(m, {})[n] = c
+    for s0 in sorted(rows):
+        _check_recurrence(rows[s0], s0, window)
+    below = {s0: h for s0, h in rows.items() if s0 >= 0}
+    above = {s0: h for s0, h in rows.items() if s0 < 0}
+    for part in (_absorb(below, "below", window), _absorb(above, "above", window)):
+        for site, c in part.items():
+            acc[site] = acc[site] + c if site in acc else c
 
     psi = LatticeFunctional(acc)
     out = twisted_alpha1(psi)
     residual = CochainPair(
-        (out.first - pair.first).restrict(window - 1),
-        (out.second - pair.second).restrict(window - 1),
+        _interior_difference(out.first, pair.first, window - 1),
+        _interior_difference(out.second, pair.second, window - 1),
     )
     if not residual.is_zero():
         raise RuntimeError("trivialization left a nonzero interior residual")

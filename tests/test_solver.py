@@ -5,8 +5,9 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
-from ncgeo.scalars import LAMBDA, ONE, ZERO, Scalar, lambda_pow, mu_pow
+from ncgeo.scalars import LAMBDA, MU, ONE, ZERO, Scalar, lambda_pow, mu_pow
 from ncgeo.cochains import (
     CochainPair,
     LatticeFunctional,
@@ -375,6 +376,72 @@ class TestTargetBlock:
         assert sizes[1:] == [1, 1]
 
 
+# (solvable, refuted) membership targets of each degree-2 operator
+MEMBERSHIP = {
+    "twisted_alpha2": (d(0, 0) - d(0, 2, LAMBDA), d(0, 0)),
+    "alpha2": (d(0, 2, ONE - LAMBDA), d(1, 1)),
+}
+# shrinking a permutation of ~200 variables takes minutes; a failing order
+# is reported as drawn
+no_shrink = settings(
+    max_examples=15, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate]
+)
+permuted_orders = st.sampled_from(
+    [(name, window) for name in MEMBERSHIP for window in (4, 5)]
+).flatmap(
+    lambda case: st.tuples(
+        st.just(case), st.permutations(solver._variables(OPERATORS[case[0]], case[1]))
+    )
+)
+
+
+class TestOrderIndependence:
+    """Properties of Gauss-Jordan that hold for any variable order, so no
+    choice of pivot order can trade correctness for speed."""
+
+    @given(permuted_orders)
+    @no_shrink
+    def test_nullity_does_not_depend_on_order(self, drawn):
+        (name, window), order = drawn
+        op = OPERATORS[name]
+        rows = solver._assemble(op, window, solver._equations(op, window, full_stencil=True))
+        pivots = solver._eliminate(rows, list(order))
+        assert len(order) - len(pivots) == kernel_dimension(name, window).nullity
+
+    @given(permuted_orders)
+    @no_shrink
+    def test_witnesses_and_certificates_hold_for_any_order(self, drawn):
+        (name, window), order = drawn
+        op = OPERATORS[name]
+        eqs = solver._equations(op, window, full_stencil=False)
+        solvable, refuted = MEMBERSHIP[name]
+
+        rows = solver._assemble(op, window, eqs, target=solvable, track=True)
+        pivots = solver._eliminate(rows, list(order))
+        assert not any(r.rhs for r in rows if not r.coeffs)
+        parts = ({}, {})
+        for (slot, site), i in pivots.items():
+            if rows[i].rhs:
+                parts[slot][site] = rows[i].rhs
+        witness = CochainPair(LatticeFunctional(parts[0]), LatticeFunctional(parts[1]))
+        assert op.apply(witness) == solvable
+
+        rows = solver._assemble(op, window, eqs, target=refuted, track=True)
+        solver._eliminate(rows, list(order))
+        bad = [r for r in rows if not r.coeffs and r.rhs]
+        assert bad
+        original = solver._assemble(op, window, eqs)
+        for r in bad:
+            lhs = {}
+            against = ZERO
+            for i, mult in r.combo.items():
+                for k, c in original[i].coeffs.items():
+                    lhs[k] = lhs.get(k, ZERO) + mult * c
+                against = against + mult * refuted.coeff(*eqs[i][1])
+            assert not any(lhs.values())
+            assert against != ZERO
+
+
 class TestLineEliminate:
     def test_zero_row(self):
         assert line_eliminate(ZF, 2, 5).is_zero()
@@ -408,6 +475,14 @@ class TestLineEliminate:
     def test_rejects_off_row_support(self):
         with pytest.raises(ValueError):
             line_eliminate(d(0, 1), 2, 5)
+
+    def test_rejects_row_outside_window(self):
+        with pytest.raises(ValueError, match=r"\|y\| <= 4"):
+            line_eliminate(d(0, 9), 9, 4)
+
+    def test_rejects_rule_backed_row(self):
+        with pytest.raises(TypeError, match="restrict first"):
+            line_eliminate(make_D(0, 0), 0, 4)
 
 
 class TestRowSolve:
@@ -451,6 +526,15 @@ class TestRowSolve:
     def test_bad_direction(self):
         with pytest.raises(ValueError):
             row_solve(ZF, 0, "sideways", 4)
+
+    def test_rejects_row_outside_window(self):
+        for direction in ("below", "above"):
+            with pytest.raises(ValueError, match=r"\|y\| <= 4"):
+                row_solve(d(0, -9), -9, direction, 4)
+
+    def test_rejects_rule_backed_row(self):
+        with pytest.raises(TypeError, match="restrict first"):
+            row_solve(make_D(0, 0), 0, "below", 4)
 
 
 class TestH1Trivialize:
@@ -504,3 +588,97 @@ class TestH1Trivialize:
     def test_rejects_oversized_support(self):
         with pytest.raises(ValueError):
             h1_trivialize(CochainPair(d(9, 0), ZF), 4)
+
+    def test_rejects_rule_backed_pair(self):
+        for pair in (CochainPair(make_D(0, 0), ZF), CochainPair(ZF, make_D(1, 0))):
+            with pytest.raises(TypeError, match="restrict first"):
+                h1_trivialize(pair, 4)
+
+    def test_rejects_bare_functional(self):
+        with pytest.raises(TypeError, match="finite CochainPair"):
+            h1_trivialize(d(0, 0), 4)
+
+
+def stacked_h1(pair, window):
+    """Reference trivialization with one closed-form telescoping stack per
+    surviving second-component row: -lambda^(-(k-1)n) eta[n] on row s0-(2k-1)
+    below (s0 >= 0) and lambda^(kn) eta[n] on row s0+(2k-1) above (s0 < 0),
+    rows |y| <= window, all summed into one dict."""
+    acc = {}
+    rows = {}
+    for (n, m), c in pair.first.terms.items():
+        rows.setdefault(m, {})[(n, m)] = c
+    for s0, terms in rows.items():
+        acc.update(line_eliminate(LatticeFunctional(terms), s0, window).terms)
+    leftover = (pair.second - twisted_alpha1(LatticeFunctional(acc)).second).restrict(window)
+    for (n, s0), c in leftover.terms.items():
+        if s0 >= 0:
+            stack = [((n, s0 - (2 * k - 1)), -(lambda_pow(-(k - 1) * n) * c))
+                     for k in range(1, (s0 + window + 1) // 2 + 1)]
+        else:
+            stack = [((n, s0 + (2 * k - 1)), lambda_pow(k * n) * c)
+                     for k in range(1, (window - s0 + 1) // 2 + 1)]
+        for site, v in stack:
+            acc[site] = acc.get(site, ZERO) + v
+    psi = LatticeFunctional(acc)
+    out = twisted_alpha1(psi)
+    residual = CochainPair(
+        (out.first - pair.first).restrict(window - 1),
+        (out.second - pair.second).restrict(window - 1),
+    )
+    return SolveReport("twisted_alpha1", window, "solved", witness=psi, residual=residual)
+
+
+def recurrence_row(rng, s0, window):
+    """A second-component row at y=s0 with eta[n+2] = lambda^(s0-1) eta[n]
+    across the window: alone it is a twisted 1-cocycle."""
+    eta = {}
+    for start in (-window, -window + 1):
+        c = mu_pow(rng.randint(-3, 3)) * rng.choice([1, -1, 2])
+        for n in range(start, window + 1, 2):
+            eta[(n, s0)] = c
+            c = lambda_pow(s0 - 1) * c
+    return LatticeFunctional(eta)
+
+
+class TestH1Sweep:
+    """h1_trivialize absorbs the surviving rows in one sweep per direction
+    and parity chain; the per-row stacks it replaces are the oracle."""
+
+    def test_matches_per_row_stacks_on_seeded_cocycles(self):
+        rng = random.Random(41)
+        for window in (6, 10, 16):
+            for _ in range(6):
+                pair = twisted_alpha1(random_functional(rng, radius=window - 2, size=6))
+                rep = h1_trivialize(pair, window)
+                assert rep.to_json() == stacked_h1(pair, window).to_json()
+
+    def test_matches_per_row_stacks_on_row_cocycles(self):
+        rng = random.Random(43)
+        for window in (6, 10, 16):
+            sides = (-window, -window + 1, -3, -2, -1, 0, 1, 2, 3, window - 1, window)
+            pairs = [CochainPair(ZF, recurrence_row(rng, s0, window)) for s0 in sides]
+            # rows -3..3 share parity chains on both sides; add a coboundary
+            pairs.append(CochainPair(ZF, sum((p.second for p in pairs[2:9]), ZF)))
+            pairs.append(pairs[-1] + twisted_alpha1(random_functional(rng, radius=window - 2)))
+            for pair in pairs:
+                rep = h1_trivialize(pair, window)
+                assert rep.residual.is_zero()
+                assert rep.to_json() == stacked_h1(pair, window).to_json()
+
+    def test_scalar_products_stay_few(self, monkeypatch):
+        # one stack per surviving row made 586 products here
+        products = 0
+        mul = Scalar.__mul__
+
+        def counting(self, other):
+            nonlocal products
+            products += 1
+            return mul(self, other)
+
+        phi = LatticeFunctional({(3, 5): MU, (-2, 4): Scalar.from_int(2) / MU, (0, -7): ONE})
+        pair = twisted_alpha1(phi)
+        monkeypatch.setattr(Scalar, "__mul__", counting)
+        rep = h1_trivialize(pair, 16)
+        assert rep.residual.is_zero()
+        assert 0 < products < 250
