@@ -434,6 +434,10 @@ def cmd_cohomology_report(args) -> int:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
     sub.add_argument("--out", default=None, help="write the report to this path")
+
+
+def _add_numeric(sub: argparse.ArgumentParser) -> None:
+    """The numeric channel, on the two commands whose reports carry it."""
     sub.add_argument(
         "--numeric",
         nargs="?",
@@ -454,6 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify-projections", help="check the five standard projections")
     _add_common(sp)
+    _add_numeric(sp)
     sp.add_argument(
         "--corrupt-r",
         action="store_true",
@@ -463,6 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("pairing-table", help="compute the thirty pairings")
     _add_common(sp)
+    _add_numeric(sp)
     sp.add_argument("--annotate", action="store_true", help="include disagreement flags")
     sp.set_defaults(func=cmd_pairing_table)
 

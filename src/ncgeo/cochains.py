@@ -29,8 +29,9 @@ and each recurrence is written down once, as a Stencil: a table of entries
 (out_slot, in_slot, dn, dm, coeff), read as "output out_slot at site (n, m)
 gains coeff(n, m) * input[in_slot][n+dn, m+dm]".  Everything else is
 derived from the four tables: the finite apply (each input term pushed
-through every entry), the rule-backed apply of unbounded inputs (each
-output site in a window pulled through every entry), and, in solver.py,
+through every entry), the rule-backed apply of unbounded inputs (a
+rule-backed image, each output site pulled through every entry on demand
+and restricted to a window when a radius is given), and, in solver.py,
 the equation support and the rows of every windowed system.  The product
 formulas above are kept as the defining identities; the tables are checked
 against them, written with TorusElement products, by
@@ -43,7 +44,10 @@ at (i, j) gives the closed form implemented by make_D:
     D(i,j)[n, m] = lambda**((n*m - i*j)/2)   for n = i, m = j (mod 2).
 
 Pullbacks by the flip element of the equivariant structure are conjugation
-formulas read off degreewise; on a coefficient map they act by
+formulas read off degreewise.  Each is a Stencil with mirror s = -1 (output
+(a, b) reads input[in_slot][-a+dn, -b+dm]), applied like a differential, so
+finite inputs have finite images and rule-backed inputs rule-backed ones; on
+a coefficient map they act by
 
     twisted degree 0:   psi[a,b] = phi[-a,-b]
     twisted degree 2:   psi[a,b] = lambda**(b-a-1) phi[-a,-b]
@@ -55,6 +59,7 @@ formulas read off degreewise; on a coefficient map they act by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .scalars import ONE, ZERO, Scalar, lambda_pow
@@ -165,13 +170,8 @@ class LatticeFunctional:
                 if abs(n) <= radius and abs(m) <= radius
             }
             return LatticeFunctional(kept)
-        out = {}
-        for n in range(-radius, radius + 1):
-            for m in range(-radius, radius + 1):
-                c = self.rule(n, m)
-                if c:
-                    out[(n, m)] = c
-        return LatticeFunctional(out)
+        span = range(-radius, radius + 1)
+        return LatticeFunctional({(n, m): self.rule(n, m) for n in span for m in span})
 
     # -- linear structure (finite only) -------------------------------------------
 
@@ -285,39 +285,49 @@ StencilEntry = tuple[int, int, int, int, Callable[[int, int], Scalar]]
 
 
 class Stencil:
-    """A differential as a table of entries (out_slot, in_slot, dn, dm, coeff):
-    output out_slot at site (n, m) gains coeff(n, m) * input[in_slot][n+dn, m+dm].
+    """A lattice map as a table of entries (out_slot, in_slot, dn, dm, coeff)
+    and a mirror s, 1 for the differentials and -1 for the flip pullbacks:
+    output out_slot at site (n, m) gains coeff(n, m) * input[in_slot][s*n+dn, s*m+dm].
     """
 
-    __slots__ = ("entries", "in_slots", "out_slots")
+    __slots__ = ("entries", "mirror", "in_slots", "out_slots")
 
-    def __init__(self, *entries: StencilEntry):
+    def __init__(self, *entries: StencilEntry, mirror: int = 1):
         self.entries = entries
+        self.mirror = mirror
         self.in_slots = 1 + max(e[1] for e in entries)
         self.out_slots = 1 + max(e[0] for e in entries)
 
     def apply(self, x, radius: int | None = None):
-        """Image of a cochain.  Finite inputs are pushed term by term through
-        the table; a rule-backed input is read at the stencil of every output
-        site in [-radius, radius]^2."""
+        """Image of a cochain.  A finite input is pushed term by term through
+        the table.  The image of a rule-backed input is rule-backed: each
+        output site is pulled through the entries on demand, and the image is
+        restricted to [-radius, radius]^2 when a radius is given."""
         parts = cochain_slots(x)
-        finite = all(p.is_finite() for p in parts)
-        if not finite and radius is None:
-            raise ValueError("rule-backed input needs a radius")
-        out: list[dict[Site, Scalar]] = [{} for _ in range(self.out_slots)]
-        for o, i, dn, dm, coeff in self.entries:
-            if finite:
-                terms = (((a - dn, b - dm), v) for (a, b), v in parts[i].terms.items())
-            else:
-                window = range(-radius, radius + 1)
-                terms = (((n, m), parts[i].coeff(n + dn, m + dm)) for n in window for m in window)
-            acc = out[o]
-            for site, v in terms:
-                c = coeff(*site) * v
-                if c:
-                    prev = acc.get(site)
-                    acc[site] = c if prev is None else prev + c
-        return cochain_from_slots([LatticeFunctional(t) for t in out])
+        s = self.mirror
+        if all(p.is_finite() for p in parts):
+            out: list[dict[Site, Scalar]] = [{} for _ in range(self.out_slots)]
+            for o, i, dn, dm, coeff in self.entries:
+                acc = out[o]
+                for (a, b), v in parts[i].terms.items():
+                    site = (s * (a - dn), s * (b - dm))
+                    c = coeff(*site) * v
+                    if c:
+                        prev = acc.get(site)
+                        acc[site] = c if prev is None else prev + c
+            return cochain_from_slots([LatticeFunctional(t) for t in out])
+
+        def rule(slot: int, n: int, m: int) -> Scalar:
+            total = ZERO
+            for o, i, dn, dm, coeff in self.entries:
+                if o == slot:
+                    total = total + coeff(n, m) * parts[i].coeff(s * n + dn, s * m + dm)
+            return total
+
+        image = cochain_from_slots(
+            [LatticeFunctional(rule=partial(rule, o)) for o in range(self.out_slots)]
+        )
+        return image if radius is None else image.restrict(radius)
 
 
 TWISTED_ALPHA1 = Stencil(
@@ -411,55 +421,36 @@ def kernel_check_untwisted_deg1(pair: CochainPair, window: int) -> tuple[bool, S
 # pullbacks by the flip
 
 
+TWISTED_PULLBACK_DEG0 = Stencil((0, 0, 0, 0, lambda n, m: ONE), mirror=-1)
+TWISTED_PULLBACK_DEG2 = Stencil((0, 0, 0, 0, lambda n, m: lambda_pow(m - n - 1)), mirror=-1)
+UNTWISTED_PULLBACK_DEG2 = Stencil((0, 0, -2, -2, lambda n, m: lambda_pow(n + m + 2)), mirror=-1)
+UNTWISTED_PULLBACK_DEG1 = Stencil(
+    (0, 0, -2, 0, lambda n, m: -lambda_pow(m)),
+    (1, 1, 0, -2, lambda n, m: -lambda_pow(n)),
+    mirror=-1,
+)
+
+
 def twisted_pullback_deg0(phi: LatticeFunctional) -> LatticeFunctional:
     """Flip action on twisted degree-0 cochains: plain coefficient mirror."""
-    if phi.is_finite():
-        return LatticeFunctional({(-n, -m): c for (n, m), c in phi.terms.items()})
-    return LatticeFunctional(rule=lambda a, b: phi.coeff(-a, -b))
+    return TWISTED_PULLBACK_DEG0.apply(phi)
 
 
 def twisted_pullback_deg2(phi: LatticeFunctional) -> LatticeFunctional:
     """Flip action on twisted degree-2 cochains, conjugated through U1*U2:
     psi[a,b] = lambda**(b-a-1) phi[-a,-b]."""
-    if phi.is_finite():
-        return LatticeFunctional(
-            {(-n, -m): lambda_pow(-m + n - 1) * c for (n, m), c in phi.terms.items()}
-        )
-    return LatticeFunctional(
-        rule=lambda a, b: lambda_pow(b - a - 1) * phi.coeff(-a, -b)
-    )
+    return TWISTED_PULLBACK_DEG2.apply(phi)
 
 
 def untwisted_pullback_deg2(phi: LatticeFunctional) -> LatticeFunctional:
     """Flip action on untwisted degree-2 cochains, conjugated through
     U1**-1 U2**-1 on one side and U2**-1 U1**-1 on the other:
     psi[a,b] = lambda**(a+b+2) phi[-2-a,-2-b]."""
-    if phi.is_finite():
-        return LatticeFunctional(
-            {
-                (-2 - n, -2 - m): lambda_pow(-n - m - 2) * c
-                for (n, m), c in phi.terms.items()
-            }
-        )
-    return LatticeFunctional(
-        rule=lambda a, b: lambda_pow(a + b + 2) * phi.coeff(-2 - a, -2 - b)
-    )
+    return UNTWISTED_PULLBACK_DEG2.apply(phi)
 
 
 def untwisted_pullback_deg1(pair: CochainPair) -> CochainPair:
     """Flip action on untwisted degree-1 cochains:
     w1[a,b] = -lambda**b phi1[-2-a,-b], w2[a,b] = -lambda**a phi2[-a,-2-b].
     On the two surviving generator classes this is multiplication by -1."""
-    f, g = pair.first, pair.second
-    if f.is_finite() and g.is_finite():
-        w1 = {
-            (-2 - n, -m): -(lambda_pow(-m) * c) for (n, m), c in f.terms.items()
-        }
-        w2 = {
-            (-n, -2 - m): -(lambda_pow(-n) * c) for (n, m), c in g.terms.items()
-        }
-        return CochainPair(LatticeFunctional(w1), LatticeFunctional(w2))
-    return CochainPair(
-        LatticeFunctional(rule=lambda a, b: -(lambda_pow(b) * f.coeff(-2 - a, -b))),
-        LatticeFunctional(rule=lambda a, b: -(lambda_pow(a) * g.coeff(-a, -2 - b))),
-    )
+    return UNTWISTED_PULLBACK_DEG1.apply(pair)

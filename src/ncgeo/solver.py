@@ -37,9 +37,12 @@ block: the equations reached from the target's support, two equations being
 connected when both hold some variable with a nonzero coefficient.  This
 cannot change an output.  Gauss-Jordan inside one block never touches another
 block, so an equation outside the target's block keeps its zero right side;
-it yields neither a witness entry nor an inconsistent row.  The block's rows
-are eliminated in equation order and keep their equation indices, so pivots
-and certificates are those of the whole system.  Kernel computations still
+it yields neither a witness entry nor an inconsistent row.  The block is read
+off the stencil table around the target alone, its rows and multipliers keyed
+by equation (out_slot, site): no list of the window's equations or variables
+is set up.  Rows are eliminated in equation order and variables in pivot
+order, the whole system's orders restricted to the block, so pivots and
+certificates are those of the whole system.  Kernel computations still
 eliminate every equation, as the nullity needs every block.
 
 The second half of the module implements the constructive proof that the
@@ -161,11 +164,10 @@ def _inside(site: Site, window: int) -> bool:
     return abs(site[0]) <= window and abs(site[1]) <= window
 
 
-def _equations(op: Operator, window: int, full_stencil: bool) -> list[EqKey]:
-    """Equations (out_slot, site) whose stencil reads all (full_stencil) or
-    any of its input sites inside the window.  Every table entry counts,
-    also where its coefficient vanishes at that site."""
-    keep = all if full_stencil else any
+def _equations(op: Operator, window: int) -> list[EqKey]:
+    """Equations (out_slot, site) whose stencil reads all of its input sites
+    inside the window.  Every table entry counts, also where its coefficient
+    vanishes at that site."""
     entries = op.stencil.entries
     reach = window + max(max(abs(dn), abs(dm)) for _, _, dn, dm, _ in entries)
     out = []
@@ -173,7 +175,7 @@ def _equations(op: Operator, window: int, full_stencil: bool) -> list[EqKey]:
         offsets = [(dn, dm) for o, _, dn, dm, _ in entries if o == slot]
         for n in range(-reach, reach + 1):
             for m in range(-reach, reach + 1):
-                if keep(_inside((n + dn, m + dm), window) for dn, dm in offsets):
+                if all(_inside((n + dn, m + dm), window) for dn, dm in offsets):
                     out.append((slot, (n, m)))
     out.sort(key=lambda e: (e[0], site_key(e[1])))
     return out
@@ -188,61 +190,48 @@ class _Row:
         self.combo = combo
 
 
-def _row_builder(op: Operator, window: int, target=None, track=False):
-    """build(i, eq): the row of equation eq (index i), read off the stencil
-    table: zero coefficients and variables outside the window are dropped."""
-    by_slot = [
-        [e for e in op.stencil.entries if e[0] == slot] for slot in range(op.stencil.out_slots)
-    ]
-    goal = None if target is None else cochain_slots(target)
-
-    def build(i: int, eq: EqKey) -> _Row:
-        slot, (n, m) = eq
-        coeffs = {}
-        for _, in_slot, dn, dm, coeff in by_slot[slot]:
-            site = (n + dn, m + dm)
-            if _inside(site, window):
-                c = coeff(n, m)
-                if c:
-                    coeffs[(in_slot, site)] = c
-        rhs = ZERO if goal is None else goal[slot].coeff(n, m)
-        return _Row(coeffs, rhs, {i: ONE} if track else None)
-
-    return build
+def _row(op: Operator, window: int, eq: EqKey, goal=None) -> _Row:
+    """The row of equation eq read off the stencil table, without zero
+    coefficients or variables outside the window.  A target's row (goal: its
+    slots) carries its right side and multiplier {eq: 1}; a kernel row neither."""
+    slot, (n, m) = eq
+    coeffs = {}
+    for o, in_slot, dn, dm, coeff in op.stencil.entries:
+        site = (n + dn, m + dm)
+        if o == slot and _inside(site, window):
+            c = coeff(n, m)
+            if c:
+                coeffs[(in_slot, site)] = c
+    if goal is None:
+        return _Row(coeffs, ZERO, None)
+    return _Row(coeffs, goal[slot].coeff(n, m), {eq: ONE})
 
 
-def _assemble(op: Operator, window: int, eqs: list[EqKey], target=None, track=False):
-    """One row per equation."""
-    build = _row_builder(op, window, target, track)
-    return [build(i, eq) for i, eq in enumerate(eqs)]
-
-
-def _target_block(op: Operator, window: int, eqs: list[EqKey], target) -> dict[int, _Row]:
-    """Tracked rows of the equations connected to the target's support, keyed
-    by equation index.  Two rows are connected when both hold a variable with
-    a nonzero coefficient; a variable's equations are found by reading the
-    stencil offsets backwards, and rows outside the block are never built."""
-    index = {eq: i for i, eq in enumerate(eqs)}
+def _target_block(op: Operator, window: int, goal) -> dict[EqKey, _Row]:
+    """Rows of the equations connected to the support of the target, given
+    by its slots (goal), keyed by equation.  Two rows are connected when both
+    hold a variable with a nonzero coefficient; a variable's equations are
+    found by reading the stencil offsets backwards, so only the block's sites
+    are ever visited."""
     readers = [
         [(o, dn, dm, coeff) for o, s, dn, dm, coeff in op.stencil.entries if s == slot]
         for slot in range(op.stencil.in_slots)
     ]
-    build = _row_builder(op, window, target, track=True)
-    todo = [index[(slot, s)] for slot, part in enumerate(cochain_slots(target)) for s in part.terms]
-    block: dict[int, _Row] = {}
+    todo = [(slot, s) for slot, part in enumerate(goal) for s in part.terms]
+    block: dict[EqKey, _Row] = {}
     seen: set[VarKey] = set()
     while todo:
-        i = todo.pop()
-        if i in block:
+        eq = todo.pop()
+        if eq in block:
             continue
-        block[i] = row = build(i, eqs[i])
+        block[eq] = row = _row(op, window, eq, goal)
         for k in row.coeffs.keys() - seen:
             seen.add(k)
             in_slot, (a, b) = k
             for o, dn, dm, coeff in readers[in_slot]:
                 n, m = a - dn, b - dm
                 if coeff(n, m):
-                    todo.append(index[(o, (n, m))])
+                    todo.append((o, (n, m)))
     return block
 
 
@@ -356,8 +345,7 @@ def kernel_dimension(operator: str, window: int) -> SolveReport:
     if window < 3:
         raise ValueError("window radius must be at least 3")
     var_order = _variables(op, window)
-    eqs = _equations(op, window, full_stencil=True)
-    rows = _assemble(op, window, eqs)
+    rows = [_row(op, window, eq) for eq in _equations(op, window)]
     pivots = _eliminate(rows, var_order)
     free = [v for v in var_order if v not in pivots]
     basis = []
@@ -390,15 +378,17 @@ def coboundary_solve(target, operator: str, window: int) -> SolveReport:
     kind = LatticeFunctional if op.stencil.out_slots == 1 else CochainPair
     if not isinstance(target, kind):
         raise TypeError(f"{op.name} needs a {kind.__name__} target")
-    sites = [s for part in cochain_slots(target) for s in part.terms]
+    parts = cochain_slots(target)
+    if not all(p.is_finite() for p in parts):
+        raise TypeError(f"{op.name} needs a finite target; restrict first")
+    sites = [s for part in parts for s in part.terms]
     if any(abs(n) > window - 2 or abs(m) > window - 2 for n, m in sites):
         raise ValueError("target support must stay 2 sites clear of the window edge")
 
-    var_order = _variables(op, window)
-    eqs = _equations(op, window, full_stencil=False)
-    block = _target_block(op, window, eqs, target)
-    rows = [block[i] for i in sorted(block)]
-    original = {i: (dict(r.coeffs), r.rhs) for i, r in block.items()}
+    block = _target_block(op, window, parts)
+    eqs = sorted(block, key=lambda e: (e[0], site_key(e[1])))
+    rows = [block[eq] for eq in eqs]
+    var_order = sorted({k for r in rows for k in r.coeffs}, key=lambda v: (site_key(v[1]), v[0]))
     pivots = _eliminate(rows, var_order)
 
     bad = next((r for r in rows if not r.coeffs and r.rhs), None)
@@ -406,23 +396,19 @@ def coboundary_solve(target, operator: str, window: int) -> SolveReport:
         combo = bad.combo
         lhs: dict[VarKey, Scalar] = {}
         rhs = ZERO
-        for i, mult in combo.items():
-            coeffs, b = original[i]
-            for k, c in coeffs.items():
+        for eq, mult in combo.items():
+            # elimination rewrote the block's rows; the table gives the originals
+            original = _row(op, window, eq, parts)
+            for k, c in original.coeffs.items():
                 nv = lhs.get(k, ZERO) + mult * c
                 if nv:
                     lhs[k] = nv
                 elif k in lhs:
                     del lhs[k]
-            rhs = rhs + mult * b
+            rhs = rhs + mult * original.rhs
         if lhs or not rhs:
             raise RuntimeError("elimination produced an invalid certificate")
-        certificate = tuple(
-            sorted(
-                ((eqs[i], mult) for i, mult in combo.items() if mult),
-                key=lambda kv: (kv[0][0], site_key(kv[0][1])),
-            )
-        )
+        certificate = tuple((eq, combo[eq]) for eq in eqs if combo.get(eq))
         return SolveReport(
             operator=op.name, window=window, status="unsolvable", certificate=certificate
         )
@@ -496,7 +482,7 @@ def _check_recurrence(h: dict[int, Scalar], s0: int, window: int) -> None:
     eta[w+1] = lambda**(s0-1) eta[w-1] at some |w| <= window-1."""
     fact = lambda_pow(s0 - 1)
     for w in range(-window + 1, window):
-        if h.get(w + 1, ZERO) != fact * h.get(w - 1, ZERO):
+        if h.get(w + 1, ZERO) != (fact * h[w - 1] if w - 1 in h else ZERO):
             raise RecurrenceViolation(
                 (w, s0),
                 f"row fails eta[w+1] = lambda^(s0-1) eta[w-1] at w={w}, y={s0}",
@@ -567,7 +553,7 @@ def row_solve(
     return LatticeFunctional(_absorb({s0: h}, direction, window))
 
 
-_SECOND = [e for e in TWISTED_ALPHA1.entries if e[0] == 1]
+_SECOND = Stencil(*((0, i, dn, dm, c) for o, i, dn, dm, c in TWISTED_ALPHA1.entries if o == 1))
 
 
 def _rows_of(f: LatticeFunctional) -> dict[int, LatticeFunctional]:
@@ -620,12 +606,9 @@ def h1_trivialize(pair: CochainPair, window: int) -> SolveReport:
         acc.update(line_eliminate(rowf, s0, window).terms)
     # leftover = pair.second - twisted_alpha1(gamma).second inside the window
     leftover = dict(pair.second.terms)
-    for _, _, dn, dm, coeff in _SECOND:
-        for (a, b), v in acc.items():
-            n, m = a - dn, b - dm
-            if abs(n) <= window and abs(m) <= window:
-                c = coeff(n, m) * v
-                leftover[(n, m)] = leftover[(n, m)] - c if (n, m) in leftover else -c
+    for (n, m), c in _SECOND.apply(LatticeFunctional(acc)).terms.items():
+        if abs(n) <= window and abs(m) <= window:
+            leftover[(n, m)] = leftover[(n, m)] - c if (n, m) in leftover else -c
 
     rows: dict[int, dict[int, Scalar]] = {}
     for (n, m), c in leftover.items():

@@ -139,6 +139,16 @@ class TestDimensionReport:
             assert "--window" in err and "32" in err
         assert _window_list("3,32") == [3, 32]
 
+    def test_numeric_is_not_a_flag_of_the_kernel_reports(self, capsys):
+        # neither report carries a numeric channel, so the flag is unknown
+        for command in ("dimension-report", "cohomology-report"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--numeric", "0.3", "--format", "json"])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "--numeric" in captured.err
+
 
 class TestCohomologyReport:
     def test_small_run(self, capsys):

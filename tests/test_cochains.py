@@ -114,6 +114,18 @@ class TestProductOracle:
             assert route(pair) == want
             assert route(rule_pair, radius=8) == want.restrict(8)
 
+    def test_rule_backed_image_without_radius(self):
+        # the image of a rule-backed input is rule-backed, and restricting it
+        # gives the radius form
+        phi = d(1, -2, LAMBDA) + d(0, 3) + d(-2, 0, mu_pow(-1))
+        pair = CochainPair(as_rule(phi), as_rule(d(2, 1) - d(0, 0)))
+        for route, x in ((twisted_alpha1, as_rule(phi)), (alpha1, as_rule(phi)),
+                         (twisted_alpha2, pair), (alpha2, pair)):
+            image = route(x)
+            parts = (image.first, image.second) if isinstance(image, CochainPair) else (image,)
+            assert not any(p.is_finite() for p in parts)
+            assert image.restrict(6) == route(x, radius=6)
+
 
 class TestFunctional:
     def test_zero_pruning_and_support(self):
@@ -356,6 +368,12 @@ class TestTwistedPullbacks:
             x = mono(n, m)
             assert psi.pair_with(x) == phi.pair_with(left * x.sigma() * right)
 
+    @given(small_functionals)
+    @settings(max_examples=40, deadline=None)
+    def test_rule_route_matches_series_route(self, phi):
+        for pullback in (twisted_pullback_deg0, twisted_pullback_deg2):
+            assert pullback(as_rule(phi)).restrict(8) == pullback(phi).restrict(8)
+
     def test_deg2_square_is_single_monomial(self):
         # flip squared acts by the inner twist lambda^-2
         phi = d(2, -1, LAMBDA) + d(0, 0)
@@ -397,6 +415,18 @@ class TestUntwistedPullbacks:
         for (n, m) in [(0, 0), (-1, -1), (2, -3), (1, 1)]:
             x = mono(n, m)
             assert psi.pair_with(x) == phi.pair_with(left * x.sigma() * right)
+
+    @given(small_pairs)
+    @settings(max_examples=40, deadline=None)
+    def test_rule_route_matches_series_route(self, pair):
+        phi = pair.first
+        assert untwisted_pullback_deg2(as_rule(phi)).restrict(8) == (
+            untwisted_pullback_deg2(phi).restrict(8)
+        )
+        rule_pair = CochainPair(as_rule(pair.first), as_rule(pair.second))
+        assert untwisted_pullback_deg1(rule_pair).restrict(8) == (
+            untwisted_pullback_deg1(pair).restrict(8)
+        )
 
     def test_deg2_is_involutive(self):
         phi = d(2, -1, LAMBDA) + d(0, 0) + d(-1, -1)
