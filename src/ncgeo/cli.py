@@ -1,12 +1,12 @@
 """Command-line verification workflows and machine-readable reports.
 
-Every report embeds a header describing the conventions it was computed
-under (exact scalar field, normalizations, pivot rule, windowing), so a
-saved report is self-describing.  JSON output is canonicalized (sorted
-keys, fixed separators); identical config and seed give byte-identical
-bytes.  Exit codes: 0 all checks pass, 1 mathematical mismatch, 2 usage
-error.  The numeric channel evaluates exact values at a chosen angle for
-cross-checking and never influences exit codes.
+Each command computes its checks and returns (report, ok, text lines, CSV
+lines); ``main`` alone renders the chosen format, writes it once and sets
+the exit code: 0 all checks pass, 1 mathematical mismatch, 2 usage error.
+Every report embeds a header of the conventions it was computed under, so
+a saved report is self-describing.  JSON is canonical (sorted keys, fixed
+separators), so equal config and seed give equal bytes.  The numeric
+channel is JSON only, a cross-check that never influences exit codes.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .crossed import CrossedElement, PROJECTION_NAMES, is_projection, make_proje
 from .cochains import (
     CochainPair,
     LatticeFunctional,
-    alpha2,
     make_D,
     twisted_alpha1,
     twisted_alpha2,
@@ -64,6 +63,16 @@ def _emit(payload: str, out_path: str | None) -> None:
 
 def _to_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+
+
+def _mark(ok: bool) -> str:
+    """Pass/fail word of a text line."""
+    return "ok" if ok else "FAIL"
+
+
+def _flag(ok: bool) -> str:
+    """Pass/fail field of a CSV line."""
+    return "true" if ok else "false"
 
 
 def _numeric(value: Scalar, theta: float) -> list[float]:
@@ -117,7 +126,7 @@ def _corrupted_r() -> CrossedElement:
     return CrossedElement(half, (U1 * U2).scale(-(HALF * lam)))
 
 
-def cmd_verify_projections(args) -> int:
+def cmd_verify_projections(args) -> tuple[dict, bool, list[str], list[str]]:
     checks = []
     for name in PROJECTION_NAMES:
         e = _corrupted_r() if (args.corrupt_r and name == "r") else make_projection(name)
@@ -145,53 +154,37 @@ def cmd_verify_projections(args) -> int:
     }
     if args.numeric is not None:
         report["numeric_theta"] = args.numeric
-
-    if args.format == "json":
-        payload = _to_json(report)
-    elif args.format == "csv":
-        lines = ["name,ok"]
-        lines += [f"{c['name']},{str(c['ok']).lower()}" for c in checks]
-        payload = "\n".join(lines) + "\n"
-    else:
-        lines = [f"{c['name']}: {'ok' if c['ok'] else 'FAIL'}" for c in checks]
-        lines.append(f"{sum(c['ok'] for c in checks)}/{len(checks)} projections verified")
-        payload = "\n".join(lines) + "\n"
-    _emit(payload, args.out)
-    return 0 if all_ok else 1
+    text = [f"{c['name']}: {_mark(c['ok'])}" for c in checks]
+    text.append(f"{sum(c['ok'] for c in checks)}/{len(checks)} projections verified")
+    csv = ["name,ok", *(f"{c['name']},{_flag(c['ok'])}" for c in checks)]
+    return report, all_ok, text, csv
 
 
 # -- pairing-table ------------------------------------------------------------
 
 
-def cmd_pairing_table(args) -> int:
+def cmd_pairing_table(args) -> tuple[dict, bool, list[str], list[str]]:
     table = pairing_mod.build_table()
     all_text_ok = all(
         table.agrees_text(row, col) for row in table.rows for col in table.cols
     )
-    if args.format == "json":
-        body = table.to_json()
-        report = {
-            "header": DESIGN_HEADER,
-            "command": "pairing-table",
-            "all_text_ok": all_text_ok,
-            **body,
-        }
-        if args.annotate:
-            report["discrepancies"] = table.discrepancies()
-        if args.numeric is not None:
-            report["numeric_theta"] = args.numeric
-            report["numeric_cells"] = [
-                {"row": row, "col": col, "value": _numeric(table.value(row, col), args.numeric)}
-                for row in table.rows
-                for col in table.cols
-            ]
-        payload = _to_json(report)
-    elif args.format == "csv":
-        payload = table.to_csv()
-    else:
-        payload = table.to_text(annotate=args.annotate)
-    _emit(payload, args.out)
-    return 0 if all_text_ok else 1
+    report = {
+        "header": DESIGN_HEADER,
+        "command": "pairing-table",
+        "all_text_ok": all_text_ok,
+        **table.to_json(),
+    }
+    if args.annotate:
+        report["discrepancies"] = table.discrepancies()
+    if args.numeric is not None:
+        report["numeric_theta"] = args.numeric
+        report["numeric_cells"] = [
+            {"row": row, "col": col, "value": _numeric(table.value(row, col), args.numeric)}
+            for row in table.rows
+            for col in table.cols
+        ]
+    text = table.to_text(annotate=args.annotate).splitlines()
+    return report, all_text_ok, text, table.to_csv().splitlines()
 
 
 # -- dimension-report ---------------------------------------------------------
@@ -218,7 +211,7 @@ def _kernel_rows(windows: list[int], with_basis: bool) -> list[dict]:
     return rows
 
 
-def cmd_dimension_report(args) -> int:
+def cmd_dimension_report(args) -> tuple[dict, bool, list[str], list[str]]:
     reports = _kernel_rows(args.window, with_basis=True)
     all_ok = all(r["ok"] for r in reports)
     report = {
@@ -227,29 +220,22 @@ def cmd_dimension_report(args) -> int:
         "reports": reports,
         "all_ok": all_ok,
     }
-    if args.format == "json":
-        payload = _to_json(report)
-    elif args.format == "csv":
-        lines = ["operator,window,nullity,expected,ok"]
-        lines += [
-            f"{r['operator']},{r['window']},{r['nullity']},{r['expected']},{str(r['ok']).lower()}"
-            for r in reports
-        ]
-        payload = "\n".join(lines) + "\n"
-    else:
-        lines = [
-            f"{r['operator']} window {r['window']}: nullity {r['nullity']}"
-            f" (expected {r['expected']}) {'ok' if r['ok'] else 'FAIL'}"
-            for r in reports
-        ]
-        payload = "\n".join(lines) + "\n"
-    _emit(payload, args.out)
-    return 0 if all_ok else 1
+    text = [
+        f"{r['operator']} window {r['window']}: nullity {r['nullity']}"
+        f" (expected {r['expected']}) {_mark(r['ok'])}"
+        for r in reports
+    ]
+    csv = ["operator,window,nullity,expected,ok"]
+    csv += [
+        f"{r['operator']},{r['window']},{r['nullity']},{r['expected']},{_flag(r['ok'])}"
+        for r in reports
+    ]
+    return report, all_ok, text, csv
 
 
 # -- cohomology-report --------------------------------------------------------
 
-# membership probes: (label, complex, site, engine-expected status, note)
+# membership probes: (complex, site, engine-expected status, note)
 _PROBES = (
     ("untwisted", (0, 2), "solved", None),
     ("untwisted", (2, 0), "solved", None),
@@ -282,7 +268,6 @@ def _random_functional(rng: random.Random, radius: int = 8, max_sites: int = 8):
 
 def _generator_sections(window: int) -> tuple[list, list]:
     d = LatticeFunctional.delta
-    lam = mu_pow(2)
     lam_inv = mu_pow(-2)
 
     generator_checks = []
@@ -321,30 +306,60 @@ def _generator_sections(window: int) -> tuple[list, list]:
     return generator_checks, pullback_checks
 
 
-def cmd_cohomology_report(args) -> int:
-    windows = args.window
+def cmd_cohomology_report(args) -> tuple[dict, bool, list[str], list[str]]:
     rng = random.Random(args.seed)
 
-    kernel_rows = _kernel_rows(windows, with_basis=False)
-    generator_checks, pullback_checks = _generator_sections(max(windows))
+    kernel_rows = _kernel_rows(args.window, with_basis=False)
+    generator_checks, pullback_checks = _generator_sections(max(args.window))
+    # one record per check: its CSV fields (section, name, computed,
+    # expected, ok) and its text line
+    records = [
+        (
+            ("kernel", f"{r['operator']}@{r['window']}", r["nullity"], r["expected"], r["ok"]),
+            f"kernel {r['operator']} window {r['window']}: nullity {r['nullity']}"
+            f" (expected {r['expected']}, quoted constant) {_mark(r['ok'])}",
+        )
+        for r in kernel_rows
+    ]
+    records += [
+        (
+            ("generator", r["name"], _flag(r["in_kernel"]), "true", r["ok"]),
+            f"generator {r['name']}: in kernel {_mark(r['ok'])}",
+        )
+        for r in generator_checks
+    ]
+    records += [
+        (
+            ("pullback", r["name"], _flag(r["ok"]), "true", r["ok"]),
+            f"pullback {r['name']}: {_mark(r['ok'])}",
+        )
+        for r in pullback_checks
+    ]
 
     probe_rows = []
-    d = LatticeFunctional.delta
-    for cx, site, expected_status, note in _PROBES:
+    for cx, site, expected, note in _PROBES:
         operator = "twisted_alpha2" if cx == "twisted" else "alpha2"
         for radius in _PROBE_RADII:
-            rep = coboundary_solve(d(*site), operator, radius)
+            status = coboundary_solve(LatticeFunctional.delta(*site), operator, radius).status
+            ok = status == expected
             row = {
                 "complex": cx,
                 "site": list(site),
                 "radius": radius,
-                "status": rep.status,
-                "expected_status": expected_status,
-                "ok": rep.status == expected_status,
+                "status": status,
+                "expected_status": expected,
+                "ok": ok,
             }
+            line = (
+                f"probe {cx} delta{site} radius {radius}:"
+                f" {status} (expected {expected}) {_mark(ok)}"
+            )
             if note:
                 row["source_note"] = note
+                if radius == _PROBE_RADII[0]:
+                    line += f"\n  note: {note}"
             probe_rows.append(row)
+            records.append((("probe", f"{cx}@{site}@r{radius}", status, expected, ok), line))
 
     passed = 0
     for _ in range(args.h1_trials):
@@ -352,80 +367,35 @@ def cmd_cohomology_report(args) -> int:
         rep = h1_trivialize(twisted_alpha1(phi), 10)
         if rep.status == "solved" and rep.residual.is_zero():
             passed += 1
-    h1_section = {
+    trials = args.h1_trials
+    h1 = {
         "seed": args.seed,
         "window": 10,
-        "trials": args.h1_trials,
+        "trials": trials,
         "passed": passed,
-        "ok": passed == args.h1_trials,
+        "ok": passed == trials,
     }
+    records.append((
+        ("h1", "trials", f"{passed}/{trials}", f"{trials}/{trials}", h1["ok"]),
+        f"h1 trivialization: {passed}/{trials} zero residuals"
+        f" (seed {args.seed}, window 10) {_mark(h1['ok'])}",
+    ))
 
-    all_ok = (
-        all(r["ok"] for r in kernel_rows)
-        and all(r["ok"] for r in generator_checks)
-        and all(r["ok"] for r in pullback_checks)
-        and all(r["ok"] for r in probe_rows)
-        and h1_section["ok"]
-    )
+    all_ok = all(fields[-1] for fields, _ in records)
     report = {
         "header": DESIGN_HEADER,
         "command": "cohomology-report",
-        "windows": windows,
+        "windows": args.window,
         "kernel_dimensions": kernel_rows,
         "generator_checks": generator_checks,
         "pullback_checks": pullback_checks,
         "membership_probes": probe_rows,
-        "h1_trials": h1_section,
+        "h1_trials": h1,
         "all_ok": all_ok,
     }
-
-    if args.format == "json":
-        payload = _to_json(report)
-    elif args.format == "csv":
-        lines = ["section,name,computed,expected,ok"]
-        for r in kernel_rows:
-            lines.append(
-                f"kernel,{r['operator']}@{r['window']},{r['nullity']},{r['expected']},"
-                f"{str(r['ok']).lower()}"
-            )
-        for r in generator_checks:
-            lines.append(f"generator,{r['name']},{str(r['in_kernel']).lower()},true,{str(r['ok']).lower()}")
-        for r in pullback_checks:
-            lines.append(f"pullback,{r['name']},{str(r['ok']).lower()},true,{str(r['ok']).lower()}")
-        for r in probe_rows:
-            name = f"{r['complex']}@{tuple(r['site'])}@r{r['radius']}"
-            lines.append(f"probe,{name},{r['status']},{r['expected_status']},{str(r['ok']).lower()}")
-        lines.append(
-            f"h1,trials,{h1_section['passed']}/{h1_section['trials']},"
-            f"{h1_section['trials']}/{h1_section['trials']},{str(h1_section['ok']).lower()}"
-        )
-        payload = "\n".join(lines) + "\n"
-    else:
-        lines = []
-        for r in kernel_rows:
-            lines.append(
-                f"kernel {r['operator']} window {r['window']}: nullity {r['nullity']}"
-                f" (expected {r['expected']}, quoted constant) {'ok' if r['ok'] else 'FAIL'}"
-            )
-        for r in generator_checks:
-            lines.append(f"generator {r['name']}: in kernel {'ok' if r['ok'] else 'FAIL'}")
-        for r in pullback_checks:
-            lines.append(f"pullback {r['name']}: {'ok' if r['ok'] else 'FAIL'}")
-        for r in probe_rows:
-            mark = "ok" if r["ok"] else "FAIL"
-            lines.append(
-                f"probe {r['complex']} delta{tuple(r['site'])} radius {r['radius']}:"
-                f" {r['status']} (expected {r['expected_status']}) {mark}"
-            )
-            if r.get("source_note") and r["radius"] == _PROBE_RADII[0]:
-                lines.append(f"  note: {r['source_note']}")
-        lines.append(
-            f"h1 trivialization: {h1_section['passed']}/{h1_section['trials']} zero residuals"
-            f" (seed {h1_section['seed']}, window 10) {'ok' if h1_section['ok'] else 'FAIL'}"
-        )
-        payload = "\n".join(lines) + "\n"
-    _emit(payload, args.out)
-    return 0 if all_ok else 1
+    csv = ["section,name,computed,expected,ok"]
+    csv += [",".join([*map(str, fields[:-1]), _flag(fields[-1])]) for fields, _ in records]
+    return report, all_ok, [line for _, line in records], csv
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -488,8 +458,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "numeric", None) is not None and args.format != "json":
+        parser.error("argument --numeric: the numeric channel is only in --format json")
+    report, ok, text_lines, csv_lines = args.func(args)
+    if args.format == "json":
+        payload = _to_json(report)
+    else:
+        payload = "\n".join(csv_lines if args.format == "csv" else text_lines) + "\n"
+    _emit(payload, args.out)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -146,7 +146,7 @@ class LatticeFunctional:
         if not isinstance(other, LatticeFunctional):
             return NotImplemented
         if self.rule is not None or other.rule is not None:
-            return NotImplemented
+            raise TypeError("cannot compare a rule-backed functional; restrict first")
         return self.terms == other.terms
 
     def __repr__(self) -> str:

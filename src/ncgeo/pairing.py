@@ -70,7 +70,6 @@ class CyclicCocycle:
     kind: str  # "trace" | "twisted-trace" | "connes"
     i: int | None = None
     j: int | None = None
-    normalization: Scalar = ONE
 
     @property
     def degree(self) -> int:
@@ -87,8 +86,8 @@ def TwistedTrace(i: int, j: int) -> CyclicCocycle:
     return CyclicCocycle("twisted-trace", i, j)
 
 
-def ConnesTwoCocycle(normalization: Scalar = ONE) -> CyclicCocycle:
-    return CyclicCocycle("connes", normalization=normalization)
+def ConnesTwoCocycle() -> CyclicCocycle:
+    return CyclicCocycle("connes")
 
 
 def twisted_weight(i: int, j: int, n: int, m: int) -> Scalar:
@@ -151,7 +150,7 @@ def pair(projection: CrossedElement, cocycle: CyclicCocycle) -> Scalar:
         raise NotAProjection(check)
     if cocycle.degree == 0:
         return evaluate(cocycle, [projection])
-    return cocycle.normalization * evaluate(cocycle, [projection] * 3)
+    return evaluate(cocycle, [projection] * 3)
 
 
 def twisted_trace_property_check(

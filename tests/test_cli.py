@@ -14,6 +14,18 @@ def run(capsys, *argv):
     return code, capsys.readouterr().out
 
 
+def assert_numeric_needs_json(capsys, command):
+    # the numeric channel lives only in the JSON report; in text or CSV the
+    # flag would be silently dropped, so it is refused instead
+    for fmt in ([], ["--format", "text"], ["--format", "csv"]):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--numeric", "0.3", *fmt])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--numeric" in captured.err
+
+
 class TestVerifyProjections:
     def test_all_pass(self, capsys):
         code, out = run(capsys, "verify-projections")
@@ -38,9 +50,11 @@ class TestVerifyProjections:
         data = json.loads(out)
         assert code == 0
         assert all(c["numeric_defect"] == 0.0 for c in data["checks"])
-        code, _ = run(capsys, "verify-projections", "--corrupt-r", "--numeric")
+        code, _ = run(capsys, "verify-projections", "--corrupt-r", "--numeric", "--format", "json")
         assert code == 1
 
+    def test_numeric_outside_json_is_usage_error(self, capsys):
+        assert_numeric_needs_json(capsys, "verify-projections")
 
     def test_nan_angle_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -70,6 +84,9 @@ class TestPairingTable:
         assert code == 0
         assert len(data["cells"]) == 30
         assert len(data["discrepancies"]) == 8
+
+    def test_numeric_outside_json_is_usage_error(self, capsys):
+        assert_numeric_needs_json(capsys, "pairing-table")
 
     def test_infinite_angle_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -212,3 +229,150 @@ class TestOutput:
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
         assert exc.value.code == 0
+
+
+def lines(*rows):
+    return "".join(row + "\n" for row in rows)
+
+
+class TestPinnedBytes:
+    """Exact text and CSV output, written out from the documented formats."""
+
+    def test_verify_projections(self, capsys):
+        assert run(capsys, "verify-projections") == (0, lines(
+            "one: ok", "p: ok", "q0: ok", "q1: ok", "r: ok", "5/5 projections verified",
+        ))
+        assert run(capsys, "verify-projections", "--format", "csv") == (0, lines(
+            "name,ok", "one,true", "p,true", "q0,true", "q1,true", "r,true",
+        ))
+
+    def test_verify_projections_corrupt_r(self, capsys):
+        assert run(capsys, "verify-projections", "--corrupt-r") == (1, lines(
+            "one: ok", "p: ok", "q0: ok", "q1: ok", "r: FAIL", "4/5 projections verified",
+        ))
+        assert run(capsys, "verify-projections", "--corrupt-r", "--format", "csv") == (1, lines(
+            "name,ok", "one,true", "p,true", "q0,true", "q1,true", "r,false",
+        ))
+
+    def test_dimension_report(self, capsys):
+        assert run(capsys, "dimension-report", "--window", "3") == (0, lines(
+            "twisted_alpha1 window 3: nullity 4 (expected 4) ok",
+            "alpha1 window 3: nullity 1 (expected 1) ok",
+        ))
+        assert run(capsys, "dimension-report", "--window", "3", "--format", "csv") == (0, lines(
+            "operator,window,nullity,expected,ok",
+            "twisted_alpha1,3,4,4,true",
+            "alpha1,3,1,1,true",
+        ))
+
+    def test_pairing_table(self, capsys):
+        # columns padded to their widest cell, two spaces apart, no trailing blanks
+        assert run(capsys, "pairing-table") == (0, lines(
+            "projection  S_tau  S_D11  S_D00  S_D01  S_D10  phi",
+            "one         1      0      0      0      0      0",
+            "p           1/2    0      1/2    0      0      0",
+            "q0          1/2    0      0      0      -1/2   0",
+            "q1          1/2    0      0      -1/2   0      0",
+            "r           1/2    -u/2   0      0      0      0",
+        ))
+        assert run(capsys, "pairing-table", "--format", "csv") == (0, lines(
+            "projection,S_tau,S_D11,S_D00,S_D01,S_D10,phi",
+            "one,1,0,0,0,0,0",
+            "p,1/2,0,1/2,0,0,0",
+            "q0,1/2,0,0,0,-1/2,0",
+            "q1,1/2,0,0,-1/2,0,0",
+            "r,1/2,-u/2,0,0,0,0",
+        ))
+
+    def test_cohomology_report(self, capsys):
+        argv = ("cohomology-report", "--window", "3", "--h1-trials", "2")
+        note = (
+            "  note: recorded sources list this site as the non-image generator; in the "
+            "coefficient indexing used here that generator sits at (1,1), and the "
+            "(-1,-1) delta has the explicit preimage (delta(-1,-2)/(u^-2 - u^2), 0)"
+        )
+        text = lines(
+            "kernel twisted_alpha1 window 3: nullity 4 (expected 4, quoted constant) ok",
+            "kernel alpha1 window 3: nullity 1 (expected 1, quoted constant) ok",
+            "generator D00: in kernel ok",
+            "generator D01: in kernel ok",
+            "generator D10: in kernel ok",
+            "generator D11: in kernel ok",
+            "pullback twisted_deg2_scaling_00: ok",
+            "pullback twisted_deg2_scaling_10: ok",
+            "pullback twisted_deg2_scaling_01: ok",
+            "pullback twisted_deg2_scaling_11: ok",
+            "pullback untwisted_deg2_fixes_(-1,-1): ok",
+            "pullback untwisted_deg1_negates_first: ok",
+            "pullback untwisted_deg1_negates_second: ok",
+            "probe untwisted delta(0, 2) radius 4: solved (expected solved) ok",
+            "probe untwisted delta(0, 2) radius 5: solved (expected solved) ok",
+            "probe untwisted delta(0, 2) radius 6: solved (expected solved) ok",
+            "probe untwisted delta(2, 0) radius 4: solved (expected solved) ok",
+            "probe untwisted delta(2, 0) radius 5: solved (expected solved) ok",
+            "probe untwisted delta(2, 0) radius 6: solved (expected solved) ok",
+            "probe twisted delta(0, 0) radius 4: unsolvable (expected unsolvable) ok",
+            "probe twisted delta(0, 0) radius 5: unsolvable (expected unsolvable) ok",
+            "probe twisted delta(0, 0) radius 6: unsolvable (expected unsolvable) ok",
+            "probe twisted delta(1, 0) radius 4: unsolvable (expected unsolvable) ok",
+            "probe twisted delta(1, 0) radius 5: unsolvable (expected unsolvable) ok",
+            "probe twisted delta(1, 0) radius 6: unsolvable (expected unsolvable) ok",
+            "probe twisted delta(0, 1) radius 4: unsolvable (expected unsolvable) ok",
+            "probe twisted delta(0, 1) radius 5: unsolvable (expected unsolvable) ok",
+            "probe twisted delta(0, 1) radius 6: unsolvable (expected unsolvable) ok",
+            "probe twisted delta(1, 1) radius 4: unsolvable (expected unsolvable) ok",
+            "probe twisted delta(1, 1) radius 5: unsolvable (expected unsolvable) ok",
+            "probe twisted delta(1, 1) radius 6: unsolvable (expected unsolvable) ok",
+            "probe untwisted delta(1, 1) radius 4: unsolvable (expected unsolvable) ok",
+            "probe untwisted delta(1, 1) radius 5: unsolvable (expected unsolvable) ok",
+            "probe untwisted delta(1, 1) radius 6: unsolvable (expected unsolvable) ok",
+            "probe untwisted delta(-1, -1) radius 4: solved (expected solved) ok",
+            note,
+            "probe untwisted delta(-1, -1) radius 5: solved (expected solved) ok",
+            "probe untwisted delta(-1, -1) radius 6: solved (expected solved) ok",
+            "h1 trivialization: 2/2 zero residuals (seed 7, window 10) ok",
+        )
+        csv = lines(
+            "section,name,computed,expected,ok",
+            "kernel,twisted_alpha1@3,4,4,true",
+            "kernel,alpha1@3,1,1,true",
+            "generator,D00,true,true,true",
+            "generator,D01,true,true,true",
+            "generator,D10,true,true,true",
+            "generator,D11,true,true,true",
+            "pullback,twisted_deg2_scaling_00,true,true,true",
+            "pullback,twisted_deg2_scaling_10,true,true,true",
+            "pullback,twisted_deg2_scaling_01,true,true,true",
+            "pullback,twisted_deg2_scaling_11,true,true,true",
+            "pullback,untwisted_deg2_fixes_(-1,-1),true,true,true",
+            "pullback,untwisted_deg1_negates_first,true,true,true",
+            "pullback,untwisted_deg1_negates_second,true,true,true",
+            "probe,untwisted@(0, 2)@r4,solved,solved,true",
+            "probe,untwisted@(0, 2)@r5,solved,solved,true",
+            "probe,untwisted@(0, 2)@r6,solved,solved,true",
+            "probe,untwisted@(2, 0)@r4,solved,solved,true",
+            "probe,untwisted@(2, 0)@r5,solved,solved,true",
+            "probe,untwisted@(2, 0)@r6,solved,solved,true",
+            "probe,twisted@(0, 0)@r4,unsolvable,unsolvable,true",
+            "probe,twisted@(0, 0)@r5,unsolvable,unsolvable,true",
+            "probe,twisted@(0, 0)@r6,unsolvable,unsolvable,true",
+            "probe,twisted@(1, 0)@r4,unsolvable,unsolvable,true",
+            "probe,twisted@(1, 0)@r5,unsolvable,unsolvable,true",
+            "probe,twisted@(1, 0)@r6,unsolvable,unsolvable,true",
+            "probe,twisted@(0, 1)@r4,unsolvable,unsolvable,true",
+            "probe,twisted@(0, 1)@r5,unsolvable,unsolvable,true",
+            "probe,twisted@(0, 1)@r6,unsolvable,unsolvable,true",
+            "probe,twisted@(1, 1)@r4,unsolvable,unsolvable,true",
+            "probe,twisted@(1, 1)@r5,unsolvable,unsolvable,true",
+            "probe,twisted@(1, 1)@r6,unsolvable,unsolvable,true",
+            "probe,untwisted@(1, 1)@r4,unsolvable,unsolvable,true",
+            "probe,untwisted@(1, 1)@r5,unsolvable,unsolvable,true",
+            "probe,untwisted@(1, 1)@r6,unsolvable,unsolvable,true",
+            "probe,untwisted@(-1, -1)@r4,solved,solved,true",
+            "probe,untwisted@(-1, -1)@r5,solved,solved,true",
+            "probe,untwisted@(-1, -1)@r6,solved,solved,true",
+            "h1,trials,2/2,2/2,true",
+        )
+        assert text.count("\n") == csv.count("\n") == 39
+        assert run(capsys, *argv) == (0, text)
+        assert run(capsys, *argv, "--format", "csv") == (0, csv)

@@ -153,6 +153,23 @@ class TestFunctional:
         assert D.restrict(2).support() == [(0, 0), (-2, 0), (0, -2), (0, 2), (2, 0),
                                            (-2, -2), (-2, 2), (2, -2), (2, 2)]
 
+    def test_rule_backed_equality_raises(self):
+        # equality of two infinite functionals is undecidable; it must not
+        # fall back to object identity
+        with pytest.raises(TypeError, match="restrict first"):
+            make_D(0, 0) == make_D(0, 0)
+        with pytest.raises(TypeError, match="restrict first"):
+            make_D(0, 0) == ZERO_F
+        with pytest.raises(TypeError, match="restrict first"):
+            ZERO_F != twisted_pullback_deg0(make_D(0, 0))
+
+    def test_finite_equality(self):
+        assert d(1, 0, LAMBDA) + d(0, 0) == d(0, 0) + d(1, 0, LAMBDA)
+        assert d(1, 0, LAMBDA) != d(1, 0)
+        assert d(0, 0, 0) == ZERO_F
+        assert make_D(0, 0).restrict(3) == make_D(0, 0).restrict(3)
+        assert (d(0, 0) == 1) is False
+
     def test_pair_with(self):
         phi = d(1, 0, LAMBDA) + d(0, 1)
         x = TorusElement.monomial(1, 0, Scalar.from_int(3))

@@ -165,10 +165,6 @@ class TestConnesCocycle:
         for name in PROJECTION_NAMES:
             assert pair(make_projection(name), phi) == ZERO
 
-    def test_normalization_scales(self):
-        phi = ConnesTwoCocycle(normalization=HALF)
-        assert pair(make_projection("r"), phi) == ZERO
-
 
 class TestTraceInvariance:
     def test_unitary_conjugation(self):
