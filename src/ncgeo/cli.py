@@ -273,8 +273,7 @@ def _generator_sections(window: int) -> tuple[list, list]:
     generator_checks = []
     for i in (0, 1):
         for j in (0, 1):
-            image = twisted_alpha1(make_D(i, j), radius=window)
-            ok = image.restrict(window - 1).is_zero()
+            ok = twisted_alpha1(make_D(i, j, window)).restrict(window - 1).is_zero()
             generator_checks.append(
                 {"name": f"D{i}{j}", "window": window, "in_kernel": ok, "ok": ok}
             )

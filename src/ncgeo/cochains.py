@@ -1,10 +1,10 @@
 """Cochains on the lattice dual of the twisted torus and their differentials.
 
-A degree-0 or degree-2 cochain is a coefficient map phi: Z^2 -> Q(u); a
-degree-1 cochain is a pair of such maps.  Finite cochains are identified
-with finite series sum phi[n,m] U1**n U2**m, and the differentials are
-defined by twisted products with the generators: for the twisted
-(flip-equivariant) complex
+Every cochain here is finite.  A degree-0 or degree-2 cochain is a finitely
+supported coefficient map phi: Z^2 -> Q(u), identified with the series
+sum phi[n,m] U1**n U2**m; a degree-1 cochain is a pair of such maps.  The
+differentials are defined by twisted products with the generators: for the
+twisted (flip-equivariant) complex
 
     twisted_alpha1(phi)  = (U1**-1 phi - phi U1,  U2**-1 phi - phi U2)
     twisted_alpha2(f, g) = U2**-1 f - lambda f U2 - lambda U1**-1 g + g U1
@@ -28,25 +28,25 @@ Coefficientwise these expand to the stencil recurrences
 and each recurrence is written down once, as a Stencil: a table of entries
 (out_slot, in_slot, dn, dm, coeff), read as "output out_slot at site (n, m)
 gains coeff(n, m) * input[in_slot][n+dn, m+dm]".  Everything else is
-derived from the four tables: the finite apply (each input term pushed
-through every entry), the rule-backed apply of unbounded inputs (a
-rule-backed image, each output site pulled through every entry on demand
-and restricted to a window when a radius is given), and, in solver.py,
-the equation support and the rows of every windowed system.  The product
-formulas above are kept as the defining identities; the tables are checked
-against them, written with TorusElement products, by
-tests/test_cochains.py::TestProductOracle.
+derived from the four tables: the apply (each input term pushed through
+every entry) and, in solver.py, the equation support and the rows of every
+windowed system.  The product formulas above are kept as the defining
+identities; the tables are checked against them, written with TorusElement
+products, by tests/test_cochains.py::TestProductOracle.
 
 The kernel of twisted_alpha1 is four dimensional: one generator per parity
 class of the lattice.  Solving the kernel recurrences from a seed value 1
-at (i, j) gives the closed form implemented by make_D:
+at (i, j) gives the closed form
 
     D(i,j)[n, m] = lambda**((n*m - i*j)/2)   for n = i, m = j (mod 2).
 
+D(i,j) is an infinite cocycle; make_D returns it on a window
+[-radius, radius]^2, and the twisted_alpha1 image of that window vanishes
+at every site with |n|, |m| <= radius - 1.
+
 Pullbacks by the flip element of the equivariant structure are conjugation
 formulas read off degreewise.  Each is a Stencil with mirror s = -1 (output
-(a, b) reads input[in_slot][-a+dn, -b+dm]), applied like a differential, so
-finite inputs have finite images and rule-backed inputs rule-backed ones; on
+(a, b) reads input[in_slot][-a+dn, -b+dm]), applied like a differential; on
 a coefficient map they act by
 
     twisted degree 0:   psi[a,b] = phi[-a,-b]
@@ -59,7 +59,6 @@ a coefficient map they act by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 from .scalars import ONE, ZERO, Scalar, lambda_pow
@@ -76,35 +75,18 @@ def site_key(site: Site) -> tuple[int, int, int]:
 
 
 class LatticeFunctional:
-    """Coefficient map on Z^2, either finite or backed by a total rule.
+    """Finite coefficient map (n, m) -> Scalar on Z^2; zero coefficients pruned."""
 
-    Finite functionals support exact linear algebra and serialization;
-    rule-backed ones (the generator cocycles) answer coefficient queries at
-    any site and can be restricted to a finite window.
-    """
+    __slots__ = ("terms",)
 
-    __slots__ = ("terms", "rule", "rule_json")
-
-    def __init__(
-        self,
-        terms: dict[Site, Scalar] | None = None,
-        *,
-        rule: Callable[[int, int], Scalar] | None = None,
-        rule_json: dict | None = None,
-    ):
-        if rule is not None and terms is not None:
-            raise ValueError("a functional is finite or rule-backed, not both")
-        clean = None
-        if rule is None:
-            clean = {}
-            for (n, m), c in (terms or {}).items():
-                if isinstance(c, int):
-                    c = Scalar.from_int(c)
-                if c:
-                    clean[(int(n), int(m))] = c
+    def __init__(self, terms: dict[Site, Scalar] | None = None):
+        clean = {}
+        for (n, m), c in (terms or {}).items():
+            if isinstance(c, int):
+                c = Scalar.from_int(c)
+            if c:
+                clean[(int(n), int(m))] = c
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "rule_json", rule_json)
 
     def __setattr__(self, *a):  # pragma: no cover - guard rail
         raise AttributeError("LatticeFunctional is immutable")
@@ -121,22 +103,13 @@ class LatticeFunctional:
 
     # -- queries ----------------------------------------------------------------
 
-    def is_finite(self) -> bool:
-        return self.rule is None
-
     def coeff(self, n: int, m: int) -> Scalar:
-        if self.rule is not None:
-            return self.rule(n, m)
         return self.terms.get((n, m), ZERO)
 
     def support(self) -> list[Site]:
-        if self.rule is not None:
-            raise TypeError("rule-backed functional has unbounded support; restrict first")
         return sorted(self.terms, key=site_key)
 
     def is_zero(self) -> bool:
-        if self.rule is not None:
-            raise TypeError("cannot decide vanishing of a rule-backed functional; restrict first")
         return not self.terms
 
     def __bool__(self) -> bool:
@@ -145,45 +118,28 @@ class LatticeFunctional:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LatticeFunctional):
             return NotImplemented
-        if self.rule is not None or other.rule is not None:
-            raise TypeError("cannot compare a rule-backed functional; restrict first")
         return self.terms == other.terms
 
     def __repr__(self) -> str:
-        if self.rule is not None:
-            tag = self.rule_json or {"rule": "derived"}
-            return f"LatticeFunctional(rule={tag})"
         return f"LatticeFunctional({self.as_torus()!r})"
 
     def as_torus(self) -> TorusElement:
-        if self.rule is not None:
-            raise TypeError("rule-backed functional is not a finite series; restrict first")
         return TorusElement(self.terms)
 
     def restrict(self, radius: int) -> "LatticeFunctional":
-        """Finite functional agreeing with this one on [-radius, radius]^2
-        and vanishing outside."""
-        if self.rule is None:
-            kept = {
-                (n, m): c
-                for (n, m), c in self.terms.items()
-                if abs(n) <= radius and abs(m) <= radius
-            }
-            return LatticeFunctional(kept)
-        span = range(-radius, radius + 1)
-        return LatticeFunctional({(n, m): self.rule(n, m) for n in span for m in span})
+        """Agrees with this functional on [-radius, radius]^2, zero outside."""
+        kept = {
+            (n, m): c
+            for (n, m), c in self.terms.items()
+            if abs(n) <= radius and abs(m) <= radius
+        }
+        return LatticeFunctional(kept)
 
-    # -- linear structure (finite only) -------------------------------------------
-
-    def _need_finite(self, op: str) -> None:
-        if self.rule is not None:
-            raise TypeError(f"{op} requires a finite functional; restrict first")
+    # -- linear structure ---------------------------------------------------------
 
     def __add__(self, other: "LatticeFunctional") -> "LatticeFunctional":
         if not isinstance(other, LatticeFunctional):
             return NotImplemented
-        self._need_finite("+")
-        other._need_finite("+")
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out.get(k, ZERO) + c
@@ -195,11 +151,9 @@ class LatticeFunctional:
         return self + (-other)
 
     def __neg__(self) -> "LatticeFunctional":
-        self._need_finite("-")
         return LatticeFunctional({k: -c for k, c in self.terms.items()})
 
     def scale(self, c: Scalar | int) -> "LatticeFunctional":
-        self._need_finite("scale")
         if isinstance(c, int):
             c = Scalar.from_int(c)
         if not c:
@@ -218,18 +172,10 @@ class LatticeFunctional:
     # -- serialization -------------------------------------------------------------------
 
     def to_json(self) -> dict:
-        if self.rule is not None:
-            if self.rule_json is None:
-                raise ValueError("derived rule-backed functional has no serial form")
-            return dict(self.rule_json)
         return self.as_torus().to_json()
 
     @classmethod
     def from_json(cls, data: dict) -> "LatticeFunctional":
-        if "rule" in data:
-            if data["rule"] == "D":
-                return make_D(int(data["i"]), int(data["j"]))
-            raise ValueError(f"unknown functional rule {data['rule']!r}")
         return cls(TorusElement.from_json(data).terms)
 
 
@@ -298,36 +244,20 @@ class Stencil:
         self.in_slots = 1 + max(e[1] for e in entries)
         self.out_slots = 1 + max(e[0] for e in entries)
 
-    def apply(self, x, radius: int | None = None):
-        """Image of a cochain.  A finite input is pushed term by term through
-        the table.  The image of a rule-backed input is rule-backed: each
-        output site is pulled through the entries on demand, and the image is
-        restricted to [-radius, radius]^2 when a radius is given."""
+    def apply(self, x):
+        """Image of a cochain, each input term pushed through the table."""
         parts = cochain_slots(x)
         s = self.mirror
-        if all(p.is_finite() for p in parts):
-            out: list[dict[Site, Scalar]] = [{} for _ in range(self.out_slots)]
-            for o, i, dn, dm, coeff in self.entries:
-                acc = out[o]
-                for (a, b), v in parts[i].terms.items():
-                    site = (s * (a - dn), s * (b - dm))
-                    c = coeff(*site) * v
-                    if c:
-                        prev = acc.get(site)
-                        acc[site] = c if prev is None else prev + c
-            return cochain_from_slots([LatticeFunctional(t) for t in out])
-
-        def rule(slot: int, n: int, m: int) -> Scalar:
-            total = ZERO
-            for o, i, dn, dm, coeff in self.entries:
-                if o == slot:
-                    total = total + coeff(n, m) * parts[i].coeff(s * n + dn, s * m + dm)
-            return total
-
-        image = cochain_from_slots(
-            [LatticeFunctional(rule=partial(rule, o)) for o in range(self.out_slots)]
-        )
-        return image if radius is None else image.restrict(radius)
+        out: list[dict[Site, Scalar]] = [{} for _ in range(self.out_slots)]
+        for o, i, dn, dm, coeff in self.entries:
+            acc = out[o]
+            for (a, b), v in parts[i].terms.items():
+                site = (s * (a - dn), s * (b - dm))
+                c = coeff(*site) * v
+                if c:
+                    prev = acc.get(site)
+                    acc[site] = c if prev is None else prev + c
+        return cochain_from_slots([LatticeFunctional(t) for t in out])
 
 
 TWISTED_ALPHA1 = Stencil(
@@ -352,32 +282,33 @@ ALPHA2 = Stencil(
 )
 
 
-def twisted_alpha1(phi: LatticeFunctional, radius: int | None = None) -> CochainPair:
+def twisted_alpha1(phi: LatticeFunctional) -> CochainPair:
     """First differential of the flip-twisted complex."""
-    return TWISTED_ALPHA1.apply(phi, radius)
+    return TWISTED_ALPHA1.apply(phi)
 
 
-def twisted_alpha2(pair: CochainPair, radius: int | None = None) -> LatticeFunctional:
+def twisted_alpha2(pair: CochainPair) -> LatticeFunctional:
     """Second differential of the flip-twisted complex."""
-    return TWISTED_ALPHA2.apply(pair, radius)
+    return TWISTED_ALPHA2.apply(pair)
 
 
-def alpha1(phi: LatticeFunctional, radius: int | None = None) -> CochainPair:
+def alpha1(phi: LatticeFunctional) -> CochainPair:
     """First differential of the untwisted complex."""
-    return ALPHA1.apply(phi, radius)
+    return ALPHA1.apply(phi)
 
 
-def alpha2(pair: CochainPair, radius: int | None = None) -> LatticeFunctional:
+def alpha2(pair: CochainPair) -> LatticeFunctional:
     """Second differential of the untwisted complex."""
-    return ALPHA2.apply(pair, radius)
+    return ALPHA2.apply(pair)
 
 
 # ---------------------------------------------------------------------------
 # kernel generators and kernel checks
 
 
-def make_D(i: int, j: int) -> LatticeFunctional:
-    """Generator of the twisted degree-0 kernel on the parity class (i, j).
+def make_D(i: int, j: int, radius: int) -> LatticeFunctional:
+    """Generator of the twisted degree-0 kernel on the parity class (i, j),
+    on the window [-radius, radius]^2.
 
     Seeded with value 1 at (i, j); the kernel recurrences
     phi[n+1,m] = lambda**m phi[n-1,m] and phi[n,m+1] = lambda**n phi[n,m-1]
@@ -385,13 +316,15 @@ def make_D(i: int, j: int) -> LatticeFunctional:
     """
     if i not in (0, 1) or j not in (0, 1):
         raise ValueError("parity class indices must be 0 or 1")
-
-    def rule(n: int, m: int) -> Scalar:
-        if (n - i) % 2 or (m - j) % 2:
-            return ZERO
-        return lambda_pow((n * m - i * j) // 2)
-
-    return LatticeFunctional(rule=rule, rule_json={"rule": "D", "i": i, "j": j})
+    span = range(-radius, radius + 1)
+    return LatticeFunctional(
+        {
+            (n, m): lambda_pow((n * m - i * j) // 2)
+            for n in span
+            for m in span
+            if (n - i) % 2 == 0 and (m - j) % 2 == 0
+        }
+    )
 
 
 def _violations(out: LatticeFunctional, window: int) -> Site | None:

@@ -37,7 +37,7 @@ positionally and the naming mismatch is surfaced as a note.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .crossed import (
     PROJECTION_NAMES,
@@ -97,13 +97,10 @@ def twisted_weight(i: int, j: int, n: int, m: int) -> Scalar:
     return lambda_pow((i * j - n * m) // 2)
 
 
-def _twisted_value(
-    i: int, j: int, odd: TorusElement, weight: Callable[[int, int], Scalar] | None = None
-) -> Scalar:
-    w = weight if weight is not None else (lambda n, m: twisted_weight(i, j, n, m))
+def _twisted_value(i: int, j: int, odd: TorusElement) -> Scalar:
     total = ZERO
     for (n, m), c in odd.terms.items():
-        total = total + w(n, m) * c
+        total = total + twisted_weight(i, j, n, m) * c
     return total
 
 
@@ -153,22 +150,9 @@ def pair(projection: CrossedElement, cocycle: CyclicCocycle) -> Scalar:
     return evaluate(cocycle, [projection] * 3)
 
 
-def twisted_trace_property_check(
-    i: int,
-    j: int,
-    x: CrossedElement,
-    y: CrossedElement,
-    weight: Callable[[int, int], Scalar] | None = None,
-) -> bool:
-    """Exact check of the trace identity psi(xy) = psi(yx) on one pair.
-
-    An alternative weight table may be supplied; the default is the one
-    the identity forces, so substituting a corrupted table makes the
-    check fail on suitable pairs.
-    """
-    lhs = _twisted_value(i, j, (x * y).odd, weight)
-    rhs = _twisted_value(i, j, (y * x).odd, weight)
-    return lhs == rhs
+def twisted_trace_property_check(i: int, j: int, x: CrossedElement, y: CrossedElement) -> bool:
+    """Exact check of the trace identity psi(xy) = psi(yx) on one pair."""
+    return _twisted_value(i, j, (x * y).odd) == _twisted_value(i, j, (y * x).odd)
 
 
 # Table layout: rows follow the projection list, columns the class list
@@ -241,7 +225,6 @@ class PairingTable:
     rows: tuple[str, ...]
     cols: tuple[str, ...]
     cells: dict[tuple[str, str], Scalar]
-    notes: tuple[str, ...] = _NOTES
 
     def value(self, row: str, col: str) -> Scalar:
         return self.cells[(row, col)]
@@ -288,7 +271,7 @@ class PairingTable:
             "rows": list(self.rows),
             "cols": list(self.cols),
             "cells": cells,
-            "notes": list(self.notes),
+            "notes": list(_NOTES),
         }
 
     def to_csv(self) -> str:
@@ -312,7 +295,7 @@ class PairingTable:
                     f"note: {d['row']}/{d['col']} computed {d['computed']}"
                     f" vs table {d['table']} (table row {d['table_row_label']})"
                 )
-            lines.extend(f"note: {n}" for n in self.notes)
+            lines.extend(f"note: {n}" for n in _NOTES)
         return "\n".join(lines) + "\n"
 
 

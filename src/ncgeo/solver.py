@@ -376,11 +376,9 @@ def coboundary_solve(target, operator: str, window: int) -> SolveReport:
     if window < 3:
         raise ValueError("window radius must be at least 3")
     kind = LatticeFunctional if op.stencil.out_slots == 1 else CochainPair
-    if not isinstance(target, kind):
-        raise TypeError(f"{op.name} needs a {kind.__name__} target")
     parts = cochain_slots(target)
-    if not all(p.is_finite() for p in parts):
-        raise TypeError(f"{op.name} needs a finite target; restrict first")
+    if not isinstance(target, kind) or not all(isinstance(p, LatticeFunctional) for p in parts):
+        raise TypeError(f"{op.name} needs a {kind.__name__} target")
     sites = [s for part in parts for s in part.terms]
     if any(abs(n) > window - 2 or abs(m) > window - 2 for n, m in sites):
         raise ValueError("target support must stay 2 sites clear of the window edge")
@@ -428,8 +426,8 @@ def coboundary_solve(target, operator: str, window: int) -> SolveReport:
 
 
 def _one_row(f: LatticeFunctional, s0: int, window: int, what: str) -> dict[int, Scalar]:
-    if not isinstance(f, LatticeFunctional) or not f.is_finite():
-        raise TypeError(f"{what} must be a finite LatticeFunctional; restrict first")
+    if not isinstance(f, LatticeFunctional):
+        raise TypeError(f"{what} must be a finite LatticeFunctional")
     if abs(s0) > window:
         raise ValueError(f"{what} y={s0} lies outside the window |y| <= {window}")
     row: dict[int, Scalar] = {}
@@ -589,10 +587,10 @@ def h1_trivialize(pair: CochainPair, window: int) -> SolveReport:
     """
     if window < 3:
         raise ValueError("window radius must be at least 3")
-    if not isinstance(pair, CochainPair) or not (
-        pair.first.is_finite() and pair.second.is_finite()
+    if not isinstance(pair, CochainPair) or not all(
+        isinstance(p, LatticeFunctional) for p in cochain_slots(pair)
     ):
-        raise TypeError("h1_trivialize needs a finite CochainPair; restrict first")
+        raise TypeError("h1_trivialize needs a finite CochainPair")
     for f in (pair.first, pair.second):
         if any(abs(n) > window or abs(m) > window for n, m in f.terms):
             raise ValueError("pair support exceeds the window")

@@ -185,9 +185,29 @@ class TorusElement:
 
     @classmethod
     def from_json(cls, data: dict) -> "TorusElement":
-        return cls(
-            {(t["n"], t["m"]): parse_scalar(t["c"]) for t in data.get("terms", ())}
-        )
+        """Inverse of to_json.  Anything else is a ValueError that names the
+        offending term: a term other than {"n": int, "m": int, "c": text},
+        malformed coefficient text, or two terms at one site."""
+        items = data.get("terms") if isinstance(data, dict) and len(data) == 1 else None
+        if not isinstance(items, list):
+            raise ValueError(f'a series is {{"terms": [...]}}, got {data!r}')
+        terms: dict[Site, Scalar] = {}
+        for k, t in enumerate(items):
+            where = f"series term {k} {t!r}"
+            if not isinstance(t, dict) or set(t) != {"n", "m", "c"}:
+                raise ValueError(f'{where}: a term is {{"n": int, "m": int, "c": text}}')
+            if type(t["n"]) is not int or type(t["m"]) is not int:
+                raise ValueError(f"{where}: n and m must be integers")
+            if not isinstance(t["c"], str):
+                raise ValueError(f"{where}: c must be scalar text")
+            site = (t["n"], t["m"])
+            if site in terms:
+                raise ValueError(f"{where}: a second term at site {site}")
+            try:
+                terms[site] = parse_scalar(t["c"])
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+        return cls(terms)
 
 
 U1 = TorusElement.monomial(1, 0)

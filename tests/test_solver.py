@@ -39,6 +39,13 @@ def d(n, m, c=1):
 
 
 ZF = LatticeFunctional.zero()
+# wrong types where a LatticeFunctional belongs: a series, a pair, and a
+# coefficient rule (the closed form of D(0,0) as a bare function)
+SERIES = TorusElement.monomial(0, 0)
+
+
+def d00_rule(n, m):
+    return lambda_pow((n * m) // 2) if n % 2 == 0 and m % 2 == 0 else ZERO
 
 
 def random_functional(rng, radius=3, size=4):
@@ -66,7 +73,7 @@ class TestKernelDimension:
             site = vec.support()[0]
             cls = (site[0] % 2, site[1] % 2)
             seen.add(cls)
-            D = make_D(*cls).restrict(window)
+            D = make_D(*cls, window)
             ratio = vec.coeff(*site) / D.coeff(*site)
             assert vec == D.scale(ratio)
         assert seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
@@ -217,12 +224,23 @@ class TestCoboundarySolve:
             coboundary_solve(CochainPair.zero(), "twisted_alpha2", 4)
 
     def test_rule_backed_target_is_rejected(self):
-        with pytest.raises(TypeError, match="restrict first"):
-            coboundary_solve(make_D(0, 0), "twisted_alpha2", 4)
+        with pytest.raises(TypeError, match="needs a LatticeFunctional target"):
+            coboundary_solve(d00_rule, "twisted_alpha2", 4)
 
     def test_rule_backed_pair_target_is_rejected(self):
-        with pytest.raises(TypeError, match="restrict first"):
-            coboundary_solve(CochainPair(make_D(0, 0), ZF), "alpha1", 4)
+        with pytest.raises(TypeError, match="needs a CochainPair target"):
+            coboundary_solve(CochainPair(d00_rule, ZF), "alpha1", 4)
+
+    def test_wrong_type_target_is_rejected(self):
+        for target, operator in (
+            (SERIES, "twisted_alpha2"),
+            (SERIES, "alpha1"),
+            (d(0, 0), "twisted_alpha1"),
+            (CochainPair(SERIES, ZF), "alpha1"),
+            (CochainPair(ZF, SERIES), "twisted_alpha1"),
+        ):
+            with pytest.raises(TypeError, match="target"):
+                coboundary_solve(target, operator, 4)
 
     def test_never_sets_up_the_whole_window(self, monkeypatch):
         # a membership system is read off the table around the target alone
@@ -550,8 +568,13 @@ class TestLineEliminate:
             line_eliminate(d(0, 9), 9, 4)
 
     def test_rejects_rule_backed_row(self):
-        with pytest.raises(TypeError, match="restrict first"):
-            line_eliminate(make_D(0, 0), 0, 4)
+        with pytest.raises(TypeError, match="LatticeFunctional"):
+            line_eliminate(d00_rule, 0, 4)
+
+    def test_rejects_wrong_type_row(self):
+        for row in (SERIES, CochainPair(d(0, 0), ZF)):
+            with pytest.raises(TypeError, match="LatticeFunctional"):
+                line_eliminate(row, 0, 4)
 
 
 class TestRowSolve:
@@ -602,8 +625,13 @@ class TestRowSolve:
                 row_solve(d(0, -9), -9, direction, 4)
 
     def test_rejects_rule_backed_row(self):
-        with pytest.raises(TypeError, match="restrict first"):
-            row_solve(make_D(0, 0), 0, "below", 4)
+        with pytest.raises(TypeError, match="LatticeFunctional"):
+            row_solve(d00_rule, 0, "below", 4)
+
+    def test_rejects_wrong_type_row(self):
+        for row in (SERIES, CochainPair(d(0, 0), ZF)):
+            with pytest.raises(TypeError, match="LatticeFunctional"):
+                row_solve(row, 0, "above", 4)
 
 
 class TestH1Trivialize:
@@ -659,8 +687,13 @@ class TestH1Trivialize:
             h1_trivialize(CochainPair(d(9, 0), ZF), 4)
 
     def test_rejects_rule_backed_pair(self):
-        for pair in (CochainPair(make_D(0, 0), ZF), CochainPair(ZF, make_D(1, 0))):
-            with pytest.raises(TypeError, match="restrict first"):
+        for pair in (CochainPair(d00_rule, ZF), CochainPair(ZF, d00_rule)):
+            with pytest.raises(TypeError, match="finite CochainPair"):
+                h1_trivialize(pair, 4)
+
+    def test_rejects_wrong_type_pair(self):
+        for pair in (SERIES, CochainPair(SERIES, ZF), CochainPair(ZF, SERIES)):
+            with pytest.raises(TypeError, match="finite CochainPair"):
                 h1_trivialize(pair, 4)
 
     def test_rejects_bare_functional(self):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncgeo.scalars import HALF, LAMBDA, MU, ONE, Scalar, lambda_pow, mu_pow
@@ -166,6 +167,28 @@ class TestSerialization:
                 }
             )
             assert TorusElement.from_json(x.to_json()) == x
+
+    def test_malformed_terms_are_value_errors(self):
+        # each bad term is refused with a ValueError naming it, never read
+        # loosely (1.7 -> 1, True -> 1, "2" -> 2, last duplicate wins) and
+        # never a TypeError or AttributeError
+        ok = {"n": 0, "m": 0, "c": "1"}
+        for bad, term in (
+            ({"n": 1.7, "m": 0, "c": "1"}, 0),
+            ({"n": True, "m": 0, "c": "1"}, 0),
+            ({"n": 0, "m": "2", "c": "1"}, 0),
+            ({"n": 0, "m": 0, "c": 5}, 0),
+            ({"n": 0, "m": 0, "c": "1/0"}, 0),
+            ({"n": 0, "m": 0}, 0),
+            (["n", "m", "c"], 0),
+            (dict(ok, c="2"), 1),
+        ):
+            terms = [bad] if term == 0 else [ok, bad]
+            with pytest.raises(ValueError, match=f"series term {term} "):
+                TorusElement.from_json({"terms": terms})
+        for data in (5, [ok], {"terms": ok}, {"rule": "D", "i": 0, "j": 0}):
+            with pytest.raises(ValueError, match="a series is"):
+                TorusElement.from_json(data)
 
     def test_term_order_is_sorted(self):
         x = mono(1, 0) + mono(-1, 0) + mono(0, 2, HALF)
