@@ -62,7 +62,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .scalars import ONE, ZERO, Scalar, lambda_pow
-from .torus import Site, TorusElement
+from .torus import Site, TorusElement, _halves_from_json
 
 _LAM = lambda_pow(1)
 _MINUS_ONE = Scalar.from_int(-1)
@@ -82,10 +82,12 @@ class LatticeFunctional:
     def __init__(self, terms: dict[Site, Scalar] | None = None):
         clean = {}
         for (n, m), c in (terms or {}).items():
+            if type(n) is not int or type(m) is not int:
+                raise ValueError(f"site {(n, m)!r}: n and m must be integers")
             if isinstance(c, int):
                 c = Scalar.from_int(c)
             if c:
-                clean[(int(n), int(m))] = c
+                clean[(n, m)] = c
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, *a):  # pragma: no cover - guard rail
@@ -207,10 +209,9 @@ class CochainPair:
 
     @classmethod
     def from_json(cls, data: dict) -> "CochainPair":
-        return cls(
-            LatticeFunctional.from_json(data["first"]),
-            LatticeFunctional.from_json(data["second"]),
-        )
+        """Inverse of to_json; a ValueError names a missing or malformed half."""
+        first, second = _halves_from_json(data, ("first", "second"), "a cochain pair")
+        return cls(LatticeFunctional(first.terms), LatticeFunctional(second.terms))
 
 
 # ---------------------------------------------------------------------------

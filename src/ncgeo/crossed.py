@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .scalars import HALF, MU, Scalar
-from .torus import TorusElement, U1, U2
+from .torus import TorusElement, U1, U2, _halves_from_json
 
 
 class CrossedElement:
@@ -105,9 +105,8 @@ class CrossedElement:
 
     @classmethod
     def from_json(cls, data: dict) -> "CrossedElement":
-        return cls(
-            TorusElement.from_json(data["even"]), TorusElement.from_json(data["odd"])
-        )
+        """Inverse of to_json; a ValueError names a missing or malformed half."""
+        return cls(*_halves_from_json(data, ("even", "odd"), "a crossed element"))
 
 
 @dataclass(frozen=True)

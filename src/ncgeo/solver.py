@@ -23,27 +23,69 @@ Two truncation conventions are used, on purpose:
   not.  Unsolvability is always window-bounded evidence, never a blanket
   claim about the infinite lattice.
 
-Elimination is exact Gauss-Jordan over the scalar field with a fixed pivot
-rule (variables ordered by (|n|+|m|, n, m), then slot), which makes every
-witness, basis and certificate deterministic.  The pivot row for a variable
-is the unused row holding it with the fewest nonzero coefficients, the lowest
-row index breaking ties; this only limits fill-in.  For a fixed variable
-order Gauss-Jordan ends in the same reduced echelon form whichever rows are
-chosen, so pivot columns, witnesses (free variables set to 0) and kernel
-bases depend on the variable order alone.
+Every windowed system here is a two-term system, and it is solved on its
+gain graph rather than by elimination.  The orientation is read off the
+stencil table.  When every input slot is read by at most two entries, every
+column holds at most two nonzeros: the equations are the nodes and the
+variables the edges (the column side: twisted_alpha2, alpha1, alpha2).
+Otherwise every equation holds at most two: the variables are the nodes and
+the equations the edges (the row side: twisted_alpha1).  An edge with one
+nonzero is a half-edge.  Every nonzero coefficient is invertible, so a
+connected component either is balanced, carrying a potential p, unique up to
+scale, with p[u] a + p[v] b = 0 along every edge ((u, a), (v, b)), or it is
+not, and then its edges span every coordinate of its nodes: the frame matroid
+of the gain graph (Zaslavsky, "Biased graphs II", JCTB 51, 1991).
 
-A membership solve assembles and eliminates only the target's connected
-block: the equations reached from the target's support, two equations being
-connected when both hold some variable with a nonzero coefficient.  This
-cannot change an output.  Gauss-Jordan inside one block never touches another
-block, so an equation outside the target's block keeps its zero right side;
-it yields neither a witness entry nor an inconsistent row.  The block is read
-off the stencil table around the target alone, its rows and multipliers keyed
-by equation (out_slot, site): no list of the window's equations or variables
-is set up.  Rows are eliminated in equation order and variables in pivot
-order, the whole system's orders restricted to the block, so pivots and
-certificates are those of the whole system.  Kernel computations still
-eliminate every equation, as the nullity needs every block.
+Variables are ordered by (|n|+|m|, n, m), then slot (the pivot order), and
+equations by slot, then site.  One weighted union-find (_Frame) grows the
+greedy basis of the frame matroid in edge order: it keeps an edge that joins
+two components not both unbalanced, or that closes the first unbalanced cycle
+or half-edge of a component.  One leaf-peeling solve (_Peeling) finds the
+values on such a basis that meet a right side: it peels pendant edges, then
+goes once around the one cycle a component may have left.
+
+On the column side the greedy basis is exactly the set of pivot columns
+Gauss-Jordan elimination takes in the pivot order (its pivot columns are the
+lexicographically first column basis, whichever pivot rows it picks), so
+every output equals Gauss-Jordan's, byte for byte:
+
+* kernel basis: for each non-basis variable f, in pivot order, x[f] = 1 and
+  the basis values that peel the right side -A_f;
+* witness: the basis values that peel the target, every other variable 0;
+* certificate: a balanced component's potential is its only combination of
+  equations with a zero left side.  It is normalized to 1 at the component's
+  last equation, the row left unused by Gauss-Jordan that pivots on the
+  first unused row holding each variable: the unused rows of a balanced
+  component always cancel with nonzero multipliers, so a variable held by
+  one of them is held by two, and the last is never the first to hold it.  Of the inconsistent components, the one whose
+  last equation comes first is reported, as Gauss-Jordan's first bad row.
+
+On the row side:
+
+* kernel basis: one potential per balanced component, normalized to 1 at its
+  last variable.  Any other set of a component's variables is independent, so
+  that variable is Gauss-Jordan's free one, and the bases are equal;
+* witness: the values along a spanning forest walked from each component's
+  last variable, 0 on a balanced component: Gauss-Jordan's witness again;
+* certificate: the first equation, in equation order, that the greedy basis
+  of the equations rejects and that the witness leaves unsatisfied.  Its
+  fundamental circuit, the one combination of it and the kept equations
+  with a zero left side, is found by peeling the transposed graph and is
+  normalized to 1 at that equation.  This rule is the solver's own:
+  Gauss-Jordan's certificate there depends on the pivot rows it picks.
+
+Every witness is re-checked by applying the operator, and every certificate
+against the table's original equations, before it is returned.
+
+A membership solve sets up only the target's connected block: the equations
+reached from the target's support, two equations being connected when both
+hold some variable with a nonzero coefficient.  This cannot change an output:
+an equation outside the block has a zero right side, so it yields neither a
+witness entry nor an inconsistent component.  The block is read off the
+stencil table around the target alone, its rows keyed by equation
+(out_slot, site): no list of the window's equations or variables is set up.
+Kernel computations still set up every equation, as the nullity needs every
+block.
 
 The second half of the module implements the constructive proof that the
 flip-twisted first cohomology vanishes, as a two-phase pipeline:
@@ -152,6 +194,16 @@ def _vector_object(op: Operator, vec: dict[VarKey, Scalar]):
 # windowed systems
 
 
+def _var_order(v: VarKey):
+    """Pivot order: site by (|n|+|m|, n, m), then slot."""
+    return (site_key(v[1]), v[0])
+
+
+def _eq_order(eq: EqKey):
+    """Equation order: slot, then site."""
+    return (eq[0], site_key(eq[1]))
+
+
 def _variables(op: Operator, window: int) -> list[VarKey]:
     sites = sorted(
         ((n, m) for n in range(-window, window + 1) for m in range(-window, window + 1)),
@@ -177,23 +229,22 @@ def _equations(op: Operator, window: int) -> list[EqKey]:
             for m in range(-reach, reach + 1):
                 if all(_inside((n + dn, m + dm), window) for dn, dm in offsets):
                     out.append((slot, (n, m)))
-    out.sort(key=lambda e: (e[0], site_key(e[1])))
+    out.sort(key=_eq_order)
     return out
 
 
 class _Row:
-    __slots__ = ("coeffs", "rhs", "combo")
+    __slots__ = ("coeffs", "rhs")
 
-    def __init__(self, coeffs, rhs, combo):
+    def __init__(self, coeffs, rhs):
         self.coeffs = coeffs
         self.rhs = rhs
-        self.combo = combo
 
 
 def _row(op: Operator, window: int, eq: EqKey, goal=None) -> _Row:
     """The row of equation eq read off the stencil table, without zero
     coefficients or variables outside the window.  A target's row (goal: its
-    slots) carries its right side and multiplier {eq: 1}; a kernel row neither."""
+    slots) carries its right side; a kernel row's is zero."""
     slot, (n, m) = eq
     coeffs = {}
     for o, in_slot, dn, dm, coeff in op.stencil.entries:
@@ -202,9 +253,7 @@ def _row(op: Operator, window: int, eq: EqKey, goal=None) -> _Row:
             c = coeff(n, m)
             if c:
                 coeffs[(in_slot, site)] = c
-    if goal is None:
-        return _Row(coeffs, ZERO, None)
-    return _Row(coeffs, goal[slot].coeff(n, m), {eq: ONE})
+    return _Row(coeffs, ZERO if goal is None else goal[slot].coeff(n, m))
 
 
 def _target_block(op: Operator, window: int, goal) -> dict[EqKey, _Row]:
@@ -235,65 +284,260 @@ def _target_block(op: Operator, window: int, goal) -> dict[EqKey, _Row]:
     return block
 
 
-def _scale_row(row: _Row, f: Scalar) -> None:
-    row.coeffs = {k: f * c for k, c in row.coeffs.items()}
-    row.rhs = f * row.rhs
-    if row.combo is not None:
-        row.combo = {k: f * c for k, c in row.combo.items()}
+def _column_side(op: Operator) -> bool:
+    """Orientation of op's windowed systems, read off its stencil table.
+    When every input slot is read by at most two entries, every column holds
+    at most two nonzeros: the equations are the nodes of the gain graph and
+    the variables its edges.  Otherwise every equation holds at most two,
+    and the variables are the nodes and the equations the edges."""
+    entries = op.stencil.entries
+    return all(sum(e[1] == i for e in entries) <= 2 for i in range(op.stencil.in_slots))
 
 
-def _axpy(row: _Row, f: Scalar, pivot: _Row, i: int, cols: dict[VarKey, set[int]]) -> None:
-    """row -= f * pivot, pruning exact zeros.  row is rows[i]; cols[k] gains
-    or loses i where the entry for k is created or cancels."""
-    coeffs = row.coeffs
-    for k, c in pivot.coeffs.items():
-        old = coeffs.get(k)
-        nv = (ZERO if old is None else old) - f * c
-        if nv:
-            if old is None:
-                cols[k].add(i)
-            coeffs[k] = nv
-        elif old is not None:
-            del coeffs[k]
-            cols[k].discard(i)
-    row.rhs = row.rhs - f * pivot.rhs
-    if row.combo is not None:
-        for k, c in pivot.combo.items():
-            nv = row.combo.get(k, ZERO) - f * c
-            if nv:
-                row.combo[k] = nv
-            elif k in row.combo:
-                del row.combo[k]
+class _Frame:
+    """Greedy basis of the frame matroid of a gain graph, grown edge by edge.
 
-
-def _eliminate(rows: list[_Row], var_order: list[VarKey]) -> dict[VarKey, int]:
-    """Gauss-Jordan in the fixed variable order; returns var -> pivot row.
-
-    The pivot for v is the unused row holding v with the fewest entries
-    (lowest index on ties), found through a column index var -> rows.
+    An edge is a tuple of (node, coefficient) ends: two, one (a half-edge)
+    or none.  This is a weighted union-find: weight[x] = p[x] / p[parent[x]]
+    for a potential p of x's component, that is p[u] a + p[v] b = 0 along
+    every kept edge ((u, a), (v, b)).  A component in `full` has taken an
+    unbalanced cycle or a half-edge: its kept edges span every coordinate of
+    its nodes, and it has no potential.  The other components are balanced.
     """
-    cols: dict[VarKey, set[int]] = {v: set() for v in var_order}
-    for i, r in enumerate(rows):
-        for k in r.coeffs:
-            cols[k].add(i)
-    pivots: dict[VarKey, int] = {}
-    pivot_rows: set[int] = set()
-    for v in var_order:
-        holders = cols[v]
-        candidates = [(len(rows[i].coeffs), i) for i in holders if i not in pivot_rows]
-        if not candidates:
+
+    __slots__ = ("parent", "weight", "size", "full")
+
+    def __init__(self):
+        self.parent = {}
+        self.weight = {}
+        self.size = {}
+        self.full = set()
+
+    def find(self, x):
+        """(root of x, p[x] / p[root]), compressing the path."""
+        parent, weight = self.parent, self.weight
+        path = []
+        up = parent.setdefault(x, x)
+        while up != x:
+            path.append(x)
+            x, up = up, parent[up]
+        if not path:
+            return x, ONE
+        w = self._weight(path[-1])
+        for y in reversed(path[:-1]):
+            w = self._weight(y) * w
+            weight[y] = w
+            parent[y] = x
+        return x, w
+
+    def _weight(self, y):
+        # a merge stores the pair (pa, pb); the ratio -pa / pb is divided
+        # out on first use, so a link that no later edge reads costs nothing
+        w = self.weight[y]
+        if type(w) is tuple:
+            w = self.weight[y] = -(w[0] / w[1])
+        return w
+
+    def add(self, ends) -> bool:
+        """Offer the next edge; True when the greedy basis keeps it."""
+        if len(ends) != 2:
+            if not ends:
+                return False
+            root = self.find(ends[0][0])[0]
+            if root in self.full:
+                return False
+            self.full.add(root)
+            return True
+        (u, a), (v, b) = ends
+        ru, wu = self.find(u)
+        rv, wv = self.find(v)
+        full = self.full
+        if ru in full and rv in full:
+            return False
+        pa = a if wu is ONE else wu * a
+        pb = b if wv is ONE else wv * b
+        if ru == rv:
+            # the edge closes a cycle of a balanced component
+            if pa == -pb:
+                return False
+            full.add(ru)
+            return True
+        size = self.size
+        if size.get(ru, 1) < size.get(rv, 1):
+            ru, rv, pa, pb = rv, ru, pb, pa
+        self.parent[rv] = ru
+        self.weight[rv] = (pa, pb)
+        size[ru] = size.get(ru, 1) + size.get(rv, 1)
+        if rv in full:
+            full.add(ru)
+        return True
+
+    def balanced(self, nodes) -> list[list]:
+        """The balanced components met by nodes, in the order of their first
+        node: each a list of (node, p[node] / p[root]) in the order given."""
+        groups: dict = {}
+        for x in nodes:
+            root, w = self.find(x)
+            if root not in self.full:
+                groups.setdefault(root, []).append((x, w))
+        return list(groups.values())
+
+
+def _normalized(group) -> dict:
+    """A balanced component's potential, scaled to 1 at its last node."""
+    inv = group[-1][1].inv()
+    return {x: w * inv for x, w in group}
+
+
+class _Peeling:
+    """Values x on the edges of a frame-matroid basis with
+    sum_e x[e] A_e = rhs, where A_e holds the ends of e.
+
+    Pendant edges are peeled first, each fixed by its leaf, in an order
+    computed once; every component is then empty or one cycle, solved in
+    one pass around it with each value written alpha + beta * s in the value
+    s of its first edge.  A balanced component keeps one node unpeeled, where
+    the right side cancels whenever the system is consistent.
+    """
+
+    __slots__ = ("steps", "cycles")
+
+    def __init__(self, edges: dict):
+        incident: dict = {}
+        for key, ends in edges.items():
+            for node, _ in ends:
+                incident.setdefault(node, []).append(key)
+        degree = {node: len(keys) for node, keys in incident.items()}
+        done = set()
+        # (edge, leaf, coefficient at the leaf, the other ends)
+        self.steps = []
+        leaves = [node for node, k in degree.items() if k == 1]
+        while leaves:
+            u = leaves.pop()
+            if degree[u] != 1:
+                continue
+            degree[u] = 0
+            key = next(k for k in incident[u] if k not in done)
+            done.add(key)
+            ends = edges[key]
+            c = next(c for node, c in ends if node == u)
+            rest = tuple(e for e in ends if e[0] != u)
+            self.steps.append((key, u, c, rest))
+            for v, _ in rest:
+                degree[v] -= 1
+                if degree[v] == 1:
+                    leaves.append(v)
+        # (edge, node it leaves, coefficient there, node it enters, coefficient there)
+        self.cycles = []
+        for u, k in degree.items():
+            if k != 2:
+                continue
+            cycle = []
+            key = next(k for k in incident[u] if k not in done)
+            while key is not None:
+                done.add(key)
+                degree[u] = 0
+                (x, cx), (y, cy) = edges[key]
+                if x != u:
+                    (x, cx), (y, cy) = (y, cy), (x, cx)
+                cycle.append((key, x, cx, y, cy))
+                u = y
+                key = next((k for k in incident[u] if k not in done), None)
+            self.cycles.append(cycle)
+
+    def solve(self, rhs: dict) -> dict:
+        r = dict(rhs)
+        x = {}
+        for key, u, c, rest in self.steps:
+            val = r.pop(u, None)
+            if not val:
+                continue
+            val = val / c
+            x[key] = val
+            for v, b in rest:
+                r[v] = r[v] - b * val if v in r else -(b * val)
+        for cycle in self.cycles:
+            if not any(r.get(step[1]) for step in cycle):
+                continue
+            a, b = ZERO, ONE
+            line = [(cycle[0][0], a, b)]
+            for (_, _, _, u, cin), (key, _, cout, _, _) in zip(cycle, cycle[1:]):
+                # cin * x[previous edge] + cout * x[key] = r[u]
+                a = (r.get(u, ZERO) - cin * a) / cout
+                b = -(cin * b) / cout
+                line.append((key, a, b))
+            cin, cout = cycle[-1][4], cycle[0][2]
+            s = (r.get(cycle[0][1], ZERO) - cin * a) / (cin * b + cout)
+            for key, a, b in line:
+                val = a + b * s
+                if val:
+                    x[key] = val
+        return x
+
+
+def _graph(column_side: bool, rows: dict[EqKey, dict], variables: list[VarKey]):
+    """The gain graph of a system: (nodes, {edge: ends}), both in order.
+    rows maps every equation, in equation order, to its coefficients;
+    variables lists every variable, in pivot order."""
+    if not column_side:
+        return variables, {eq: tuple(coeffs.items()) for eq, coeffs in rows.items()}
+    columns: dict[VarKey, list] = {v: [] for v in variables}
+    for eq, coeffs in rows.items():
+        for k, c in coeffs.items():
+            columns[k].append((eq, c))
+    return list(rows), {v: tuple(ends) for v, ends in columns.items()}
+
+
+def _forest_values(frame: _Frame, kept: dict, rhs: dict, nodes: list) -> dict:
+    """Values on the nodes (row side: variables) that meet every kept edge
+    (equation) a x[u] + b x[v] = rhs[edge].  Each component is walked from
+    its last node; a balanced one sets that node to 0, an unbalanced one
+    solves its one extra kept edge for it, every value carried as
+    alpha + beta * s in the last node's value s."""
+    incident: dict = {}
+    for eq, ends in kept.items():
+        for v, _ in ends:
+            incident.setdefault(v, []).append(eq)
+    x: dict = {}
+    seen: set = set()
+    for root in reversed(nodes):
+        if root in seen:
             continue
-        at = min(candidates)[1]
-        piv = rows[at]
-        lead = piv.coeffs[v]
-        if lead != ONE:
-            _scale_row(piv, lead.inv())
-        for i in list(holders):
-            if i != at:
-                _axpy(rows[i], rows[i].coeffs[v], piv, i, cols)
-        pivots[v] = at
-        pivot_rows.add(at)
-    return pivots
+        seen.add(root)
+        # s is 0 on a balanced component, so beta is only carried on the others
+        full = frame.find(root)[0] in frame.full
+        alpha, beta = {root: ZERO}, {root: ONE}
+        used: set = set()
+        extra = None
+        queue = [root]
+        for u in queue:
+            for eq in incident.get(u, ()):
+                if eq in used:
+                    continue
+                used.add(eq)
+                ends = kept[eq]
+                if len(ends) == 2:
+                    (p, a), (v, b) = ends if ends[0][0] == u else ends[::-1]
+                    if v not in seen:
+                        seen.add(v)
+                        queue.append(v)
+                        alpha[v] = (rhs.get(eq, ZERO) - a * alpha[p]) / b
+                        if full:
+                            beta[v] = -(a * beta[p]) / b
+                        continue
+                extra = eq
+        s = ZERO
+        if extra is not None:
+            num, den = rhs.get(extra, ZERO), ZERO
+            for v, c in kept[extra]:
+                num = num - c * alpha[v]
+                den = den + c * beta[v]
+            s = num / den
+        for v in queue:
+            val = alpha[v] + beta[v] * s if s else alpha[v]
+            if val:
+                x[v] = val
+    return x
 
 
 @dataclass(frozen=True)
@@ -302,7 +546,7 @@ class SolveReport:
 
     status is one of "kernel-basis", "solved", "unsolvable".  On "solved"
     the witness satisfies operator(witness) == target exactly (this is
-    re-verified by applying the operator, not trusted from elimination);
+    re-verified by applying the operator, not trusted from the solve);
     the residual is that exact difference.  On "unsolvable" the certificate
     is a tuple of ((slot, site), multiplier) equation combinations that
     cancel on the left and not on the right.
@@ -344,24 +588,31 @@ def kernel_dimension(operator: str, window: int) -> SolveReport:
     op = _get_operator(operator)
     if window < 3:
         raise ValueError("window radius must be at least 3")
-    var_order = _variables(op, window)
-    rows = [_row(op, window, eq) for eq in _equations(op, window)]
-    pivots = _eliminate(rows, var_order)
-    free = [v for v in var_order if v not in pivots]
-    basis = []
-    for fv in free:
-        vec = {fv: ONE}
-        for pv, i in pivots.items():
-            c = rows[i].coeffs.get(fv)
-            if c:
-                vec[pv] = -c
-        basis.append(_vector_object(op, vec))
+    column_side = _column_side(op)
+    variables = _variables(op, window)
+    rows = {eq: _row(op, window, eq).coeffs for eq in _equations(op, window)}
+    nodes, edges = _graph(column_side, rows, variables)
+    frame = _Frame()
+    kept = {key: ends for key, ends in edges.items() if frame.add(ends)}
+    if column_side:
+        peeling = _Peeling(kept)
+        basis = []
+        for f, ends in edges.items():
+            if f not in kept:
+                vec = peeling.solve({eq: -c for eq, c in ends})
+                vec[f] = ONE
+                basis.append(vec)
+    else:
+        # one potential per balanced component, free at its last variable
+        pos = {v: i for i, v in enumerate(nodes)}
+        groups = sorted(frame.balanced(nodes), key=lambda g: pos[g[-1][0]])
+        basis = [_normalized(g) for g in groups]
     return SolveReport(
         operator=op.name,
         window=window,
         status="kernel-basis",
-        nullity=len(free),
-        basis=tuple(basis),
+        nullity=len(basis),
+        basis=tuple(_vector_object(op, vec) for vec in basis),
     )
 
 
@@ -370,7 +621,7 @@ def coboundary_solve(target, operator: str, window: int) -> SolveReport:
 
     The target support must keep a margin of 2 from the window edge.  On
     failure the report carries an equation-combination certificate, checked
-    against the original (pre-elimination) system before being returned.
+    against the original equations before being returned.
     """
     op = _get_operator(operator)
     if window < 3:
@@ -384,18 +635,45 @@ def coboundary_solve(target, operator: str, window: int) -> SolveReport:
         raise ValueError("target support must stay 2 sites clear of the window edge")
 
     block = _target_block(op, window, parts)
-    eqs = sorted(block, key=lambda e: (e[0], site_key(e[1])))
-    rows = [block[eq] for eq in eqs]
-    var_order = sorted({k for r in rows for k in r.coeffs}, key=lambda v: (site_key(v[1]), v[0]))
-    pivots = _eliminate(rows, var_order)
+    eqs = sorted(block, key=_eq_order)
+    rows = {eq: block[eq].coeffs for eq in eqs}
+    rhs = {eq: block[eq].rhs for eq in eqs if block[eq].rhs}
+    variables = sorted({k for coeffs in rows.values() for k in coeffs}, key=_var_order)
+    column_side = _column_side(op)
+    nodes, edges = _graph(column_side, rows, variables)
+    frame = _Frame()
+    kept = {key: ends for key, ends in edges.items() if frame.add(ends)}
 
-    bad = next((r for r in rows if not r.coeffs and r.rhs), None)
-    if bad is not None:
-        combo = bad.combo
+    certificate = None
+    if column_side:
+        # a balanced component's potential is its one combination with a zero
+        # left side; the first inconsistent one by last equation is reported
+        pos = {eq: i for i, eq in enumerate(nodes)}
+        bad = [
+            g for g in frame.balanced(nodes)
+            if sum((w * rhs[eq] for eq, w in g if eq in rhs), ZERO)
+        ]
+        if bad:
+            certificate = _normalized(min(bad, key=lambda g: pos[g[-1][0]]))
+        else:
+            vec = _Peeling(kept).solve(rhs)
+    else:
+        vec = _forest_values(frame, kept, rhs, nodes)
+        for eq in eqs:
+            if eq in kept:
+                continue
+            left = sum((c * vec[k] for k, c in edges[eq] if k in vec), ZERO)
+            if left != rhs.get(eq, ZERO):
+                # the equation's fundamental circuit through the kept ones
+                certificate = _Peeling(kept).solve({k: -c for k, c in edges[eq]})
+                certificate[eq] = ONE
+                break
+
+    if certificate is not None:
         lhs: dict[VarKey, Scalar] = {}
-        rhs = ZERO
-        for eq, mult in combo.items():
-            # elimination rewrote the block's rows; the table gives the originals
+        total = ZERO
+        for eq, mult in certificate.items():
+            # the table gives the original equations
             original = _row(op, window, eq, parts)
             for k, c in original.coeffs.items():
                 nv = lhs.get(k, ZERO) + mult * c
@@ -403,19 +681,20 @@ def coboundary_solve(target, operator: str, window: int) -> SolveReport:
                     lhs[k] = nv
                 elif k in lhs:
                     del lhs[k]
-            rhs = rhs + mult * original.rhs
-        if lhs or not rhs:
-            raise RuntimeError("elimination produced an invalid certificate")
-        certificate = tuple((eq, combo[eq]) for eq in eqs if combo.get(eq))
+            total = total + mult * original.rhs
+        if lhs or not total:
+            raise RuntimeError("the gain-graph solve produced an invalid certificate")
         return SolveReport(
-            operator=op.name, window=window, status="unsolvable", certificate=certificate
+            operator=op.name,
+            window=window,
+            status="unsolvable",
+            certificate=tuple((eq, certificate[eq]) for eq in eqs if certificate.get(eq)),
         )
 
-    vec = {v: rows[i].rhs for v, i in pivots.items() if rows[i].rhs}
     witness = _vector_object(op, vec)
     residual = op.apply(witness) - target
     if not residual.is_zero():
-        raise RuntimeError("elimination produced an invalid witness")
+        raise RuntimeError("the gain-graph solve produced an invalid witness")
     return SolveReport(
         operator=op.name, window=window, status="solved", witness=witness, residual=residual
     )

@@ -39,10 +39,12 @@ class TorusElement:
         clean: dict[Site, Scalar] = {}
         if terms:
             for (n, m), c in terms.items():
+                if type(n) is not int or type(m) is not int:
+                    raise ValueError(f"site {(n, m)!r}: n and m must be integers")
                 if isinstance(c, int):
                     c = Scalar.from_int(c)
                 if c:
-                    clean[(int(n), int(m))] = c
+                    clean[(n, m)] = c
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, *a):  # pragma: no cover - guard rail
@@ -208,6 +210,25 @@ class TorusElement:
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
         return cls(terms)
+
+
+def _halves_from_json(data, names: tuple[str, str], what: str) -> list[TorusElement]:
+    """The two series of a JSON object {names[0]: series, names[1]: series}.
+    Anything else is a ValueError naming the missing or malformed half."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} is an object with the halves {names}, got {data!r}")
+    extra = sorted(map(repr, set(data) - set(names)))
+    if extra:
+        raise ValueError(f"{what} has no half {', '.join(extra)}")
+    halves = []
+    for name in names:
+        if name not in data:
+            raise ValueError(f"{what} is missing its half {name!r}")
+        try:
+            halves.append(TorusElement.from_json(data[name]))
+        except ValueError as exc:
+            raise ValueError(f"{what} half {name!r}: {exc}") from None
+    return halves
 
 
 U1 = TorusElement.monomial(1, 0)

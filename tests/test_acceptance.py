@@ -22,6 +22,7 @@ from ncgeo.cochains import (
     alpha1,
     alpha2,
     make_D,
+    site_key,
     twisted_alpha1,
     twisted_alpha2,
     twisted_pullback_deg2,
@@ -102,15 +103,18 @@ def test_criterion_04_kernel_dimensions():
         twisted = kernel_dimension("twisted_alpha1", window)
         untwisted = kernel_dimension("alpha1", window)
         ok = ok and twisted.nullity == 4 and untwisted.nullity == 1
-        seen = set()
+        lasts = []
         for vec in twisted.basis:
             site = vec.support()[0]
-            cls = (site[0] % 2, site[1] % 2)
-            seen.add(cls)
-            D = make_D(*cls, window)
-            ok = ok and vec == D.scale(vec.coeff(*site) / D.coeff(*site))
-        ok = ok and seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
-    _line(4, ok, "windowed nullities 4/1 for radii 3..8, twisted basis matches the D family")
+            D = make_D(site[0] % 2, site[1] % 2, window)
+            # normalized to 1 at the class's last site in the window
+            last = max(D.terms, key=site_key)
+            ok = ok and vec == D.scale(ONE / D.coeff(*last))
+            lasts.append(last)
+        ok = ok and lasts == sorted(lasts, key=site_key)
+        ok = ok and {(n % 2, m % 2) for n, m in lasts} == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        ok = ok and untwisted.basis == (d(0, 0),)
+    _line(4, ok, "windowed nullities 4/1 for radii 3..8, bases are the D family and delta(0,0)")
 
 
 def test_criterion_05_generator_phases():

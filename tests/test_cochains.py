@@ -153,6 +153,27 @@ class TestFunctional:
         again = LatticeFunctional.from_json(phi.to_json())
         assert again == phi
 
+    def test_non_integer_sites_are_value_errors(self):
+        # a float or bool index is refused, not truncated onto (1, 0)
+        for key in ((1.7, 0), (True, 0.9), (0, "2")):
+            with pytest.raises(ValueError, match="must be integers"):
+                LatticeFunctional({key: ONE})
+
+    def test_pair_json_names_the_bad_half(self):
+        pair = CochainPair(d(1, 0), d(0, -1, LAMBDA))
+        assert CochainPair.from_json(pair.to_json()) == pair
+        good = pair.first.to_json()
+        for data, half in (
+            ([1], "'first', 'second'"),
+            ({"first": good}, "'second'"),
+            ({"second": good}, "'first'"),
+            ({"first": good, "second": 5}, "'second'"),
+            ({"first": {"terms": [{"n": 0}]}, "second": good}, "'first'"),
+            ({"first": good, "second": good, "third": good}, "'third'"),
+        ):
+            with pytest.raises(ValueError, match=half):
+                CochainPair.from_json(data)
+
 
 class TestTwistedAlpha1:
     def test_center_delta_anchor(self):

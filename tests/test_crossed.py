@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncgeo.crossed import (
@@ -106,3 +107,15 @@ class TestProjections:
         for name in PROJECTION_NAMES:
             x = make_projection(name)
             assert CrossedElement.from_json(x.to_json()) == x
+
+    def test_json_names_the_bad_half(self):
+        good = {"terms": []}
+        for data, half in (
+            ({"even": good}, "'odd'"),
+            ({"odd": good}, "'even'"),
+            ([good, good], "'even', 'odd'"),
+            ({"even": good, "odd": [1]}, "'odd'"),
+            ({"even": good, "odd": good, "extra": good}, "'extra'"),
+        ):
+            with pytest.raises(ValueError, match=half):
+                CrossedElement.from_json(data)

@@ -190,6 +190,12 @@ class TestSerialization:
             with pytest.raises(ValueError, match="a series is"):
                 TorusElement.from_json(data)
 
+    def test_non_integer_sites_are_value_errors(self):
+        # a float or bool index is refused, not truncated onto (1, 0)
+        for key in ((True, 0.9), (1.7, 0), (0, "2")):
+            with pytest.raises(ValueError, match="must be integers"):
+                TorusElement({key: ONE})
+
     def test_term_order_is_sorted(self):
         x = mono(1, 0) + mono(-1, 0) + mono(0, 2, HALF)
         sites = [(t["n"], t["m"]) for t in x.to_json()["terms"]]
