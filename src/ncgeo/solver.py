@@ -57,8 +57,9 @@ every output equals Gauss-Jordan's, byte for byte:
   last equation, the row left unused by Gauss-Jordan that pivots on the
   first unused row holding each variable: the unused rows of a balanced
   component always cancel with nonzero multipliers, so a variable held by
-  one of them is held by two, and the last is never the first to hold it.  Of the inconsistent components, the one whose
-  last equation comes first is reported, as Gauss-Jordan's first bad row.
+  one of them is held by two, and the last is never the first to hold it.
+  Of the inconsistent components, the one whose last equation comes first
+  is reported, as Gauss-Jordan's first bad row.
 
 On the row side:
 
