@@ -24,6 +24,15 @@ accumulated to its left:
     Phi(x0, x1, x2) = phi_C(a0, a1, a2) + phi_C(a0, b1, sigma(b2))
                     + phi_C(b0, sigma(a1), sigma(b2)) + phi_C(b0, sigma(b1), a2).
 
+The trace reads one coefficient of a product, so phi_C is evaluated as the
+contraction at the identity and no product of torus elements is formed:
+
+    phi_C(a, b, c) = sum of a[p,q] * b[r,s] * c[t,w]
+                            * lambda**(s*t - p*q) * (r*w - s*t),
+
+with (t, w) = (-p-r, -q-s), over the terms (p,q) of a and (r,s) of b.  The
+phases are those of the twisted product; connes_torus_cocycle derives them.
+
 Pairing the five standard projections against the six even classes gives
 a 5 x 6 table.  Every cell is computed exactly; each carries comparison
 flags against two independently recorded expected-value sets (an itemized
@@ -105,8 +114,34 @@ def _twisted_value(i: int, j: int, odd: TorusElement) -> Scalar:
 
 
 def connes_torus_cocycle(a: TorusElement, b: TorusElement, c: TorusElement) -> Scalar:
-    """Volume 2-cocycle on the torus algebra."""
-    return (a * (b.delta(1) * c.delta(2) - b.delta(2) * c.delta(1))).trace()
+    """Volume 2-cocycle on the torus algebra,
+
+        phi_C(a, b, c) = trace(a * (delta1(b)*delta2(c) - delta2(b)*delta1(c))),
+
+    evaluated as the contraction the trace reads.  The twisted product
+    (p,q)(r,s) = lambda**(q*r) (p+r, q+s) puts b[r,s]*c[t,w] at (r+t, s+w)
+    with the factor lambda**(s*t) * (r*w - s*t), and the trace of a*X reads
+    X only at (-p, -q), with the factor lambda**(-p*q).  So
+
+        phi_C(a, b, c) = sum of a[p,q] * b[r,s] * c[t,w]
+                                * lambda**(s*t - p*q) * (r*w - s*t)
+
+    over the terms (p,q) of a and (r,s) of b, with (t,w) = (-p-r, -q-s)
+    looked up in c.  No product of torus elements is formed.
+
+    >>> from ncgeo.torus import U1, U2, u1, u2
+    >>> connes_torus_cocycle(u2(-1) * u1(-1), U1, U2) == ONE
+    True
+    """
+    total = ZERO
+    for (p, q), x in a.terms.items():
+        for (r, s), y in b.terms.items():
+            t, w = -p - r, -q - s
+            z = c.terms.get((t, w))
+            k = r * w - s * t
+            if z is not None and k:
+                total = total + x * y * z * lambda_pow(s * t - p * q) * k
+    return total
 
 
 def evaluate(cocycle: CyclicCocycle, args: Sequence[CrossedElement]) -> Scalar:

@@ -356,6 +356,8 @@ def _canonical(shift: int, num, den) -> tuple[int, tuple[int, ...], tuple[int, .
     if j:
         shift -= j
         den = den[j:]
+    if den == (1,):  # nothing can cancel against a unit denominator
+        return shift, num, den
     g = _pgcd(num, den)
     if g != (1,):
         num, den = _pdiv_exact(num, g), _pdiv_exact(den, g)

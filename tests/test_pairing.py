@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from ncgeo.scalars import HALF, LAMBDA, MU, ONE, ZERO, lambda_pow, mu_pow
+from ncgeo.scalars import HALF, LAMBDA, MU, ONE, ZERO, Scalar, lambda_pow, mu_pow
 from ncgeo.torus import TorusElement, U1, U2, u1, u2
 from ncgeo.crossed import CrossedElement, PROJECTION_NAMES, make_projection
 from ncgeo.pairing import (
@@ -39,6 +39,40 @@ def random_torus(rng, radius=2, size=2):
 
 def random_crossed(rng):
     return CrossedElement(random_torus(rng), random_torus(rng))
+
+
+# binomial numerators and non-unit denominators, as well as monomials
+RICH_COEFFS = [
+    Scalar.parse(t)
+    for t in ("1", "-2", "u", "1/u^3", "1 - u^2", "1/(1 - u^2)", "(1 + u)/(2 - u^4)")
+]
+
+
+def random_series(rng):
+    """0-6 terms of radius 1-3: about one triple in five closes with a
+    nonzero factor, and some elements are empty."""
+    radius = rng.choice((1, 1, 2, 3))
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        site = (rng.randint(-radius, radius), rng.randint(-radius, radius))
+        terms[site] = rng.choice(RICH_COEFFS) * mu_pow(rng.randint(-2, 2))
+    return TorusElement(terms)
+
+
+def product_route(a, b, c):
+    """The defining formula of the volume cocycle: whole twisted products,
+    then the coefficient at the identity."""
+    return (a * (b.delta(1) * c.delta(2) - b.delta(2) * c.delta(1))).trace()
+
+
+def product_route_phi(x0, x1, x2):
+    a0, b0, a1, b1, a2, b2 = x0.even, x0.odd, x1.even, x1.odd, x2.even, x2.odd
+    return (
+        product_route(a0, a1, a2)
+        + product_route(a0, b1, b2.sigma())
+        + product_route(b0, a1.sigma(), b2.sigma())
+        + product_route(b0, b1.sigma(), a2)
+    )
 
 
 class TestTwistedWeight:
@@ -171,6 +205,78 @@ class TestConnesCocycle:
         phi = ConnesTwoCocycle()
         for name in PROJECTION_NAMES:
             assert pair(make_projection(name), phi) == ZERO
+
+
+class TestProductRouteOracle:
+    """The contracted sum against the whole-product definition; the cyclic,
+    Hochschild and flip tests above would also pass for the zero map."""
+
+    def test_torus_triples(self):
+        rng = random.Random(23)
+        closed = 0
+        for _ in range(600):
+            a, b, c = (random_series(rng) for _ in range(3))
+            value = connes_torus_cocycle(a, b, c)
+            assert value == product_route(a, b, c)
+            closed += bool(value)
+        assert closed >= 100
+
+    def test_crossed_triples(self):
+        rng = random.Random(29)
+        phi = ConnesTwoCocycle()
+        closed = 0
+        for _ in range(400):
+            x = [CrossedElement(random_series(rng), random_series(rng)) for _ in range(3)]
+            value = evaluate(phi, x)
+            assert value == product_route_phi(*x)
+            closed += bool(value)
+        assert closed >= 100
+
+    def test_rational_coefficients(self):
+        # 1/(1 - u^2) and a binomial on closing sites: the value is exact
+        a = TorusElement({(-1, -1): RICH_COEFFS[5], (0, 0): ONE})
+        b = TorusElement({(1, 0): RICH_COEFFS[4], (0, -1): MU})
+        c = TorusElement({(0, 1): ONE, (1, 2): RICH_COEFFS[6]})
+        value = connes_torus_cocycle(a, b, c)
+        assert value == product_route(a, b, c)
+        assert value.d != (1,)
+
+    def test_empty_and_unclosed(self):
+        zero = TorusElement()
+        some = U1 + U2.scale(MU)
+        for args in ((zero, some, some), (some, zero, some), (some, some, zero)):
+            assert connes_torus_cocycle(*args) == ZERO
+        # every term has a positive first index, so no triple closes
+        a, b, c = U1, U1 + u1(2) * U2, u1(3).scale(RICH_COEFFS[5])
+        assert product_route(a, b, c) == ZERO
+        assert connes_torus_cocycle(a, b, c) == ZERO
+
+    def test_one_phi_takes_few_scalar_products(self, monkeypatch):
+        # the three whole torus products per term made 388 here
+        rng = random.Random(3)
+        x = [CrossedElement(random_series(rng), random_series(rng)) for _ in range(3)]
+        products = 0
+        mul = Scalar.__mul__
+
+        def counting(self, other):
+            nonlocal products
+            products += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(Scalar, "__mul__", counting)
+        value = evaluate(ConnesTwoCocycle(), x)
+        assert value
+        assert 0 < products <= 388 // 4
+
+    def test_no_torus_products(self, monkeypatch):
+        def refuse(self, other):
+            raise AssertionError("a torus product was taken")
+
+        rng = random.Random(31)
+        x = [random_crossed(rng) for _ in range(3)]
+        expected = product_route_phi(*x)
+        monkeypatch.setattr(TorusElement, "__mul__", refuse)
+        assert evaluate(ConnesTwoCocycle(), x) == expected
 
 
 class TestTraceInvariance:

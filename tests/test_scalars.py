@@ -9,6 +9,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncgeo import scalars
 from ncgeo.scalars import (
     HALF,
     LAMBDA,
@@ -25,6 +26,7 @@ from ncgeo.scalars import (
     mu_pow,
     parse_scalar,
 )
+from ncgeo.solver import kernel_dimension
 
 
 def _poly(*coeffs: int) -> Scalar:
@@ -77,6 +79,23 @@ class TestCanonicalForm:
         for k in (-7, -1, 0, 1, 2, 10**20):
             assert hash(Scalar.from_int(k)) == hash(k)
         assert hash(HALF + HALF) == hash(1)
+
+    def test_unit_denominator_takes_no_gcd(self, monkeypatch):
+        # the alpha1 coefficients 1 - lambda^m and lambda^n - 1 are sums over
+        # the unit denominator; a gcd with 1 is 1, and the window-8 kernel
+        # made 544 of them
+        calls = 0
+        pgcd = scalars._pgcd
+
+        def counting(a, b):
+            nonlocal calls
+            calls += 1
+            return pgcd(a, b)
+
+        monkeypatch.setattr(scalars, "_pgcd", counting)
+        assert Scalar(3, (0, 2, 4), (1,)) == Scalar(4, (2, 4), (1,))
+        assert kernel_dimension("alpha1", 8).nullity == 1
+        assert calls == 0
 
 
 class TestArithmetic:
