@@ -35,7 +35,7 @@ from . import pairing as pairing_mod
 
 GOLDEN_THETA = (math.sqrt(5) - 1) / 2
 
-# Largest --window radius; at 32 each report command takes several seconds.
+# Largest --window radius; at 32 each report command takes under half a second.
 MAX_WINDOW = 32
 
 DESIGN_HEADER = {

@@ -26,11 +26,12 @@ Coefficientwise these expand to the stencil recurrences
                                + (lambda**m - lambda) g[n-1,m]
 
 and each recurrence is written down once, as a Stencil: a table of entries
-(out_slot, in_slot, dn, dm, coeff), read as "output out_slot at site (n, m)
-gains coeff(n, m) * input[in_slot][n+dn, m+dm]".  Everything else is
-derived from the four tables: the apply (each input term pushed through
-every entry) and, in solver.py, the equation support and the rows of every
-windowed system.  The product formulas above are kept as the defining
+(out_slot, in_slot, dn, dm, terms), read as "output out_slot at site (n, m)
+gains c(n, m) * input[in_slot][n+dn, m+dm]", where c is stored as data: the
+sum of sign * lambda**(p*n + q*m + r) over the terms (sign, p, q, r), each
+product with a term one Scalar.shift.  Everything else is derived from the
+four tables: the apply and, in solver.py, the equation support and the rows
+of every windowed system.  The product formulas above are the defining
 identities; the tables are checked against them, written with TorusElement
 products, by tests/test_cochains.py::TestProductOracle.
 
@@ -46,26 +47,16 @@ at every site with |n|, |m| <= radius - 1.
 
 Pullbacks by the flip element of the equivariant structure are conjugation
 formulas read off degreewise.  Each is a Stencil with mirror s = -1 (output
-(a, b) reads input[in_slot][-a+dn, -b+dm]), applied like a differential; on
-a coefficient map they act by
-
-    twisted degree 0:   psi[a,b] = phi[-a,-b]
-    twisted degree 2:   psi[a,b] = lambda**(b-a-1) phi[-a,-b]
-    untwisted degree 2: psi[a,b] = lambda**(a+b+2) phi[-2-a,-2-b]
-    untwisted degree 1: w1[a,b]  = -lambda**b phi1[-2-a,-b]
-                        w2[a,b]  = -lambda**a phi2[-a,-2-b]
+(a, b) reads input[in_slot][-a+dn, -b+dm]), applied like a differential; the
+docstring of each public pullback gives its formula on a coefficient map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .scalars import ONE, ZERO, Scalar, lambda_pow
 from .torus import Site, TorusElement, _halves_from_json
-
-_LAM = lambda_pow(1)
-_MINUS_ONE = Scalar.from_int(-1)
 
 
 def site_key(site: Site) -> tuple[int, int, int]:
@@ -228,14 +219,23 @@ def cochain_from_slots(parts) -> LatticeFunctional | CochainPair:
     return parts[0] if len(parts) == 1 else CochainPair(*parts)
 
 
-StencilEntry = tuple[int, int, int, int, Callable[[int, int], Scalar]]
+StencilEntry = tuple[int, int, int, int, tuple[tuple[int, int, int, int], ...]]
+
+
+def coefficient(terms, n: int, m: int, x: Scalar = ONE) -> Scalar:
+    """x times the sum of sign * lambda**(p*n + q*m + r) over an entry's terms (sign, p, q, r)."""
+    sign, p, q, r = terms[0]
+    out = x.shift(2 * (p * n + q * m + r), sign)
+    for sign, p, q, r in terms[1:]:
+        out = out + x.shift(2 * (p * n + q * m + r), sign)
+    return out
 
 
 class Stencil:
-    """A lattice map as a table of entries (out_slot, in_slot, dn, dm, coeff)
+    """A lattice map as a table of entries (out_slot, in_slot, dn, dm, terms)
     and a mirror s, 1 for the differentials and -1 for the flip pullbacks:
-    output out_slot at site (n, m) gains coeff(n, m) * input[in_slot][s*n+dn, s*m+dm].
-    """
+    output out_slot at site (n, m) gains coefficient(terms, n, m) *
+    input[in_slot][s*n+dn, s*m+dm]."""
 
     __slots__ = ("entries", "mirror", "in_slots", "out_slots")
 
@@ -250,11 +250,11 @@ class Stencil:
         parts = cochain_slots(x)
         s = self.mirror
         out: list[dict[Site, Scalar]] = [{} for _ in range(self.out_slots)]
-        for o, i, dn, dm, coeff in self.entries:
+        for o, i, dn, dm, terms in self.entries:
             acc = out[o]
             for (a, b), v in parts[i].terms.items():
                 site = (s * (a - dn), s * (b - dm))
-                c = coeff(*site) * v
+                c = coefficient(terms, *site, v)
                 if c:
                     prev = acc.get(site)
                     acc[site] = c if prev is None else prev + c
@@ -262,24 +262,24 @@ class Stencil:
 
 
 TWISTED_ALPHA1 = Stencil(
-    (0, 0, 1, 0, lambda n, m: ONE),
-    (0, 0, -1, 0, lambda n, m: -lambda_pow(m)),
-    (1, 0, 0, 1, lambda n, m: lambda_pow(-n)),
-    (1, 0, 0, -1, lambda n, m: _MINUS_ONE),
+    (0, 0, 1, 0, ((1, 0, 0, 0),)),
+    (0, 0, -1, 0, ((-1, 0, 1, 0),)),  # -lambda**m
+    (1, 0, 0, 1, ((1, -1, 0, 0),)),  # lambda**-n
+    (1, 0, 0, -1, ((-1, 0, 0, 0),)),
 )
 TWISTED_ALPHA2 = Stencil(
-    (0, 0, 0, 1, lambda n, m: lambda_pow(-n)),
-    (0, 0, 0, -1, lambda n, m: -_LAM),
-    (0, 1, 1, 0, lambda n, m: -_LAM),
-    (0, 1, -1, 0, lambda n, m: lambda_pow(m)),
+    (0, 0, 0, 1, ((1, -1, 0, 0),)),  # lambda**-n
+    (0, 0, 0, -1, ((-1, 0, 0, 1),)),  # -lambda
+    (0, 1, 1, 0, ((-1, 0, 0, 1),)),  # -lambda
+    (0, 1, -1, 0, ((1, 0, 1, 0),)),  # lambda**m
 )
 ALPHA1 = Stencil(
-    (0, 0, -1, 0, lambda n, m: ONE - lambda_pow(m)),
-    (1, 0, 0, -1, lambda n, m: lambda_pow(n) - ONE),
+    (0, 0, -1, 0, ((1, 0, 0, 0), (-1, 0, 1, 0))),  # 1 - lambda**m
+    (1, 0, 0, -1, ((1, 1, 0, 0), (-1, 0, 0, 0))),  # lambda**n - 1
 )
 ALPHA2 = Stencil(
-    (0, 0, 0, -1, lambda n, m: lambda_pow(n) - _LAM),
-    (0, 1, -1, 0, lambda n, m: lambda_pow(m) - _LAM),
+    (0, 0, 0, -1, ((1, 1, 0, 0), (-1, 0, 0, 1))),  # lambda**n - lambda
+    (0, 1, -1, 0, ((1, 0, 1, 0), (-1, 0, 0, 1))),  # lambda**m - lambda
 )
 
 
@@ -355,12 +355,12 @@ def kernel_check_untwisted_deg1(pair: CochainPair, window: int) -> tuple[bool, S
 # pullbacks by the flip
 
 
-TWISTED_PULLBACK_DEG0 = Stencil((0, 0, 0, 0, lambda n, m: ONE), mirror=-1)
-TWISTED_PULLBACK_DEG2 = Stencil((0, 0, 0, 0, lambda n, m: lambda_pow(m - n - 1)), mirror=-1)
-UNTWISTED_PULLBACK_DEG2 = Stencil((0, 0, -2, -2, lambda n, m: lambda_pow(n + m + 2)), mirror=-1)
+TWISTED_PULLBACK_DEG0 = Stencil((0, 0, 0, 0, ((1, 0, 0, 0),)), mirror=-1)
+TWISTED_PULLBACK_DEG2 = Stencil((0, 0, 0, 0, ((1, -1, 1, -1),)), mirror=-1)  # lambda**(m-n-1)
+UNTWISTED_PULLBACK_DEG2 = Stencil((0, 0, -2, -2, ((1, 1, 1, 2),)), mirror=-1)  # lambda**(n+m+2)
 UNTWISTED_PULLBACK_DEG1 = Stencil(
-    (0, 0, -2, 0, lambda n, m: -lambda_pow(m)),
-    (1, 1, 0, -2, lambda n, m: -lambda_pow(n)),
+    (0, 0, -2, 0, ((-1, 0, 1, 0),)),  # -lambda**m
+    (1, 1, 0, -2, ((-1, 1, 0, 0),)),  # -lambda**n
     mirror=-1,
 )
 

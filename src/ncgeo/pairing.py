@@ -107,9 +107,12 @@ def twisted_weight(i: int, j: int, n: int, m: int) -> Scalar:
 
 
 def _twisted_value(i: int, j: int, odd: TorusElement) -> Scalar:
+    """psi_ij of an odd part: the sum of c * u**(i*j - n*m) over its terms
+    c at (n,m) on the parity class (i,j); the other terms weigh 0."""
     total = ZERO
     for (n, m), c in odd.terms.items():
-        total = total + twisted_weight(i, j, n, m) * c
+        if n % 2 == i and m % 2 == j:
+            total = total + c.shift(i * j - n * m)
     return total
 
 
@@ -140,7 +143,7 @@ def connes_torus_cocycle(a: TorusElement, b: TorusElement, c: TorusElement) -> S
             z = c.terms.get((t, w))
             k = r * w - s * t
             if z is not None and k:
-                total = total + x * y * z * lambda_pow(s * t - p * q) * k
+                total = total + (x * y * z * k).shift(2 * (s * t - p * q))
     return total
 
 
@@ -177,9 +180,17 @@ def pair(projection: CrossedElement, cocycle: CyclicCocycle) -> Scalar:
     periodicity operator leaves it unchanged, so suspended columns reuse
     the unsuspended evaluation.
     """
-    check = is_projection(projection)
+    _require_projection(projection)
+    return _pair_value(projection, cocycle)
+
+
+def _require_projection(e: CrossedElement) -> None:
+    check = is_projection(e)
     if not check.ok:
         raise NotAProjection(check)
+
+
+def _pair_value(projection: CrossedElement, cocycle: CyclicCocycle) -> Scalar:
     if cocycle.degree == 0:
         return evaluate(cocycle, [projection])
     return evaluate(cocycle, [projection] * 3)
@@ -335,10 +346,11 @@ class PairingTable:
 
 
 def build_table() -> PairingTable:
-    """Compute all thirty pairings exactly."""
+    """Compute all thirty pairings exactly, checking each projection once."""
     cells = {}
     for row in PROJECTION_NAMES:
         e = make_projection(row)
+        _require_projection(e)
         for col in COLUMNS:
-            cells[(row, col)] = pair(e, COLUMN_COCYCLES[col])
+            cells[(row, col)] = _pair_value(e, COLUMN_COCYCLES[col])
     return PairingTable(PROJECTION_NAMES, COLUMNS, cells)

@@ -66,7 +66,7 @@ def _padd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _pneg(a: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(-x for x in a)
+    return tuple([-x for x in a])
 
 
 def _pmul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -164,9 +164,9 @@ class Scalar:
 
     def __init__(self, shift: int = 0, num: tuple[int, ...] = (), den: tuple[int, ...] = (1,)):
         s, n, d = _canonical(shift, num, den)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "d", d)
+        _SET_S(self, s)
+        _SET_N(self, n)
+        _SET_D(self, d)
 
     def __setattr__(self, *a):  # pragma: no cover - guard rail
         raise AttributeError("Scalar is immutable")
@@ -175,9 +175,9 @@ class Scalar:
     def _raw(cls, s: int, n: tuple[int, ...], d: tuple[int, ...]) -> "Scalar":
         """Internal constructor for values already in canonical form."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "s", s)
-        object.__setattr__(obj, "n", n)
-        object.__setattr__(obj, "d", d)
+        _SET_S(obj, s)
+        _SET_N(obj, n)
+        _SET_D(obj, d)
         return obj
 
     @classmethod
@@ -262,6 +262,23 @@ class Scalar:
         return Scalar._raw(self.s + other.s, num, den)
 
     __rmul__ = __mul__
+
+    def shift(self, k: int, sign: int = 1) -> "Scalar":
+        """sign * u**k * self, for sign 1 or -1.  Multiplying by a signed
+        monomial only moves the power of u, so the numerator and denominator
+        are reused: no polynomial product and no gcd.
+
+        >>> x = Scalar.parse("(1 + u)/(2 - u^2)")
+        >>> print(x.shift(3, -1))
+        (u^3 + u^4)/(-2 + u^2)
+        >>> x.shift(-4) == mu_pow(-4) * x
+        True
+        """
+        if sign != 1 and sign != -1:
+            raise ValueError(f"shift sign must be 1 or -1, got {sign!r}")
+        if not self.n:
+            return ZERO
+        return Scalar._raw(self.s + k, self.n if sign == 1 else _pneg(self.n), self.d)
 
     def inv(self) -> "Scalar":
         if not self.n:
@@ -364,6 +381,10 @@ def _canonical(shift: int, num, den) -> tuple[int, tuple[int, ...], tuple[int, .
     if den[-1] < 0:
         num, den = _pneg(num), _pneg(den)
     return shift, num, den
+
+
+# the slot setters, which bypass the immutability guard of __setattr__
+_SET_S, _SET_N, _SET_D = Scalar.s.__set__, Scalar.n.__set__, Scalar.d.__set__
 
 
 def _coerce(x) -> "Scalar":

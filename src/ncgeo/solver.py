@@ -128,12 +128,13 @@ from .cochains import (
     alpha2,
     cochain_from_slots,
     cochain_slots,
+    coefficient,
     kernel_check_twisted_deg1,
     site_key,
     twisted_alpha1,
     twisted_alpha2,
 )
-from .scalars import ONE, ZERO, Scalar, lambda_pow
+from .scalars import ONE, ZERO, Scalar
 from .torus import Site
 
 VarKey = tuple[int, Site]
@@ -248,10 +249,10 @@ def _row(op: Operator, window: int, eq: EqKey, goal=None) -> _Row:
     slots) carries its right side; a kernel row's is zero."""
     slot, (n, m) = eq
     coeffs = {}
-    for o, in_slot, dn, dm, coeff in op.stencil.entries:
+    for o, in_slot, dn, dm, terms in op.stencil.entries:
         site = (n + dn, m + dm)
         if o == slot and _inside(site, window):
-            c = coeff(n, m)
+            c = coefficient(terms, n, m)
             if c:
                 coeffs[(in_slot, site)] = c
     return _Row(coeffs, ZERO if goal is None else goal[slot].coeff(n, m))
@@ -264,7 +265,7 @@ def _target_block(op: Operator, window: int, goal) -> dict[EqKey, _Row]:
     found by reading the stencil offsets backwards, so only the block's sites
     are ever visited."""
     readers = [
-        [(o, dn, dm, coeff) for o, s, dn, dm, coeff in op.stencil.entries if s == slot]
+        [(o, dn, dm, terms) for o, s, dn, dm, terms in op.stencil.entries if s == slot]
         for slot in range(op.stencil.in_slots)
     ]
     todo = [(slot, s) for slot, part in enumerate(goal) for s in part.terms]
@@ -278,9 +279,9 @@ def _target_block(op: Operator, window: int, goal) -> dict[EqKey, _Row]:
         for k in row.coeffs.keys() - seen:
             seen.add(k)
             in_slot, (a, b) = k
-            for o, dn, dm, coeff in readers[in_slot]:
+            for o, dn, dm, terms in readers[in_slot]:
                 n, m = a - dn, b - dm
-                if coeff(n, m):
+                if coefficient(terms, n, m):
                     todo.append((o, (n, m)))
     return block
 
@@ -734,13 +735,11 @@ def line_eliminate(row: LatticeFunctional, s0: int, window: int) -> LatticeFunct
     h = _one_row(row, s0, window, "line_eliminate row")
     gamma: dict[int, Scalar] = {}
     lo, hi = (min(h), max(h)) if h else (0, 0)
-    lam_s0 = lambda_pow(s0)
-    lam_inv = lambda_pow(-s0)
     for start in (0, -1):
         carry = ZERO
         n = start
         while n >= -window + 1 and (carry or (h and n >= lo)):
-            carry = lam_inv * (carry - h.get(n, ZERO))
+            carry = (carry - h.get(n, ZERO)).shift(-2 * s0)
             if carry:
                 gamma[n - 1] = carry
             n -= 2
@@ -748,7 +747,7 @@ def line_eliminate(row: LatticeFunctional, s0: int, window: int) -> LatticeFunct
         carry = ZERO
         n = start
         while n <= window - 1 and (carry or (h and n <= hi)):
-            carry = h.get(n, ZERO) + lam_s0 * carry
+            carry = h.get(n, ZERO) + carry.shift(2 * s0)
             if carry:
                 gamma[n + 1] = carry
             n += 2
@@ -758,9 +757,8 @@ def line_eliminate(row: LatticeFunctional, s0: int, window: int) -> LatticeFunct
 def _check_recurrence(h: dict[int, Scalar], s0: int, window: int) -> None:
     """Reject a row h = {n: eta[n]} at y=s0 that fails
     eta[w+1] = lambda**(s0-1) eta[w-1] at some |w| <= window-1."""
-    fact = lambda_pow(s0 - 1)
     for w in range(-window + 1, window):
-        if h.get(w + 1, ZERO) != (fact * h[w - 1] if w - 1 in h else ZERO):
+        if h.get(w + 1, ZERO) != (h[w - 1].shift(2 * s0 - 2) if w - 1 in h else ZERO):
             raise RecurrenceViolation(
                 (w, s0),
                 f"row fails eta[w+1] = lambda^(s0-1) eta[w-1] at w={w}, y={s0}",
@@ -794,14 +792,14 @@ def _absorb(
                 break
             h = rows[todo.pop()] if todo and todo[-1] == r - step // 2 else {}
             if below:
-                nxt = {n: lambda_pow(-n) * c for n, c in carry.items()}
+                nxt = {n: c.shift(-2 * n) for n, c in carry.items()}
                 for n, c in h.items():
                     nxt[n] = nxt[n] - c if n in nxt else -c
             else:
                 nxt = dict(carry)
                 for n, c in h.items():
                     nxt[n] = nxt[n] + c if n in nxt else c
-                nxt = {n: lambda_pow(n) * c for n, c in nxt.items() if c}
+                nxt = {n: c.shift(2 * n) for n, c in nxt.items() if c}
             carry = {n: c for n, c in nxt.items() if c}
             for n, c in carry.items():
                 rho[(n, r)] = c

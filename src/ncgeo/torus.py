@@ -25,7 +25,7 @@ True
 
 from __future__ import annotations
 
-from .scalars import ONE, ZERO, Scalar, format_scalar, lambda_pow, parse_scalar
+from .scalars import ONE, ZERO, Scalar, format_scalar, parse_scalar
 
 Site = tuple[int, int]
 
@@ -139,7 +139,7 @@ class TorusElement:
         for (p, q), a in self.terms.items():
             for (r, s), b in other.terms.items():
                 k = (p + r, q + s)
-                c = lambda_pow(q * r) * a * b
+                c = (a * b).shift(2 * q * r)
                 prev = out.get(k)
                 out[k] = c if prev is None else prev + c
         return TorusElement(out)
@@ -159,7 +159,7 @@ class TorusElement:
         """Adjoint; coefficients pass through u -> 1/u and monomials are
         inverted and reordered, picking up lambda**(n*m)."""
         return TorusElement(
-            {(-n, -m): c.star() * lambda_pow(n * m) for (n, m), c in self.terms.items()}
+            {(-n, -m): c.star().shift(2 * n * m) for (n, m), c in self.terms.items()}
         )
 
     def delta(self, j: int) -> "TorusElement":

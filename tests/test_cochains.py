@@ -5,10 +5,15 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncgeo.scalars import LAMBDA, ONE, ZERO, Scalar, lambda_pow, mu_pow
+from ncgeo.scalars import LAMBDA, MU, ONE, ZERO, Scalar, lambda_pow, mu_pow
 from ncgeo.cochains import (
+    ALPHA1,
+    ALPHA2,
+    TWISTED_ALPHA1,
+    TWISTED_ALPHA2,
     CochainPair,
     LatticeFunctional,
+    Stencil,
     alpha1,
     alpha2,
     kernel_check_twisted_deg1,
@@ -117,6 +122,31 @@ class TestProductOracle:
     def test_degree_two_differentials(self, pair):
         for route, oracle in ((twisted_alpha2, self.twisted_alpha2), (alpha2, self.alpha2)):
             assert route(pair) == oracle(pair)
+
+    def test_every_table_term_mutation_disagrees(self):
+        # flip the sign of one term of one entry, or raise one of its
+        # exponent coefficients p, q, r by 1: the products must notice
+        phi = d(2, 3) + d(-1, 2, MU) + d(1, -2, -2)
+        pair = CochainPair(phi, d(3, 1) - d(-2, -1, MU))
+        cases = (
+            (TWISTED_ALPHA1, self.twisted_alpha1, phi),
+            (TWISTED_ALPHA2, self.twisted_alpha2, pair),
+            (ALPHA1, self.alpha1, phi),
+            (ALPHA2, self.alpha2, pair),
+        )
+        mutants = 0
+        for table, oracle, x in cases:
+            want = oracle(x)
+            assert table.apply(x) == want
+            for k, (o, i, dn, dm, terms) in enumerate(table.entries):
+                for t, (sign, p, q, r) in enumerate(terms):
+                    for term in ((-sign, p, q, r), (sign, p + 1, q, r),
+                                 (sign, p, q + 1, r), (sign, p, q, r + 1)):
+                        entries = list(table.entries)
+                        entries[k] = (o, i, dn, dm, terms[:t] + (term,) + terms[t + 1:])
+                        assert Stencil(*entries).apply(x) != want, (table, k, term)
+                        mutants += 1
+        assert mutants == 4 * (4 + 4 + 2 * 2 + 2 * 2)
 
 
 class TestFunctional:

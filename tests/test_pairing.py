@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from ncgeo import pairing as pairing_mod
 from ncgeo.scalars import HALF, LAMBDA, MU, ONE, ZERO, Scalar, lambda_pow, mu_pow
 from ncgeo.torus import TorusElement, U1, U2, u1, u2
 from ncgeo.crossed import CrossedElement, PROJECTION_NAMES, make_projection
@@ -347,3 +348,20 @@ class TestPairingTable:
 
     def test_deterministic(self):
         assert build_table().to_json() == build_table().to_json()
+
+    def test_checks_each_projection_once(self, monkeypatch):
+        # a check per cell made 30, six per projection
+        checks = []
+        check = pairing_mod.is_projection
+        monkeypatch.setattr(pairing_mod, "is_projection", lambda e: checks.append(e) or check(e))
+        build_table()
+        assert len(checks) == len(PROJECTION_NAMES)
+
+    def test_refuses_a_non_projection(self, monkeypatch):
+        make = pairing_mod.make_projection
+        monkeypatch.setattr(
+            pairing_mod, "make_projection",
+            lambda name: CrossedElement(U1, None) if name == "r" else make(name),
+        )
+        with pytest.raises(NotAProjection):
+            build_table()

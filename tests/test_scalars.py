@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 import time
 
 import pytest
@@ -246,6 +247,36 @@ class TestMonomials:
         assert mu_pow(0) == ONE
         assert mu_pow(2) == LAMBDA
         assert mu_pow(-1) == MU.inv()
+
+    def test_shift_is_a_signed_monomial_product(self, monkeypatch):
+        rng = random.Random(11)
+
+        def poly(size):
+            return tuple(rng.randint(-4, 4) for _ in range(size)) + (rng.choice((1, -1, 3)),)
+
+        xs = [ZERO, ONE, HALF, -MU, Scalar(0, (1, 1), (3, 0, 1))]
+        xs += [Scalar(rng.randint(-5, 5), poly(rng.randint(0, 3)), poly(rng.randint(0, 3)))
+               for _ in range(30)]
+        assert sum(x.d != (1,) for x in xs) >= 15
+        expected = {
+            (k, sign): [sign * mu_pow(k) * x for x in xs]
+            for k in (-7, -2, -1, 0, 1, 4) for sign in (1, -1)
+        }
+
+        def refuse(*args):
+            raise AssertionError("a shift took a product or a canonical form")
+
+        monkeypatch.setattr(scalars, "_pmul", refuse)
+        monkeypatch.setattr(scalars, "_canonical", refuse)
+        for (k, sign), want in expected.items():
+            got = [x.shift(k, sign) for x in xs]
+            assert [(y.s, y.n, y.d) for y in got] == [(y.s, y.n, y.d) for y in want]
+        assert ZERO.shift(3, -1) is ZERO
+
+    def test_shift_sign_is_one_or_minus_one(self):
+        for sign in (0, 2, -3):
+            with pytest.raises(ValueError, match="sign must be 1 or -1"):
+                HALF.shift(1, sign)
 
     @given(st.integers(min_value=-6, max_value=6), st.integers(min_value=-6, max_value=6))
     @settings(max_examples=40, deadline=None)

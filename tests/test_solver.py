@@ -344,9 +344,12 @@ def window_system(op, window, target=None, full_stencil=False):
     rows = []
     for slot, (n, m) in eqs:
         coeffs = {}
-        for o, in_slot, dn, dm, coeff in entries:
-            if o == slot and inside(n + dn, m + dm) and coeff(n, m):
-                coeffs[(in_slot, (n + dn, m + dm))] = coeff(n, m)
+        for o, in_slot, dn, dm, terms in entries:
+            # the entry's terms summed with plain lambda_pow products, not
+            # through the engine's shifts
+            c = sum((sign * lambda_pow(p * n + q * m + r) for sign, p, q, r in terms), ZERO)
+            if o == slot and inside(n + dn, m + dm) and c:
+                coeffs[(in_slot, (n + dn, m + dm))] = c
         rows.append((coeffs, ZERO if goal is None else goal[slot].coeff(n, m)))
     return eqs, rows
 
@@ -946,18 +949,24 @@ class TestH1Sweep:
 
     def test_scalar_products_stay_few(self, monkeypatch):
         # one stack per surviving row made 586 products here, and a
-        # recurrence check that multiplied by absent entries 176
-        products = 0
-        mul = Scalar.__mul__
+        # recurrence check that multiplied by absent entries 176; every
+        # product left is by a power of lambda, so it is a shift
+        calls = {"__mul__": 0, "shift": 0}
 
-        def counting(self, other):
-            nonlocal products
-            products += 1
-            return mul(self, other)
+        def counting(name):
+            original = getattr(Scalar, name)
+
+            def wrapper(self, *args):
+                calls[name] += 1
+                return original(self, *args)
+
+            return wrapper
 
         phi = LatticeFunctional({(3, 5): MU, (-2, 4): Scalar.from_int(2) / MU, (0, -7): ONE})
         pair = twisted_alpha1(phi)
-        monkeypatch.setattr(Scalar, "__mul__", counting)
+        for name in calls:
+            monkeypatch.setattr(Scalar, name, counting(name))
         rep = h1_trivialize(pair, 16)
         assert rep.residual.is_zero()
-        assert 0 < products < 160
+        assert calls["__mul__"] == 0
+        assert 0 < calls["__mul__"] + calls["shift"] < 160
