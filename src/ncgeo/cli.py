@@ -81,7 +81,7 @@ def _numeric(value: Scalar, theta: float) -> list[float]:
 
 
 def _window_list(text: str) -> list[int]:
-    """Type of --window: comma-separated radii, each an integer in [3, MAX_WINDOW]."""
+    """Type of --window: comma-separated distinct radii, each an integer in [3, MAX_WINDOW]."""
     try:
         windows = [int(tok) for tok in text.split(",")]
     except ValueError:
@@ -90,6 +90,9 @@ def _window_list(text: str) -> list[int]:
         ) from None
     if any(w < 3 or w > MAX_WINDOW for w in windows):
         raise argparse.ArgumentTypeError(f"window radii must be integers from 3 to {MAX_WINDOW}")
+    for k, w in enumerate(windows):
+        if w in windows[:k]:
+            raise argparse.ArgumentTypeError(f"window radius {w} is repeated")
     return windows
 
 

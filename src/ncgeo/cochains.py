@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scalars import ONE, ZERO, Scalar, lambda_pow
+from .scalars import ONE, ZERO, Scalar, _pneg, lambda_pow
 from .torus import Site, TorusElement, _halves_from_json
 
 
@@ -66,7 +66,12 @@ def site_key(site: Site) -> tuple[int, int, int]:
 
 
 class LatticeFunctional:
-    """Finite coefficient map (n, m) -> Scalar on Z^2; zero coefficients pruned."""
+    """Finite coefficient map (n, m) -> Scalar on Z^2; zero coefficients pruned.
+
+    The public constructor validates: every site must be a pair of ints, and
+    int coefficients are read as scalars.  _of is internal, for dicts the
+    package built from valid sites and Scalar values: it only drops zeros.
+    """
 
     __slots__ = ("terms",)
 
@@ -83,6 +88,13 @@ class LatticeFunctional:
 
     def __setattr__(self, *a):  # pragma: no cover - guard rail
         raise AttributeError("LatticeFunctional is immutable")
+
+    @classmethod
+    def _of(cls, terms: dict[Site, Scalar]) -> "LatticeFunctional":
+        """Internal constructor for package-built terms: int sites, Scalar values."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "terms", {k: c for k, c in terms.items() if c.n})
+        return obj
 
     # -- constructors ---------------------------------------------------------
 
@@ -126,7 +138,7 @@ class LatticeFunctional:
             for (n, m), c in self.terms.items()
             if abs(n) <= radius and abs(m) <= radius
         }
-        return LatticeFunctional(kept)
+        return LatticeFunctional._of(kept)
 
     # -- linear structure ---------------------------------------------------------
 
@@ -246,19 +258,30 @@ class Stencil:
         self.out_slots = 1 + max(e[0] for e in entries)
 
     def apply(self, x):
-        """Image of a cochain, each input term pushed through the table."""
+        """Image of a cochain, each input term pushed through the table.  A
+        one-term entry moves the power of u of each input value directly, as
+        Scalar.shift would."""
         parts = cochain_slots(x)
         s = self.mirror
+        raw = Scalar._raw
         out: list[dict[Site, Scalar]] = [{} for _ in range(self.out_slots)]
         for o, i, dn, dm, terms in self.entries:
             acc = out[o]
+            if len(terms) == 1:
+                ((sign, p, q, r),) = terms
+                for (a, b), v in parts[i].terms.items():
+                    n, m = site = (s * (a - dn), s * (b - dm))
+                    c = raw(v.s + 2 * (p * n + q * m + r), v.n if sign == 1 else _pneg(v.n), v.d)
+                    prev = acc.get(site)
+                    acc[site] = c if prev is None else prev + c
+                continue
             for (a, b), v in parts[i].terms.items():
                 site = (s * (a - dn), s * (b - dm))
                 c = coefficient(terms, *site, v)
                 if c:
                     prev = acc.get(site)
                     acc[site] = c if prev is None else prev + c
-        return cochain_from_slots([LatticeFunctional(t) for t in out])
+        return cochain_from_slots([LatticeFunctional._of(t) for t in out])
 
 
 TWISTED_ALPHA1 = Stencil(
@@ -329,12 +352,8 @@ def make_D(i: int, j: int, radius: int) -> LatticeFunctional:
 
 
 def _violations(out: LatticeFunctional, window: int) -> Site | None:
-    interior = [
-        s
-        for s in out.support()
-        if abs(s[0]) <= window - 1 and abs(s[1]) <= window - 1
-    ]
-    return min(interior, key=site_key) if interior else None
+    interior = (s for s in out.terms if abs(s[0]) <= window - 1 and abs(s[1]) <= window - 1)
+    return min(interior, key=site_key, default=None)
 
 
 def kernel_check_twisted_deg1(pair: CochainPair, window: int) -> tuple[bool, Site | None]:

@@ -212,13 +212,16 @@ class Scalar:
         return Scalar._raw(self.s, _pneg(self.n), self.d)
 
     def __add__(self, other) -> "Scalar":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, Scalar):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if not self.n:
             return other
         if not other.n:
             return self
+        if self.d == (1,) and other.d == (1,):
+            return _laurent_add(self.s, self.n, other.s, other.n)
         s = min(self.s, other.s)
         a = (0,) * (self.s - s) + self.n
         b = (0,) * (other.s - s) + other.n
@@ -229,9 +232,16 @@ class Scalar:
     __radd__ = __add__
 
     def __sub__(self, other) -> "Scalar":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, Scalar):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if not other.n:
+            return self
+        if not self.n:
+            return -other
+        if self.d == (1,) and other.d == (1,):
+            return _laurent_add(self.s, self.n, other.s, _pneg(other.n))
         return self + (-other)
 
     def __rsub__(self, other) -> "Scalar":
@@ -381,6 +391,29 @@ def _canonical(shift: int, num, den) -> tuple[int, tuple[int, ...], tuple[int, .
     if den[-1] < 0:
         num, den = _pneg(num), _pneg(den)
     return shift, num, den
+
+
+def _laurent_add(s1: int, a: tuple[int, ...], s2: int, b: tuple[int, ...]) -> Scalar:
+    """u**s1 * a + u**s2 * b for nonzero a and b not divisible by u, both over
+    the denominator 1.  Nothing can cancel against a unit denominator, so the
+    canonical form only strips the zeros the sum leaves at either end."""
+    if s1 > s2:
+        s1, a, s2, b = s2, b, s1, a
+    out = list(a)
+    k = s2 - s1
+    grow = k + len(b) - len(out)
+    if grow > 0:
+        out += [0] * grow
+    for i, x in enumerate(b, k):
+        out[i] += x
+    while out and not out[-1]:
+        out.pop()
+    if not out:
+        return ZERO
+    i = 0
+    while not out[i]:
+        i += 1
+    return Scalar._raw(s1 + i, tuple(out[i:]) if i else tuple(out), (1,))
 
 
 # the slot setters, which bypass the immutability guard of __setattr__

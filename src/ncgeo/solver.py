@@ -243,6 +243,16 @@ class _Row:
         self.rhs = rhs
 
 
+def _vanishes(terms, n: int, m: int) -> bool:
+    """Is coefficient(terms, n, m) zero?  The tables hold one or two terms:
+    one term never vanishes, and two vanish exactly where their exponents
+    agree and their signs differ."""
+    if len(terms) == 1:
+        return False
+    (s1, p1, q1, r1), (s2, p2, q2, r2) = terms
+    return s1 != s2 and p1 * n + q1 * m + r1 == p2 * n + q2 * m + r2
+
+
 def _row(op: Operator, window: int, eq: EqKey, goal=None) -> _Row:
     """The row of equation eq read off the stencil table, without zero
     coefficients or variables outside the window.  A target's row (goal: its
@@ -251,10 +261,8 @@ def _row(op: Operator, window: int, eq: EqKey, goal=None) -> _Row:
     coeffs = {}
     for o, in_slot, dn, dm, terms in op.stencil.entries:
         site = (n + dn, m + dm)
-        if o == slot and _inside(site, window):
-            c = coefficient(terms, n, m)
-            if c:
-                coeffs[(in_slot, site)] = c
+        if o == slot and _inside(site, window) and not _vanishes(terms, n, m):
+            coeffs[(in_slot, site)] = coefficient(terms, n, m)
     return _Row(coeffs, ZERO if goal is None else goal[slot].coeff(n, m))
 
 
@@ -281,7 +289,7 @@ def _target_block(op: Operator, window: int, goal) -> dict[EqKey, _Row]:
             in_slot, (a, b) = k
             for o, dn, dm, terms in readers[in_slot]:
                 n, m = a - dn, b - dm
-                if coefficient(terms, n, m):
+                if not _vanishes(terms, n, m):
                     todo.append((o, (n, m)))
     return block
 
@@ -751,7 +759,7 @@ def line_eliminate(row: LatticeFunctional, s0: int, window: int) -> LatticeFunct
             if carry:
                 gamma[n + 1] = carry
             n += 2
-    return LatticeFunctional({(n, s0): c for n, c in gamma.items()})
+    return LatticeFunctional._of({(n, s0): c for n, c in gamma.items()})
 
 
 def _check_recurrence(h: dict[int, Scalar], s0: int, window: int) -> None:
@@ -826,7 +834,7 @@ def row_solve(
         raise ValueError("direction must be 'below' or 'above'")
     h = _one_row(eta, s0, window, "row_solve row")
     _check_recurrence(h, s0, window)
-    return LatticeFunctional(_absorb({s0: h}, direction, window))
+    return LatticeFunctional._of(_absorb({s0: h}, direction, window))
 
 
 _SECOND = Stencil(*((0, i, dn, dm, c) for o, i, dn, dm, c in TWISTED_ALPHA1.entries if o == 1))
@@ -836,7 +844,7 @@ def _rows_of(f: LatticeFunctional) -> dict[int, LatticeFunctional]:
     rows: dict[int, dict[Site, Scalar]] = {}
     for (n, m), c in f.terms.items():
         rows.setdefault(m, {})[(n, m)] = c
-    return {m: LatticeFunctional(t) for m, t in sorted(rows.items())}
+    return {m: LatticeFunctional._of(t) for m, t in sorted(rows.items())}
 
 
 def _interior_difference(
@@ -849,7 +857,7 @@ def _interior_difference(
             a, b = got.terms.get((n, m), ZERO), want.terms.get((n, m), ZERO)
             if a != b:
                 diff[(n, m)] = a - b
-    return LatticeFunctional(diff)
+    return LatticeFunctional._of(diff)
 
 
 def h1_trivialize(pair: CochainPair, window: int) -> SolveReport:
@@ -882,7 +890,7 @@ def h1_trivialize(pair: CochainPair, window: int) -> SolveReport:
         acc.update(line_eliminate(rowf, s0, window).terms)
     # leftover = pair.second - twisted_alpha1(gamma).second inside the window
     leftover = dict(pair.second.terms)
-    for (n, m), c in _SECOND.apply(LatticeFunctional(acc)).terms.items():
+    for (n, m), c in _SECOND.apply(LatticeFunctional._of(acc)).terms.items():
         if abs(n) <= window and abs(m) <= window:
             leftover[(n, m)] = leftover[(n, m)] - c if (n, m) in leftover else -c
 
@@ -898,7 +906,7 @@ def h1_trivialize(pair: CochainPair, window: int) -> SolveReport:
         for site, c in part.items():
             acc[site] = acc[site] + c if site in acc else c
 
-    psi = LatticeFunctional(acc)
+    psi = LatticeFunctional._of(acc)
     out = twisted_alpha1(psi)
     residual = CochainPair(
         _interior_difference(out.first, pair.first, window - 1),

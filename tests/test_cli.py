@@ -156,6 +156,19 @@ class TestDimensionReport:
             assert "--window" in err and "32" in err
         assert _window_list("3,32") == [3, 32]
 
+    def test_repeated_window_is_usage_error(self, capsys):
+        # a repeated radius would print the same report twice
+        for command in ("dimension-report", "cohomology-report"):
+            for text in ("3,3", "3,5,4,5"):
+                with pytest.raises(SystemExit) as exc:
+                    main([command, "--window", text])
+                assert exc.value.code == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert "--window" in captured.err
+                assert f"window radius {text[-1]} is repeated" in captured.err
+        assert _window_list("5,3,4") == [5, 3, 4]
+
     def test_numeric_is_not_a_flag_of_the_kernel_reports(self, capsys):
         # neither report carries a numeric channel, so the flag is unknown
         for command in ("dimension-report", "cohomology-report"):

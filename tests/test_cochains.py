@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncgeo.scalars import LAMBDA, MU, ONE, ZERO, Scalar, lambda_pow, mu_pow
+from ncgeo.scalars import HALF, LAMBDA, MU, ONE, ZERO, Scalar, lambda_pow, mu_pow
 from ncgeo.cochains import (
     ALPHA1,
     ALPHA2,
     TWISTED_ALPHA1,
     TWISTED_ALPHA2,
+    TWISTED_PULLBACK_DEG0,
+    TWISTED_PULLBACK_DEG2,
+    UNTWISTED_PULLBACK_DEG1,
+    UNTWISTED_PULLBACK_DEG2,
     CochainPair,
     LatticeFunctional,
     Stencil,
@@ -147,6 +153,46 @@ class TestProductOracle:
                         assert Stencil(*entries).apply(x) != want, (table, k, term)
                         mutants += 1
         assert mutants == 4 * (4 + 4 + 2 * 2 + 2 * 2)
+
+
+class TestStencilOutputs:
+    """Stencil.apply builds its outputs without the constructor's checks;
+    they must still hold only int sites and nonzero canonical Scalars."""
+
+    @staticmethod
+    def clean(f):
+        return all(
+            type(n) is int and type(m) is int and type(c) is Scalar and c.n[0] and c.n[-1]
+            for (n, m), c in f.terms.items()
+        )
+
+    def test_all_eight_tables(self):
+        rng = random.Random(31)
+
+        def functional():
+            # the axes, where alpha1 and alpha2 coefficients vanish, and
+            # values over a non-unit denominator
+            sites = [(rng.randint(-4, 4), rng.choice((0, 1, rng.randint(-4, 4)))) for _ in range(6)]
+            values = (ONE, -MU, HALF, Scalar(0, (1, 1), (3, 0, 1)), mu_pow(rng.randint(-3, 3)))
+            return LatticeFunctional({(n, m): rng.choice(values) for n, m in sites})
+
+        tables = {
+            TWISTED_ALPHA1: TWISTED_ALPHA2, ALPHA1: ALPHA2, TWISTED_ALPHA2: None, ALPHA2: None,
+            TWISTED_PULLBACK_DEG0: None, TWISTED_PULLBACK_DEG2: None,
+            UNTWISTED_PULLBACK_DEG2: None, UNTWISTED_PULLBACK_DEG1: None,
+        }
+        terms = 0
+        for _ in range(20):
+            for table, second in tables.items():
+                x = functional() if table.in_slots == 1 else CochainPair(functional(), functional())
+                out = table.apply(x)
+                parts = (out.first, out.second) if isinstance(out, CochainPair) else (out,)
+                assert all(self.clean(p) for p in parts)
+                terms += sum(len(p.terms) for p in parts)
+                if second is not None:
+                    # every term of the composite cancels
+                    assert second.apply(out).terms == {}
+        assert terms > 1000
 
 
 class TestFunctional:

@@ -99,6 +99,92 @@ class TestCanonicalForm:
         assert calls == 0
 
 
+def general_sum(x: Scalar, y: Scalar, sign: int) -> Scalar:
+    """x + sign * y by the general route: align the shifts, cross-multiply
+    the denominators and take the canonical form."""
+    s = min(x.s, y.s)
+    a = (0,) * (x.s - s) + x.n
+    b = (0,) * (y.s - s) + (y.n if sign == 1 else scalars._pneg(y.n))
+    return Scalar(s, scalars._padd(scalars._pmul(a, y.d), scalars._pmul(b, x.d)), scalars._pmul(x.d, y.d))
+
+
+def is_canonical(x: Scalar) -> bool:
+    if not x.n:
+        return (x.s, x.d) == (0, (1,))
+    return all(t[0] != 0 and t[-1] != 0 for t in (x.n, x.d)) and x.d[-1] > 0
+
+
+class TestLaurentAddition:
+    """Sums over the denominator 1 take their own route (_laurent_add); the
+    general route through the canonical form is the oracle."""
+
+    @staticmethod
+    def pairs():
+        rng = random.Random(12)
+
+        def poly(size):
+            return (rng.choice((1, -1, 2, -3)),) + tuple(rng.randint(-2, 2) for _ in range(size))
+
+        def laurent():
+            return Scalar(rng.randint(-4, 4), poly(rng.randint(0, 3)), (1,))
+
+        def fraction():
+            return Scalar(rng.randint(-4, 4), poly(rng.randint(0, 2)), poly(rng.randint(1, 2)))
+
+        out = []
+        for _ in range(120):
+            x, y = laurent(), laurent()
+            out.append((x, y))
+            # cancel the lowest, then the highest, term of x
+            low = Scalar(x.s, (-x.n[0],), (1,))
+            high = Scalar(x.s + len(x.n) - 1, (-x.n[-1],), (1,))
+            out += [(x, low + y.shift(x.s - y.s + 1)), (x, high), (x, -x)]
+        for _ in range(40):
+            out += [(fraction(), fraction()), (laurent(), fraction()), (fraction(), laurent())]
+        out += [(x, ZERO) for x, _ in out[:20]] + [(ZERO, y) for _, y in out[:20]]
+        out += [(ZERO, ZERO), (HALF, -HALF), (ONE, MU.inv())]
+        return out
+
+    def test_sums_and_differences_match_the_general_route(self):
+        pairs = self.pairs()
+        assert len(pairs) >= 300
+        assert sum(bool(x.n and y.n) and x.d == y.d == (1,) for x, y in pairs) >= 300
+        cancelled = 0
+        for x, y in pairs:
+            for got, want in ((x + y, general_sum(x, y, 1)), (x - y, general_sum(x, y, -1))):
+                assert type(got) is Scalar and is_canonical(got)
+                assert (got.s, got.n, got.d) == (want.s, want.n, want.d), (x, y)
+                cancelled += bool(x.n and y.n) and not got.n
+        assert cancelled >= 120
+
+    def test_cancellation_at_either_end(self):
+        x = Scalar(-2, (3, 1, -5), (1,))
+        low, high = Scalar(-2, (-3,), (1,)), Scalar(0, (5,), (1,))
+        assert ((x + low).s, (x + low).n) == (-1, (1, -5))
+        assert ((x + high).s, (x + high).n) == (-2, (3, 1))
+        assert x - x is ZERO and x + (-x) is ZERO
+
+    def test_int_operands(self):
+        rng = random.Random(13)
+        for _ in range(40):
+            x = Scalar(rng.randint(-3, 3), (rng.choice((1, -2)), rng.randint(-2, 2)), (1,))
+            k = rng.randint(-3, 3)
+            kk = Scalar.from_int(k)
+            for got, want in (
+                (x + k, general_sum(x, kk, 1)),
+                (k + x, general_sum(kk, x, 1)),
+                (x - k, general_sum(x, kk, -1)),
+                (k - x, general_sum(kk, x, -1)),
+            ):
+                assert (got.s, got.n, got.d) == (want.s, want.n, want.d)
+
+    def test_float_operand_is_a_type_error(self):
+        for x in (ONE, HALF, ZERO):
+            for op in (lambda: x + 1.5, lambda: 1.5 + x, lambda: x - 1.5, lambda: 1.5 - x):
+                with pytest.raises(TypeError):
+                    op()
+
+
 class TestArithmetic:
     def test_mu_inverse_plus_mu(self):
         # 1/u + u = (1 + u^2)/u

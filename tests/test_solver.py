@@ -7,7 +7,8 @@ import random
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from ncgeo.scalars import LAMBDA, MU, ONE, ZERO, Scalar, lambda_pow, mu_pow
+from ncgeo import scalars
+from ncgeo.scalars import HALF, LAMBDA, MU, ONE, ZERO, Scalar, lambda_pow, mu_pow
 from ncgeo.cochains import (
     CochainPair,
     LatticeFunctional,
@@ -15,12 +16,14 @@ from ncgeo.cochains import (
     alpha2,
     cochain_from_slots,
     cochain_slots,
+    coefficient,
+    kernel_check_untwisted_deg1,
     make_D,
     site_key,
     twisted_alpha1,
     twisted_alpha2,
 )
-from ncgeo import solver
+from ncgeo import cochains, solver
 from ncgeo.torus import TorusElement
 from ncgeo.solver import (
     OPERATORS,
@@ -47,6 +50,15 @@ SERIES = TorusElement.monomial(0, 0)
 
 def d00_rule(n, m):
     return lambda_pow((n * m) // 2) if n % 2 == 0 and m % 2 == 0 else ZERO
+
+
+def clean(f):
+    """What LatticeFunctional._of leaves unchecked: int sites and nonzero
+    Scalar values, here also in canonical form."""
+    return all(
+        type(n) is int and type(m) is int and type(c) is Scalar and c.n[0] and c.n[-1]
+        for (n, m), c in f.terms.items()
+    )
 
 
 def random_functional(rng, radius=3, size=4):
@@ -494,6 +506,22 @@ class TestTargetBlock:
         assert 0 < sizes[0] <= 60
         assert sizes[1:] == [1, 1]
 
+    def test_zero_tests_read_the_terms(self):
+        tables = [op.stencil for op in OPERATORS.values()] + [
+            cochains.TWISTED_PULLBACK_DEG0, cochains.TWISTED_PULLBACK_DEG2,
+            cochains.UNTWISTED_PULLBACK_DEG2, cochains.UNTWISTED_PULLBACK_DEG1,
+        ]
+        vanished = 0
+        for table in tables:
+            for *_, terms in table.entries:
+                for n in range(-8, 9):
+                    for m in range(-8, 9):
+                        zero = not coefficient(terms, n, m)
+                        assert solver._vanishes(terms, n, m) == zero, (terms, n, m)
+                        vanished += zero
+        # alpha1 at m = 0 and n = 0, alpha2 at n = 1 and m = 1
+        assert vanished == 4 * 17
+
 
 def first_inconsistent_circuit(rows):
     """Reference row-side certificate.  The rows (coeffs, rhs) are taken in
@@ -861,6 +889,50 @@ class TestH1Trivialize:
             h1_trivialize(CochainPair(d(0, 1), ZF), 4)
         assert exc.value.site == (0, 0)
 
+    def test_non_cocycle_site_is_the_first_interior_violation(self):
+        # the expected site is read off the recurrences of the two second
+        # differentials, scanned in (|n| + |m|, n, m) order
+        def twisted_out(f, g, n, m):
+            return (lambda_pow(-n) * f.coeff(n, m + 1) - LAMBDA * f.coeff(n, m - 1)
+                    - LAMBDA * g.coeff(n + 1, m) + lambda_pow(m) * g.coeff(n - 1, m))
+
+        def untwisted_out(f, g, n, m):
+            return ((lambda_pow(n) - LAMBDA) * f.coeff(n, m - 1)
+                    + (lambda_pow(m) - LAMBDA) * g.coeff(n - 1, m))
+
+        def first_violation(out, pair, window):
+            inner = range(-window + 1, window)
+            sites = sorted(((n, m) for n in inner for m in inner),
+                           key=lambda s: (abs(s[0]) + abs(s[1]), s[0], s[1]))
+            return next((s for s in sites if out(pair.first, pair.second, *s)), None)
+
+        rng = random.Random(29)
+        refused = 0
+        for window in (4, 6, 8):
+            for _ in range(8):
+                phi = random_functional(rng, radius=window - 2, size=5)
+                bumped = []
+                for cocycle in (twisted_alpha1(phi), alpha1(phi)):
+                    halves = [dict(cocycle.first.terms), dict(cocycle.second.terms)]
+                    for _ in range(rng.randint(2, 4)):
+                        terms = rng.choice(halves)
+                        site = (rng.randint(-window, window), rng.randint(-window, window))
+                        terms[site] = terms.get(site, ZERO) + mu_pow(rng.randint(-2, 2))
+                    bumped.append(CochainPair(*map(LatticeFunctional, halves)))
+                twisted, untwisted = bumped
+                want = first_violation(twisted_out, twisted, window)
+                if want is None:
+                    assert h1_trivialize(twisted, window).status == "solved"
+                else:
+                    with pytest.raises(NotACocycle) as exc:
+                        h1_trivialize(twisted, window)
+                    assert exc.value.site == want
+                    refused += 1
+                want = first_violation(untwisted_out, untwisted, window)
+                assert kernel_check_untwisted_deg1(untwisted, window) == (want is None, want)
+                refused += want is not None
+        assert refused >= 40
+
     def test_rejects_oversized_support(self):
         with pytest.raises(ValueError):
             h1_trivialize(CochainPair(d(9, 0), ZF), 4)
@@ -970,3 +1042,44 @@ class TestH1Sweep:
         assert rep.residual.is_zero()
         assert calls["__mul__"] == 0
         assert 0 < calls["__mul__"] + calls["shift"] < 160
+
+
+class TestLaurentFastPath:
+    """An h1 pass is Laurent arithmetic over the denominator 1 on functionals
+    the package built itself: it takes no canonical form and re-validates no
+    site, and what it builds keeps the invariants the constructor checks."""
+
+    def test_h1_takes_no_canonical_form_and_no_validation(self, monkeypatch):
+        rng = random.Random(53)
+        cases = []
+        for window in (10, 16):
+            pair = twisted_alpha1(random_functional(rng, radius=window - 2, size=8))
+            cases.append((pair, window, stacked_h1(pair, window).to_json()))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an h1 pass took a canonical form or validated a functional")
+
+        monkeypatch.setattr(scalars, "_canonical", refuse)
+        monkeypatch.setattr(LatticeFunctional, "__init__", refuse)
+        reports = [h1_trivialize(pair, window) for pair, window, _ in cases]
+        monkeypatch.undo()
+        for rep, (_, _, want) in zip(reports, cases):
+            assert rep.to_json() == want
+
+    def test_built_functionals_stay_clean(self):
+        rng = random.Random(59)
+        window = 8
+        for _ in range(10):
+            s0 = rng.randint(-5, 5)
+            row = random_functional(rng, radius=5, size=4)
+            line = LatticeFunctional({(n, s0): c for (n, _), c in row.terms.items()})
+            # the first component of a coboundary on the row: its carries cancel
+            image = twisted_alpha1(line).first
+            for h in (line, image, line.scale(HALF) + image):
+                assert clean(line_eliminate(h, s0, window))
+            for direction in ("below", "above"):
+                assert clean(row_solve(recurrence_row(rng, s0, window), s0, direction, window))
+            for w in (6, 10):
+                rep = h1_trivialize(twisted_alpha1(random_functional(rng, radius=w - 2, size=6)), w)
+                # the residual is empty, so it holds no zero either
+                assert clean(rep.witness) and rep.residual.is_zero()
