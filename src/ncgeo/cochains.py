@@ -258,27 +258,19 @@ class Stencil:
         self.out_slots = 1 + max(e[0] for e in entries)
 
     def apply(self, x):
-        """Image of a cochain, each input term pushed through the table.  A
-        one-term entry moves the power of u of each input value directly, as
-        Scalar.shift would."""
+        """Image of a cochain: each term (sign, p, q, r) of each entry pushes
+        every input term through, moving its power of u as Scalar.shift
+        would.  Values that cancel are dropped at the end."""
         parts = cochain_slots(x)
         s = self.mirror
         raw = Scalar._raw
         out: list[dict[Site, Scalar]] = [{} for _ in range(self.out_slots)]
         for o, i, dn, dm, terms in self.entries:
             acc = out[o]
-            if len(terms) == 1:
-                ((sign, p, q, r),) = terms
+            for sign, p, q, r in terms:
                 for (a, b), v in parts[i].terms.items():
                     n, m = site = (s * (a - dn), s * (b - dm))
                     c = raw(v.s + 2 * (p * n + q * m + r), v.n if sign == 1 else _pneg(v.n), v.d)
-                    prev = acc.get(site)
-                    acc[site] = c if prev is None else prev + c
-                continue
-            for (a, b), v in parts[i].terms.items():
-                site = (s * (a - dn), s * (b - dm))
-                c = coefficient(terms, *site, v)
-                if c:
                     prev = acc.get(site)
                     acc[site] = c if prev is None else prev + c
         return cochain_from_slots([LatticeFunctional._of(t) for t in out])

@@ -36,13 +36,21 @@ scale, with p[u] a + p[v] b = 0 along every edge ((u, a), (v, b)), or it is
 not, and then its edges span every coordinate of its nodes: the frame matroid
 of the gain graph (Zaslavsky, "Biased graphs II", JCTB 51, 1991).
 
+No cycle of these graphs is unbalanced (the solver tests check the tables):
+
+* on the row side, D_ij = u^(nm - ij) (`make_D`) balances every equation
+  edge of twisted_alpha1;
+* on the column side, y_ij = u^(n - m - nm) balances every variable edge of
+  twisted_alpha2;
+* each alpha1 equation holds one variable, so its graph is a matching;
+* each alpha2 variable is read by one entry, so its edges are half-edges;
+* windowing only drops ends: a two-ended windowed edge has its lattice gains.
+
 Variables are ordered by (|n|+|m|, n, m), then slot (the pivot order), and
 equations by slot, then site.  One weighted union-find (_Frame) grows the
-greedy basis of the frame matroid in edge order: it keeps an edge that joins
-two components not both unbalanced, or that closes the first unbalanced cycle
-or half-edge of a component.  One leaf-peeling solve (_Peeling) finds the
-values on such a basis that meet a right side: it peels pendant edges, then
-goes once around the one cycle a component may have left.
+greedy basis of the frame matroid in edge order, a forest whose trees hold
+at most one half-edge each, and one leaf-peeling solve (_Peeling) meets a
+right side on it by peeling alone.
 
 On the column side the greedy basis is exactly the set of pivot columns
 Gauss-Jordan elimination takes in the pivot order (its pivot columns are the
@@ -67,7 +75,7 @@ On the row side:
   last variable.  Any other set of a component's variables is independent, so
   that variable is Gauss-Jordan's free one, and the bases are equal;
 * witness: the values along a spanning forest walked from each component's
-  last variable, 0 on a balanced component: Gauss-Jordan's witness again;
+  half-edge, or from its last variable, set to 0: Gauss-Jordan's witness;
 * certificate: the first equation, in equation order, that the greedy basis
   of the equations rejects and that the witness leaves unsatisfied.  Its
   fundamental circuit, the one combination of it and the kept equations
@@ -310,9 +318,9 @@ class _Frame:
     An edge is a tuple of (node, coefficient) ends: two, one (a half-edge)
     or none.  This is a weighted union-find: weight[x] = p[x] / p[parent[x]]
     for a potential p of x's component, that is p[u] a + p[v] b = 0 along
-    every kept edge ((u, a), (v, b)).  A component in `full` has taken an
-    unbalanced cycle or a half-edge: its kept edges span every coordinate of
-    its nodes, and it has no potential.  The other components are balanced.
+    every kept edge ((u, a), (v, b)).  A component in `full` has taken a
+    half-edge and spans every coordinate of its nodes; the others are
+    balanced.  No edge that closes a cycle is kept; an unbalanced one raises.
     """
 
     __slots__ = ("parent", "weight", "size", "full")
@@ -368,10 +376,9 @@ class _Frame:
         pb = b if wv is ONE else wv * b
         if ru == rv:
             # the edge closes a cycle of a balanced component
-            if pa == -pb:
-                return False
-            full.add(ru)
-            return True
+            if pa != -pb:
+                raise RuntimeError("the gain graph has an unbalanced cycle")
+            return False
         size = self.size
         if size.get(ru, 1) < size.get(rv, 1):
             ru, rv, pa, pb = rv, ru, pb, pa
@@ -403,14 +410,13 @@ class _Peeling:
     """Values x on the edges of a frame-matroid basis with
     sum_e x[e] A_e = rhs, where A_e holds the ends of e.
 
-    Pendant edges are peeled first, each fixed by its leaf, in an order
-    computed once; every component is then empty or one cycle, solved in
-    one pass around it with each value written alpha + beta * s in the value
-    s of its first edge.  A balanced component keeps one node unpeeled, where
-    the right side cancels whenever the system is consistent.
+    The basis is a forest whose trees hold at most one half-edge each, so
+    peeling pendant edges, each fixed by its leaf, in an order computed
+    once, takes every edge.  A balanced component keeps one node unpeeled,
+    where the right side cancels whenever the system is consistent.
     """
 
-    __slots__ = ("steps", "cycles")
+    __slots__ = ("steps",)
 
     def __init__(self, edges: dict):
         incident: dict = {}
@@ -437,23 +443,6 @@ class _Peeling:
                 degree[v] -= 1
                 if degree[v] == 1:
                     leaves.append(v)
-        # (edge, node it leaves, coefficient there, node it enters, coefficient there)
-        self.cycles = []
-        for u, k in degree.items():
-            if k != 2:
-                continue
-            cycle = []
-            key = next(k for k in incident[u] if k not in done)
-            while key is not None:
-                done.add(key)
-                degree[u] = 0
-                (x, cx), (y, cy) = edges[key]
-                if x != u:
-                    (x, cx), (y, cy) = (y, cy), (x, cx)
-                cycle.append((key, x, cx, y, cy))
-                u = y
-                key = next((k for k in incident[u] if k not in done), None)
-            self.cycles.append(cycle)
 
     def solve(self, rhs: dict) -> dict:
         r = dict(rhs)
@@ -466,22 +455,6 @@ class _Peeling:
             x[key] = val
             for v, b in rest:
                 r[v] = r[v] - b * val if v in r else -(b * val)
-        for cycle in self.cycles:
-            if not any(r.get(step[1]) for step in cycle):
-                continue
-            a, b = ZERO, ONE
-            line = [(cycle[0][0], a, b)]
-            for (_, _, _, u, cin), (key, _, cout, _, _) in zip(cycle, cycle[1:]):
-                # cin * x[previous edge] + cout * x[key] = r[u]
-                a = (r.get(u, ZERO) - cin * a) / cout
-                b = -(cin * b) / cout
-                line.append((key, a, b))
-            cin, cout = cycle[-1][4], cycle[0][2]
-            s = (r.get(cycle[0][1], ZERO) - cin * a) / (cin * b + cout)
-            for key, a, b in line:
-                val = a + b * s
-                if val:
-                    x[key] = val
         return x
 
 
@@ -498,55 +471,34 @@ def _graph(column_side: bool, rows: dict[EqKey, dict], variables: list[VarKey]):
     return list(rows), {v: tuple(ends) for v, ends in columns.items()}
 
 
-def _forest_values(frame: _Frame, kept: dict, rhs: dict, nodes: list) -> dict:
+def _forest_values(kept: dict, rhs: dict, nodes: list) -> dict:
     """Values on the nodes (row side: variables) that meet every kept edge
-    (equation) a x[u] + b x[v] = rhs[edge].  Each component is walked from
-    its last node; a balanced one sets that node to 0, an unbalanced one
-    solves its one extra kept edge for it, every value carried as
-    alpha + beta * s in the last node's value s."""
+    (equation) a x[u] + b x[v] = rhs[edge].  The kept edges are a forest.  A
+    component that holds a half-edge is walked from that edge's node, whose
+    value it fixes; a balanced one from its last node, set to 0."""
     incident: dict = {}
+    starts = []
     for eq, ends in kept.items():
-        for v, _ in ends:
-            incident.setdefault(v, []).append(eq)
+        if len(ends) == 1:
+            starts.append((ends[0][0], rhs.get(eq, ZERO) / ends[0][1]))
+        else:
+            for v, _ in ends:
+                incident.setdefault(v, []).append(eq)
     x: dict = {}
     seen: set = set()
-    for root in reversed(nodes):
-        if root in seen:
+    for start, value in starts + [(v, ZERO) for v in reversed(nodes)]:
+        if start in seen:
             continue
-        seen.add(root)
-        # s is 0 on a balanced component, so beta is only carried on the others
-        full = frame.find(root)[0] in frame.full
-        alpha, beta = {root: ZERO}, {root: ONE}
-        used: set = set()
-        extra = None
-        queue = [root]
-        for u in queue:
+        seen.add(start)
+        queue = [(start, value)]
+        for u, xu in queue:
+            if xu:
+                x[u] = xu
             for eq in incident.get(u, ()):
-                if eq in used:
-                    continue
-                used.add(eq)
-                ends = kept[eq]
-                if len(ends) == 2:
-                    (p, a), (v, b) = ends if ends[0][0] == u else ends[::-1]
-                    if v not in seen:
-                        seen.add(v)
-                        queue.append(v)
-                        alpha[v] = (rhs.get(eq, ZERO) - a * alpha[p]) / b
-                        if full:
-                            beta[v] = -(a * beta[p]) / b
-                        continue
-                extra = eq
-        s = ZERO
-        if extra is not None:
-            num, den = rhs.get(extra, ZERO), ZERO
-            for v, c in kept[extra]:
-                num = num - c * alpha[v]
-                den = den + c * beta[v]
-            s = num / den
-        for v in queue:
-            val = alpha[v] + beta[v] * s if s else alpha[v]
-            if val:
-                x[v] = val
+                (_, a), (v, b) = kept[eq] if kept[eq][0][0] == u else kept[eq][::-1]
+                if v not in seen:
+                    seen.add(v)
+                    queue.append((v, (rhs.get(eq, ZERO) - a * xu) / b))
     return x
 
 
@@ -668,7 +620,7 @@ def coboundary_solve(target, operator: str, window: int) -> SolveReport:
         else:
             vec = _Peeling(kept).solve(rhs)
     else:
-        vec = _forest_values(frame, kept, rhs, nodes)
+        vec = _forest_values(kept, rhs, nodes)
         for eq in eqs:
             if eq in kept:
                 continue

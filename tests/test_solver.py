@@ -611,6 +611,137 @@ def S(k):
     return Scalar.from_int(k)
 
 
+# u-exponents as integer polynomials in two lattice variables x and y:
+# {(i, j): c} is the sum of c x**i y**j
+def poly(*terms):
+    """The sum of c x**i y**j over terms (c, i, j)."""
+    out: dict = {}
+    for c, i, j in terms:
+        out[(i, j)] = out.get((i, j), 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def padd(*ps):
+    return poly(*((c, i, j) for p in ps for (i, j), c in p.items()))
+
+
+def pmul(a, b):
+    return poly(*((c * e, i + k, j + l) for (i, j), c in a.items() for (k, l), e in b.items()))
+
+
+X, Y = poly((1, 1, 0)), poly((1, 0, 1))
+
+
+def const(k):
+    return poly((k, 0, 0))
+
+
+def term_exponent(term, n, m):
+    """The u-exponent 2(p n + q m + r) of a table term (sign, p, q, r) at
+    the site (n, m), with n and m polynomials."""
+    _, p, q, r = term
+    return padd(pmul(const(2 * p), n), pmul(const(2 * q), m), const(2 * r))
+
+
+def cancels(pair):
+    """Do two (sign, exponent, dn, dm) monomials cancel on the whole lattice,
+    their offsets staying in one parity class?"""
+    (s1, e1, dn1, dm1), (s2, e2, dn2, dm2) = pair
+    return s1 == -s2 and e1 == e2 and (dn1 - dn2) % 2 == 0 and (dm1 - dm2) % 2 == 0
+
+
+def d_balances_rows(entries) -> bool:
+    """Is D = u^(nm) (up to a constant on each parity class) a potential of
+    every equation edge of a degree-1 table?  In each out slot the two
+    entries, at the equation site (n, m), carry exponents
+    2(p n + q m + r) + (n + dn)(m + dm) that must cancel."""
+    for slot in {e[0] for e in entries}:
+        pair = []
+        for _, _, dn, dm, terms in (e for e in entries if e[0] == slot):
+            if len(terms) != 1:
+                return False
+            exponent = padd(term_exponent(terms[0], X, Y), pmul(padd(X, const(dn)), padd(Y, const(dm))))
+            pair.append((terms[0][0], exponent, dn, dm))
+        if len(pair) != 2 or not cancels(pair):
+            return False
+    return True
+
+
+def y_balances_columns(entries) -> bool:
+    """Is y = u^(n - m - nm) (up to a constant on each parity class) a
+    potential of every variable edge of a degree-2 table?  The two entries
+    reading an input slot, at the equation site (n, m) = (a - dn, b - dm),
+    carry exponents 2(p n + q m + r) + n - m - n m, polynomials in (a, b),
+    that must cancel."""
+    for slot in {e[1] for e in entries}:
+        pair = []
+        for _, _, dn, dm, terms in (e for e in entries if e[1] == slot):
+            if len(terms) != 1:
+                return False
+            n, m = padd(X, const(-dn)), padd(Y, const(-dm))
+            exponent = padd(term_exponent(terms[0], n, m), n, pmul(const(-1), padd(m, pmul(n, m))))
+            pair.append((terms[0][0], exponent, dn, dm))
+        if len(pair) != 2 or not cancels(pair):
+            return False
+    return True
+
+
+def single_term_mutations(entries):
+    """Every table made from entries by one change to one term of one entry:
+    its sign flipped, or p, q or r moved by 1 either way."""
+    for k, (o, i, dn, dm, terms) in enumerate(entries):
+        for t, (sign, *pqr) in enumerate(terms):
+            changed = [(-sign, *pqr)]
+            for at in range(3):
+                for step in (1, -1):
+                    moved = list(pqr)
+                    moved[at] += step
+                    changed.append((sign, *moved))
+            for term in changed:
+                new_terms = terms[:t] + (term,) + terms[t + 1 :]
+                yield entries[:k] + ((o, i, dn, dm, new_terms),) + entries[k + 1 :]
+
+
+class TestBalance:
+    """Why the gain-graph solver never meets an unbalanced cycle, checked on
+    the table data alone, on the whole lattice: the twisted tables carry a
+    nowhere-zero potential, and the untwisted ones make no cycle."""
+
+    def test_d_balances_every_twisted_alpha1_equation(self):
+        assert d_balances_rows(cochains.TWISTED_ALPHA1.entries)
+
+    def test_y_balances_every_twisted_alpha2_variable(self):
+        assert y_balances_columns(cochains.TWISTED_ALPHA2.entries)
+
+    def test_untwisted_tables_make_no_cycle(self):
+        # an alpha1 equation holds one variable, so its graph is a matching
+        alpha1_entries = cochains.ALPHA1.entries
+        assert sorted(e[0] for e in alpha1_entries) == list(range(cochains.ALPHA1.out_slots))
+        # an alpha2 variable is read by one entry, so its edges are half-edges
+        alpha2_entries = cochains.ALPHA2.entries
+        assert sorted(e[1] for e in alpha2_entries) == list(range(cochains.ALPHA2.in_slots))
+
+    def test_orientation(self):
+        sides = {name: solver._column_side(op) for name, op in OPERATORS.items()}
+        assert sides == {
+            "twisted_alpha1": False,
+            "twisted_alpha2": True,
+            "alpha1": True,
+            "alpha2": True,
+        }
+
+    def test_every_single_term_mutation_fails(self):
+        mutants = 0
+        for table, balances in (
+            (cochains.TWISTED_ALPHA1, d_balances_rows),
+            (cochains.TWISTED_ALPHA2, y_balances_columns),
+        ):
+            for entries in single_term_mutations(table.entries):
+                assert not balances(entries), entries
+                mutants += 1
+        assert mutants == 56
+
+
 def triangle(closing):
     """Edges a-b, b-c and c-a with unit coefficients but closing on a; the
     cycle is balanced exactly when closing is -1."""
@@ -618,6 +749,16 @@ def triangle(closing):
         "ab": (("a", ONE), ("b", ONE)),
         "bc": (("b", ONE), ("c", ONE)),
         "ca": (("c", ONE), ("a", S(closing))),
+    }
+
+
+def tree_with_half_edge():
+    """The path a-b-c-d and a half-edge at b, which fixes every value."""
+    return {
+        "ab": (("a", ONE), ("b", S(2))),
+        "bc": (("b", MU), ("c", ONE)),
+        "cd": (("c", S(-1)), ("d", S(3))),
+        "b": (("b", S(5)),),
     }
 
 
@@ -631,49 +772,58 @@ def edge_sums(edges, x):
 
 
 class TestGainGraph:
-    """The frame-matroid pieces on small hand-made gain graphs.  The windowed
-    systems of the four operators never leave a cycle to peel (their cycles
-    are all balanced), so the cycle pass is checked here."""
+    """The frame-matroid pieces on small hand-made gain graphs: balanced
+    cycles, half-edges and the refused unbalanced cycle."""
 
     def test_frame_keeps_the_greedy_basis(self):
         frame = solver._Frame()
         edges = triangle(-1)
         assert [frame.add(ends) for ends in edges.values()] == [True, True, False]
         assert frame.balanced("abc") == [[("a", ONE), ("b", -ONE), ("c", ONE)]]
-        frame = solver._Frame()
-        assert all(frame.add(ends) for ends in triangle(2).values())
+        # a half-edge makes the component full: it takes no second half-edge
+        # and no edge to another full one
+        assert frame.add((("b", S(3)),))
         assert frame.balanced("abc") == []
-        # a full component takes no half-edge and no edge to another full one
-        assert not frame.add((("b", S(3)),))
+        assert not frame.add((("a", S(2)),))
         assert frame.add((("d", ONE),))
         assert not frame.add((("a", ONE), ("d", ONE)))
         assert frame.add((("d", ONE), ("e", S(5))))
 
-    def test_peeling_goes_around_an_unbalanced_cycle(self):
-        edges = dict(triangle(2), cd=(("c", S(2)), ("d", MU)))
+    def test_frame_refuses_an_unbalanced_cycle(self):
+        frame = solver._Frame()
+        first, second, closing = triangle(2).values()
+        assert frame.add(first) and frame.add(second)
+        with pytest.raises(RuntimeError, match="unbalanced cycle"):
+            frame.add(closing)
+
+    def test_peeling_takes_a_tree_with_a_half_edge(self):
+        edges = tree_with_half_edge()
         frame = solver._Frame()
         assert all(frame.add(ends) for ends in edges.values())
         peeling = solver._Peeling(edges)
-        assert len(peeling.cycles) == 1 and len(peeling.steps) == 1
+        assert len(peeling.steps) == len(edges)
         rhs = {"a": ONE, "b": S(2), "c": MU, "d": S(-4)}
         assert edge_sums(edges, peeling.solve(rhs)) == rhs
         assert peeling.solve({}) == {}
 
     def test_forest_values_solve_an_unbalanced_component(self):
         # row side: nodes are variables and each kept edge one equation
-        # a x[u] + b x[v] = rhs[edge]; an unbalanced triangle fixes every value
-        edges = triangle(2)
+        # a x[u] + b x[v] = rhs[edge]; the half-edge fixes its tree, and the
+        # balanced e-f sets its last node f to 0
+        edges = dict(tree_with_half_edge(), ef=(("e", ONE), ("f", S(2))))
         frame = solver._Frame()
         kept = {key: ends for key, ends in edges.items() if frame.add(ends)}
-        rhs = {"ab": S(3), "bc": MU, "ca": S(-1)}
-        x = solver._forest_values(frame, kept, rhs, ["a", "b", "c"])
-        for key, ends in edges.items():
+        assert kept == edges
+        rhs = {"ab": S(3), "bc": MU, "cd": S(-1), "b": HALF, "ef": S(4)}
+        x = solver._forest_values(kept, rhs, ["a", "b", "c", "d", "e", "f"])
+        for key, ends in kept.items():
             assert sum((c * x.get(v, ZERO) for v, c in ends), ZERO) == rhs[key]
+        assert "f" not in x and x["e"] == S(4)
         # balanced: the last node is the free one, set to 0
         edges = triangle(-1)
         frame = solver._Frame()
         kept = {key: ends for key, ends in edges.items() if frame.add(ends)}
-        x = solver._forest_values(frame, kept, {"ab": S(3), "bc": MU}, ["a", "b", "c"])
+        x = solver._forest_values(kept, {"ab": S(3), "bc": MU}, ["a", "b", "c"])
         assert "c" not in x and x == {"b": MU, "a": S(3) - MU}
 
 
