@@ -2,7 +2,8 @@
 
 Every cochain here is finite.  A degree-0 or degree-2 cochain is a finitely
 supported coefficient map phi: Z^2 -> Q(u), identified with the series
-sum phi[n,m] U1**n U2**m; a degree-1 cochain is a pair of such maps.  The
+sum phi[n,m] U1**n U2**m: a LatticeFunctional, a torus.Series like
+TorusElement.  A degree-1 cochain is a pair of such maps.  The
 differentials are defined by twisted products with the generators: for the
 twisted (flip-equivariant) complex
 
@@ -56,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .scalars import ONE, ZERO, Scalar, _pneg, lambda_pow
-from .torus import Site, TorusElement, _halves_from_json
+from .torus import Series, Site, TorusElement, _halves_from_json
 
 
 def site_key(site: Site) -> tuple[int, int, int]:
@@ -65,71 +66,21 @@ def site_key(site: Site) -> tuple[int, int, int]:
     return (abs(n) + abs(m), n, m)
 
 
-class LatticeFunctional:
-    """Finite coefficient map (n, m) -> Scalar on Z^2; zero coefficients pruned.
+class LatticeFunctional(Series):
+    """A cochain's coefficient map on Z^2: a Series whose support is listed
+    in site_key order and which pairs with torus elements."""
 
-    The public constructor validates: every site must be a pair of ints, and
-    int coefficients are read as scalars.  _of is internal, for dicts the
-    package built from valid sites and Scalar values: it only drops zeros.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[Site, Scalar] | None = None):
-        clean = {}
-        for (n, m), c in (terms or {}).items():
-            if type(n) is not int or type(m) is not int:
-                raise ValueError(f"site {(n, m)!r}: n and m must be integers")
-            if isinstance(c, int):
-                c = Scalar.from_int(c)
-            if c:
-                clean[(n, m)] = c
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *a):  # pragma: no cover - guard rail
-        raise AttributeError("LatticeFunctional is immutable")
-
-    @classmethod
-    def _of(cls, terms: dict[Site, Scalar]) -> "LatticeFunctional":
-        """Internal constructor for package-built terms: int sites, Scalar values."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "terms", {k: c for k, c in terms.items() if c.n})
-        return obj
-
-    # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "LatticeFunctional":
-        return cls({})
+    __slots__ = ()
 
     @classmethod
     def delta(cls, n: int, m: int, c: Scalar | int = 1) -> "LatticeFunctional":
         return cls({(n, m): c})
 
-    # -- queries ----------------------------------------------------------------
-
-    def coeff(self, n: int, m: int) -> Scalar:
-        return self.terms.get((n, m), ZERO)
-
     def support(self) -> list[Site]:
         return sorted(self.terms, key=site_key)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LatticeFunctional):
-            return NotImplemented
-        return self.terms == other.terms
-
     def __repr__(self) -> str:
-        return f"LatticeFunctional({self.as_torus()!r})"
-
-    def as_torus(self) -> TorusElement:
-        return TorusElement(self.terms)
+        return f"LatticeFunctional({super().__repr__()})"
 
     def restrict(self, radius: int) -> "LatticeFunctional":
         """Agrees with this functional on [-radius, radius]^2, zero outside."""
@@ -140,48 +91,12 @@ class LatticeFunctional:
         }
         return LatticeFunctional._of(kept)
 
-    # -- linear structure ---------------------------------------------------------
-
-    def __add__(self, other: "LatticeFunctional") -> "LatticeFunctional":
-        if not isinstance(other, LatticeFunctional):
-            return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, ZERO) + c
-        return LatticeFunctional(out)
-
-    def __sub__(self, other: "LatticeFunctional") -> "LatticeFunctional":
-        if not isinstance(other, LatticeFunctional):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "LatticeFunctional":
-        return LatticeFunctional({k: -c for k, c in self.terms.items()})
-
-    def scale(self, c: Scalar | int) -> "LatticeFunctional":
-        if isinstance(c, int):
-            c = Scalar.from_int(c)
-        if not c:
-            return LatticeFunctional({})
-        return LatticeFunctional({k: c * v for k, v in self.terms.items()})
-
-    # -- evaluation against algebra elements ------------------------------------------
-
     def pair_with(self, x: TorusElement) -> Scalar:
         """Dual pairing sum phi[n,m] * x[n,m] (finite because x is)."""
         out = ZERO
         for (n, m), c in x.terms.items():
             out = out + self.coeff(n, m) * c
         return out
-
-    # -- serialization -------------------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return self.as_torus().to_json()
-
-    @classmethod
-    def from_json(cls, data: dict) -> "LatticeFunctional":
-        return cls(TorusElement.from_json(data).terms)
 
 
 @dataclass(frozen=True)
@@ -213,8 +128,8 @@ class CochainPair:
     @classmethod
     def from_json(cls, data: dict) -> "CochainPair":
         """Inverse of to_json; a ValueError names a missing or malformed half."""
-        first, second = _halves_from_json(data, ("first", "second"), "a cochain pair")
-        return cls(LatticeFunctional(first.terms), LatticeFunctional(second.terms))
+        halves = _halves_from_json(data, ("first", "second"), "a cochain pair", LatticeFunctional)
+        return cls(*halves)
 
 
 # ---------------------------------------------------------------------------

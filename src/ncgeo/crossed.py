@@ -34,8 +34,8 @@ class CrossedElement:
     __slots__ = ("even", "odd")
 
     def __init__(self, even: TorusElement | None = None, odd: TorusElement | None = None):
-        object.__setattr__(self, "even", even if even is not None else TorusElement())
-        object.__setattr__(self, "odd", odd if odd is not None else TorusElement())
+        object.__setattr__(self, "even", even if even is not None else TorusElement.zero())
+        object.__setattr__(self, "odd", odd if odd is not None else TorusElement.zero())
 
     def __setattr__(self, *a):  # pragma: no cover - guard rail
         raise AttributeError("CrossedElement is immutable")
@@ -106,7 +106,7 @@ class CrossedElement:
     @classmethod
     def from_json(cls, data: dict) -> "CrossedElement":
         """Inverse of to_json; a ValueError names a missing or malformed half."""
-        return cls(*_halves_from_json(data, ("even", "odd"), "a crossed element"))
+        return cls(*_halves_from_json(data, ("even", "odd"), "a crossed element", TorusElement))
 
 
 @dataclass(frozen=True)

@@ -197,7 +197,7 @@ def _vector_object(op: Operator, vec: dict[VarKey, Scalar]):
     parts: list[dict[Site, Scalar]] = [{} for _ in range(op.stencil.in_slots)]
     for (slot, site), c in vec.items():
         parts[slot][site] = c
-    return cochain_from_slots([LatticeFunctional(t) for t in parts])
+    return cochain_from_slots([LatticeFunctional._of(t) for t in parts])
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
-"""The algebraic twisted torus and its basic structure maps.
+"""Finite lattice series, the algebraic twisted torus and its structure maps.
 
-Elements are finite Laurent combinations sum a[n,m] * U1**n * U2**m with
-coefficients in Q(u).  The two unitary generators obey the exchange rule
+A Series is a finite coefficient map (n, m) -> Q(u), read as the series
+sum a[n,m] * U1**n * U2**m, with its linear structure and JSON.  Its two
+subclasses are TorusElement, which adds the twisted product, and the
+cochain coefficient map cochains.LatticeFunctional.
+
+In the torus the two unitary generators obey the exchange rule
 U2 * U1 = lambda * U1 * U2 with lambda = u**2, which for monomials in normal
 order (U1 powers first) gives
 
@@ -30,47 +34,47 @@ from .scalars import ONE, ZERO, Scalar, format_scalar, parse_scalar
 Site = tuple[int, int]
 
 
-class TorusElement:
-    """Finite coefficient map (n, m) -> Scalar; zero coefficients pruned."""
+class Series:
+    """Finite coefficient map (n, m) -> Scalar; zero coefficients pruned.
+
+    The public constructor validates: every site must be a pair of ints, and
+    int coefficients are read as scalars.  _of is internal, for dicts the
+    package built from valid sites and Scalar values: it only drops zeros.
+    Linear operations stay in the class of self; series of different
+    classes never compare equal or add.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict[Site, Scalar] | None = None):
         clean: dict[Site, Scalar] = {}
-        if terms:
-            for (n, m), c in terms.items():
-                if type(n) is not int or type(m) is not int:
-                    raise ValueError(f"site {(n, m)!r}: n and m must be integers")
-                if isinstance(c, int):
-                    c = Scalar.from_int(c)
-                if c:
-                    clean[(n, m)] = c
+        for (n, m), c in (terms or {}).items():
+            if type(n) is not int or type(m) is not int:
+                raise ValueError(f"site {(n, m)!r}: n and m must be integers")
+            if isinstance(c, int):
+                c = Scalar.from_int(c)
+            if c:
+                clean[(n, m)] = c
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, *a):  # pragma: no cover - guard rail
-        raise AttributeError("TorusElement is immutable")
-
-    # -- constructors --------------------------------------------------------
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def zero(cls) -> "TorusElement":
-        return cls()
+    def _of(cls, terms: dict[Site, Scalar]):
+        """Internal constructor for package-built terms: int sites, Scalar values."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "terms", {k: c for k, c in terms.items() if c.n})
+        return obj
 
     @classmethod
-    def one(cls) -> "TorusElement":
-        return cls({(0, 0): ONE})
-
-    @classmethod
-    def monomial(cls, n: int, m: int, c: Scalar | int = 1) -> "TorusElement":
-        return cls({(n, m): c if isinstance(c, Scalar) else Scalar.from_int(c)})
+    def zero(cls):
+        return cls._of({})
 
     # -- inspection -----------------------------------------------------------
 
     def coeff(self, n: int, m: int) -> Scalar:
         return self.terms.get((n, m), ZERO)
-
-    def support(self) -> list[Site]:
-        return sorted(self.terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -79,11 +83,7 @@ class TorusElement:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            if other == 0:
-                return not self.terms
-            other = TorusElement.monomial(0, 0, other)
-        if not isinstance(other, TorusElement):
+        if type(other) is not type(self):
             return NotImplemented
         return self.terms == other.terms
 
@@ -105,75 +105,31 @@ class TorusElement:
 
     # -- linear structure -------------------------------------------------------
 
-    def __add__(self, other: "TorusElement") -> "TorusElement":
-        if not isinstance(other, TorusElement):
+    def __add__(self, other):
+        if type(other) is not type(self):
             return NotImplemented
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out.get(k, ZERO) + c
-        return TorusElement(out)
+        return self._of(out)
 
-    def __sub__(self, other: "TorusElement") -> "TorusElement":
-        if not isinstance(other, TorusElement):
+    def __sub__(self, other):
+        if type(other) is not type(self):
             return NotImplemented
-        return self + (-other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out.get(k, ZERO) - c
+        return self._of(out)
 
-    def __neg__(self) -> "TorusElement":
-        return TorusElement({k: -c for k, c in self.terms.items()})
+    def __neg__(self):
+        return self._of({k: -c for k, c in self.terms.items()})
 
-    def scale(self, c: Scalar | int) -> "TorusElement":
+    def scale(self, c: Scalar | int):
         if isinstance(c, int):
             c = Scalar.from_int(c)
         if not c:
-            return TorusElement()
-        return TorusElement({k: c * v for k, v in self.terms.items()})
-
-    # -- twisted product ---------------------------------------------------------
-
-    def __mul__(self, other):
-        if isinstance(other, (Scalar, int)):
-            return self.scale(other)
-        if not isinstance(other, TorusElement):
-            return NotImplemented
-        out: dict[Site, Scalar] = {}
-        for (p, q), a in self.terms.items():
-            for (r, s), b in other.terms.items():
-                k = (p + r, q + s)
-                c = (a * b).shift(2 * q * r)
-                prev = out.get(k)
-                out[k] = c if prev is None else prev + c
-        return TorusElement(out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (Scalar, int)):
-            return self.scale(other)
-        return NotImplemented
-
-    # -- structure maps ------------------------------------------------------------
-
-    def sigma(self) -> "TorusElement":
-        """The flip automorphism U1 -> U1**-1, U2 -> U2**-1."""
-        return TorusElement({(-n, -m): c for (n, m), c in self.terms.items()})
-
-    def star(self) -> "TorusElement":
-        """Adjoint; coefficients pass through u -> 1/u and monomials are
-        inverted and reordered, picking up lambda**(n*m)."""
-        return TorusElement(
-            {(-n, -m): c.star().shift(2 * n * m) for (n, m), c in self.terms.items()}
-        )
-
-    def delta(self, j: int) -> "TorusElement":
-        """Basic derivation number j: scales the (n, m) coefficient by n
-        (j = 1) or m (j = 2).  No 2*pi*i factor is included."""
-        if j == 1:
-            return TorusElement({(n, m): c * n for (n, m), c in self.terms.items()})
-        if j == 2:
-            return TorusElement({(n, m): c * m for (n, m), c in self.terms.items()})
-        raise ValueError(f"derivation index must be 1 or 2, got {j!r}")
-
-    def trace(self) -> Scalar:
-        """The canonical trace: the coefficient at the identity."""
-        return self.terms.get((0, 0), ZERO)
+            return self._of({})
+        return self._of({k: c * v for k, v in self.terms.items()})
 
     # -- serialization ----------------------------------------------------------------
 
@@ -186,7 +142,7 @@ class TorusElement:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "TorusElement":
+    def from_json(cls, data: dict):
         """Inverse of to_json.  Anything else is a ValueError that names the
         offending term: a term other than {"n": int, "m": int, "c": text},
         malformed coefficient text, or two terms at one site."""
@@ -209,11 +165,86 @@ class TorusElement:
                 terms[site] = parse_scalar(t["c"])
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
-        return cls(terms)
+        return cls._of(terms)
 
 
-def _halves_from_json(data, names: tuple[str, str], what: str) -> list[TorusElement]:
-    """The two series of a JSON object {names[0]: series, names[1]: series}.
+class TorusElement(Series):
+    """An element of the twisted torus: a Series with the twisted product."""
+
+    __slots__ = ()
+
+    # -- constructors --------------------------------------------------------
+
+    @classmethod
+    def one(cls) -> "TorusElement":
+        return cls._of({(0, 0): ONE})
+
+    @classmethod
+    def monomial(cls, n: int, m: int, c: Scalar | int = 1) -> "TorusElement":
+        return cls({(n, m): c if isinstance(c, Scalar) else Scalar.from_int(c)})
+
+    # -- inspection -----------------------------------------------------------
+
+    def support(self) -> list[Site]:
+        return sorted(self.terms)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, int):
+            if other == 0:
+                return not self.terms
+            other = TorusElement.monomial(0, 0, other)
+        return super().__eq__(other)
+
+    # -- twisted product ---------------------------------------------------------
+
+    def __mul__(self, other):
+        if isinstance(other, (Scalar, int)):
+            return self.scale(other)
+        if not isinstance(other, TorusElement):
+            return NotImplemented
+        out: dict[Site, Scalar] = {}
+        for (p, q), a in self.terms.items():
+            for (r, s), b in other.terms.items():
+                k = (p + r, q + s)
+                c = (a * b).shift(2 * q * r)
+                prev = out.get(k)
+                out[k] = c if prev is None else prev + c
+        return TorusElement._of(out)
+
+    def __rmul__(self, other):
+        if isinstance(other, (Scalar, int)):
+            return self.scale(other)
+        return NotImplemented
+
+    # -- structure maps ------------------------------------------------------------
+
+    def sigma(self) -> "TorusElement":
+        """The flip automorphism U1 -> U1**-1, U2 -> U2**-1."""
+        return TorusElement._of({(-n, -m): c for (n, m), c in self.terms.items()})
+
+    def star(self) -> "TorusElement":
+        """Adjoint; coefficients pass through u -> 1/u and monomials are
+        inverted and reordered, picking up lambda**(n*m)."""
+        return TorusElement._of(
+            {(-n, -m): c.star().shift(2 * n * m) for (n, m), c in self.terms.items()}
+        )
+
+    def delta(self, j: int) -> "TorusElement":
+        """Basic derivation number j: scales the (n, m) coefficient by n
+        (j = 1) or m (j = 2).  No 2*pi*i factor is included."""
+        if j == 1:
+            return TorusElement._of({(n, m): c * n for (n, m), c in self.terms.items()})
+        if j == 2:
+            return TorusElement._of({(n, m): c * m for (n, m), c in self.terms.items()})
+        raise ValueError(f"derivation index must be 1 or 2, got {j!r}")
+
+    def trace(self) -> Scalar:
+        """The canonical trace: the coefficient at the identity."""
+        return self.terms.get((0, 0), ZERO)
+
+
+def _halves_from_json(data, names: tuple[str, str], what: str, cls: type[Series]) -> list:
+    """The two cls series of a JSON object {names[0]: series, names[1]: series}.
     Anything else is a ValueError naming the missing or malformed half."""
     if not isinstance(data, dict):
         raise ValueError(f"{what} is an object with the halves {names}, got {data!r}")
@@ -225,7 +256,7 @@ def _halves_from_json(data, names: tuple[str, str], what: str) -> list[TorusElem
         if name not in data:
             raise ValueError(f"{what} is missing its half {name!r}")
         try:
-            halves.append(TorusElement.from_json(data[name]))
+            halves.append(cls.from_json(data[name]))
         except ValueError as exc:
             raise ValueError(f"{what} half {name!r}: {exc}") from None
     return halves

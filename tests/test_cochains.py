@@ -211,6 +211,11 @@ class TestFunctional:
         assert psi == d(0, 0)
         assert phi.scale(0).is_zero()
         assert (-phi) + phi == ZERO_F
+        # every linear operation stays in the class of its operand
+        x = TorusElement(phi.terms)
+        for a in (phi, x):
+            for out in (a + a, a - a.scale(HALF), -a, a.scale(LAMBDA), a.scale(0)):
+                assert type(out) is type(a)
 
     def test_finite_equality(self):
         assert d(1, 0, LAMBDA) + d(0, 0) == d(0, 0) + d(1, 0, LAMBDA)
@@ -218,6 +223,18 @@ class TestFunctional:
         assert d(0, 0, 0) == ZERO_F
         assert make_D(0, 0, 3) == make_D(0, 0, 4).restrict(3)
         assert (d(0, 0) == 1) is False
+        assert TorusElement.one() == 1
+        # a functional and a torus element with the same terms are different
+        # objects: they never compare equal and never add
+        phi = d(1, 0, LAMBDA) + d(0, 0)
+        x = TorusElement(phi.terms)
+        assert phi.terms == x.terms
+        assert phi != x and x != phi
+        for a, b in ((phi, x), (x, phi)):
+            with pytest.raises(TypeError):
+                a + b
+            with pytest.raises(TypeError):
+                a - b
 
     def test_pair_with(self):
         phi = d(1, 0, LAMBDA) + d(0, 1)
@@ -228,6 +245,7 @@ class TestFunctional:
         phi = d(2, -1, LAMBDA) + d(0, 0, Scalar.parse("1/2"))
         again = LatticeFunctional.from_json(phi.to_json())
         assert again == phi
+        assert type(again) is LatticeFunctional
 
     def test_non_integer_sites_are_value_errors(self):
         # a float or bool index is refused, not truncated onto (1, 0)
@@ -237,7 +255,9 @@ class TestFunctional:
 
     def test_pair_json_names_the_bad_half(self):
         pair = CochainPair(d(1, 0), d(0, -1, LAMBDA))
-        assert CochainPair.from_json(pair.to_json()) == pair
+        again = CochainPair.from_json(pair.to_json())
+        assert again == pair
+        assert type(again.first) is LatticeFunctional and type(again.second) is LatticeFunctional
         good = pair.first.to_json()
         for data, half in (
             ([1], "'first', 'second'"),

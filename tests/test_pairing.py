@@ -8,8 +8,8 @@ import pytest
 
 from ncgeo import pairing as pairing_mod
 from ncgeo.scalars import HALF, LAMBDA, MU, ONE, ZERO, Scalar, lambda_pow, mu_pow
-from ncgeo.torus import TorusElement, U1, U2, u1, u2
-from ncgeo.crossed import CrossedElement, PROJECTION_NAMES, make_projection
+from ncgeo.torus import Series, TorusElement, U1, U2, u1, u2
+from ncgeo.crossed import CrossedElement, PROJECTION_NAMES, is_projection, make_projection
 from ncgeo.pairing import (
     COLUMNS,
     COLUMN_COCYCLES,
@@ -278,6 +278,43 @@ class TestProductRouteOracle:
         expected = product_route_phi(*x)
         monkeypatch.setattr(TorusElement, "__mul__", refuse)
         assert evaluate(ConnesTwoCocycle(), x) == expected
+
+
+class TestTrustedSeries:
+    """The algebra builds every series from terms it made itself: products,
+    stars, traces, Phi and the pairings never reach the validating Series
+    constructor, and what they build is what an unpatched run builds."""
+
+    def test_algebra_builds_no_validated_series(self, monkeypatch):
+        rng = random.Random(67)
+        projections = [make_projection(name) for name in PROJECTION_NAMES]
+        triples = [
+            [CrossedElement(random_series(rng), random_series(rng)) for _ in range(3)]
+            for _ in range(20)
+        ]
+        phi = ConnesTwoCocycle()
+
+        def run():
+            out = []
+            for e in projections:
+                check = is_projection(e)
+                out += [check.ok, check.idempotency_defect, check.adjoint_defect]
+            out += [pair(e, COLUMN_COCYCLES[col]) for e in projections for col in COLUMNS]
+            for x, y, z in triples:
+                xy = x * y
+                out += [xy, x.star(), evaluate(phi, [x, y, z])]
+                out += [evaluate(TwistedTrace(i, j), [xy]) for i in (0, 1) for j in (0, 1)]
+            return [(v.to_json() if hasattr(v, "to_json") else None, str(v)) for v in out]
+
+        want = run()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the algebra validated a series it built")
+
+        monkeypatch.setattr(Series, "__init__", refuse)
+        got = run()
+        monkeypatch.undo()
+        assert got == want
 
 
 class TestTraceInvariance:

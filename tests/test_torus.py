@@ -166,7 +166,9 @@ class TestSerialization:
                     for _ in range(rng.randint(0, 5))
                 }
             )
-            assert TorusElement.from_json(x.to_json()) == x
+            again = TorusElement.from_json(x.to_json())
+            assert again == x
+            assert type(again) is TorusElement
 
     def test_malformed_terms_are_value_errors(self):
         # each bad term is refused with a ValueError naming it, never read
