@@ -175,7 +175,9 @@ class Stencil:
     def apply(self, x):
         """Image of a cochain: each term (sign, p, q, r) of each entry pushes
         every input term through, moving its power of u as Scalar.shift
-        would.  Values that cancel are dropped at the end."""
+        would.  A term of sign -1 is subtracted, so only the first
+        contribution to a site negates its numerator.  Values that cancel
+        are dropped at the end."""
         parts = cochain_slots(x)
         s = self.mirror
         raw = Scalar._raw
@@ -185,9 +187,14 @@ class Stencil:
             for sign, p, q, r in terms:
                 for (a, b), v in parts[i].terms.items():
                     n, m = site = (s * (a - dn), s * (b - dm))
-                    c = raw(v.s + 2 * (p * n + q * m + r), v.n if sign == 1 else _pneg(v.n), v.d)
+                    k = v.s + 2 * (p * n + q * m + r)
                     prev = acc.get(site)
-                    acc[site] = c if prev is None else prev + c
+                    if prev is None:
+                        acc[site] = raw(k, v.n if sign == 1 else _pneg(v.n), v.d)
+                    elif sign == 1:
+                        acc[site] = prev + raw(k, v.n, v.d)
+                    else:
+                        acc[site] = prev - raw(k, v.n, v.d)
         return cochain_from_slots([LatticeFunctional._of(t) for t in out])
 
 

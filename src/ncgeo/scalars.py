@@ -241,7 +241,7 @@ class Scalar:
         if not self.n:
             return -other
         if self.d == (1,) and other.d == (1,):
-            return _laurent_add(self.s, self.n, other.s, _pneg(other.n))
+            return _laurent_add(self.s, self.n, other.s, other.n, -1)
         return self + (-other)
 
     def __rsub__(self, other) -> "Scalar":
@@ -393,19 +393,28 @@ def _canonical(shift: int, num, den) -> tuple[int, tuple[int, ...], tuple[int, .
     return shift, num, den
 
 
-def _laurent_add(s1: int, a: tuple[int, ...], s2: int, b: tuple[int, ...]) -> Scalar:
-    """u**s1 * a + u**s2 * b for nonzero a and b not divisible by u, both over
-    the denominator 1.  Nothing can cancel against a unit denominator, so the
-    canonical form only strips the zeros the sum leaves at either end."""
-    if s1 > s2:
-        s1, a, s2, b = s2, b, s1, a
-    out = list(a)
-    k = s2 - s1
+def _laurent_add(
+    s1: int, a: tuple[int, ...], s2: int, b: tuple[int, ...], sign: int = 1
+) -> Scalar:
+    """u**s1 * a + sign * u**s2 * b, for sign 1 or -1, nonzero a and b not
+    divisible by u, both over the denominator 1.  The sign is applied while
+    adding, so a difference negates no tuple.  Nothing can cancel against a
+    unit denominator, so the canonical form only strips the zeros the sum
+    leaves at either end."""
+    if s1 <= s2:
+        lo, out, k = s1, list(a), s2 - s1
+    else:
+        lo, out, k = s2, [0] * (s1 - s2), 0
+        out += a
     grow = k + len(b) - len(out)
     if grow > 0:
         out += [0] * grow
-    for i, x in enumerate(b, k):
-        out[i] += x
+    if sign == 1:
+        for j, x in enumerate(b, k):
+            out[j] += x
+    else:
+        for j, x in enumerate(b, k):
+            out[j] -= x
     while out and not out[-1]:
         out.pop()
     if not out:
@@ -413,7 +422,7 @@ def _laurent_add(s1: int, a: tuple[int, ...], s2: int, b: tuple[int, ...]) -> Sc
     i = 0
     while not out[i]:
         i += 1
-    return Scalar._raw(s1 + i, tuple(out[i:]) if i else tuple(out), (1,))
+    return Scalar._raw(lo + i, tuple(out[i:]) if i else tuple(out), (1,))
 
 
 # the slot setters, which bypass the immutability guard of __setattr__

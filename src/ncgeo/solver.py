@@ -137,10 +137,10 @@ from .cochains import (
     cochain_from_slots,
     cochain_slots,
     coefficient,
-    kernel_check_twisted_deg1,
     site_key,
     twisted_alpha1,
     twisted_alpha2,
+    _violations,
 )
 from .scalars import ONE, ZERO, Scalar
 from .torus import Site
@@ -681,37 +681,52 @@ def _one_row(f: LatticeFunctional, s0: int, window: int, what: str) -> dict[int,
     return row
 
 
-def line_eliminate(row: LatticeFunctional, s0: int, window: int) -> LatticeFunctional:
-    """Degree-0 cochain gamma on row s0 whose twisted differential's first
-    component reproduces the given row at every site |n| <= window-1.
+def _line_walk(h: dict[int, Scalar], s0: int, window: int) -> dict[int, Scalar]:
+    """gamma with gamma[n+1] - lambda**s0 gamma[n-1] = h[n] at every
+    |n| <= window-1 of a row h = {n: h[n]} at y=s0, gamma = {n: gamma[n]}.
 
-    Solves gamma[n+1] - lambda**s0 gamma[n-1] = h[n] per parity chain with
-    the gauge gamma[0] = gamma[1] = 0, walking left from n=0 / n=-1 and
-    right from n=2 / n=1.  Walks stop early once past the support with a
-    zero carry; otherwise the geometric tail is truncated at |n| = window.
-    """
-    if window < 2:
-        raise ValueError("window radius must be at least 2")
-    h = _one_row(row, s0, window, "line_eliminate row")
+    Each parity chain is walked upwards from its lowest support site n, with
+    gamma[n-1] = 0, to the window edge, stopping early once past its highest
+    support site with a zero carry.  The kernel generators are nowhere zero,
+    so a finitely supported row has at most one finitely supported
+    preimage; when it has one the walk returns it."""
     gamma: dict[int, Scalar] = {}
-    lo, hi = (min(h), max(h)) if h else (0, 0)
-    for start in (0, -1):
+    for parity in (0, 1):
+        chain = [n for n in h if n % 2 == parity]
+        if not chain:
+            continue
+        n, hi = min(chain), max(chain)
         carry = ZERO
-        n = start
-        while n >= -window + 1 and (carry or (h and n >= lo)):
-            carry = (carry - h.get(n, ZERO)).shift(-2 * s0)
-            if carry:
-                gamma[n - 1] = carry
-            n -= 2
-    for start in (2, 1):
-        carry = ZERO
-        n = start
-        while n <= window - 1 and (carry or (h and n <= hi)):
+        while n <= window - 1 and (carry or n <= hi):
             carry = h.get(n, ZERO) + carry.shift(2 * s0)
             if carry:
                 gamma[n + 1] = carry
             n += 2
-    return LatticeFunctional._of({(n, s0): c for n, c in gamma.items()})
+    return gamma
+
+
+def line_eliminate(row: LatticeFunctional, s0: int, window: int) -> LatticeFunctional:
+    """Degree-0 cochain gamma on row s0 whose twisted differential's first
+    component reproduces the given row at every site |n| <= window-1.
+
+    Solves gamma[n+1] - lambda**s0 gamma[n-1] = h[n] per parity chain,
+    walking upwards from the chain's lowest support site n with the gauge
+    gamma[n-1] = 0.  When the row is the first component of twisted_alpha1
+    of a finitely supported cochain on the row, gamma is that cochain;
+    otherwise the geometric tail runs upwards only and is truncated at
+    n = window.
+
+    >>> from ncgeo.cochains import twisted_alpha1
+    >>> phi = LatticeFunctional.delta(-2, 1) + LatticeFunctional.delta(3, 1, 5)
+    >>> line_eliminate(twisted_alpha1(phi).first, 1, 5) == phi
+    True
+    >>> line_eliminate(LatticeFunctional.delta(0, 1), 1, 5).support()
+    [(1, 1), (3, 1), (5, 1)]
+    """
+    if window < 2:
+        raise ValueError("window radius must be at least 2")
+    h = _one_row(row, s0, window, "line_eliminate row")
+    return LatticeFunctional._of({(n, s0): c for n, c in _line_walk(h, s0, window).items()})
 
 
 def _check_recurrence(h: dict[int, Scalar], s0: int, window: int) -> None:
@@ -792,11 +807,13 @@ def row_solve(
 _SECOND = Stencil(*((0, i, dn, dm, c) for o, i, dn, dm, c in TWISTED_ALPHA1.entries if o == 1))
 
 
-def _rows_of(f: LatticeFunctional) -> dict[int, LatticeFunctional]:
-    rows: dict[int, dict[Site, Scalar]] = {}
-    for (n, m), c in f.terms.items():
-        rows.setdefault(m, {})[(n, m)] = c
-    return {m: LatticeFunctional._of(t) for m, t in sorted(rows.items())}
+def _lines(terms: dict[Site, Scalar]) -> dict[int, dict[int, Scalar]]:
+    """The nonzero terms of a coefficient map, grouped by row: {y: {n: c}}."""
+    rows: dict[int, dict[int, Scalar]] = {}
+    for (n, m), c in terms.items():
+        if c:
+            rows.setdefault(m, {})[n] = c
+    return rows
 
 
 def _interior_difference(
@@ -815,13 +832,23 @@ def _interior_difference(
 def h1_trivialize(pair: CochainPair, window: int) -> SolveReport:
     """Constructive trivialization of a windowed twisted 1-cocycle.
 
-    Phase 1 cancels every first-component row with line_eliminate; phase 2
+    Phase 1 cancels every first-component row with the walk of
+    line_eliminate, upwards from the low end of each parity chain; phase 2
     checks each surviving second-component row's recurrence as row_solve
     does and absorbs the rows at y >= 0 in one sweep below and those at
     y < 0 in one sweep above (_absorb), down to y = -window and up to
     y = window.  The returned witness psi satisfies twisted_alpha1(psi) =
     pair exactly at all sites with |n|, |m| <= window-1; the report's
     residual is that restriction.
+
+    When pair is twisted_alpha1(phi) inside the window for a finitely
+    supported phi, phase 1 returns phi row by row, nothing survives it, and
+    the witness is phi itself:
+
+    >>> from ncgeo.cochains import twisted_alpha1
+    >>> phi = LatticeFunctional.delta(0, 0) + LatticeFunctional.delta(-3, 2, 4)
+    >>> h1_trivialize(twisted_alpha1(phi), 4).witness == phi
+    True
     """
     if window < 3:
         raise ValueError("window radius must be at least 3")
@@ -832,24 +859,23 @@ def h1_trivialize(pair: CochainPair, window: int) -> SolveReport:
     for f in (pair.first, pair.second):
         if any(abs(n) > window or abs(m) > window for n, m in f.terms):
             raise ValueError("pair support exceeds the window")
-    ok, site = kernel_check_twisted_deg1(pair, window)
-    if not ok:
+    # the support is inside the window, so no restriction is needed
+    site = _violations(twisted_alpha2(pair), window)
+    if site is not None:
         raise NotACocycle(site)
 
     # phase 1; gamma's rows are disjoint
     acc: dict[Site, Scalar] = {}
-    for s0, rowf in _rows_of(pair.first).items():
-        acc.update(line_eliminate(rowf, s0, window).terms)
+    for s0, h in _lines(pair.first.terms).items():
+        for n, c in _line_walk(h, s0, window).items():
+            acc[(n, s0)] = c
     # leftover = pair.second - twisted_alpha1(gamma).second inside the window
     leftover = dict(pair.second.terms)
     for (n, m), c in _SECOND.apply(LatticeFunctional._of(acc)).terms.items():
         if abs(n) <= window and abs(m) <= window:
             leftover[(n, m)] = leftover[(n, m)] - c if (n, m) in leftover else -c
 
-    rows: dict[int, dict[int, Scalar]] = {}
-    for (n, m), c in leftover.items():
-        if c:
-            rows.setdefault(m, {})[n] = c
+    rows = _lines(leftover)
     for s0 in sorted(rows):
         _check_recurrence(rows[s0], s0, window)
     below = {s0: h for s0, h in rows.items() if s0 >= 0}

@@ -891,14 +891,10 @@ class TestLineEliminate:
         assert line_eliminate(ZF, 2, 5).is_zero()
 
     def test_delta_row_frozen_tail(self):
-        # seed -lambda^-s0 at (-1, s0), geometric tail to the window edge
+        # gamma[-1] = 0 below the delta, gamma[1] = 1, then
+        # gamma[n+2] = lambda gamma[n] up to the window edge
         gamma = line_eliminate(d(0, 1), 1, 5)
-        want = (
-            d(-1, 1, -lambda_pow(-1))
-            + d(-3, 1, -lambda_pow(-2))
-            + d(-5, 1, -lambda_pow(-3))
-        )
-        assert gamma == want
+        assert gamma == d(1, 1, 1) + d(3, 1, LAMBDA) + d(5, 1, lambda_pow(2))
 
     def test_row_reproduced_on_interior(self):
         rng = random.Random(7)
@@ -932,6 +928,32 @@ class TestLineEliminate:
         for row in (SERIES, CochainPair(d(0, 0), ZF)):
             with pytest.raises(TypeError, match="LatticeFunctional"):
                 line_eliminate(row, 0, 4)
+
+
+    def test_line_without_finite_preimage_tails_upwards(self):
+        # h = c d(-2) + c' d(1) on y = s0: gamma[-1 + 2k] = lambda^(k s0) c and
+        # gamma[2 + 2k] = lambda^(k s0) c', nothing below the lowest source
+        # site; the odd chain is cut at n = window, the even one at window - 1
+        window, s0 = 7, -2
+        c, c2 = MU, Scalar.from_int(-3)
+        row = d(-2, s0, c) + d(1, s0, c2)
+        gamma = line_eliminate(row, s0, window)
+        want = sum((d(-1 + 2 * k, s0, lambda_pow(k * s0) * c) for k in range(5)), ZF)
+        want = want + sum((d(2 + 2 * k, s0, lambda_pow(k * s0) * c2) for k in range(3)), ZF)
+        assert gamma == want
+        sites = [n for n, _ in gamma.terms]
+        assert min(sites) > -2 and max(sites) == window
+        out = twisted_alpha1(gamma).first
+        for n in range(-window + 1, window):
+            assert out.coeff(n, s0) == row.coeff(n, s0)
+
+    def test_source_at_the_low_window_edge_is_recovered(self):
+        # phi at n = -window + 1 puts the lowest site of its first component
+        # at n = -window, outside the interior; the walk starts there
+        for window in (4, 7):
+            s0 = window - 2
+            phi = d(-window + 1, s0, MU) + d(-window + 3, s0, 2) + d(1, s0, -1)
+            assert line_eliminate(twisted_alpha1(phi).first, s0, window) == phi
 
 
 class TestRowSolve:
@@ -1083,6 +1105,16 @@ class TestH1Trivialize:
                 refused += want is not None
         assert refused >= 40
 
+    def test_witness_is_the_finite_source(self):
+        # a finitely supported phi is the one finite preimage of its image;
+        # the last source of each window sits at the low edge n = -window + 1
+        rng = random.Random(67)
+        for window in (4, 6, 10, 16):
+            sources = [random_functional(rng, radius=window - 1, size=6) for _ in range(8)]
+            sources.append(d(-window + 1, 0, MU) + d(-window + 1, window - 1, -1) + d(1, -1, 3))
+            for phi in sources:
+                assert h1_trivialize(twisted_alpha1(phi), window).witness == phi
+
     def test_rejects_oversized_support(self):
         with pytest.raises(ValueError):
             h1_trivialize(CochainPair(d(9, 0), ZF), 4)
@@ -1215,6 +1247,31 @@ class TestLaurentFastPath:
         monkeypatch.undo()
         for rep, (_, _, want) in zip(reports, cases):
             assert rep.to_json() == want
+
+    def test_h1_negates_few_numerators(self, monkeypatch):
+        # a difference, and a stencil term of sign -1 added to a site that
+        # already holds a value, negate no numerator; one negation per such
+        # term and subtraction made 245 calls on this cocycle
+        calls = 0
+        pneg = scalars._pneg
+
+        def counting(a):
+            nonlocal calls
+            calls += 1
+            return pneg(a)
+
+        two, three = Scalar.from_int(2), Scalar.from_int(3)
+        phi = LatticeFunctional({
+            (0, 3): MU, (1, -5): two, (-7, 0): ONE, (12, 9): ONE / MU,
+            (-1, -12): -ONE, (5, 14): MU * MU, (0, -14): three, (9, 1): -two,
+        })
+        pair = twisted_alpha1(phi)
+        monkeypatch.setattr(scalars, "_pneg", counting)
+        monkeypatch.setattr(cochains, "_pneg", counting)
+        rep = h1_trivialize(pair, 16)
+        monkeypatch.undo()
+        assert rep.witness == phi
+        assert calls < 60
 
     def test_built_functionals_stay_clean(self):
         rng = random.Random(59)
