@@ -47,10 +47,16 @@ No cycle of these graphs is unbalanced (the solver tests check the tables):
 * windowing only drops ends: a two-ended windowed edge has its lattice gains.
 
 Variables are ordered by (|n|+|m|, n, m), then slot (the pivot order), and
-equations by slot, then site.  One weighted union-find (_Frame) grows the
-greedy basis of the frame matroid in edge order, a forest whose trees hold
-at most one half-edge each, and one leaf-peeling solve (_Peeling) meets a
-right side on it by peeling alone.
+equations by slot, then site.  A coefficient is held as its gain, the
+entry's terms at the site as (sign, k) pairs for sign * u**k: one pair for
+a twisted entry, two for an untwisted binomial.  A product or quotient by
+one pair is one Scalar.shift; a binomial is made a Scalar only to divide.
+As no cycle is unbalanced, the greedy basis of the frame matroid depends on
+connectivity alone: a union-find without weights (_Frame) grows it in edge
+order, a forest whose trees hold at most one half-edge each.  One forest
+walk (_forest_walk) finds values on its nodes, potentials included, and
+checks the rejected edges on them; one leaf-peeling solve (_Peeling) finds
+values on its edges.
 
 On the column side the greedy basis is exactly the set of pivot columns
 Gauss-Jordan elimination takes in the pivot order (its pivot columns are the
@@ -84,7 +90,9 @@ On the row side:
   Gauss-Jordan's certificate there depends on the pivot rows it picks.
 
 Every witness is re-checked by applying the operator, and every certificate
-against the table's original equations, before it is returned.
+against the table's original equations, read through `coefficient`, before
+it is returned.  They also guard the row side's membership solves, which
+walk no potentials.
 
 A membership solve sets up only the target's connected block: the equations
 reached from the target's support, two equations being connected when both
@@ -100,8 +108,8 @@ The second half of the module implements the constructive proof that the
 flip-twisted first cohomology vanishes, as a two-phase pipeline:
 
 * `line_eliminate` cancels one row of the first component with a degree-0
-  cochain supported on that row, walking outward in both directions from
-  the gauge choice gamma[0] = gamma[1] = 0;
+  cochain supported on that row, walking each parity chain upwards from its
+  lowest support site n with the gauge gamma[n-1] = 0;
 * `row_solve` absorbs one second-component row eta at y=s0 (which must
   satisfy the row recurrence eta[w+1] = lambda**(s0-1) eta[w-1]; this is
   checked, not assumed) with a telescoping sweep over the rows of the other
@@ -115,8 +123,10 @@ flip-twisted first cohomology vanishes, as a two-phase pipeline:
   The witness's differential reproduces the input exactly at every
   interior site of the window.
 
-Witnesses are not canonical: the gauge above and the walk directions are
-fixed choices among many, and different windows give different tails.
+The witness of twisted_alpha1(phi), for a finite phi inside the window, is
+phi, its only finitely supported preimage.  An input with no finite
+preimage gets the upward tails of the walks and sweeps, fixed choices that
+change with the window.
 """
 
 from __future__ import annotations
@@ -243,14 +253,6 @@ def _equations(op: Operator, window: int) -> list[EqKey]:
     return out
 
 
-class _Row:
-    __slots__ = ("coeffs", "rhs")
-
-    def __init__(self, coeffs, rhs):
-        self.coeffs = coeffs
-        self.rhs = rhs
-
-
 def _vanishes(terms, n: int, m: int) -> bool:
     """Is coefficient(terms, n, m) zero?  The tables hold one or two terms:
     one term never vanishes, and two vanish exactly where their exponents
@@ -261,20 +263,43 @@ def _vanishes(terms, n: int, m: int) -> bool:
     return s1 != s2 and p1 * n + q1 * m + r1 == p2 * n + q2 * m + r2
 
 
-def _row(op: Operator, window: int, eq: EqKey, goal=None) -> _Row:
+def _row(op: Operator, window: int, eq: EqKey) -> dict[VarKey, tuple]:
     """The row of equation eq read off the stencil table, without zero
-    coefficients or variables outside the window.  A target's row (goal: its
-    slots) carries its right side; a kernel row's is zero."""
+    coefficients or variables outside the window, each coefficient held as
+    its gain."""
     slot, (n, m) = eq
     coeffs = {}
     for o, in_slot, dn, dm, terms in op.stencil.entries:
-        site = (n + dn, m + dm)
-        if o == slot and _inside(site, window) and not _vanishes(terms, n, m):
-            coeffs[(in_slot, site)] = coefficient(terms, n, m)
-    return _Row(coeffs, ZERO if goal is None else goal[slot].coeff(n, m))
+        a, b = n + dn, m + dm
+        if o == slot and abs(a) <= window and abs(b) <= window and not _vanishes(terms, n, m):
+            coeffs[(in_slot, (a, b))] = _gain(terms, n, m)
+    return coeffs
 
 
-def _target_block(op: Operator, window: int, goal) -> dict[EqKey, _Row]:
+def _gain(terms, n: int, m: int) -> tuple:
+    """An entry's coefficient at (n, m) as a gain: its terms (sign, p, q, r)
+    as (sign, k) pairs, the sum of sign * u**k with k = 2(pn + qm + r)."""
+    return tuple([(s, 2 * (p * n + q * m + r)) for s, p, q, r in terms])
+
+
+def _mul(x: Scalar, gain, sign: int = 1) -> Scalar:
+    """sign * x times a gain: one Scalar.shift per pair."""
+    s, k = gain[0]
+    out = x.shift(k, sign * s)
+    for s, k in gain[1:]:
+        out = out + x.shift(k, sign * s)
+    return out
+
+
+def _div(x: Scalar, gain) -> Scalar:
+    """x divided by a gain: one Scalar.shift by a one-pair gain.  A binomial
+    gain is made a Scalar only here."""
+    if len(gain) == 1:
+        return x.shift(-gain[0][1], gain[0][0])
+    return x / _mul(ONE, gain)
+
+
+def _target_block(op: Operator, window: int, goal) -> dict[EqKey, dict]:
     """Rows of the equations connected to the support of the target, given
     by its slots (goal), keyed by equation.  Two rows are connected when both
     hold a variable with a nonzero coefficient; a variable's equations are
@@ -285,14 +310,14 @@ def _target_block(op: Operator, window: int, goal) -> dict[EqKey, _Row]:
         for slot in range(op.stencil.in_slots)
     ]
     todo = [(slot, s) for slot, part in enumerate(goal) for s in part.terms]
-    block: dict[EqKey, _Row] = {}
+    block: dict[EqKey, dict] = {}
     seen: set[VarKey] = set()
     while todo:
         eq = todo.pop()
         if eq in block:
             continue
-        block[eq] = row = _row(op, window, eq, goal)
-        for k in row.coeffs.keys() - seen:
+        block[eq] = row = _row(op, window, eq)
+        for k in row.keys() - seen:
             seen.add(k)
             in_slot, (a, b) = k
             for o, dn, dm, terms in readers[in_slot]:
@@ -315,100 +340,58 @@ def _column_side(op: Operator) -> bool:
 class _Frame:
     """Greedy basis of the frame matroid of a gain graph, grown edge by edge.
 
-    An edge is a tuple of (node, coefficient) ends: two, one (a half-edge)
-    or none.  This is a weighted union-find: weight[x] = p[x] / p[parent[x]]
-    for a potential p of x's component, that is p[u] a + p[v] b = 0 along
-    every kept edge ((u, a), (v, b)).  A component in `full` has taken a
-    half-edge and spans every coordinate of its nodes; the others are
-    balanced.  No edge that closes a cycle is kept; an unbalanced one raises.
+    An edge is a tuple of (node, gain) ends: two, one (a half-edge) or none.
+    Every cycle of these graphs is balanced, so which edges the basis keeps
+    depends on connectivity alone, and this is a union-find without
+    weights.  A component in `full` has taken a half-edge and spans every
+    coordinate of its nodes; the others are balanced.  No edge that closes
+    a cycle is kept; the forest walk checks its balance.
     """
 
-    __slots__ = ("parent", "weight", "size", "full")
+    __slots__ = ("parent", "size", "full")
 
     def __init__(self):
         self.parent = {}
-        self.weight = {}
         self.size = {}
         self.full = set()
 
     def find(self, x):
-        """(root of x, p[x] / p[root]), compressing the path."""
-        parent, weight = self.parent, self.weight
-        path = []
-        up = parent.setdefault(x, x)
-        while up != x:
-            path.append(x)
-            x, up = up, parent[up]
-        if not path:
-            return x, ONE
-        w = self._weight(path[-1])
-        for y in reversed(path[:-1]):
-            w = self._weight(y) * w
-            weight[y] = w
-            parent[y] = x
-        return x, w
-
-    def _weight(self, y):
-        # a merge stores the pair (pa, pb); the ratio -pa / pb is divided
-        # out on first use, so a link that no later edge reads costs nothing
-        w = self.weight[y]
-        if type(w) is tuple:
-            w = self.weight[y] = -(w[0] / w[1])
-        return w
+        """The root of x, compressing the path."""
+        parent = self.parent
+        root = parent.setdefault(x, x)
+        while parent[root] != root:
+            root = parent[root]
+        while x != root:
+            parent[x], x = root, parent[x]
+        return root
 
     def add(self, ends) -> bool:
         """Offer the next edge; True when the greedy basis keeps it."""
+        full = self.full
         if len(ends) != 2:
             if not ends:
                 return False
-            root = self.find(ends[0][0])[0]
-            if root in self.full:
+            root = self.find(ends[0][0])
+            if root in full:
                 return False
-            self.full.add(root)
+            full.add(root)
             return True
-        (u, a), (v, b) = ends
-        ru, wu = self.find(u)
-        rv, wv = self.find(v)
-        full = self.full
-        if ru in full and rv in full:
-            return False
-        pa = a if wu is ONE else wu * a
-        pb = b if wv is ONE else wv * b
-        if ru == rv:
-            # the edge closes a cycle of a balanced component
-            if pa != -pb:
-                raise RuntimeError("the gain graph has an unbalanced cycle")
+        ru, rv = self.find(ends[0][0]), self.find(ends[1][0])
+        if ru == rv or (ru in full and rv in full):
             return False
         size = self.size
         if size.get(ru, 1) < size.get(rv, 1):
-            ru, rv, pa, pb = rv, ru, pb, pa
+            ru, rv = rv, ru
         self.parent[rv] = ru
-        self.weight[rv] = (pa, pb)
         size[ru] = size.get(ru, 1) + size.get(rv, 1)
         if rv in full:
             full.add(ru)
         return True
 
-    def balanced(self, nodes) -> list[list]:
-        """The balanced components met by nodes, in the order of their first
-        node: each a list of (node, p[node] / p[root]) in the order given."""
-        groups: dict = {}
-        for x in nodes:
-            root, w = self.find(x)
-            if root not in self.full:
-                groups.setdefault(root, []).append((x, w))
-        return list(groups.values())
-
-
-def _normalized(group) -> dict:
-    """A balanced component's potential, scaled to 1 at its last node."""
-    inv = group[-1][1].inv()
-    return {x: w * inv for x, w in group}
-
 
 class _Peeling:
     """Values x on the edges of a frame-matroid basis with
-    sum_e x[e] A_e = rhs, where A_e holds the ends of e.
+    sum_e x[e] A_e = rhs, where A_e holds the gains at the ends of e.
 
     The basis is a forest whose trees hold at most one half-edge each, so
     peeling pendant edges, each fixed by its leaf, in an order computed
@@ -425,7 +408,7 @@ class _Peeling:
                 incident.setdefault(node, []).append(key)
         degree = {node: len(keys) for node, keys in incident.items()}
         done = set()
-        # (edge, leaf, coefficient at the leaf, the other ends)
+        # (edge, leaf, gain at the leaf, the other ends)
         self.steps = []
         leaves = [node for node, k in degree.items() if k == 1]
         while leaves:
@@ -451,17 +434,18 @@ class _Peeling:
             val = r.pop(u, None)
             if not val:
                 continue
-            val = val / c
+            val = _div(val, c)
             x[key] = val
             for v, b in rest:
-                r[v] = r[v] - b * val if v in r else -(b * val)
+                t = _mul(val, b, -1)
+                r[v] = r[v] + t if v in r else t
         return x
 
 
 def _graph(column_side: bool, rows: dict[EqKey, dict], variables: list[VarKey]):
     """The gain graph of a system: (nodes, {edge: ends}), both in order.
-    rows maps every equation, in equation order, to its coefficients;
-    variables lists every variable, in pivot order."""
+    rows maps every equation, in equation order, to its gains; variables
+    lists every variable, in pivot order."""
     if not column_side:
         return variables, {eq: tuple(coeffs.items()) for eq, coeffs in rows.items()}
     columns: dict[VarKey, list] = {v: [] for v in variables}
@@ -471,35 +455,55 @@ def _graph(column_side: bool, rows: dict[EqKey, dict], variables: list[VarKey]):
     return list(rows), {v: tuple(ends) for v, ends in columns.items()}
 
 
-def _forest_values(kept: dict, rhs: dict, nodes: list) -> dict:
-    """Values on the nodes (row side: variables) that meet every kept edge
-    (equation) a x[u] + b x[v] = rhs[edge].  The kept edges are a forest.  A
-    component that holds a half-edge is walked from that edge's node, whose
-    value it fixes; a balanced one from its last node, set to 0."""
+def _forest_walk(kept: dict, nodes: list, rhs: dict | None = None, rejected=()) -> list[dict]:
+    """Values on the nodes of the kept forest, with a x[u] + b x[v] = rhs[e]
+    on every kept edge e = ((u, a), (v, b)) and c x[u] = rhs[e] on a
+    half-edge ((u, c),), as one dict of nonzero values per tree: those with a
+    half-edge first, walked from its node, then the balanced ones from their
+    last node in nodes backwards.  That node is set to 0 given a right side
+    (witnesses), else to 1: each balanced tree gets its potential, 1 there,
+    the others 0, and every rejected two-ended edge must hold on them, or
+    the gain graph has an unbalanced cycle."""
+    seed = ONE if rhs is None else ZERO
+    rhs = rhs or {}
     incident: dict = {}
     starts = []
-    for eq, ends in kept.items():
+    for key, ends in kept.items():
         if len(ends) == 1:
-            starts.append((ends[0][0], rhs.get(eq, ZERO) / ends[0][1]))
+            r = rhs.get(key)
+            starts.append((ends[0][0], _div(r, ends[0][1]) if r else ZERO))
         else:
             for v, _ in ends:
-                incident.setdefault(v, []).append(eq)
-    x: dict = {}
+                incident.setdefault(v, []).append(key)
+    trees = []
     seen: set = set()
-    for start, value in starts + [(v, ZERO) for v in reversed(nodes)]:
+    for start, value in starts + [(v, seed) for v in reversed(nodes)]:
         if start in seen:
             continue
         seen.add(start)
+        tree = {}
         queue = [(start, value)]
         for u, xu in queue:
             if xu:
-                x[u] = xu
-            for eq in incident.get(u, ()):
-                (_, a), (v, b) = kept[eq] if kept[eq][0][0] == u else kept[eq][::-1]
+                tree[u] = xu
+            for key in incident.get(u, ()):
+                ends = kept[key]
+                (_, a), (v, b) = ends if ends[0][0] == u else ends[::-1]
                 if v not in seen:
                     seen.add(v)
-                    queue.append((v, (rhs.get(eq, ZERO) - a * xu) / b))
-    return x
+                    val = _mul(xu, a, -1) if xu else ZERO
+                    r = rhs.get(key)
+                    if r:
+                        val = r + val
+                    queue.append((v, _div(val, b) if val else ZERO))
+        if tree:
+            trees.append(tree)
+    if rejected:
+        x = {u: c for tree in trees for u, c in tree.items()}
+        for (u, a), (v, b) in rejected:
+            if _mul(x.get(u, ZERO), a) != _mul(x.get(v, ZERO), b, -1):
+                raise RuntimeError("the gain graph has an unbalanced cycle")
+    return trees
 
 
 @dataclass(frozen=True)
@@ -552,30 +556,27 @@ def kernel_dimension(operator: str, window: int) -> SolveReport:
         raise ValueError("window radius must be at least 3")
     column_side = _column_side(op)
     variables = _variables(op, window)
-    rows = {eq: _row(op, window, eq).coeffs for eq in _equations(op, window)}
+    rows = {eq: _row(op, window, eq) for eq in _equations(op, window)}
     nodes, edges = _graph(column_side, rows, variables)
     frame = _Frame()
     kept = {key: ends for key, ends in edges.items() if frame.add(ends)}
+    rejected = [ends for key, ends in edges.items() if len(ends) == 2 and key not in kept]
     if column_side:
+        if rejected:
+            # the basis is peeled; the potentials only check the balance
+            _forest_walk(kept, nodes, rejected=rejected)
         peeling = _Peeling(kept)
         basis = []
         for f, ends in edges.items():
             if f not in kept:
-                vec = peeling.solve({eq: -c for eq, c in ends})
+                vec = peeling.solve({eq: _mul(ONE, c, -1) for eq, c in ends})
                 vec[f] = ONE
                 basis.append(vec)
     else:
         # one potential per balanced component, free at its last variable
-        pos = {v: i for i, v in enumerate(nodes)}
-        groups = sorted(frame.balanced(nodes), key=lambda g: pos[g[-1][0]])
-        basis = [_normalized(g) for g in groups]
-    return SolveReport(
-        operator=op.name,
-        window=window,
-        status="kernel-basis",
-        nullity=len(basis),
-        basis=tuple(_vector_object(op, vec) for vec in basis),
-    )
+        basis = _forest_walk(kept, nodes, rejected=rejected)[::-1]
+    basis = tuple(_vector_object(op, vec) for vec in basis)
+    return SolveReport(op.name, window, "kernel-basis", nullity=len(basis), basis=basis)
 
 
 def coboundary_solve(target, operator: str, window: int) -> SolveReport:
@@ -598,8 +599,8 @@ def coboundary_solve(target, operator: str, window: int) -> SolveReport:
 
     block = _target_block(op, window, parts)
     eqs = sorted(block, key=_eq_order)
-    rows = {eq: block[eq].coeffs for eq in eqs}
-    rhs = {eq: block[eq].rhs for eq in eqs if block[eq].rhs}
+    rows = {eq: block[eq] for eq in eqs}
+    rhs = {(slot, s): c for slot, part in enumerate(parts) for s, c in part.terms.items()}
     variables = sorted({k for coeffs in rows.values() for k in coeffs}, key=_var_order)
     column_side = _column_side(op)
     nodes, edges = _graph(column_side, rows, variables)
@@ -609,49 +610,42 @@ def coboundary_solve(target, operator: str, window: int) -> SolveReport:
     certificate = None
     if column_side:
         # a balanced component's potential is its one combination with a zero
-        # left side; the first inconsistent one by last equation is reported
-        pos = {eq: i for i, eq in enumerate(nodes)}
-        bad = [
-            g for g in frame.balanced(nodes)
-            if sum((w * rhs[eq] for eq, w in g if eq in rhs), ZERO)
-        ]
-        if bad:
-            certificate = _normalized(min(bad, key=lambda g: pos[g[-1][0]]))
-        else:
+        # left side; the walk yields them from the last equation backwards,
+        # so the last inconsistent one met is the first by last equation
+        rejected = [ends for key, ends in edges.items() if len(ends) == 2 and key not in kept]
+        for p in _forest_walk(kept, nodes, rejected=rejected):
+            if sum((p[eq] * r for eq, r in rhs.items() if eq in p), ZERO):
+                certificate = p
+        if certificate is None:
             vec = _Peeling(kept).solve(rhs)
     else:
-        vec = _forest_values(kept, rhs, nodes)
+        vec = {k: c for tree in _forest_walk(kept, nodes, rhs) for k, c in tree.items()}
         for eq in eqs:
             if eq in kept:
                 continue
-            left = sum((c * vec[k] for k, c in edges[eq] if k in vec), ZERO)
+            left = sum((_mul(vec[k], c) for k, c in edges[eq] if k in vec), ZERO)
             if left != rhs.get(eq, ZERO):
                 # the equation's fundamental circuit through the kept ones
-                certificate = _Peeling(kept).solve({k: -c for k, c in edges[eq]})
+                certificate = _Peeling(kept).solve({k: _mul(ONE, c, -1) for k, c in edges[eq]})
                 certificate[eq] = ONE
                 break
 
     if certificate is not None:
         lhs: dict[VarKey, Scalar] = {}
         total = ZERO
-        for eq, mult in certificate.items():
-            # the table gives the original equations
-            original = _row(op, window, eq, parts)
-            for k, c in original.coeffs.items():
-                nv = lhs.get(k, ZERO) + mult * c
-                if nv:
-                    lhs[k] = nv
-                elif k in lhs:
-                    del lhs[k]
-            total = total + mult * original.rhs
-        if lhs or not total:
+        for (slot, (n, m)), mult in certificate.items():
+            # the original equations, read off the table through coefficient
+            for o, in_slot, dn, dm, terms in op.stencil.entries:
+                k = (in_slot, (n + dn, m + dm))
+                if o == slot and _inside(k[1], window):
+                    lhs[k] = lhs.get(k, ZERO) + coefficient(terms, n, m, mult)
+            b = parts[slot].coeff(n, m)
+            if b:
+                total = total + mult * b
+        if any(lhs.values()) or not total:
             raise RuntimeError("the gain-graph solve produced an invalid certificate")
-        return SolveReport(
-            operator=op.name,
-            window=window,
-            status="unsolvable",
-            certificate=tuple((eq, certificate[eq]) for eq in eqs if certificate.get(eq)),
-        )
+        certificate = tuple((eq, certificate[eq]) for eq in eqs if certificate.get(eq))
+        return SolveReport(op.name, window, "unsolvable", certificate=certificate)
 
     witness = _vector_object(op, vec)
     residual = op.apply(witness) - target
@@ -804,9 +798,6 @@ def row_solve(
     return LatticeFunctional._of(_absorb({s0: h}, direction, window))
 
 
-_SECOND = Stencil(*((0, i, dn, dm, c) for o, i, dn, dm, c in TWISTED_ALPHA1.entries if o == 1))
-
-
 def _lines(terms: dict[Site, Scalar]) -> dict[int, dict[int, Scalar]]:
     """The nonzero terms of a coefficient map, grouped by row: {y: {n: c}}."""
     rows: dict[int, dict[int, Scalar]] = {}
@@ -869,23 +860,27 @@ def h1_trivialize(pair: CochainPair, window: int) -> SolveReport:
     for s0, h in _lines(pair.first.terms).items():
         for n, c in _line_walk(h, s0, window).items():
             acc[(n, s0)] = c
+    # psi = gamma until a row survives: its image gives the leftover and,
+    # when none survives, the re-check
+    psi = LatticeFunctional._of(acc)
+    out = twisted_alpha1(psi)
     # leftover = pair.second - twisted_alpha1(gamma).second inside the window
     leftover = dict(pair.second.terms)
-    for (n, m), c in _SECOND.apply(LatticeFunctional._of(acc)).terms.items():
+    for (n, m), c in out.second.terms.items():
         if abs(n) <= window and abs(m) <= window:
             leftover[(n, m)] = leftover[(n, m)] - c if (n, m) in leftover else -c
 
     rows = _lines(leftover)
-    for s0 in sorted(rows):
-        _check_recurrence(rows[s0], s0, window)
-    below = {s0: h for s0, h in rows.items() if s0 >= 0}
-    above = {s0: h for s0, h in rows.items() if s0 < 0}
-    for part in (_absorb(below, "below", window), _absorb(above, "above", window)):
-        for site, c in part.items():
-            acc[site] = acc[site] + c if site in acc else c
-
-    psi = LatticeFunctional._of(acc)
-    out = twisted_alpha1(psi)
+    if rows:
+        for s0 in sorted(rows):
+            _check_recurrence(rows[s0], s0, window)
+        below = {s0: h for s0, h in rows.items() if s0 >= 0}
+        above = {s0: h for s0, h in rows.items() if s0 < 0}
+        for part in (_absorb(below, "below", window), _absorb(above, "above", window)):
+            for site, c in part.items():
+                acc[site] = acc[site] + c if site in acc else c
+        psi = LatticeFunctional._of(acc)
+        out = twisted_alpha1(psi)
     residual = CochainPair(
         _interior_difference(out.first, pair.first, window - 1),
         _interior_difference(out.second, pair.second, window - 1),

@@ -378,7 +378,12 @@ def _engine_pivots(op, window, full_stencil=False):
     kept = {key for key, ends in edges.items() if frame.add(ends)}
     if column_side:
         return kept
-    return set(variables) - {g[-1][0] for g in frame.balanced(variables)}
+    last = {}
+    for v in variables:
+        root = frame.find(v)
+        if root not in frame.full:
+            last[root] = v
+    return set(variables) - set(last.values())
 
 
 def _witness(op, pivots, rows):
@@ -742,23 +747,48 @@ class TestBalance:
         assert mutants == 56
 
 
+def g(*pairs):
+    """A gain from its (sign, k) pairs: the sum of sign * u**k."""
+    return tuple(pairs)
+
+
+UNIT, MINUS = g((1, 0)), g((-1, 0))
+
+
+def gain_value(gain):
+    """A gain's value, summed with plain mu_pow products."""
+    return sum((sign * mu_pow(k) for sign, k in gain), ZERO)
+
+
 def triangle(closing):
-    """Edges a-b, b-c and c-a with unit coefficients but closing on a; the
-    cycle is balanced exactly when closing is -1."""
+    """Edges a-b, b-c and c-a with unit gains but closing on a; the cycle
+    is balanced exactly when closing is -1."""
     return {
-        "ab": (("a", ONE), ("b", ONE)),
-        "bc": (("b", ONE), ("c", ONE)),
-        "ca": (("c", ONE), ("a", S(closing))),
+        "ab": (("a", UNIT), ("b", UNIT)),
+        "bc": (("b", UNIT), ("c", UNIT)),
+        "ca": (("c", UNIT), ("a", closing)),
+    }
+
+
+def monomial_triangle(closing):
+    """a-b, b-c and c-a with monomial gains, balanced exactly when closing
+    is u^-3: p[a] u - p[b] u^3 = 0 and p[b] + p[c] u^2 = 0 give
+    p = (-u^4, -u^2, 1) at (a, b, c), and then p[c] u + p[a] u^-3 = 0."""
+    return {
+        "ab": (("a", g((1, 1))), ("b", g((-1, 3)))),
+        "bc": (("b", UNIT), ("c", g((1, 2)))),
+        "ca": (("c", g((1, 1))), ("a", closing)),
     }
 
 
 def tree_with_half_edge():
-    """The path a-b-c-d and a half-edge at b, which fixes every value."""
+    """The path a-b-c-d and a half-edge at b, which fixes every value; the
+    gains at d and b are binomials."""
     return {
-        "ab": (("a", ONE), ("b", S(2))),
-        "bc": (("b", MU), ("c", ONE)),
-        "cd": (("c", S(-1)), ("d", S(3))),
-        "b": (("b", S(5)),),
+        "ab": (("a", UNIT), ("b", g((1, 2)))),
+        "bc": (("b", g((1, 1))), ("c", UNIT)),
+        "cd": (("c", MINUS), ("d", g((1, 0), (1, 2)))),
+        "b": (("b", g((1, 1), (-1, 3))),),
     }
 
 
@@ -767,8 +797,12 @@ def edge_sums(edges, x):
     out = {}
     for key, ends in edges.items():
         for node, c in ends:
-            out[node] = out.get(node, ZERO) + c * x.get(key, ZERO)
+            out[node] = out.get(node, ZERO) + gain_value(c) * x.get(key, ZERO)
     return {node: v for node, v in out.items() if v}
+
+
+def kept_by(frame, edges):
+    return {key: ends for key, ends in edges.items() if frame.add(ends)}
 
 
 class TestGainGraph:
@@ -777,24 +811,58 @@ class TestGainGraph:
 
     def test_frame_keeps_the_greedy_basis(self):
         frame = solver._Frame()
-        edges = triangle(-1)
+        edges = triangle(MINUS)
         assert [frame.add(ends) for ends in edges.values()] == [True, True, False]
-        assert frame.balanced("abc") == [[("a", ONE), ("b", -ONE), ("c", ONE)]]
+        kept = {key: edges[key] for key in ("ab", "bc")}
+        closing = [edges["ca"]]
+        assert solver._forest_walk(kept, "abc", rejected=closing) == [{"c": ONE, "b": -ONE, "a": ONE}]
         # a half-edge makes the component full: it takes no second half-edge
-        # and no edge to another full one
-        assert frame.add((("b", S(3)),))
-        assert frame.balanced("abc") == []
-        assert not frame.add((("a", S(2)),))
-        assert frame.add((("d", ONE),))
-        assert not frame.add((("a", ONE), ("d", ONE)))
-        assert frame.add((("d", ONE), ("e", S(5))))
+        # and no edge to another full one, and it has no potential left
+        assert frame.add((("b", g((1, 3))),))
+        assert frame.full == {frame.find("a")}
+        kept["b"] = (("b", g((1, 3))),)
+        assert solver._forest_walk(kept, "abc", rejected=closing) == []
+        assert not frame.add((("a", g((1, 2))),))
+        assert frame.add((("d", UNIT),))
+        assert not frame.add((("a", UNIT), ("d", UNIT)))
+        assert frame.add((("d", UNIT), ("e", g((-1, 5)))))
+        assert {frame.find(x) for x in "abcde"} == frame.full and len(frame.full) == 2
+
+    def test_walk_gives_balanced_potentials(self):
+        edges = monomial_triangle(g((1, -3)))
+        frame = solver._Frame()
+        kept = kept_by(frame, edges)
+        assert list(kept) == ["ab", "bc"]
+        # one tree per balanced component, from the last node backwards
+        potentials = solver._forest_walk(dict(kept, z=(("z", UNIT), ("y", UNIT))), "abcyz", rejected=[edges["ca"]])
+        assert potentials == [
+            {"z": ONE, "y": -ONE},
+            {"c": ONE, "b": -mu_pow(2), "a": -mu_pow(4)},
+        ]
+        for p in potentials:
+            for ends in edges.values():
+                if all(node in p for node, _ in ends):
+                    assert sum((p[node] * gain_value(c) for node, c in ends), ZERO) == ZERO
 
     def test_frame_refuses_an_unbalanced_cycle(self):
+        # the frame keeps no edge that closes a cycle; the walk of the
+        # potentials checks it and refuses an unbalanced one
+        for edges in (
+            triangle(UNIT), triangle(g((-1, 2))), triangle(g((-1, 0), (1, 2))),
+            monomial_triangle(g((-1, -3))), monomial_triangle(g((1, -1))),
+        ):
+            frame = solver._Frame()
+            kept = kept_by(frame, edges)
+            assert list(kept) == ["ab", "bc"]
+            with pytest.raises(RuntimeError, match="unbalanced cycle"):
+                solver._forest_walk(kept, "abc", rejected=[edges["ca"]])
+        # the same closing edges in a component that a half-edge made full
+        # are not checked: its values are 0
+        edges = triangle(UNIT)
         frame = solver._Frame()
-        first, second, closing = triangle(2).values()
-        assert frame.add(first) and frame.add(second)
-        with pytest.raises(RuntimeError, match="unbalanced cycle"):
-            frame.add(closing)
+        kept = kept_by(frame, dict(edges, a=(("a", UNIT),)))
+        assert list(kept) == ["ab", "bc", "a"]
+        assert solver._forest_walk(kept, "abc", rejected=[edges["ca"]]) == []
 
     def test_peeling_takes_a_tree_with_a_half_edge(self):
         edges = tree_with_half_edge()
@@ -810,21 +878,106 @@ class TestGainGraph:
         # row side: nodes are variables and each kept edge one equation
         # a x[u] + b x[v] = rhs[edge]; the half-edge fixes its tree, and the
         # balanced e-f sets its last node f to 0
-        edges = dict(tree_with_half_edge(), ef=(("e", ONE), ("f", S(2))))
+        edges = dict(tree_with_half_edge(), ef=(("e", UNIT), ("f", g((1, 2)))))
         frame = solver._Frame()
-        kept = {key: ends for key, ends in edges.items() if frame.add(ends)}
+        kept = kept_by(frame, edges)
         assert kept == edges
         rhs = {"ab": S(3), "bc": MU, "cd": S(-1), "b": HALF, "ef": S(4)}
-        x = solver._forest_values(kept, rhs, ["a", "b", "c", "d", "e", "f"])
+        trees = solver._forest_walk(kept, ["a", "b", "c", "d", "e", "f"], rhs)
+        assert [sorted(t) for t in trees] == [["a", "b", "c", "d"], ["e"]]
+        x = {k: v for t in trees for k, v in t.items()}
         for key, ends in kept.items():
-            assert sum((c * x.get(v, ZERO) for v, c in ends), ZERO) == rhs[key]
+            assert sum((gain_value(c) * x.get(v, ZERO) for v, c in ends), ZERO) == rhs[key]
         assert "f" not in x and x["e"] == S(4)
+        # the half-edge u - u^3 fixes b
+        assert x["b"] == HALF / (MU - mu_pow(3))
         # balanced: the last node is the free one, set to 0
-        edges = triangle(-1)
+        edges = triangle(MINUS)
         frame = solver._Frame()
-        kept = {key: ends for key, ends in edges.items() if frame.add(ends)}
-        x = solver._forest_values(kept, {"ab": S(3), "bc": MU}, ["a", "b", "c"])
-        assert "c" not in x and x == {"b": MU, "a": S(3) - MU}
+        kept = kept_by(frame, edges)
+        x = solver._forest_walk(kept, ["a", "b", "c"], {"ab": S(3), "bc": MU})
+        assert x == [{"b": MU, "a": S(3) - MU}]
+
+
+class TestMonomialGains:
+    """Every coefficient is held as its gain: one (sign, k) pair for each
+    twisted entry, so a twisted solve only shifts powers of u."""
+
+    def test_gains_equal_coefficients(self):
+        tables = [op.stencil for op in OPERATORS.values()] + [
+            cochains.TWISTED_PULLBACK_DEG0, cochains.TWISTED_PULLBACK_DEG2,
+            cochains.UNTWISTED_PULLBACK_DEG2, cochains.UNTWISTED_PULLBACK_DEG1,
+        ]
+        x = Scalar.parse("(1 + u)/(2 - u^2)")
+        entries = 0
+        for table in tables:
+            for *_, terms in table.entries:
+                entries += 1
+                for n in range(-8, 9):
+                    for m in range(-8, 9):
+                        gain = solver._gain(terms, n, m)
+                        c = coefficient(terms, n, m)
+                        assert len(gain) == len(terms)
+                        assert gain_value(gain) == c, (terms, n, m)
+                        assert solver._mul(x, gain) == x * c
+                        assert solver._mul(x, gain, -1) == -(x * c)
+                        if c:
+                            assert solver._div(x, gain) == x / c
+        assert entries == 17
+
+    def test_twisted_solves_divide_no_scalar(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a twisted solve divided Scalars")
+
+        monkeypatch.setattr(Scalar, "__truediv__", refuse)
+        monkeypatch.setattr(Scalar, "inv", refuse)
+        for window in range(3, 9):
+            assert kernel_dimension("twisted_alpha1", window).nullity == 4
+        for site in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            for radius in range(4, 8):
+                assert coboundary_solve(d(*site), "twisted_alpha2", radius).status == "unsolvable"
+
+    def test_twisted_solves_make_few_products(self, monkeypatch):
+        # the weighted frame of the Scalar gains made 1,473 products, 285
+        # divisions and 289 inverses on the kernel, and 431 products on the
+        # refutation; what is left there is the certificate's right side
+        calls = {"__mul__": 0, "__truediv__": 0, "inv": 0}
+
+        def counting(name):
+            original = getattr(Scalar, name)
+
+            def wrapper(self, *args):
+                calls[name] += 1
+                return original(self, *args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(Scalar, name, counting(name))
+        assert kernel_dimension("twisted_alpha1", 8).nullity == 4
+        assert calls == {"__mul__": 0, "__truediv__": 0, "inv": 0}
+        assert coboundary_solve(d(0, 0), "twisted_alpha2", 6).status == "unsolvable"
+        assert calls["__truediv__"] == calls["inv"] == 0
+        assert calls["__mul__"] < 100
+
+    def test_twisted_kernel_bases_are_the_closed_form(self):
+        # on each parity class the kernel vector is u^(nm - NM), where (N, M)
+        # is the class's last site in pivot order, and the vectors come in
+        # the order of those sites
+        def key(site):
+            return (abs(site[0]) + abs(site[1]), site[0], site[1])
+
+        for window in range(3, 9):
+            span = range(-window, window + 1)
+            want = []
+            for i in (0, 1):
+                for j in (0, 1):
+                    sites = [(n, m) for n in span for m in span if (n - i) % 2 == 0 and (m - j) % 2 == 0]
+                    N, M = max(sites, key=key)
+                    vec = LatticeFunctional({(n, m): mu_pow(n * m - N * M) for n, m in sites})
+                    want.append((key((N, M)), vec))
+            want = [vec for _, vec in sorted(want, key=lambda kv: kv[0])]
+            assert list(kernel_dimension("twisted_alpha1", window).basis) == want
 
 
 # (solvable, refuted) membership targets of each degree-2 operator
@@ -1179,6 +1332,34 @@ def recurrence_row(rng, s0, window):
 class TestH1Sweep:
     """h1_trivialize absorbs the surviving rows in one sweep per direction
     and parity chain; the per-row stacks it replaces are the oracle."""
+
+    def test_gamma_is_applied_once(self, monkeypatch):
+        # twisted_alpha1 of phase 1's gamma gives the leftover and, when no
+        # row survives, the re-check: two applications per trial with the
+        # input's twisted_alpha2, where applying the second component's rows
+        # to gamma apart made three; a surviving row adds the witness's one
+        rng = random.Random(61)
+        coboundaries = [
+            (twisted_alpha1(random_functional(rng, radius=w - 2, size=8)), w)
+            for w in (6, 10, 16) for _ in range(4)
+        ]
+        rows = [(CochainPair(ZF, recurrence_row(rng, s0, w)), w) for s0, w in ((2, 6), (-3, 10))]
+        calls = 0
+        apply = cochains.Stencil.apply
+
+        def counting(self, x):
+            nonlocal calls
+            calls += 1
+            return apply(self, x)
+
+        monkeypatch.setattr(cochains.Stencil, "apply", counting)
+        for pair, window in coboundaries:
+            assert h1_trivialize(pair, window).residual.is_zero()
+        assert calls == 2 * len(coboundaries)
+        calls = 0
+        for pair, window in rows:
+            assert h1_trivialize(pair, window).residual.is_zero()
+        assert calls == 3 * len(rows)
 
     def test_matches_per_row_stacks_on_seeded_cocycles(self):
         rng = random.Random(41)
