@@ -123,6 +123,20 @@ flip-twisted first cohomology vanishes, as a two-phase pipeline:
   The witness's differential reproduces the input exactly at every
   interior site of the window.
 
+The input's cocycle check is read off the witness re-check when it can be.
+As twisted_alpha2 after twisted_alpha1 is zero (the solver tests check the
+tables), twisted_alpha2(pair) = twisted_alpha2(E) for E = pair -
+twisted_alpha1(gamma), gamma being phase 1's cochain.  At the interior sites
+|n|, |m| <= window-1, twisted_alpha2 reads E.first on the band |n| <=
+window-1, |m| <= window, one row wider than the reported residual, and
+E.second on the window, which is the leftover.  So when no row survives
+phase 1 and E.first vanishes on the band, the input is a cocycle and the
+image of gamma, the re-check, is the only stencil application.  Otherwise
+twisted_alpha2(pair) is applied before any row recurrence is checked.  A
+non-cocycle is refused either way with `NotACocycle` at its smallest
+interior violation in site order, the site `kernel_check_twisted_deg1`
+reports.
+
 The witness of twisted_alpha1(phi), for a finite phi inside the window, is
 phi, its only finitely supported preimage.  An input with no finite
 preimage gets the upward tails of the walks and sweeps, fixed choices that
@@ -239,16 +253,14 @@ def _inside(site: Site, window: int) -> bool:
 def _equations(op: Operator, window: int) -> list[EqKey]:
     """Equations (out_slot, site) whose stencil reads all of its input sites
     inside the window.  Every table entry counts, also where its coefficient
-    vanishes at that site."""
-    entries = op.stencil.entries
-    reach = window + max(max(abs(dn), abs(dm)) for _, _, dn, dm, _ in entries)
+    vanishes at that site.  The condition splits by coordinate, so the sites
+    of a slot form the box its offsets' extremes leave inside the window."""
     out = []
     for slot in range(op.stencil.out_slots):
-        offsets = [(dn, dm) for o, _, dn, dm, _ in entries if o == slot]
-        for n in range(-reach, reach + 1):
-            for m in range(-reach, reach + 1):
-                if all(_inside((n + dn, m + dm), window) for dn, dm in offsets):
-                    out.append((slot, (n, m)))
+        dns, dms = zip(*((dn, dm) for o, _, dn, dm, _ in op.stencil.entries if o == slot))
+        ns = range(-window - min(dns), window - max(dns) + 1)
+        ms = range(-window - min(dms), window - max(dms) + 1)
+        out += [(slot, (n, m)) for n in ns for m in ms]
     out.sort(key=_eq_order)
     return out
 
@@ -807,17 +819,28 @@ def _lines(terms: dict[Site, Scalar]) -> dict[int, dict[int, Scalar]]:
     return rows
 
 
-def _interior_difference(
-    got: LatticeFunctional, want: LatticeFunctional, radius: int
-) -> LatticeFunctional:
-    """(got - want) restricted to [-radius, radius]^2."""
-    diff = {}
-    for n, m in got.terms.keys() | want.terms.keys():
-        if abs(n) <= radius and abs(m) <= radius:
-            a, b = got.terms.get((n, m), ZERO), want.terms.get((n, m), ZERO)
+def _gap(
+    want: LatticeFunctional, got: LatticeFunctional, rn: int, rm: int
+) -> dict[Site, Scalar]:
+    """The nonzero values of want - got on the box |n| <= rn, |m| <= rm."""
+    gap = {}
+    w, g = want.terms, got.terms
+    for n, m in w.keys() | g.keys():
+        if abs(n) <= rn and abs(m) <= rm:
+            a, b = w.get((n, m), ZERO), g.get((n, m), ZERO)
             if a != b:
-                diff[(n, m)] = a - b
-    return LatticeFunctional._of(diff)
+                gap[(n, m)] = a - b
+    return gap
+
+
+def _gaps(pair: CochainPair, out: CochainPair, window: int):
+    """E = pair - out where twisted_alpha2 reads it at the interior sites:
+    E.first on the band |n| <= window-1, |m| <= window and E.second on the
+    window, the leftover that phase 2 absorbs."""
+    return (
+        _gap(pair.first, out.first, window - 1, window),
+        _gap(pair.second, out.second, window, window),
+    )
 
 
 def h1_trivialize(pair: CochainPair, window: int) -> SolveReport:
@@ -831,6 +854,16 @@ def h1_trivialize(pair: CochainPair, window: int) -> SolveReport:
     y = window.  The returned witness psi satisfies twisted_alpha1(psi) =
     pair exactly at all sites with |n|, |m| <= window-1; the report's
     residual is that restriction.
+
+    A pair that is not a windowed cocycle raises NotACocycle at the
+    smallest interior site where twisted_alpha2(pair) is nonzero.  That
+    check is derived from the re-check when no row survives phase 1 and
+    twisted_alpha1(gamma).first equals pair.first on the band |n| <=
+    window-1, |m| <= window, one row wider than the residual: then
+    twisted_alpha2(pair), which is twisted_alpha2 of pair -
+    twisted_alpha1(gamma), vanishes at every interior site.  Otherwise
+    twisted_alpha2(pair) is applied explicitly, before phase 2 checks any
+    row recurrence.
 
     When pair is twisted_alpha1(phi) inside the window for a finitely
     supported phi, phase 1 returns phi row by row, nothing survives it, and
@@ -850,25 +883,23 @@ def h1_trivialize(pair: CochainPair, window: int) -> SolveReport:
     for f in (pair.first, pair.second):
         if any(abs(n) > window or abs(m) > window for n, m in f.terms):
             raise ValueError("pair support exceeds the window")
-    # the support is inside the window, so no restriction is needed
-    site = _violations(twisted_alpha2(pair), window)
-    if site is not None:
-        raise NotACocycle(site)
-
     # phase 1; gamma's rows are disjoint
     acc: dict[Site, Scalar] = {}
     for s0, h in _lines(pair.first.terms).items():
         for n, c in _line_walk(h, s0, window).items():
             acc[(n, s0)] = c
-    # psi = gamma until a row survives: its image gives the leftover and,
-    # when none survives, the re-check
+    # psi = gamma until a row survives: its image gives the leftover, the
+    # cocycle check and, when none survives, the re-check
     psi = LatticeFunctional._of(acc)
     out = twisted_alpha1(psi)
-    # leftover = pair.second - twisted_alpha1(gamma).second inside the window
-    leftover = dict(pair.second.terms)
-    for (n, m), c in out.second.terms.items():
-        if abs(n) <= window and abs(m) <= window:
-            leftover[(n, m)] = leftover[(n, m)] - c if (n, m) in leftover else -c
+    band, leftover = _gaps(pair, out, window)
+    # twisted_alpha2(pair) = twisted_alpha2(pair - out) as out is a finite
+    # coboundary, and at the interior sites it reads pair - out on the band
+    # and the window alone: when both gaps are empty, the pair is a cocycle
+    if band or leftover:
+        site = _violations(twisted_alpha2(pair), window)
+        if site is not None:
+            raise NotACocycle(site)
 
     rows = _lines(leftover)
     if rows:
@@ -881,10 +912,13 @@ def h1_trivialize(pair: CochainPair, window: int) -> SolveReport:
                 acc[site] = acc[site] + c if site in acc else c
         psi = LatticeFunctional._of(acc)
         out = twisted_alpha1(psi)
-    residual = CochainPair(
-        _interior_difference(out.first, pair.first, window - 1),
-        _interior_difference(out.second, pair.second, window - 1),
-    )
+        band, leftover = _gaps(pair, out, window)
+    # the residual out - pair at |n|, |m| <= window-1, read off the gaps
+    inner = [
+        {(n, m): -c for (n, m), c in gap.items() if abs(n) < window and abs(m) < window}
+        for gap in (band, leftover)
+    ]
+    residual = CochainPair(*map(LatticeFunctional._of, inner))
     if not residual.is_zero():
         raise RuntimeError("trivialization left a nonzero interior residual")
     return SolveReport(
