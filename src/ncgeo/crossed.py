@@ -6,7 +6,10 @@ Multiplication follows from these relations:
 
     (a + b*t)(c + d*t) = (a*c + b*sigma(d)) + (a*d + b*sigma(c))*t
 
-and t* = t forces the adjoint (b*t)* = sigma(b.star())*t.
+and t* = t forces the adjoint (b*t)* = sigma(b.star())*t.  The product law
+is evaluated as four twisted convolutions, one per pair of halves, straight
+into the even and odd coefficient maps; sigma(c) and sigma(d) are read
+through negated sites and never built.
 
 The five standard projections of this algebra are built here:
 
@@ -25,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .scalars import HALF, MU, Scalar
-from .torus import TorusElement, U1, U2, _halves_from_json
+from .torus import Site, TorusElement, U1, U2, _halves_from_json, _product_into
 
 
 class CrossedElement:
@@ -87,9 +90,15 @@ class CrossedElement:
             return self.scale(other)
         if not isinstance(other, CrossedElement):
             return NotImplemented
-        a, b = self.even, self.odd
-        c, d = other.even, other.odd
-        return CrossedElement(a * c + b * d.sigma(), a * d + b * c.sigma())
+        a, b = self.even.terms, self.odd.terms
+        c, d = other.even.terms, other.odd.terms
+        even: dict[Site, Scalar] = {}
+        odd: dict[Site, Scalar] = {}
+        _product_into(even, a, c, False)
+        _product_into(even, b, d, True)
+        _product_into(odd, a, d, False)
+        _product_into(odd, b, c, True)
+        return CrossedElement(TorusElement._of(even), TorusElement._of(odd))
 
     def __rmul__(self, other):
         if isinstance(other, (Scalar, int)):

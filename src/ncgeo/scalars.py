@@ -197,9 +197,10 @@ class Scalar:
     # -- ring/field structure ----------------------------------------------
 
     def __eq__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, Scalar):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self.s == other.s and self.n == other.n and self.d == other.d
 
     def __hash__(self) -> int:
@@ -254,12 +255,24 @@ class Scalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.n or not other.n:
+        return self._mul_shift(other, 0)
+
+    __rmul__ = __mul__
+
+    def _mul_shift(self, other: "Scalar", k: int) -> "Scalar":
+        """u**k * self * other for a Scalar other, as one Scalar: the product
+        with k added to its power of u, so (self * other).shift(k) builds
+        nothing twice.  __mul__ is this with k = 0."""
+        n1, n2 = self.n, other.n
+        if not n1 or not n2:
             return ZERO
-        if self.d == (1,) and other.d == (1,):
-            # the hot path: no cancellation can occur against a unit den
-            return Scalar._raw(self.s + other.s, _pmul(self.n, other.n), (1,))
-        n1, d1, n2, d2 = self.n, self.d, other.n, other.d
+        s, d1, d2 = self.s + other.s + k, self.d, other.d
+        if d1 == (1,) and d2 == (1,):
+            # the hot path: no cancellation can occur against a unit den,
+            # and two single-term numerators need no polynomial product
+            if len(n1) == 1 and len(n2) == 1:
+                return Scalar._raw(s, (n1[0] * n2[0],), (1,))
+            return Scalar._raw(s, _pmul(n1, n2), (1,))
         g = _pgcd(n1, d2)
         if g != (1,):
             n1, d2 = _pdiv_exact(n1, g), _pdiv_exact(d2, g)
@@ -269,9 +282,7 @@ class Scalar:
         num, den = _pmul(n1, n2), _pmul(d1, d2)
         if den[-1] < 0:
             num, den = _pneg(num), _pneg(den)
-        return Scalar._raw(self.s + other.s, num, den)
-
-    __rmul__ = __mul__
+        return Scalar._raw(s, num, den)
 
     def shift(self, k: int, sign: int = 1) -> "Scalar":
         """sign * u**k * self, for sign 1 or -1.  Multiplying by a signed

@@ -822,14 +822,20 @@ def _lines(terms: dict[Site, Scalar]) -> dict[int, dict[int, Scalar]]:
 def _gap(
     want: LatticeFunctional, got: LatticeFunctional, rn: int, rm: int
 ) -> dict[Site, Scalar]:
-    """The nonzero values of want - got on the box |n| <= rn, |m| <= rm."""
+    """The nonzero values of want - got on the box |n| <= rn, |m| <= rm.
+    Stored coefficients are nonzero, so a site of got alone gives -got."""
     gap = {}
     w, g = want.terms, got.terms
-    for n, m in w.keys() | g.keys():
+    for site, a in w.items():
+        n, m = site
         if abs(n) <= rn and abs(m) <= rm:
-            a, b = w.get((n, m), ZERO), g.get((n, m), ZERO)
+            b = g.get(site, ZERO)
             if a != b:
-                gap[(n, m)] = a - b
+                gap[site] = a - b
+    for site, b in g.items():
+        n, m = site
+        if site not in w and abs(n) <= rn and abs(m) <= rm:
+            gap[site] = -b
     return gap
 
 

@@ -203,12 +203,7 @@ class TorusElement(Series):
         if not isinstance(other, TorusElement):
             return NotImplemented
         out: dict[Site, Scalar] = {}
-        for (p, q), a in self.terms.items():
-            for (r, s), b in other.terms.items():
-                k = (p + r, q + s)
-                c = (a * b).shift(2 * q * r)
-                prev = out.get(k)
-                out[k] = c if prev is None else prev + c
+        _product_into(out, self.terms, other.terms, False)
         return TorusElement._of(out)
 
     def __rmul__(self, other):
@@ -241,6 +236,25 @@ class TorusElement(Series):
     def trace(self) -> Scalar:
         """The canonical trace: the coefficient at the identity."""
         return self.terms.get((0, 0), ZERO)
+
+
+def _product_into(
+    out: dict[Site, Scalar], x: dict[Site, Scalar], y: dict[Site, Scalar], flip: bool
+) -> None:
+    """Add the twisted product of the coefficient maps x and y into out,
+    reading y through sigma when flip is set.  sigma(y) has y's term at
+    (r, s) at (-r, -s), so it meets x's term at (p, q) with the phase
+    lambda**(q*(-r)).  Each term pair costs one Scalar before the sum."""
+    g = -1 if flip else 1
+    ys = [(g * r, g * s, b) for (r, s), b in y.items()]
+    get = out.get
+    for (p, q), a in x.items():
+        q2 = 2 * q
+        for r, s, b in ys:
+            k = (p + r, q + s)
+            c = a._mul_shift(b, q2 * r)
+            prev = get(k)
+            out[k] = c if prev is None else prev + c
 
 
 def _halves_from_json(data, names: tuple[str, str], what: str, cls: type[Series]) -> list:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncgeo import scalars
 from ncgeo.crossed import (
     PROJECTION_NAMES,
     CrossedElement,
@@ -12,7 +15,7 @@ from ncgeo.crossed import (
     make_projection,
 )
 from ncgeo.scalars import HALF, LAMBDA, MU, ONE, Scalar, mu_pow
-from ncgeo.torus import TorusElement, U1, U2
+from ncgeo.torus import Series, TorusElement, U1, U2
 
 
 def mono(n, m, c=ONE):
@@ -33,6 +36,51 @@ small_torus = st.builds(
 )
 small_crossed = st.builds(CrossedElement, small_torus, small_torus)
 
+# halves whose coefficients include binomials and rational values
+rich_torus = st.builds(
+    TorusElement,
+    st.dictionaries(
+        st.tuples(st.integers(min_value=-2, max_value=2), st.integers(min_value=-2, max_value=2)),
+        st.one_of(
+            st.builds(lambda k, s: mu_pow(k) * s, st.integers(min_value=-2, max_value=2),
+                      st.sampled_from([1, -1, 2]).map(Scalar.from_int)),
+            st.builds(lambda k, a, b: Scalar(k, (a, 0, b), (1,)), st.integers(min_value=-2, max_value=2),
+                      st.sampled_from([1, -2]), st.sampled_from([1, -1, 3])),
+            st.sampled_from([HALF, -HALF * MU, ONE / (ONE - LAMBDA)]),
+        ),
+        max_size=3,
+    ),
+)
+rich_crossed = st.builds(CrossedElement, rich_torus, rich_torus)
+
+
+def plain_product(a, b, k):
+    """u**k * a * b multiplied out and put in canonical form by the Scalar
+    constructor, without Scalar's product routine."""
+    return Scalar(a.s + b.s + k, scalars._pmul(a.n, b.n), scalars._pmul(a.d, b.d))
+
+
+def oracle_product(x, y):
+    """The twisted product term by term: a * b * lambda**(q*r) at (p+r, q+s)."""
+    out = TorusElement.zero()
+    for (p, q), a in x.terms.items():
+        for (r, s), b in y.terms.items():
+            out = out + TorusElement({(p + r, q + s): plain_product(a, b, 2 * q * r)})
+    return out
+
+
+def oracle_sigma(x):
+    return TorusElement({(-n, -m): c for (n, m), c in x.terms.items()})
+
+
+def oracle_crossed(x, y):
+    """(a + b t)(c + d t) = (a c + b sigma(d)) + (a d + b sigma(c)) t."""
+    a, b, c, d = x.even, x.odd, y.even, y.odd
+    return (
+        oracle_product(a, c) + oracle_product(b, oracle_sigma(d)),
+        oracle_product(a, d) + oracle_product(b, oracle_sigma(c)),
+    )
+
 
 class TestProductLaw:
     def test_t_squared(self):
@@ -49,6 +97,46 @@ class TestProductLaw:
         b, c = mono(1, 1), mono(0, 2, MU)
         got = CrossedElement(None, b) * CrossedElement.from_torus(c)
         assert got == CrossedElement(None, b * c.sigma())
+
+    @given(rich_crossed, rich_crossed)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_term_by_term_oracle(self, x, y):
+        got = x * y
+        even, odd = oracle_crossed(x, y)
+        assert got == CrossedElement(even, odd)
+        assert got.to_json() == {"even": even.to_json(), "odd": odd.to_json()}
+
+    def test_one_convolution_per_pair_of_halves(self, monkeypatch):
+        # the product law is evaluated straight into two coefficient maps:
+        # no torus product, no sigma copy and no series sum
+        rng = random.Random(29)
+
+        def half():
+            return TorusElement({
+                (rng.randint(-2, 2), rng.randint(-2, 2)): mu_pow(rng.randint(-3, 3)) * rng.choice((1, -1, 2))
+                for _ in range(3)
+            })
+
+        cases = [(CrossedElement(half(), half()), CrossedElement(half(), half())) for _ in range(6)]
+        wants = [CrossedElement(*oracle_crossed(x, y)) for x, y in cases]
+        calls = {"__mul__": 0, "sigma": 0, "__add__": 0}
+
+        def counting(cls, name):
+            original = getattr(cls, name)
+
+            def wrapper(self, *args):
+                calls[name] += 1
+                return original(self, *args)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counting(TorusElement, "__mul__")
+        counting(TorusElement, "sigma")
+        counting(Series, "__add__")
+        got = [x * y for x, y in cases]
+        monkeypatch.undo()
+        assert got == wants
+        assert calls == {"__mul__": 0, "sigma": 0, "__add__": 0}
 
     @given(small_crossed, small_crossed, small_crossed)
     @settings(max_examples=50, deadline=None)

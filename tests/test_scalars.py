@@ -359,6 +359,39 @@ class TestMonomials:
             assert [(y.s, y.n, y.d) for y in got] == [(y.s, y.n, y.d) for y in want]
         assert ZERO.shift(3, -1) is ZERO
 
+    def test_mul_shift_is_product_then_shift(self):
+        # the product routine with the phase folded in: monomials and
+        # binomials take the unit-denominator path, rational operands the
+        # gcd path; both must give the constructor's canonical form
+        rng = random.Random(17)
+        xs = [ZERO, ONE, -ONE, MU, -LAMBDA, Scalar(-3, (-2,), (1,)), HALF, -HALF * MU]
+        xs += [_poly(1, 1), Scalar(2, (-1, 0, 3), (1,)), Scalar(-1, (-2, 1), (1,))]
+        xs += [ONE / (ONE - LAMBDA), Scalar(1, (1, 1), (3, 0, 1)), Scalar(0, (-1,), (1, 1))]
+        xs += [Scalar(rng.randint(-4, 4), (rng.choice((1, -1, 2, -3)), rng.randint(-2, 2)), (1,))
+               for _ in range(12)]
+        assert sum(x.d != (1,) for x in xs) >= 5
+        assert sum(len(x.n) > 1 and x.d == (1,) for x in xs) >= 10
+        assert sum(bool(x.n) and x.n[-1] < 0 for x in xs) >= 5
+        for x in xs:
+            for y in xs:
+                for k in (-5, -1, 0, 2, 7):
+                    got, want = x._mul_shift(y, k), (x * y).shift(k)
+                    plain = Scalar(x.s + y.s + k, scalars._pmul(x.n, y.n), scalars._pmul(x.d, y.d))
+                    assert type(got) is Scalar and is_canonical(got)
+                    assert (got.s, got.n, got.d) == (want.s, want.n, want.d), (x, y, k)
+                    assert (got.s, got.n, got.d) == (plain.s, plain.n, plain.d), (x, y, k)
+
+    def test_scalar_equality_takes_no_coercion(self, monkeypatch):
+        def refuse(x):
+            raise AssertionError("a Scalar operand went through _coerce")
+
+        pairs = [(x, y) for x in (ZERO, ONE, HALF, MU) for y in (ZERO, ONE, HALF, MU)]
+        monkeypatch.setattr(scalars, "_coerce", refuse)
+        assert [x == y for x, y in pairs] == [x is y for x, y in pairs]
+        monkeypatch.undo()
+        assert ONE == 1 and ZERO == 0 and HALF != 1 and Scalar.from_int(-3) == -3
+        assert ONE.__eq__(1.0) is NotImplemented and ONE.__eq__("1") is NotImplemented
+
     def test_shift_sign_is_one_or_minus_one(self):
         for sign in (0, 2, -3):
             with pytest.raises(ValueError, match="sign must be 1 or -1"):

@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncgeo import scalars
 from ncgeo.scalars import HALF, LAMBDA, MU, ONE, Scalar, lambda_pow, mu_pow
 from ncgeo.torus import U1, U2, TorusElement, u1, u2
 
@@ -29,6 +30,47 @@ small_elements = st.builds(
         max_size=4,
     ),
 )
+
+# coefficients off the monomial lane too: binomials u^k (a + b u^j) and
+# rational values, whose products take Scalar's general route
+rich_coefficients = st.one_of(
+    st.builds(
+        lambda k, s: mu_pow(k) * s,
+        st.integers(min_value=-3, max_value=3),
+        st.sampled_from([1, -1, 2]).map(Scalar.from_int),
+    ),
+    st.builds(
+        lambda k, a, j, b: Scalar(k, (a,) + (0,) * (j - 1) + (b,), (1,)),
+        st.integers(min_value=-3, max_value=3),
+        st.sampled_from([1, -1, 2, -3]),
+        st.integers(min_value=1, max_value=3),
+        st.sampled_from([1, -1, 2]),
+    ),
+    st.sampled_from([HALF, -HALF * MU, ONE / (ONE - LAMBDA), (ONE + MU) / (2 - LAMBDA)]),
+)
+rich_elements = st.builds(
+    TorusElement,
+    st.dictionaries(
+        st.tuples(st.integers(min_value=-3, max_value=3), st.integers(min_value=-3, max_value=3)),
+        rich_coefficients,
+        max_size=4,
+    ),
+)
+
+
+def plain_product(a, b, k):
+    """u**k * a * b multiplied out and put in canonical form by the Scalar
+    constructor, without Scalar's product routine."""
+    return Scalar(a.s + b.s + k, scalars._pmul(a.n, b.n), scalars._pmul(a.d, b.d))
+
+
+def oracle_product(x, y):
+    """The twisted product term by term: a * b * lambda**(q*r) at (p+r, q+s)."""
+    out = TorusElement.zero()
+    for (p, q), a in x.terms.items():
+        for (r, s), b in y.terms.items():
+            out = out + TorusElement({(p + r, q + s): plain_product(a, b, 2 * q * r)})
+    return out
 
 
 class TestProduct:
@@ -56,6 +98,45 @@ class TestProduct:
     def test_associative_and_distributive(self, a, b, c):
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
+
+    @given(rich_elements, rich_elements)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_term_by_term_oracle(self, a, b):
+        got, want = a * b, oracle_product(a, b)
+        assert got == want and got.to_json() == want.to_json()
+        assert all(c for c in got.terms.values())
+
+    @given(rich_elements, rich_elements, rich_elements)
+    @settings(max_examples=30, deadline=None)
+    def test_associative_off_the_monomial_lane(self, a, b, c):
+        assert (a * b) * c == a * (b * c)
+
+    def test_monomial_products_take_no_polynomial_product(self, monkeypatch):
+        # every coefficient is +-c u^k, so each term pair is one Scalar
+        # built from two integers; a binomial still takes _pmul
+        rng = random.Random(5)
+
+        def element(size):
+            return TorusElement({
+                (rng.randint(-3, 3), rng.randint(-3, 3)):
+                    Scalar(rng.randint(-4, 4), (rng.choice((1, -1, 2, -3)),), (1,))
+                for _ in range(size)
+            })
+
+        cases = [(element(n), element(m)) for n, m in ((1, 1), (3, 5), (6, 4), (8, 8))]
+        wants = [oracle_product(x, y) for x, y in cases]
+        calls = {"_pmul": 0}
+        pmul = scalars._pmul
+
+        def counting(a, b):
+            calls["_pmul"] += 1
+            return pmul(a, b)
+
+        monkeypatch.setattr(scalars, "_pmul", counting)
+        assert [x * y for x, y in cases] == wants
+        assert calls["_pmul"] == 0
+        assert mono(0, 0, ONE + MU) * mono(1, 0, ONE - MU) == mono(1, 0, ONE - LAMBDA)
+        assert calls["_pmul"] == 1
 
 
 class TestSigma:
