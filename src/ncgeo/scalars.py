@@ -182,6 +182,8 @@ class Scalar:
 
     @classmethod
     def from_int(cls, k: int) -> "Scalar":
+        if not isinstance(k, int):
+            raise TypeError(f"from_int needs an int, not {type(k).__name__}")
         if k == 0:
             return ZERO
         return cls._raw(0, (k,), (1,))

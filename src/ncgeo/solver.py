@@ -53,10 +53,11 @@ a twisted entry, two for an untwisted binomial.  A product or quotient by
 one pair is one Scalar.shift; a binomial is made a Scalar only to divide.
 As no cycle is unbalanced, the greedy basis of the frame matroid depends on
 connectivity alone: a union-find without weights (_Frame) grows it in edge
-order, a forest whose trees hold at most one half-edge each.  One forest
-walk (_forest_walk) finds values on its nodes, potentials included, and
-checks the rejected edges on them; one leaf-peeling solve (_Peeling) finds
-values on its edges.
+order, a forest whose trees hold at most one half-edge each.  The forest is
+walked once (_Forest), each tree from its half-edge or its root, and on the
+walk's steps the kept incidence is triangular: walked forwards they give
+values on the nodes, potentials included, on which the rejected edges are
+checked; walked backwards, from the leaves, values on the edges.
 
 On the column side the greedy basis is exactly the set of pivot columns
 Gauss-Jordan elimination takes in the pivot order (its pivot columns are the
@@ -64,8 +65,8 @@ lexicographically first column basis, whichever pivot rows it picks), so
 every output equals Gauss-Jordan's, byte for byte:
 
 * kernel basis: for each non-basis variable f, in pivot order, x[f] = 1 and
-  the basis values that peel the right side -A_f;
-* witness: the basis values that peel the target, every other variable 0;
+  the basis values that solve the right side -A_f, its fundamental circuit;
+* witness: the basis values that solve the target, every other variable 0;
 * certificate: a balanced component's potential is its only combination of
   equations with a zero left side.  It is normalized to 1 at the component's
   last equation, the row left unused by Gauss-Jordan that pivots on the
@@ -85,9 +86,10 @@ On the row side:
 * certificate: the first equation, in equation order, that the greedy basis
   of the equations rejects and that the witness leaves unsatisfied.  Its
   fundamental circuit, the one combination of it and the kept equations
-  with a zero left side, is found by peeling the transposed graph and is
-  normalized to 1 at that equation.  This rule is the solver's own:
-  Gauss-Jordan's certificate there depends on the pivot rows it picks.
+  with a zero left side, is found on the edges of the forest, as a
+  column-side kernel vector is, and is normalized to 1 at that equation.
+  This rule is the solver's own: Gauss-Jordan's certificate there depends
+  on the pivot rows it picks.
 
 Every witness is re-checked by applying the operator, and every certificate
 against the table's original equations, read through `coefficient`, before
@@ -112,14 +114,15 @@ flip-twisted first cohomology vanishes, as a two-phase pipeline:
   lowest support site n with the gauge gamma[n-1] = 0;
 * `row_solve` absorbs one second-component row eta at y=s0 (which must
   satisfy the row recurrence eta[w+1] = lambda**(s0-1) eta[w-1]; this is
-  checked, not assumed) with a telescoping sweep over the rows of the other
-  parity, carried below s0 down to y = -window or above it up to
-  y = window (|s0| <= window is required);
+  checked, not assumed) on the rows of the other parity, below s0 down to
+  y = -window or above it up to y = window (|s0| <= window is required).
+  Each column of the answer obeys the two-step recurrence of a line, so it
+  is the walk of line_eliminate along that column;
 * `h1_trivialize` cancels every first-component row with `line_eliminate`,
   checks every surviving second-component row's recurrence, and absorbs
-  all of them at once: one carry sweep per direction (rows y >= 0 below,
-  y < 0 above) and parity chain of rows, which is the sum of the per-row
-  sweeps of `row_solve`, value for value, at a fraction of the products.
+  all of them at once: one line walk per direction (rows y >= 0 below,
+  y < 0 above) and column, which is the sum of the per-row answers of
+  `row_solve`, value for value, at a fraction of the products.
   The witness's differential reproduces the input exactly at every
   interior site of the window.
 
@@ -139,7 +142,7 @@ reports.
 
 The witness of twisted_alpha1(phi), for a finite phi inside the window, is
 phi, its only finitely supported preimage.  An input with no finite
-preimage gets the upward tails of the walks and sweeps, fixed choices that
+preimage gets the tails of the walks, fixed choices that
 change with the window.
 """
 
@@ -401,59 +404,6 @@ class _Frame:
         return True
 
 
-class _Peeling:
-    """Values x on the edges of a frame-matroid basis with
-    sum_e x[e] A_e = rhs, where A_e holds the gains at the ends of e.
-
-    The basis is a forest whose trees hold at most one half-edge each, so
-    peeling pendant edges, each fixed by its leaf, in an order computed
-    once, takes every edge.  A balanced component keeps one node unpeeled,
-    where the right side cancels whenever the system is consistent.
-    """
-
-    __slots__ = ("steps",)
-
-    def __init__(self, edges: dict):
-        incident: dict = {}
-        for key, ends in edges.items():
-            for node, _ in ends:
-                incident.setdefault(node, []).append(key)
-        degree = {node: len(keys) for node, keys in incident.items()}
-        done = set()
-        # (edge, leaf, gain at the leaf, the other ends)
-        self.steps = []
-        leaves = [node for node, k in degree.items() if k == 1]
-        while leaves:
-            u = leaves.pop()
-            if degree[u] != 1:
-                continue
-            degree[u] = 0
-            key = next(k for k in incident[u] if k not in done)
-            done.add(key)
-            ends = edges[key]
-            c = next(c for node, c in ends if node == u)
-            rest = tuple(e for e in ends if e[0] != u)
-            self.steps.append((key, u, c, rest))
-            for v, _ in rest:
-                degree[v] -= 1
-                if degree[v] == 1:
-                    leaves.append(v)
-
-    def solve(self, rhs: dict) -> dict:
-        r = dict(rhs)
-        x = {}
-        for key, u, c, rest in self.steps:
-            val = r.pop(u, None)
-            if not val:
-                continue
-            val = _div(val, c)
-            x[key] = val
-            for v, b in rest:
-                t = _mul(val, b, -1)
-                r[v] = r[v] + t if v in r else t
-        return x
-
-
 def _graph(column_side: bool, rows: dict[EqKey, dict], variables: list[VarKey]):
     """The gain graph of a system: (nodes, {edge: ends}), both in order.
     rows maps every equation, in equation order, to its gains; variables
@@ -467,55 +417,112 @@ def _graph(column_side: bool, rows: dict[EqKey, dict], variables: list[VarKey]):
     return list(rows), {v: tuple(ends) for v, ends in columns.items()}
 
 
-def _forest_walk(kept: dict, nodes: list, rhs: dict | None = None, rejected=()) -> list[dict]:
-    """Values on the nodes of the kept forest, with a x[u] + b x[v] = rhs[e]
-    on every kept edge e = ((u, a), (v, b)) and c x[u] = rhs[e] on a
-    half-edge ((u, c),), as one dict of nonzero values per tree: those with a
-    half-edge first, walked from its node, then the balanced ones from their
-    last node in nodes backwards.  That node is set to 0 given a right side
-    (witnesses), else to 1: each balanced tree gets its potential, 1 there,
-    the others 0, and every rejected two-ended edge must hold on them, or
-    the gain graph has an unbalanced cycle."""
-    seed = ONE if rhs is None else ZERO
-    rhs = rhs or {}
-    incident: dict = {}
-    starts = []
-    for key, ends in kept.items():
-        if len(ends) == 1:
-            r = rhs.get(key)
-            starts.append((ends[0][0], _div(r, ends[0][1]) if r else ZERO))
-        else:
-            for v, _ in ends:
-                incident.setdefault(v, []).append(key)
-    trees = []
-    seen: set = set()
-    for start, value in starts + [(v, seed) for v in reversed(nodes)]:
-        if start in seen:
-            continue
-        seen.add(start)
-        tree = {}
-        queue = [(start, value)]
-        for u, xu in queue:
-            if xu:
-                tree[u] = xu
-            for key in incident.get(u, ()):
-                ends = kept[key]
-                (_, a), (v, b) = ends if ends[0][0] == u else ends[::-1]
-                if v not in seen:
-                    seen.add(v)
-                    val = _mul(xu, a, -1) if xu else ZERO
-                    r = rhs.get(key)
-                    if r:
-                        val = r + val
-                    queue.append((v, _div(val, b) if val else ZERO))
-        if tree:
-            trees.append(tree)
-    if rejected:
-        x = {u: c for tree in trees for u, c in tree.items()}
+class _Forest:
+    """The kept forest of a frame-matroid basis, walked once.
+
+    Each tree is walked from its half-edge's node, or, when it is balanced,
+    from its root, its last node in nodes, taken from the end backwards.
+    A step (edge, node, gain at the node, the end it was reached from) is
+    one kept edge: a half-edge is its tree's first step, with no end.  On
+    these steps the kept incidence is triangular: walked forwards they fix
+    node values, walked backwards, from the leaves, edge values.
+    """
+
+    __slots__ = ("steps", "roots")
+
+    def __init__(self, kept: dict, nodes: list):
+        incident: dict = {}
+        starts = []
+        for key, ends in kept.items():
+            if len(ends) == 1:
+                starts.append((ends[0][0], key))
+            else:
+                for v, _ in ends:
+                    incident.setdefault(v, []).append(key)
+        self.steps = steps = []
+        # (root, index of its tree's first step), one per balanced tree
+        self.roots = []
+        seen: set = set()
+        for start, half in starts + [(v, None) for v in reversed(nodes)]:
+            if start in seen:
+                continue
+            seen.add(start)
+            if half is None:
+                self.roots.append((start, len(steps)))
+            else:
+                steps.append((half, start, kept[half][0][1], None))
+            queue = [start]
+            for u in queue:
+                for key in incident.get(u, ()):
+                    ends = kept[key]
+                    end, (v, b) = ends if ends[0][0] == u else ends[::-1]
+                    if v not in seen:
+                        seen.add(v)
+                        steps.append((key, v, b, end))
+                        queue.append(v)
+
+    def node_values(self, rhs: dict, seed: Scalar) -> dict:
+        """The nonzero x with a x[u] + b x[v] = rhs[e] on every kept edge
+        e = ((u, a), (v, b)) and c x[u] = rhs[e] on a half-edge ((u, c),),
+        every root at seed."""
+        x = {root: seed for root, _ in self.roots} if seed else {}
+        for key, v, b, end in self.steps:
+            val = rhs.get(key)
+            if end is not None and end[0] in x:
+                t = _mul(x[end[0]], end[1], -1)
+                val = val + t if val else t
+            if val:
+                x[v] = _div(val, b)
+        return x
+
+    def edge_values(self, rhs: dict) -> dict:
+        """The nonzero x with sum_e x[e] A_e = rhs, A_e holding the gains at
+        the ends of e, at every node but the balanced roots, where the right
+        side is left over: it cancels whenever the system is consistent."""
+        r = dict(rhs)
+        x = {}
+        for key, v, b, end in reversed(self.steps):
+            val = r.pop(v, None)
+            if not val:
+                continue
+            x[key] = val = _div(val, b)
+            if end is not None:
+                u, a = end
+                t = _mul(val, a, -1)
+                r[u] = r[u] + t if u in r else t
+        return x
+
+    def circuit(self, key, ends) -> dict:
+        """The fundamental circuit of a rejected edge: its one combination
+        with the kept edges whose sum is zero, 1 at the edge."""
+        x = self.edge_values({node: _mul(ONE, c, -1) for node, c in ends})
+        x[key] = ONE
+        return x
+
+    def potentials(self, rejected) -> list[dict]:
+        """One potential per balanced tree, 1 at its root, in walk order.
+        Every rejected two-ended edge must hold on them, or the gain graph
+        has an unbalanced cycle."""
+        x = self.node_values({}, ONE)
         for (u, a), (v, b) in rejected:
             if _mul(x.get(u, ZERO), a) != _mul(x.get(v, ZERO), b, -1):
                 raise RuntimeError("the gain graph has an unbalanced cycle")
-    return trees
+        steps, roots = self.steps, self.roots
+        stops = [first for _, first in roots[1:]] + [len(steps)]
+        return [
+            {root: ONE, **{v: x[v] for _, v, _, _ in steps[first:end] if v in x}}
+            for (root, first), end in zip(roots, stops)
+        ]
+
+
+def _setup(column_side: bool, rows: dict[EqKey, dict], variables: list[VarKey]):
+    """The gain graph of a system, its greedy basis and the walked forest:
+    (edges, kept, rejected two-ended edges, forest)."""
+    nodes, edges = _graph(column_side, rows, variables)
+    frame = _Frame()
+    kept = {key: ends for key, ends in edges.items() if frame.add(ends)}
+    rejected = [ends for key, ends in edges.items() if len(ends) == 2 and key not in kept]
+    return edges, kept, rejected, _Forest(kept, nodes)
 
 
 @dataclass(frozen=True)
@@ -566,27 +573,17 @@ def kernel_dimension(operator: str, window: int) -> SolveReport:
     op = _get_operator(operator)
     if window < 3:
         raise ValueError("window radius must be at least 3")
-    column_side = _column_side(op)
-    variables = _variables(op, window)
     rows = {eq: _row(op, window, eq) for eq in _equations(op, window)}
-    nodes, edges = _graph(column_side, rows, variables)
-    frame = _Frame()
-    kept = {key: ends for key, ends in edges.items() if frame.add(ends)}
-    rejected = [ends for key, ends in edges.items() if len(ends) == 2 and key not in kept]
+    column_side = _column_side(op)
+    edges, kept, rejected, forest = _setup(column_side, rows, _variables(op, window))
     if column_side:
         if rejected:
-            # the basis is peeled; the potentials only check the balance
-            _forest_walk(kept, nodes, rejected=rejected)
-        peeling = _Peeling(kept)
-        basis = []
-        for f, ends in edges.items():
-            if f not in kept:
-                vec = peeling.solve({eq: _mul(ONE, c, -1) for eq, c in ends})
-                vec[f] = ONE
-                basis.append(vec)
+            # the basis is the circuits; the potentials only check the balance
+            forest.potentials(rejected)
+        basis = [forest.circuit(f, ends) for f, ends in edges.items() if f not in kept]
     else:
         # one potential per balanced component, free at its last variable
-        basis = _forest_walk(kept, nodes, rejected=rejected)[::-1]
+        basis = forest.potentials(rejected)[::-1]
     basis = tuple(_vector_object(op, vec) for vec in basis)
     return SolveReport(op.name, window, "kernel-basis", nullity=len(basis), basis=basis)
 
@@ -615,31 +612,27 @@ def coboundary_solve(target, operator: str, window: int) -> SolveReport:
     rhs = {(slot, s): c for slot, part in enumerate(parts) for s, c in part.terms.items()}
     variables = sorted({k for coeffs in rows.values() for k in coeffs}, key=_var_order)
     column_side = _column_side(op)
-    nodes, edges = _graph(column_side, rows, variables)
-    frame = _Frame()
-    kept = {key: ends for key, ends in edges.items() if frame.add(ends)}
+    edges, kept, rejected, forest = _setup(column_side, rows, variables)
 
     certificate = None
     if column_side:
         # a balanced component's potential is its one combination with a zero
         # left side; the walk yields them from the last equation backwards,
         # so the last inconsistent one met is the first by last equation
-        rejected = [ends for key, ends in edges.items() if len(ends) == 2 and key not in kept]
-        for p in _forest_walk(kept, nodes, rejected=rejected):
+        for p in forest.potentials(rejected):
             if sum((p[eq] * r for eq, r in rhs.items() if eq in p), ZERO):
                 certificate = p
         if certificate is None:
-            vec = _Peeling(kept).solve(rhs)
+            vec = forest.edge_values(rhs)
     else:
-        vec = {k: c for tree in _forest_walk(kept, nodes, rhs) for k, c in tree.items()}
+        vec = forest.node_values(rhs, ZERO)
         for eq in eqs:
             if eq in kept:
                 continue
             left = sum((_mul(vec[k], c) for k, c in edges[eq] if k in vec), ZERO)
             if left != rhs.get(eq, ZERO):
                 # the equation's fundamental circuit through the kept ones
-                certificate = _Peeling(kept).solve({k: _mul(ONE, c, -1) for k, c in edges[eq]})
-                certificate[eq] = ONE
+                certificate = forest.circuit(eq, edges[eq])
                 break
 
     if certificate is not None:
@@ -751,40 +744,26 @@ def _absorb(
 ) -> dict[Site, Scalar]:
     """Degree-0 cochain rho whose twisted differential's second component is
     the given rows {y: {n: eta[n]}} (first component zero) at all interior
-    sites, as one carry sweep per parity chain of rows:
+    sites.  Column n obeys the two-step recurrence of a line, so each column
+    is one _line_walk, cut off at |y| <= window:
 
-        below:  rho_r[n] = lambda**-n rho_{r+2}[n] - eta_{r+1}[n],  r down to -window
-        above:  rho_r[n] = lambda**n (rho_{r-2}[n] + eta_{r-1}[n]),  r up to window
-
-    The sweep starts next to the first source row, stops at the window edge
-    and jumps to the next source row whenever the carry cancels to zero.
+        below:  rho[n, r-2] = lambda**-n rho[n, r] - eta[n, r-1]: the walk of
+                {-y: -eta[n, y]} at s0 = -n, its gamma[j] at (n, -j)
+        above:  rho[n, r+2] = lambda**n (rho[n, r] + eta[n, r+1]): the walk of
+                {y: lambda**n eta[n, y]} at s0 = n, its gamma[j] at (n, j)
     """
     below = direction == "below"
-    step = -2 if below else 2
-    rho: dict[Site, Scalar] = {}
-    for parity in (0, 1):
-        todo = sorted((s for s in rows if s % 2 == parity), reverse=not below)
-        carry: dict[int, Scalar] = {}
-        r = 0
-        while todo or carry:
-            if not carry:
-                r = todo[-1] + step // 2
-            if abs(r) > window:
-                break
-            h = rows[todo.pop()] if todo and todo[-1] == r - step // 2 else {}
+    columns: dict[int, dict[int, Scalar]] = {}
+    for y, h in rows.items():
+        for n, c in h.items():
             if below:
-                nxt = {n: c.shift(-2 * n) for n, c in carry.items()}
-                for n, c in h.items():
-                    nxt[n] = nxt[n] - c if n in nxt else -c
+                columns.setdefault(n, {})[-y] = -c
             else:
-                nxt = dict(carry)
-                for n, c in h.items():
-                    nxt[n] = nxt[n] + c if n in nxt else c
-                nxt = {n: c.shift(2 * n) for n, c in nxt.items() if c}
-            carry = {n: c for n, c in nxt.items() if c}
-            for n, c in carry.items():
-                rho[(n, r)] = c
-            r += step
+                columns.setdefault(n, {})[y] = c.shift(2 * n)
+    rho: dict[Site, Scalar] = {}
+    for n, column in columns.items():
+        for j, c in _line_walk(column, -n if below else n, window).items():
+            rho[(n, -j if below else j)] = c
     return rho
 
 
@@ -797,7 +776,7 @@ def row_solve(
 
     Requires |s0| <= window and eta[w+1] = lambda**(s0-1) eta[w-1] at every
     |w| <= window-1; a violation is rejected with the offending site.  rho is
-    the telescoping sweep of _absorb: rho[n, s0-1] = -eta[n],
+    the column walk of _absorb: rho[n, s0-1] = -eta[n],
     rho[n, r-2] = lambda**-n rho[n, r] below (rho[n, s0+1] = lambda**n eta[n],
     rho[n, r+2] = lambda**n rho[n, r] above), over the rows |y| <= window.
     """
@@ -855,11 +834,11 @@ def h1_trivialize(pair: CochainPair, window: int) -> SolveReport:
     Phase 1 cancels every first-component row with the walk of
     line_eliminate, upwards from the low end of each parity chain; phase 2
     checks each surviving second-component row's recurrence as row_solve
-    does and absorbs the rows at y >= 0 in one sweep below and those at
-    y < 0 in one sweep above (_absorb), down to y = -window and up to
-    y = window.  The returned witness psi satisfies twisted_alpha1(psi) =
-    pair exactly at all sites with |n|, |m| <= window-1; the report's
-    residual is that restriction.
+    does and absorbs the rows at y >= 0 in one walk per column below and
+    those at y < 0 in one walk per column above (_absorb), down to
+    y = -window and up to y = window.  The returned witness psi satisfies
+    twisted_alpha1(psi) = pair exactly at all sites with |n|, |m| <=
+    window-1; the report's residual is that restriction.
 
     A pair that is not a windowed cocycle raises NotACocycle at the
     smallest interior site where twisted_alpha2(pair) is nonzero.  That

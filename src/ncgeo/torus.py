@@ -37,8 +37,8 @@ Site = tuple[int, int]
 class Series:
     """Finite coefficient map (n, m) -> Scalar; zero coefficients pruned.
 
-    The public constructor validates: every site must be a pair of ints, and
-    int coefficients are read as scalars.  _of is internal, for dicts the
+    The public constructor validates: every site must be a pair of ints and
+    every coefficient a Scalar or an int, which is read as a scalar.  _of is internal, for dicts the
     package built from valid sites and Scalar values: it only drops zeros.
     Linear operations stay in the class of self; series of different
     classes never compare equal or add.
@@ -53,6 +53,8 @@ class Series:
                 raise ValueError(f"site {(n, m)!r}: n and m must be integers")
             if isinstance(c, int):
                 c = Scalar.from_int(c)
+            elif not isinstance(c, Scalar):
+                raise ValueError(f"site {(n, m)!r}: coefficient {c!r} must be a Scalar or an int")
             if c:
                 clean[(n, m)] = c
         object.__setattr__(self, "terms", clean)

@@ -253,6 +253,11 @@ class TestFunctional:
             with pytest.raises(ValueError, match="must be integers"):
                 LatticeFunctional({key: ONE})
 
+    def test_non_scalar_coefficients_are_value_errors(self):
+        for c in (1.5, "abc"):
+            with pytest.raises(ValueError, match=r"site \(0, 0\): coefficient"):
+                LatticeFunctional.delta(0, 0, c)
+
     def test_pair_json_names_the_bad_half(self):
         pair = CochainPair(d(1, 0), d(0, -1, LAMBDA))
         again = CochainPair.from_json(pair.to_json())

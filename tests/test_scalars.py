@@ -392,6 +392,12 @@ class TestMonomials:
         assert ONE == 1 and ZERO == 0 and HALF != 1 and Scalar.from_int(-3) == -3
         assert ONE.__eq__(1.0) is NotImplemented and ONE.__eq__("1") is NotImplemented
 
+    def test_from_int_refuses_a_non_int(self):
+        for k in (2.5, 2.0, "2", None, HALF):
+            with pytest.raises(TypeError, match="from_int needs an int"):
+                Scalar.from_int(k)
+        assert Scalar.from_int(0) is ZERO and Scalar.from_int(-3) == -3
+
     def test_shift_sign_is_one_or_minus_one(self):
         for sign in (0, 2, -3):
             with pytest.raises(ValueError, match="sign must be 1 or -1"):

@@ -865,13 +865,13 @@ class TestGainGraph:
         assert [frame.add(ends) for ends in edges.values()] == [True, True, False]
         kept = {key: edges[key] for key in ("ab", "bc")}
         closing = [edges["ca"]]
-        assert solver._forest_walk(kept, "abc", rejected=closing) == [{"c": ONE, "b": -ONE, "a": ONE}]
+        assert solver._Forest(kept, "abc").potentials(closing) == [{"c": ONE, "b": -ONE, "a": ONE}]
         # a half-edge makes the component full: it takes no second half-edge
         # and no edge to another full one, and it has no potential left
         assert frame.add((("b", g((1, 3))),))
         assert frame.full == {frame.find("a")}
         kept["b"] = (("b", g((1, 3))),)
-        assert solver._forest_walk(kept, "abc", rejected=closing) == []
+        assert solver._Forest(kept, "abc").potentials(closing) == []
         assert not frame.add((("a", g((1, 2))),))
         assert frame.add((("d", UNIT),))
         assert not frame.add((("a", UNIT), ("d", UNIT)))
@@ -884,7 +884,8 @@ class TestGainGraph:
         kept = kept_by(frame, edges)
         assert list(kept) == ["ab", "bc"]
         # one tree per balanced component, from the last node backwards
-        potentials = solver._forest_walk(dict(kept, z=(("z", UNIT), ("y", UNIT))), "abcyz", rejected=[edges["ca"]])
+        forest = solver._Forest(dict(kept, z=(("z", UNIT), ("y", UNIT))), "abcyz")
+        potentials = forest.potentials([edges["ca"]])
         assert potentials == [
             {"z": ONE, "y": -ONE},
             {"c": ONE, "b": -mu_pow(2), "a": -mu_pow(4)},
@@ -905,24 +906,24 @@ class TestGainGraph:
             kept = kept_by(frame, edges)
             assert list(kept) == ["ab", "bc"]
             with pytest.raises(RuntimeError, match="unbalanced cycle"):
-                solver._forest_walk(kept, "abc", rejected=[edges["ca"]])
+                solver._Forest(kept, "abc").potentials([edges["ca"]])
         # the same closing edges in a component that a half-edge made full
         # are not checked: its values are 0
         edges = triangle(UNIT)
         frame = solver._Frame()
         kept = kept_by(frame, dict(edges, a=(("a", UNIT),)))
         assert list(kept) == ["ab", "bc", "a"]
-        assert solver._forest_walk(kept, "abc", rejected=[edges["ca"]]) == []
+        assert solver._Forest(kept, "abc").potentials([edges["ca"]]) == []
 
     def test_peeling_takes_a_tree_with_a_half_edge(self):
         edges = tree_with_half_edge()
         frame = solver._Frame()
         assert all(frame.add(ends) for ends in edges.values())
-        peeling = solver._Peeling(edges)
-        assert len(peeling.steps) == len(edges)
+        forest = solver._Forest(edges, "abcd")
+        assert len(forest.steps) == len(edges)
         rhs = {"a": ONE, "b": S(2), "c": MU, "d": S(-4)}
-        assert edge_sums(edges, peeling.solve(rhs)) == rhs
-        assert peeling.solve({}) == {}
+        assert edge_sums(edges, forest.edge_values(rhs)) == rhs
+        assert forest.edge_values({}) == {}
 
     def test_forest_values_solve_an_unbalanced_component(self):
         # row side: nodes are variables and each kept edge one equation
@@ -933,9 +934,11 @@ class TestGainGraph:
         kept = kept_by(frame, edges)
         assert kept == edges
         rhs = {"ab": S(3), "bc": MU, "cd": S(-1), "b": HALF, "ef": S(4)}
-        trees = solver._forest_walk(kept, ["a", "b", "c", "d", "e", "f"], rhs)
-        assert [sorted(t) for t in trees] == [["a", "b", "c", "d"], ["e"]]
-        x = {k: v for t in trees for k, v in t.items()}
+        forest = solver._Forest(kept, ["a", "b", "c", "d", "e", "f"])
+        first = forest.roots[0][1]
+        trees = [forest.steps[:first], forest.steps[first:]]
+        assert [sorted(v for _, v, _, _ in t) for t in trees] == [["a", "b", "c", "d"], ["e"]]
+        x = forest.node_values(rhs, ZERO)
         for key, ends in kept.items():
             assert sum((gain_value(c) * x.get(v, ZERO) for v, c in ends), ZERO) == rhs[key]
         assert "f" not in x and x["e"] == S(4)
@@ -945,8 +948,76 @@ class TestGainGraph:
         edges = triangle(MINUS)
         frame = solver._Frame()
         kept = kept_by(frame, edges)
-        x = solver._forest_walk(kept, ["a", "b", "c"], {"ab": S(3), "bc": MU})
-        assert x == [{"b": MU, "a": S(3) - MU}]
+        x = solver._Forest(kept, ["a", "b", "c"]).node_values({"ab": S(3), "bc": MU}, ZERO)
+        assert x == {"b": MU, "a": S(3) - MU}
+
+
+def random_gain(rng):
+    """A monomial gain, or a binomial one whose two powers differ."""
+    k = rng.randint(-3, 3)
+    if rng.random() < 0.5:
+        return g((rng.choice((1, -1)), k))
+    return g((1, k), (rng.choice((1, -1)), k + rng.randint(1, 3)))
+
+
+def random_kept(rng, nodes):
+    """The greedy basis of a random gain graph on nodes: a forest whose
+    trees hold at most one half-edge each, half-edges offered or not."""
+    halves = rng.random() < 0.5
+    edges = {}
+    for i in range(rng.randint(0, 2 * len(nodes))):
+        u, v = rng.sample(nodes, 2)
+        if halves and rng.random() < 0.2:
+            edges[f"e{i}"] = ((u, random_gain(rng)),)
+        else:
+            edges[f"e{i}"] = ((u, random_gain(rng)), (v, random_gain(rng)))
+    frame = solver._Frame()
+    return frame, {key: ends for key, ends in edges.items() if frame.add(ends)}
+
+
+def random_value(rng):
+    return mu_pow(rng.randint(-3, 3)) * rng.choice((1, -1, 2, HALF))
+
+
+class TestForestProperties:
+    """On random forests, with and without half-edges and with monomial and
+    binomial gains, the walk's node and edge values solve their systems and
+    its roots are the last nodes of the balanced trees."""
+
+    def test_random_forests(self):
+        rng = random.Random(71)
+        for _ in range(150):
+            nodes = list("abcdefghij"[: rng.randint(2, 10)])
+            rng.shuffle(nodes)
+            frame, kept = random_kept(rng, nodes)
+            forest = solver._Forest(kept, nodes)
+            assert len(forest.steps) == len(kept)
+            # each balanced tree's root is its last node, roots taken from
+            # the end of the node list backwards
+            last = {}
+            for v in nodes:
+                root = frame.find(v)
+                if root not in frame.full:
+                    last[root] = v
+            roots = [r for r, _ in forest.roots]
+            assert roots == sorted(last.values(), key=nodes.index, reverse=True)
+            # node values: every kept edge holds, every root at its seed
+            rhs = {key: random_value(rng) for key in kept if rng.random() < 0.7}
+            for seed in (ZERO, ONE, random_value(rng)):
+                x = forest.node_values(rhs, seed)
+                assert all(x.values())
+                for key, ends in kept.items():
+                    left = sum((gain_value(c) * x.get(v, ZERO) for v, c in ends), ZERO)
+                    assert left == rhs.get(key, ZERO)
+                assert all(x.get(r, ZERO) == seed for r in roots)
+            # edge values: the right side at every node but the roots
+            rhs = {v: random_value(rng) for v in nodes if rng.random() < 0.7}
+            x = forest.edge_values(rhs)
+            assert set(x) <= set(kept) and all(x.values())
+            sums = edge_sums(kept, x)
+            for v in nodes:
+                if v not in roots:
+                    assert sums.get(v, ZERO) == rhs.get(v, ZERO)
 
 
 class TestMonomialGains:
@@ -1191,6 +1262,27 @@ class TestRowSolve:
         out = twisted_alpha1(rho)
         for n in range(-window, window + 1):
             assert out.second.coeff(n, -1) == eta.coeff(n, -1)
+
+    def test_closed_form_at_every_row(self):
+        # the recurrence of row_solve's docstring, evaluated with lambda_pow
+        # products: -lambda^(-kn) eta[n] on row s0-1-2k below and
+        # lambda^((k+1)n) eta[n] on row s0+1+2k above, rows |y| <= window;
+        # s0 = -window below and s0 = window above sweep nothing
+        rng = random.Random(73)
+        for window in (3, 4, 6):
+            for s0 in range(-window, window + 1):
+                eta = recurrence_row(rng, s0, window)
+                below, above = {}, {}
+                for (n, _), c in eta.terms.items():
+                    for k in range((s0 - 1 + window) // 2 + 1):
+                        below[(n, s0 - 1 - 2 * k)] = -(lambda_pow(-k * n) * c)
+                    for k in range((window - s0 - 1) // 2 + 1):
+                        above[(n, s0 + 1 + 2 * k)] = lambda_pow((k + 1) * n) * c
+                for direction, want in (("below", below), ("above", above)):
+                    rho = row_solve(eta, s0, direction, window)
+                    assert rho == LatticeFunctional(want)
+                    assert all(abs(m) <= window for _, m in rho.terms)
+                assert bool(below) == (s0 > -window) and bool(above) == (s0 < window)
 
     def test_recurrence_violation_site(self):
         with pytest.raises(RecurrenceViolation) as exc:

@@ -279,6 +279,18 @@ class TestSerialization:
             with pytest.raises(ValueError, match="must be integers"):
                 TorusElement({key: ONE})
 
+    def test_non_scalar_coefficients_are_value_errors(self):
+        # a float or text coefficient is refused with the site, not stored
+        # to fail later in to_json or arithmetic
+        for c in (1.5, "abc", None, [1]):
+            with pytest.raises(ValueError, match=r"site \(2, -1\): coefficient"):
+                TorusElement({(2, -1): c})
+        with pytest.raises(TypeError, match="from_int"):
+            TorusElement.monomial(0, 0, 2.5)
+        assert TorusElement({(0, 0): 3, (1, 0): HALF, (2, 0): 0}).to_json() == {
+            "terms": [{"n": 0, "m": 0, "c": "3"}, {"n": 1, "m": 0, "c": "1/2"}]
+        }
+
     def test_term_order_is_sorted(self):
         x = mono(1, 0) + mono(-1, 0) + mono(0, 2, HALF)
         sites = [(t["n"], t["m"]) for t in x.to_json()["terms"]]
