@@ -25,16 +25,14 @@ Two truncation conventions are used, on purpose:
 
 Every windowed system here is a two-term system, and it is solved on its
 gain graph rather than by elimination.  The orientation is read off the
-stencil table.  When every input slot is read by at most two entries, every
-column holds at most two nonzeros: the equations are the nodes and the
-variables the edges (the column side: twisted_alpha2, alpha1, alpha2).
-Otherwise every equation holds at most two: the variables are the nodes and
-the equations the edges (the row side: twisted_alpha1).  An edge with one
-nonzero is a half-edge.  Every nonzero coefficient is invertible, so a
-connected component either is balanced, carrying a potential p, unique up to
-scale, with p[u] a + p[v] b = 0 along every edge ((u, a), (v, b)), or it is
-not, and then its edges span every coordinate of its nodes: the frame matroid
-of the gain graph (Zaslavsky, "Biased graphs II", JCTB 51, 1991).
+stencil table (`Operator`): the equations are the nodes and the variables
+the edges on the column side (twisted_alpha2, alpha1, alpha2), and the other
+way round on the row side (twisted_alpha1).  An edge with one nonzero is a
+half-edge.  Every nonzero coefficient is invertible, so a connected
+component either is balanced, carrying a potential p, unique up to scale,
+with p[u] a + p[v] b = 0 along every edge ((u, a), (v, b)), or it is not,
+and then its edges span every coordinate of its nodes: the frame matroid of
+the gain graph (Zaslavsky, "Biased graphs II", JCTB 51, 1991).
 
 No cycle of these graphs is unbalanced (the solver tests check the tables):
 
@@ -47,17 +45,23 @@ No cycle of these graphs is unbalanced (the solver tests check the tables):
 * windowing only drops ends: a two-ended windowed edge has its lattice gains.
 
 Variables are ordered by (|n|+|m|, n, m), then slot (the pivot order), and
-equations by slot, then site.  A coefficient is held as its gain, the
-entry's terms at the site as (sign, k) pairs for sign * u**k: one pair for
-a twisted entry, two for an untwisted binomial.  A product or quotient by
-one pair is one Scalar.shift; a binomial is made a Scalar only to divide.
-As no cycle is unbalanced, the greedy basis of the frame matroid depends on
-connectivity alone: a union-find without weights (_Frame) grows it in edge
-order, a forest whose trees hold at most one half-edge each.  The forest is
-walked once (_Forest), each tree from its half-edge or its root, and on the
-walk's steps the kept incidence is triangular: walked forwards they give
-values on the nodes, potentials included, on which the rejected edges are
-checked; walked backwards, from the leaves, values on the edges.
+equations by slot, then site.  Each has a dense integer id (_ids): a
+variable (slot, (n, m)) of window W is ((n + W)(2W + 1) + m + W) in_slots +
+slot, an equation the same with out_slots on the box of radius W + reach,
+the largest stencil offset, where membership solves impose equations.  Rows,
+blocks, right sides and gain graphs are keyed by ids, sorted by their keys'
+order and decoded once per output (_keys).  A row is read off its slot's
+table entries.  A coefficient is held as its gain, the entry's terms at the
+site as (sign, k) pairs for sign * u**k: one pair for a twisted entry, two
+for an untwisted binomial.  A product or quotient by one pair is one
+Scalar.shift; a binomial is made a Scalar only to divide.  As no cycle is
+unbalanced, the greedy basis of the frame matroid depends on connectivity
+alone: a union-find without weights (_Frame) grows it in edge order, a
+forest whose trees hold at most one half-edge each.  The forest is walked
+once (_Forest), each tree from its half-edge or its root, and on the walk's
+steps the kept incidence is triangular: walked forwards they give values on
+the nodes, potentials included, on which the rejected edges are checked;
+walked backwards, from the leaves, values on the edges.
 
 On the column side the greedy basis is exactly the set of pivot columns
 Gauss-Jordan elimination takes in the pivot order (its pivot columns are the
@@ -101,8 +105,8 @@ reached from the target's support, two equations being connected when both
 hold some variable with a nonzero coefficient.  This cannot change an output:
 an equation outside the block has a zero right side, so it yields neither a
 witness entry nor an inconsistent component.  The block is read off the
-stencil table around the target alone, its rows keyed by equation
-(out_slot, site): no list of the window's equations or variables is set up.
+readers of the table around the target alone, one ring of equations at a
+time: no list of the window's equations or variables is set up.
 Kernel computations still set up every equation, as the nullity needs every
 block.
 
@@ -148,7 +152,8 @@ change with the window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from .cochains import (
@@ -198,9 +203,28 @@ class NotACocycle(ValueError):
 
 @dataclass(frozen=True)
 class Operator:
+    """A named differential and the tables its windowed systems read, built
+    once from its stencil: the entries (in_slot, dn, dm, terms) of each output
+    slot (rows), the entries (out_slot, dn, dm, terms) reading each input slot
+    (readers), the largest offset (reach) and the orientation: the column
+    side when every input slot is read by at most two entries, so that every
+    column holds at most two nonzeros, else the row side."""
+
     name: str
     apply: Callable
     stencil: Stencil
+    rows: list = field(init=False, repr=False, compare=False)
+    readers: list = field(init=False, repr=False, compare=False)
+    column_side: bool = field(init=False, repr=False, compare=False)
+    reach: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        st, put = self.stencil, partial(object.__setattr__, self)
+        put("rows", [[(i, *e) for o, i, *e in st.entries if o == s] for s in range(st.out_slots)])
+        put("readers", [[(o, *e) for o, i, *e in st.entries if i == s]
+                        for s in range(st.in_slots)])
+        put("column_side", all(len(r) <= 2 for r in self.readers))
+        put("reach", max(max(abs(e[2]), abs(e[3])) for e in st.entries))
 
 
 OPERATORS: dict[str, Operator] = {
@@ -220,9 +244,29 @@ def _get_operator(name: str) -> Operator:
         ) from None
 
 
-def _vector_object(op: Operator, vec: dict[VarKey, Scalar]):
+def _check_window(window, least: int) -> None:
+    """Refuse a window radius that is not an int or is below least."""
+    if type(window) is not int:
+        raise TypeError(f"window must be an int, not {type(window).__name__}")
+    if window < least:
+        raise ValueError(f"window radius must be at least {least}")
+
+
+def _ids(keys, radius: int, slots: int) -> list[int]:
+    """The ids of keys (slot, (n, m)) on the box |n|, |m| <= radius."""
+    span = 2 * radius + 1
+    return [((n + radius) * span + m + radius) * slots + slot for slot, (n, m) in keys]
+
+
+def _keys(ids, radius: int, slots: int) -> list:
+    """The keys (slot, (n, m)) of ids on the box of the given radius."""
+    span = 2 * radius + 1
+    return [(i % slots, (i // slots // span - radius, i // slots % span - radius)) for i in ids]
+
+
+def _vector_object(op: Operator, window: int, vec: dict[int, Scalar]):
     parts: list[dict[Site, Scalar]] = [{} for _ in range(op.stencil.in_slots)]
-    for (slot, site), c in vec.items():
+    for (slot, site), c in zip(_keys(vec, window, op.stencil.in_slots), vec.values()):
         parts[slot][site] = c
     return cochain_from_slots([LatticeFunctional._of(t) for t in parts])
 
@@ -241,30 +285,28 @@ def _eq_order(eq: EqKey):
     return (eq[0], site_key(eq[1]))
 
 
+def _sites(ns: range, ms: range) -> list[Site]:
+    """The sites of the box ns x ms in site order."""
+    return sorted(((n, m) for n in ns for m in ms), key=site_key)
+
+
 def _variables(op: Operator, window: int) -> list[VarKey]:
-    sites = sorted(
-        ((n, m) for n in range(-window, window + 1) for m in range(-window, window + 1)),
-        key=site_key,
-    )
-    return [(slot, s) for s in sites for slot in range(op.stencil.in_slots)]
-
-
-def _inside(site: Site, window: int) -> bool:
-    return abs(site[0]) <= window and abs(site[1]) <= window
+    span = range(-window, window + 1)
+    return [(slot, s) for s in _sites(span, span) for slot in range(op.stencil.in_slots)]
 
 
 def _equations(op: Operator, window: int) -> list[EqKey]:
     """Equations (out_slot, site) whose stencil reads all of its input sites
-    inside the window.  Every table entry counts, also where its coefficient
-    vanishes at that site.  The condition splits by coordinate, so the sites
-    of a slot form the box its offsets' extremes leave inside the window."""
+    inside the window, in equation order.  Every table entry counts, also
+    where its coefficient vanishes at that site.  The condition splits by
+    coordinate, so the sites of a slot form the box its offsets' extremes
+    leave inside the window."""
     out = []
-    for slot in range(op.stencil.out_slots):
-        dns, dms = zip(*((dn, dm) for o, _, dn, dm, _ in op.stencil.entries if o == slot))
+    for slot, entries in enumerate(op.rows):
+        dns, dms = zip(*((dn, dm) for _, dn, dm, _ in entries))
         ns = range(-window - min(dns), window - max(dns) + 1)
         ms = range(-window - min(dms), window - max(dms) + 1)
-        out += [(slot, (n, m)) for n in ns for m in ms]
-    out.sort(key=_eq_order)
+        out += [(slot, s) for s in _sites(ns, ms)]
     return out
 
 
@@ -278,17 +320,18 @@ def _vanishes(terms, n: int, m: int) -> bool:
     return s1 != s2 and p1 * n + q1 * m + r1 == p2 * n + q2 * m + r2
 
 
-def _row(op: Operator, window: int, eq: EqKey) -> dict[VarKey, tuple]:
-    """The row of equation eq read off the stencil table, without zero
-    coefficients or variables outside the window, each coefficient held as
-    its gain."""
-    slot, (n, m) = eq
-    coeffs = {}
-    for o, in_slot, dn, dm, terms in op.stencil.entries:
-        a, b = n + dn, m + dm
-        if o == slot and abs(a) <= window and abs(b) <= window and not _vanishes(terms, n, m):
-            coeffs[(in_slot, (a, b))] = _gain(terms, n, m)
-    return coeffs
+def _rows(op: Operator, window: int, keys: dict[int, EqKey]) -> dict[int, dict]:
+    """The rows of equations {id: key} off their slots' table entries: the
+    nonzero coefficients of variables inside the window, as gains keyed as in _ids."""
+    span, slots = 2 * window + 1, op.stencil.in_slots
+    rows = {}
+    for eq, (slot, (n, m)) in keys.items():
+        rows[eq] = coeffs = {}
+        for in_slot, dn, dm, terms in op.rows[slot]:
+            a, b = n + dn, m + dm
+            if -window <= a <= window and -window <= b <= window and not _vanishes(terms, n, m):
+                coeffs[((a + window) * span + b + window) * slots + in_slot] = _gain(terms, n, m)
+    return rows
 
 
 def _gain(terms, n: int, m: int) -> tuple:
@@ -314,42 +357,31 @@ def _div(x: Scalar, gain) -> Scalar:
     return x / _mul(ONE, gain)
 
 
-def _target_block(op: Operator, window: int, goal) -> dict[EqKey, dict]:
+def _target_block(op: Operator, window: int, goal) -> dict[int, dict]:
     """Rows of the equations connected to the support of the target, given
-    by its slots (goal), keyed by equation.  Two rows are connected when both
-    hold a variable with a nonzero coefficient; a variable's equations are
-    found by reading the stencil offsets backwards, so only the block's sites
-    are ever visited."""
-    readers = [
-        [(o, dn, dm, terms) for o, s, dn, dm, terms in op.stencil.entries if s == slot]
-        for slot in range(op.stencil.in_slots)
-    ]
-    todo = [(slot, s) for slot, part in enumerate(goal) for s in part.terms]
-    block: dict[EqKey, dict] = {}
-    seen: set[VarKey] = set()
+    by its slots (goal), by equation id in equation order.  Two rows are
+    connected when both hold a variable with a nonzero coefficient; a ring's
+    variables, decoded as in _keys, lead to the next through their readers."""
+    radius, slots, in_slots = window + op.reach, op.stencil.out_slots, op.stencil.in_slots
+    span, vspan = 2 * radius + 1, 2 * window + 1
+    keys = [(slot, s) for slot, part in enumerate(goal) for s in part.terms]
+    todo = dict(zip(_ids(keys, radius, slots), keys))
+    found, block, seen = dict(todo), {}, set()
     while todo:
-        eq = todo.pop()
-        if eq in block:
-            continue
-        block[eq] = row = _row(op, window, eq)
-        for k in row.keys() - seen:
-            seen.add(k)
-            in_slot, (a, b) = k
-            for o, dn, dm, terms in readers[in_slot]:
-                n, m = a - dn, b - dm
-                if not _vanishes(terms, n, m):
-                    todo.append((o, (n, m)))
-    return block
-
-
-def _column_side(op: Operator) -> bool:
-    """Orientation of op's windowed systems, read off its stencil table.
-    When every input slot is read by at most two entries, every column holds
-    at most two nonzeros: the equations are the nodes of the gain graph and
-    the variables its edges.  Otherwise every equation holds at most two,
-    and the variables are the nodes and the equations the edges."""
-    entries = op.stencil.entries
-    return all(sum(e[1] == i for e in entries) <= 2 for i in range(op.stencil.in_slots))
+        rows = _rows(op, window, todo)
+        block.update(rows)
+        new = set().union(*rows.values()) - seen
+        seen |= new
+        todo = {}
+        for k in new:
+            k, in_slot = divmod(k, in_slots)
+            a, b = divmod(k, vspan)
+            for o, dn, dm, terms in op.readers[in_slot]:
+                n, m = a - window - dn, b - window - dm
+                eq = ((n + radius) * span + m + radius) * slots + o
+                if eq not in found and not _vanishes(terms, n, m):
+                    found[eq] = todo[eq] = (o, (n, m))
+    return {eq: block[eq] for eq in _ids(sorted(found.values(), key=_eq_order), radius, slots)}
 
 
 class _Frame:
@@ -404,13 +436,13 @@ class _Frame:
         return True
 
 
-def _graph(column_side: bool, rows: dict[EqKey, dict], variables: list[VarKey]):
+def _graph(column_side: bool, rows: dict[int, dict], variables: list[int]):
     """The gain graph of a system: (nodes, {edge: ends}), both in order.
     rows maps every equation, in equation order, to its gains; variables
     lists every variable, in pivot order."""
     if not column_side:
         return variables, {eq: tuple(coeffs.items()) for eq, coeffs in rows.items()}
-    columns: dict[VarKey, list] = {v: [] for v in variables}
+    columns: dict[int, list] = {v: [] for v in variables}
     for eq, coeffs in rows.items():
         for k, c in coeffs.items():
             columns[k].append((eq, c))
@@ -515,7 +547,7 @@ class _Forest:
         ]
 
 
-def _setup(column_side: bool, rows: dict[EqKey, dict], variables: list[VarKey]):
+def _setup(column_side: bool, rows: dict[int, dict], variables: list[int]):
     """The gain graph of a system, its greedy basis and the walked forest:
     (edges, kept, rejected two-ended edges, forest)."""
     nodes, edges = _graph(column_side, rows, variables)
@@ -571,12 +603,12 @@ def kernel_dimension(operator: str, window: int) -> SolveReport:
     to 1 at their free coefficient and listed in pivot order.
     """
     op = _get_operator(operator)
-    if window < 3:
-        raise ValueError("window radius must be at least 3")
-    rows = {eq: _row(op, window, eq) for eq in _equations(op, window)}
-    column_side = _column_side(op)
-    edges, kept, rejected, forest = _setup(column_side, rows, _variables(op, window))
-    if column_side:
+    _check_window(window, 3)
+    keys = _equations(op, window)
+    rows = _rows(op, window, dict(zip(_ids(keys, window + op.reach, op.stencil.out_slots), keys)))
+    variables = _ids(_variables(op, window), window, op.stencil.in_slots)
+    edges, kept, rejected, forest = _setup(op.column_side, rows, variables)
+    if op.column_side:
         if rejected:
             # the basis is the circuits; the potentials only check the balance
             forest.potentials(rejected)
@@ -584,7 +616,7 @@ def kernel_dimension(operator: str, window: int) -> SolveReport:
     else:
         # one potential per balanced component, free at its last variable
         basis = forest.potentials(rejected)[::-1]
-    basis = tuple(_vector_object(op, vec) for vec in basis)
+    basis = tuple(_vector_object(op, window, vec) for vec in basis)
     return SolveReport(op.name, window, "kernel-basis", nullity=len(basis), basis=basis)
 
 
@@ -596,8 +628,7 @@ def coboundary_solve(target, operator: str, window: int) -> SolveReport:
     against the original equations before being returned.
     """
     op = _get_operator(operator)
-    if window < 3:
-        raise ValueError("window radius must be at least 3")
+    _check_window(window, 3)
     kind = LatticeFunctional if op.stencil.out_slots == 1 else CochainPair
     parts = cochain_slots(target)
     if not isinstance(target, kind) or not all(isinstance(p, LatticeFunctional) for p in parts):
@@ -606,16 +637,16 @@ def coboundary_solve(target, operator: str, window: int) -> SolveReport:
     if any(abs(n) > window - 2 or abs(m) > window - 2 for n, m in sites):
         raise ValueError("target support must stay 2 sites clear of the window edge")
 
-    block = _target_block(op, window, parts)
-    eqs = sorted(block, key=_eq_order)
-    rows = {eq: block[eq] for eq in eqs}
-    rhs = {(slot, s): c for slot, part in enumerate(parts) for s, c in part.terms.items()}
-    variables = sorted({k for coeffs in rows.values() for k in coeffs}, key=_var_order)
-    column_side = _column_side(op)
-    edges, kept, rejected, forest = _setup(column_side, rows, variables)
+    rows = _target_block(op, window, parts)
+    radius, slots = window + op.reach, op.stencil.out_slots
+    goal = {(slot, s): c for slot, part in enumerate(parts) for s, c in part.terms.items()}
+    rhs = dict(zip(_ids(goal, radius, slots), goal.values()))
+    varbox = (window, op.stencil.in_slots)
+    variables = _ids(sorted(_keys(set().union(*rows.values()), *varbox), key=_var_order), *varbox)
+    edges, kept, rejected, forest = _setup(op.column_side, rows, variables)
 
     certificate = None
-    if column_side:
+    if op.column_side:
         # a balanced component's potential is its one combination with a zero
         # left side; the walk yields them from the last equation backwards,
         # so the last inconsistent one met is the first by last equation
@@ -626,7 +657,7 @@ def coboundary_solve(target, operator: str, window: int) -> SolveReport:
             vec = forest.edge_values(rhs)
     else:
         vec = forest.node_values(rhs, ZERO)
-        for eq in eqs:
+        for eq in rows:
             if eq in kept:
                 continue
             left = sum((_mul(vec[k], c) for k, c in edges[eq] if k in vec), ZERO)
@@ -636,23 +667,25 @@ def coboundary_solve(target, operator: str, window: int) -> SolveReport:
                 break
 
     if certificate is not None:
-        lhs: dict[VarKey, Scalar] = {}
+        lhs: dict[tuple, Scalar] = {}
         total = ZERO
-        for (slot, (n, m)), mult in certificate.items():
+        for (slot, (n, m)), mult in zip(_keys(certificate, radius, slots), certificate.values()):
             # the original equations, read off the table through coefficient
-            for o, in_slot, dn, dm, terms in op.stencil.entries:
-                k = (in_slot, (n + dn, m + dm))
-                if o == slot and _inside(k[1], window):
-                    lhs[k] = lhs.get(k, ZERO) + coefficient(terms, n, m, mult)
+            for in_slot, dn, dm, terms in op.rows[slot]:
+                a, b = n + dn, m + dm
+                if abs(a) <= window and abs(b) <= window:
+                    k, c = (in_slot, a, b), coefficient(terms, n, m, mult)
+                    lhs[k] = lhs[k] + c if k in lhs else c
             b = parts[slot].coeff(n, m)
             if b:
                 total = total + mult * b
         if any(lhs.values()) or not total:
             raise RuntimeError("the gain-graph solve produced an invalid certificate")
-        certificate = tuple((eq, certificate[eq]) for eq in eqs if certificate.get(eq))
+        eqs = [eq for eq in rows if certificate.get(eq)]
+        certificate = tuple(zip(_keys(eqs, radius, slots), map(certificate.get, eqs)))
         return SolveReport(op.name, window, "unsolvable", certificate=certificate)
 
-    witness = _vector_object(op, vec)
+    witness = _vector_object(op, window, vec)
     residual = op.apply(witness) - target
     if not residual.is_zero():
         raise RuntimeError("the gain-graph solve produced an invalid witness")
@@ -722,8 +755,7 @@ def line_eliminate(row: LatticeFunctional, s0: int, window: int) -> LatticeFunct
     >>> line_eliminate(LatticeFunctional.delta(0, 1), 1, 5).support()
     [(1, 1), (3, 1), (5, 1)]
     """
-    if window < 2:
-        raise ValueError("window radius must be at least 2")
+    _check_window(window, 2)
     h = _one_row(row, s0, window, "line_eliminate row")
     return LatticeFunctional._of({(n, s0): c for n, c in _line_walk(h, s0, window).items()})
 
@@ -780,8 +812,7 @@ def row_solve(
     rho[n, r-2] = lambda**-n rho[n, r] below (rho[n, s0+1] = lambda**n eta[n],
     rho[n, r+2] = lambda**n rho[n, r] above), over the rows |y| <= window.
     """
-    if window < 2:
-        raise ValueError("window radius must be at least 2")
+    _check_window(window, 2)
     if direction not in ("below", "above"):
         raise ValueError("direction must be 'below' or 'above'")
     h = _one_row(eta, s0, window, "row_solve row")
@@ -859,8 +890,7 @@ def h1_trivialize(pair: CochainPair, window: int) -> SolveReport:
     >>> h1_trivialize(twisted_alpha1(phi), 4).witness == phi
     True
     """
-    if window < 3:
-        raise ValueError("window radius must be at least 3")
+    _check_window(window, 3)
     if not isinstance(pair, CochainPair) or not all(
         isinstance(p, LatticeFunctional) for p in cochain_slots(pair)
     ):

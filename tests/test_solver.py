@@ -372,7 +372,7 @@ def _engine_pivots(op, window, full_stencil=False):
     every variable but the last of each balanced component."""
     eqs, rows = window_system(op, window, full_stencil=full_stencil)
     variables = window_variables(op, window)
-    column_side = solver._column_side(op)
+    column_side = op.column_side
     _, edges = solver._graph(column_side, {eq: c for eq, (c, _) in zip(eqs, rows)}, variables)
     frame = solver._Frame()
     kept = {key for key, ends in edges.items() if frame.add(ends)}
@@ -393,6 +393,118 @@ def _witness(op, pivots, rows):
         if rows[i][1]:
             parts[slot][site] = rows[i][1]
     return cochain_from_slots([LatticeFunctional(p) for p in parts])
+
+
+class TestIds:
+    """Dense integer ids of a windowed system's keys: distinct, decoded back
+    to their keys, and in pivot or equation order once sorted by their keys."""
+
+    def test_round_trip_and_orders(self):
+        for name, op in OPERATORS.items():
+            for window in range(3, 9):
+                # every equation a membership solve may impose, one site past the edge
+                radius = window + 1
+                span = range(-radius, radius + 1)
+                imposed = [
+                    (slot, (n, m)) for slot in range(op.stencil.out_slots) for n in span for m in span
+                ]
+                assert set(solver._equations(op, window)) <= set(imposed)
+                cases = (
+                    (window_variables(op, window), window, op.stencil.in_slots, solver._var_order),
+                    (imposed, radius, op.stencil.out_slots, solver._eq_order),
+                )
+                for keys, box, slots, order in cases:
+                    ids = solver._ids(keys, box, slots)
+                    assert sorted(ids) == list(range(len(keys))), (name, window)
+                    assert solver._keys(ids, box, slots) == keys
+                    by_key = sorted(ids, key=lambda i: order(solver._keys([i], box, slots)[0]))
+                    assert solver._keys(by_key, box, slots) == sorted(keys, key=order)
+                # the window's keys come out in pivot and equation order
+                assert solver._variables(op, window) == window_variables(op, window)
+                eqs = solver._equations(op, window)
+                assert eqs == sorted(eqs, key=lambda e: (e[0], site_key(e[1])))
+
+    def test_tables_hold_every_entry_once(self):
+        for op in OPERATORS.values():
+            entries = sorted(op.stencil.entries)
+            assert sorted((o, *e) for o, row in enumerate(op.rows) for e in row) == entries
+            readers = sorted((e[0], i, *e[1:]) for i, rd in enumerate(op.readers) for e in rd)
+            assert readers == entries
+            assert op.reach == 1
+
+    def test_rows_read_the_table(self):
+        # each row, decoded, holds the nonzero window coefficients of the table
+        for name, op in OPERATORS.items():
+            window = 4
+            eqs, rows = window_system(op, window, full_stencil=True)
+            ids = solver._ids(eqs, window + 1, op.stencil.out_slots)
+            got = solver._rows(op, window, dict(zip(ids, eqs)))
+            assert len(got) == len(eqs)
+            for (coeffs, _), row in zip(rows, got.values()):
+                keys = solver._keys(row, window, op.stencil.in_slots)
+                assert {k: solver._mul(ONE, g) for k, g in zip(keys, row.values())} == coeffs
+
+
+class TestWindowType:
+    """A window radius must be an int: a float would make float ids."""
+
+    def test_float_windows_are_refused(self):
+        pair = twisted_alpha1(d(0, 0))
+        calls = [
+            lambda: kernel_dimension("alpha1", 4.0),
+            lambda: coboundary_solve(d(0, 0), "twisted_alpha2", 6.0),
+            lambda: h1_trivialize(pair, 4.5),
+            lambda: line_eliminate(d(0, 1), 1, 5.5),
+            lambda: row_solve(d(0, 1), 1, "below", 5.0),
+            lambda: kernel_dimension("twisted_alpha1", True),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError, match="window"):
+                call()
+
+    def test_type_is_checked_before_the_range(self):
+        with pytest.raises(TypeError, match="window"):
+            coboundary_solve(d(0, 0), "alpha2", 1.0)
+        with pytest.raises(ValueError, match="at least 3"):
+            coboundary_solve(d(0, 0), "alpha2", 2)
+
+
+def seeded_pairs(seed, count=20):
+    rng = random.Random(seed)
+    return [
+        CochainPair(random_functional(rng, 2, 3), random_functional(rng, 2, 3)) for _ in range(count)
+    ]
+
+
+NOT_A_CHAIN_MAP = "ROADMAP item 2: the untwisted degree-1 pullback is not a chain map"
+
+
+class TestPullbacksOnCoboundaries:
+    """A chain map sends coboundaries to coboundaries.  The two degree-2
+    pullbacks do on 20 seeded sources each; the untwisted degree-1 one does
+    not (ROADMAP item 2)."""
+
+    def test_twisted_deg2_keeps_coboundaries(self):
+        for x in seeded_pairs(21):
+            target = cochains.twisted_pullback_deg2(twisted_alpha2(x))
+            assert coboundary_solve(target, "twisted_alpha2", 8).status == "solved"
+
+    def test_untwisted_deg2_keeps_coboundaries(self):
+        for x in seeded_pairs(22):
+            target = cochains.untwisted_pullback_deg2(alpha2(x))
+            assert coboundary_solve(target, "alpha2", 8).status == "solved"
+
+    @pytest.mark.xfail(strict=True, reason=NOT_A_CHAIN_MAP)
+    def test_untwisted_deg1_keeps_cocycles(self):
+        assert alpha2(cochains.untwisted_pullback_deg1(alpha1(d(1, 0)))).is_zero()
+
+    @pytest.mark.xfail(strict=True, reason=NOT_A_CHAIN_MAP)
+    def test_untwisted_deg1_keeps_coboundaries(self):
+        rng = random.Random(23)
+        for _ in range(20):
+            x = random_functional(rng, radius=2, size=3)
+            target = cochains.untwisted_pullback_deg1(alpha1(x))
+            assert coboundary_solve(target, "alpha1", 8).status == "solved"
 
 
 class TestPivotRuleOracle:
@@ -750,7 +862,7 @@ class TestBalance:
         assert sorted(e[1] for e in alpha2_entries) == list(range(cochains.ALPHA2.in_slots))
 
     def test_orientation(self):
-        sides = {name: solver._column_side(op) for name, op in OPERATORS.items()}
+        sides = {name: op.column_side for name, op in OPERATORS.items()}
         assert sides == {
             "twisted_alpha1": False,
             "twisted_alpha2": True,
