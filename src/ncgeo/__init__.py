@@ -34,8 +34,6 @@ from .cochains import (
     LatticeFunctional,
     alpha1,
     alpha2,
-    kernel_check_twisted_deg1,
-    kernel_check_untwisted_deg1,
     make_D,
     site_key,
     twisted_alpha1,
@@ -54,8 +52,6 @@ from .solver import (
     coboundary_solve,
     h1_trivialize,
     kernel_dimension,
-    line_eliminate,
-    row_solve,
 )
 from .pairing import (
     COLUMN_COCYCLES,
@@ -70,8 +66,6 @@ from .pairing import (
     connes_torus_cocycle,
     evaluate,
     pair,
-    twisted_trace_property_check,
-    twisted_weight,
 )
 
 __version__ = "0.1.0"
@@ -102,8 +96,6 @@ __all__ = [
     "LatticeFunctional",
     "alpha1",
     "alpha2",
-    "kernel_check_twisted_deg1",
-    "kernel_check_untwisted_deg1",
     "make_D",
     "site_key",
     "twisted_alpha1",
@@ -120,8 +112,6 @@ __all__ = [
     "coboundary_solve",
     "h1_trivialize",
     "kernel_dimension",
-    "line_eliminate",
-    "row_solve",
     "COLUMN_COCYCLES",
     "COLUMNS",
     "ConnesTwoCocycle",
@@ -134,7 +124,5 @@ __all__ = [
     "connes_torus_cocycle",
     "evaluate",
     "pair",
-    "twisted_trace_property_check",
-    "twisted_weight",
     "__version__",
 ]

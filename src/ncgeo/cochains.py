@@ -56,8 +56,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scalars import ONE, ZERO, Scalar, _pneg, lambda_pow
-from .torus import Series, Site, TorusElement, _halves_from_json
+from .scalars import ONE, Scalar, _pneg, lambda_pow
+from .torus import Series, Site, _halves_from_json
 
 
 def site_key(site: Site) -> tuple[int, int, int]:
@@ -68,7 +68,7 @@ def site_key(site: Site) -> tuple[int, int, int]:
 
 class LatticeFunctional(Series):
     """A cochain's coefficient map on Z^2: a Series whose support is listed
-    in site_key order and which pairs with torus elements."""
+    in site_key order."""
 
     __slots__ = ()
 
@@ -90,13 +90,6 @@ class LatticeFunctional(Series):
             if abs(n) <= radius and abs(m) <= radius
         }
         return LatticeFunctional._of(kept)
-
-    def pair_with(self, x: TorusElement) -> Scalar:
-        """Dual pairing sum phi[n,m] * x[n,m] (finite because x is)."""
-        out = ZERO
-        for (n, m), c in x.terms.items():
-            out = out + self.coeff(n, m) * c
-        return out
 
 
 @dataclass(frozen=True)
@@ -241,7 +234,7 @@ def alpha2(pair: CochainPair) -> LatticeFunctional:
 
 
 # ---------------------------------------------------------------------------
-# kernel generators and kernel checks
+# kernel generators and the windowed cocycle check
 
 
 def make_D(i: int, j: int, radius: int) -> LatticeFunctional:
@@ -266,22 +259,10 @@ def make_D(i: int, j: int, radius: int) -> LatticeFunctional:
 
 
 def _violations(out: LatticeFunctional, window: int) -> Site | None:
+    """The smallest interior site (|n|, |m| <= window-1) in site order where
+    the image out of a differential is nonzero, or None."""
     interior = (s for s in out.terms if abs(s[0]) <= window - 1 and abs(s[1]) <= window - 1)
     return min(interior, key=site_key, default=None)
-
-
-def kernel_check_twisted_deg1(pair: CochainPair, window: int) -> tuple[bool, Site | None]:
-    """Does twisted_alpha2(pair) vanish at every site whose full stencil lies
-    inside the window?  Returns the smallest offending site otherwise."""
-    bad = _violations(twisted_alpha2(pair.restrict(window)), window)
-    return bad is None, bad
-
-
-def kernel_check_untwisted_deg1(pair: CochainPair, window: int) -> tuple[bool, Site | None]:
-    """Same check against the untwisted second differential, equivalently the
-    sitewise relation (lambda**n - lambda) f[n,m-1] = (lambda - lambda**m) g[n-1,m]."""
-    bad = _violations(alpha2(pair.restrict(window)), window)
-    return bad is None, bad
 
 
 # ---------------------------------------------------------------------------

@@ -47,10 +47,6 @@ class CrossedElement:
     def one(cls) -> "CrossedElement":
         return cls(TorusElement.one(), None)
 
-    @classmethod
-    def from_torus(cls, a: TorusElement) -> "CrossedElement":
-        return cls(a, None)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, CrossedElement):
             return NotImplemented

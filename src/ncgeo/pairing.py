@@ -55,7 +55,7 @@ from .crossed import (
     is_projection,
     make_projection,
 )
-from .scalars import HALF, LAMBDA, MU, ONE, ZERO, Scalar, lambda_pow
+from .scalars import HALF, LAMBDA, MU, ONE, ZERO, Scalar
 from .torus import TorusElement
 
 
@@ -97,13 +97,6 @@ def TwistedTrace(i: int, j: int) -> CyclicCocycle:
 
 def ConnesTwoCocycle() -> CyclicCocycle:
     return CyclicCocycle("connes")
-
-
-def twisted_weight(i: int, j: int, n: int, m: int) -> Scalar:
-    """Phase at (n,m) of the odd trace seeded at the parity site (i,j)."""
-    if n % 2 != i or m % 2 != j:
-        return ZERO
-    return lambda_pow((i * j - n * m) // 2)
 
 
 def _twisted_value(i: int, j: int, odd: TorusElement) -> Scalar:
@@ -194,11 +187,6 @@ def _pair_value(projection: CrossedElement, cocycle: CyclicCocycle) -> Scalar:
     if cocycle.degree == 0:
         return evaluate(cocycle, [projection])
     return evaluate(cocycle, [projection] * 3)
-
-
-def twisted_trace_property_check(i: int, j: int, x: CrossedElement, y: CrossedElement) -> bool:
-    """Exact check of the trace identity psi(xy) = psi(yx) on one pair."""
-    return _twisted_value(i, j, (x * y).odd) == _twisted_value(i, j, (y * x).odd)
 
 
 # Table layout: rows follow the projection list, columns the class list

@@ -111,22 +111,18 @@ Kernel computations still set up every equation, as the nullity needs every
 block.
 
 The second half of the module implements the constructive proof that the
-flip-twisted first cohomology vanishes, as a two-phase pipeline:
+flip-twisted first cohomology vanishes, as the two phases of `h1_trivialize`:
 
-* `line_eliminate` cancels one row of the first component with a degree-0
-  cochain supported on that row, walking each parity chain upwards from its
-  lowest support site n with the gauge gamma[n-1] = 0;
-* `row_solve` absorbs one second-component row eta at y=s0 (which must
-  satisfy the row recurrence eta[w+1] = lambda**(s0-1) eta[w-1]; this is
-  checked, not assumed) on the rows of the other parity, below s0 down to
-  y = -window or above it up to y = window (|s0| <= window is required).
-  Each column of the answer obeys the two-step recurrence of a line, so it
-  is the walk of line_eliminate along that column;
-* `h1_trivialize` cancels every first-component row with `line_eliminate`,
-  checks every surviving second-component row's recurrence, and absorbs
-  all of them at once: one line walk per direction (rows y >= 0 below,
-  y < 0 above) and column, which is the sum of the per-row answers of
-  `row_solve`, value for value, at a fraction of the products.
+* phase 1 cancels each row of the first component with a degree-0 cochain
+  supported on that row (_line_walk), walking each parity chain upwards from
+  its lowest support site n with the gauge gamma[n-1] = 0;
+* phase 2 checks that each surviving second-component row eta at y=s0
+  satisfies the row recurrence eta[w+1] = lambda**(s0-1) eta[w-1]
+  (_check_recurrence: checked, not assumed) and absorbs the rows on the rows
+  of the other parity (_absorb): those at y >= 0 below, down to y = -window,
+  and those at y < 0 above, up to y = window.  Each column of the answer
+  obeys the two-step recurrence of a line, so it is one line walk per
+  direction and column, the sum of the rows' closed forms.
   The witness's differential reproduces the input exactly at every
   interior site of the window.
 
@@ -140,9 +136,8 @@ E.second on the window, which is the leftover.  So when no row survives
 phase 1 and E.first vanishes on the band, the input is a cocycle and the
 image of gamma, the re-check, is the only stencil application.  Otherwise
 twisted_alpha2(pair) is applied before any row recurrence is checked.  A
-non-cocycle is refused either way with `NotACocycle` at its smallest
-interior violation in site order, the site `kernel_check_twisted_deg1`
-reports.
+non-cocycle is refused either way with `NotACocycle` at the smallest
+interior site in site order where twisted_alpha2 of the input is nonzero.
 
 The witness of twisted_alpha1(phi), for a finite phi inside the window, is
 phi, its only finitely supported preimage.  An input with no finite
@@ -182,7 +177,7 @@ EqKey = tuple[int, Site]
 
 
 class RecurrenceViolation(ValueError):
-    """A row handed to row_solve fails its defining recurrence."""
+    """A second-component row left for phase 2 fails its defining recurrence."""
 
     def __init__(self, site: Site, message: str):
         super().__init__(message)
@@ -244,12 +239,12 @@ def _get_operator(name: str) -> Operator:
         ) from None
 
 
-def _check_window(window, least: int) -> None:
-    """Refuse a window radius that is not an int or is below least."""
+def _check_window(window) -> None:
+    """Refuse a window radius that is not an int or is below 3."""
     if type(window) is not int:
         raise TypeError(f"window must be an int, not {type(window).__name__}")
-    if window < least:
-        raise ValueError(f"window radius must be at least {least}")
+    if window < 3:
+        raise ValueError("window radius must be at least 3")
 
 
 def _ids(keys, radius: int, slots: int) -> list[int]:
@@ -603,7 +598,7 @@ def kernel_dimension(operator: str, window: int) -> SolveReport:
     to 1 at their free coefficient and listed in pivot order.
     """
     op = _get_operator(operator)
-    _check_window(window, 3)
+    _check_window(window)
     keys = _equations(op, window)
     rows = _rows(op, window, dict(zip(_ids(keys, window + op.reach, op.stencil.out_slots), keys)))
     variables = _ids(_variables(op, window), window, op.stencil.in_slots)
@@ -628,7 +623,7 @@ def coboundary_solve(target, operator: str, window: int) -> SolveReport:
     against the original equations before being returned.
     """
     op = _get_operator(operator)
-    _check_window(window, 3)
+    _check_window(window)
     kind = LatticeFunctional if op.stencil.out_slots == 1 else CochainPair
     parts = cochain_slots(target)
     if not isinstance(target, kind) or not all(isinstance(p, LatticeFunctional) for p in parts):
@@ -698,21 +693,6 @@ def coboundary_solve(target, operator: str, window: int) -> SolveReport:
 # constructive solver for the twisted degree-1 vanishing
 
 
-def _one_row(f: LatticeFunctional, s0: int, window: int, what: str) -> dict[int, Scalar]:
-    if not isinstance(f, LatticeFunctional):
-        raise TypeError(f"{what} must be a finite LatticeFunctional")
-    if abs(s0) > window:
-        raise ValueError(f"{what} y={s0} lies outside the window |y| <= {window}")
-    row: dict[int, Scalar] = {}
-    for (n, m), c in f.terms.items():
-        if m != s0:
-            raise ValueError(f"{what} must be supported on the single row y={s0}")
-        if abs(n) > window:
-            raise ValueError(f"{what} support exceeds the window")
-        row[n] = c
-    return row
-
-
 def _line_walk(h: dict[int, Scalar], s0: int, window: int) -> dict[int, Scalar]:
     """gamma with gamma[n+1] - lambda**s0 gamma[n-1] = h[n] at every
     |n| <= window-1 of a row h = {n: h[n]} at y=s0, gamma = {n: gamma[n]}.
@@ -735,29 +715,6 @@ def _line_walk(h: dict[int, Scalar], s0: int, window: int) -> dict[int, Scalar]:
                 gamma[n + 1] = carry
             n += 2
     return gamma
-
-
-def line_eliminate(row: LatticeFunctional, s0: int, window: int) -> LatticeFunctional:
-    """Degree-0 cochain gamma on row s0 whose twisted differential's first
-    component reproduces the given row at every site |n| <= window-1.
-
-    Solves gamma[n+1] - lambda**s0 gamma[n-1] = h[n] per parity chain,
-    walking upwards from the chain's lowest support site n with the gauge
-    gamma[n-1] = 0.  When the row is the first component of twisted_alpha1
-    of a finitely supported cochain on the row, gamma is that cochain;
-    otherwise the geometric tail runs upwards only and is truncated at
-    n = window.
-
-    >>> from ncgeo.cochains import twisted_alpha1
-    >>> phi = LatticeFunctional.delta(-2, 1) + LatticeFunctional.delta(3, 1, 5)
-    >>> line_eliminate(twisted_alpha1(phi).first, 1, 5) == phi
-    True
-    >>> line_eliminate(LatticeFunctional.delta(0, 1), 1, 5).support()
-    [(1, 1), (3, 1), (5, 1)]
-    """
-    _check_window(window, 2)
-    h = _one_row(row, s0, window, "line_eliminate row")
-    return LatticeFunctional._of({(n, s0): c for n, c in _line_walk(h, s0, window).items()})
 
 
 def _check_recurrence(h: dict[int, Scalar], s0: int, window: int) -> None:
@@ -797,27 +754,6 @@ def _absorb(
         for j, c in _line_walk(column, -n if below else n, window).items():
             rho[(n, -j if below else j)] = c
     return rho
-
-
-def row_solve(
-    eta: LatticeFunctional, s0: int, direction: str, window: int
-) -> LatticeFunctional:
-    """Degree-0 cochain rho whose twisted differential is exactly the single
-    row eta at y=s0 (second component; first component zero) at all interior
-    sites, supported on the rows of the other parity below or above s0.
-
-    Requires |s0| <= window and eta[w+1] = lambda**(s0-1) eta[w-1] at every
-    |w| <= window-1; a violation is rejected with the offending site.  rho is
-    the column walk of _absorb: rho[n, s0-1] = -eta[n],
-    rho[n, r-2] = lambda**-n rho[n, r] below (rho[n, s0+1] = lambda**n eta[n],
-    rho[n, r+2] = lambda**n rho[n, r] above), over the rows |y| <= window.
-    """
-    _check_window(window, 2)
-    if direction not in ("below", "above"):
-        raise ValueError("direction must be 'below' or 'above'")
-    h = _one_row(eta, s0, window, "row_solve row")
-    _check_recurrence(h, s0, window)
-    return LatticeFunctional._of(_absorb({s0: h}, direction, window))
 
 
 def _lines(terms: dict[Site, Scalar]) -> dict[int, dict[int, Scalar]]:
@@ -862,20 +798,20 @@ def _gaps(pair: CochainPair, out: CochainPair, window: int):
 def h1_trivialize(pair: CochainPair, window: int) -> SolveReport:
     """Constructive trivialization of a windowed twisted 1-cocycle.
 
-    Phase 1 cancels every first-component row with the walk of
-    line_eliminate, upwards from the low end of each parity chain; phase 2
-    checks each surviving second-component row's recurrence as row_solve
-    does and absorbs the rows at y >= 0 in one walk per column below and
-    those at y < 0 in one walk per column above (_absorb), down to
-    y = -window and up to y = window.  The returned witness psi satisfies
-    twisted_alpha1(psi) = pair exactly at all sites with |n|, |m| <=
-    window-1; the report's residual is that restriction.
+    Phase 1 cancels every first-component row with a line walk
+    (_line_walk), upwards from the low end of each parity chain; phase 2
+    checks each surviving second-component row's recurrence
+    (_check_recurrence) and absorbs the rows at y >= 0 in one walk per
+    column below and those at y < 0 in one walk per column above (_absorb),
+    down to y = -window and up to y = window.  The returned witness psi
+    satisfies twisted_alpha1(psi) = pair exactly at all sites with |n|, |m|
+    <= window-1; the report's residual is that restriction.
 
     A pair that is not a windowed cocycle raises NotACocycle at the
-    smallest interior site where twisted_alpha2(pair) is nonzero.  That
-    check is derived from the re-check when no row survives phase 1 and
-    twisted_alpha1(gamma).first equals pair.first on the band |n| <=
-    window-1, |m| <= window, one row wider than the residual: then
+    smallest interior site in site order where twisted_alpha2(pair) is
+    nonzero.  That check is derived from the re-check when no row survives
+    phase 1 and twisted_alpha1(gamma).first equals pair.first on the band
+    |n| <= window-1, |m| <= window, one row wider than the residual: then
     twisted_alpha2(pair), which is twisted_alpha2 of pair -
     twisted_alpha1(gamma), vanishes at every interior site.  Otherwise
     twisted_alpha2(pair) is applied explicitly, before phase 2 checks any
@@ -890,7 +826,7 @@ def h1_trivialize(pair: CochainPair, window: int) -> SolveReport:
     >>> h1_trivialize(twisted_alpha1(phi), 4).witness == phi
     True
     """
-    _check_window(window, 3)
+    _check_window(window)
     if not isinstance(pair, CochainPair) or not all(
         isinstance(p, LatticeFunctional) for p in cochain_slots(pair)
     ):

@@ -89,13 +89,13 @@ class TestProductLaw:
 
     def test_t_conjugation(self):
         t = CrossedElement(None, TorusElement.one())
-        x = CrossedElement.from_torus(mono(2, -1, MU))
-        assert t * x * t == CrossedElement.from_torus(mono(2, -1, MU).sigma())
+        x = CrossedElement(mono(2, -1, MU))
+        assert t * x * t == CrossedElement(mono(2, -1, MU).sigma())
 
     def test_odd_times_even(self):
         # (b t) c = (b sigma(c)) t
         b, c = mono(1, 1), mono(0, 2, MU)
-        got = CrossedElement(None, b) * CrossedElement.from_torus(c)
+        got = CrossedElement(None, b) * CrossedElement(c)
         assert got == CrossedElement(None, b * c.sigma())
 
     @given(rich_crossed, rich_crossed)
@@ -173,10 +173,10 @@ class TestProjections:
             raise AssertionError("expected ValueError")
 
     def test_u1_is_not_a_projection(self):
-        x = CrossedElement.from_torus(U1)
+        x = CrossedElement(U1)
         check = is_projection(x)
         assert not check.ok
-        assert check.idempotency_defect == CrossedElement.from_torus(U1 * U1 - U1)
+        assert check.idempotency_defect == CrossedElement(U1 * U1 - U1)
 
     def test_wrong_twist_power_breaks_r(self):
         # replacing the square root u by the full twist lambda in r ruins

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from ncgeo import pairing as pairing_mod
-from ncgeo.scalars import HALF, LAMBDA, MU, ONE, ZERO, Scalar, lambda_pow, mu_pow
+from ncgeo.scalars import HALF, LAMBDA, MU, ONE, ZERO, Scalar, lambda_pow, mu_pow, parse_scalar
 from ncgeo.torus import Series, TorusElement, U1, U2, u1, u2
 from ncgeo.crossed import CrossedElement, PROJECTION_NAMES, is_projection, make_projection
 from ncgeo.pairing import (
@@ -23,8 +23,6 @@ from ncgeo.pairing import (
     pair,
     table_value,
     text_value,
-    twisted_trace_property_check,
-    twisted_weight,
 )
 
 
@@ -76,20 +74,32 @@ def product_route_phi(x0, x1, x2):
     )
 
 
+def weight(i, j, n, m):
+    """psi_ij of the odd monomial at (n, m): its phase w_ij(n, m)."""
+    odd = CrossedElement(None, TorusElement.monomial(n, m))
+    return evaluate(TwistedTrace(i, j), [odd])
+
+
+def trace_property(i, j, x, y):
+    """The trace identity psi_ij(xy) = psi_ij(yx) on one pair."""
+    psi = TwistedTrace(i, j)
+    return evaluate(psi, [x * y]) == evaluate(psi, [y * x])
+
+
 class TestTwistedWeight:
     def test_seed_normalization(self):
         for i in (0, 1):
             for j in (0, 1):
-                assert twisted_weight(i, j, i, j) == ONE
+                assert weight(i, j, i, j) == ONE
 
     def test_off_class_zero(self):
-        assert twisted_weight(1, 0, 0, 0) == ZERO
-        assert twisted_weight(0, 0, 1, 1) == ZERO
+        assert weight(1, 0, 0, 0) == ZERO
+        assert weight(0, 0, 1, 1) == ZERO
 
     def test_spot_phases(self):
-        assert twisted_weight(1, 1, 1, -1) == LAMBDA
-        assert twisted_weight(0, 1, 2, 1) == lambda_pow(-1)
-        assert twisted_weight(1, 0, 3, 2) == lambda_pow(-3)
+        assert weight(1, 1, 1, -1) == LAMBDA
+        assert weight(0, 1, 2, 1) == lambda_pow(-1)
+        assert weight(1, 0, 3, 2) == lambda_pow(-3)
 
     def test_trace_forced_relation(self):
         # w(n-2p, m-2q) = lambda^(qn + pm - 2pq) w(n,m) on each parity class
@@ -98,10 +108,8 @@ class TestTwistedWeight:
                 for n in range(i - 4, 5, 2):
                     for m in range(j - 4, 5, 2):
                         for p, q in ((1, 0), (0, 1), (1, 1), (-1, 2)):
-                            lhs = twisted_weight(i, j, n - 2 * p, m - 2 * q)
-                            rhs = lambda_pow(q * n + p * m - 2 * p * q) * twisted_weight(
-                                i, j, n, m
-                            )
+                            lhs = weight(i, j, n - 2 * p, m - 2 * q)
+                            rhs = lambda_pow(q * n + p * m - 2 * p * q) * weight(i, j, n, m)
                             assert lhs == rhs
 
 
@@ -112,12 +120,12 @@ class TestTraceIdentity:
             x, y = random_crossed(rng), random_crossed(rng)
             for i in (0, 1):
                 for j in (0, 1):
-                    assert twisted_trace_property_check(i, j, x, y)
+                    assert trace_property(i, j, x, y)
 
     def test_monomial_anchor(self):
         x = CrossedElement(U1, None)
         y = CrossedElement(None, u1(-1))
-        assert twisted_trace_property_check(1, 0, x, y)
+        assert trace_property(1, 0, x, y)
 
     def test_corrupted_table_detected(self):
         # the transposed phase profile satisfies the kernel recurrences of
@@ -132,7 +140,7 @@ class TestTraceIdentity:
 
         x = CrossedElement(u2(2), None)
         y = CrossedElement(None, u1(1) * u2(2))
-        assert twisted_trace_property_check(1, 0, x, y)
+        assert trace_property(1, 0, x, y)
         assert corrupted((x * y).odd) != corrupted((y * x).odd)
 
 
@@ -382,6 +390,27 @@ class TestPairingTable:
         text = table.to_text(annotate=True)
         assert "note:" in text
         assert "q_1" in text
+
+    def test_trace_minor_is_triangular(self):
+        # on the trace columns in this order the table is lower triangular,
+        # so its determinant is the product of the pivots: -u/16
+        sympy = pytest.importorskip("sympy")
+        u = sympy.Symbol("u")
+        cols = ("S_tau", "S_D00", "S_D10", "S_D01", "S_D11")
+        text = {(c["row"], c["col"]): c["value"] for c in build_table().to_json()["cells"]}
+        minor = [[parse_scalar(text[(row, col)]) for col in cols] for row in PROJECTION_NAMES]
+        for k, row in enumerate(minor):
+            assert not any(row[k + 1:])
+        assert [minor[k][k] for k in range(5)] == [ONE, HALF, -HALF, -HALF, -(MU * HALF)]
+
+        def expr(x):
+            # x = u**s * num / den, as in the sympy oracle of the scalars
+            num = sum(c * u**k for k, c in enumerate(x.n))
+            den = sum(c * u**k for k, c in enumerate(x.d))
+            return u**x.s * num / den
+
+        det = sympy.Matrix([[expr(x) for x in row] for row in minor]).det()
+        assert sympy.cancel(det + u / 16) == 0
 
     def test_deterministic(self):
         assert build_table().to_json() == build_table().to_json()

@@ -17,7 +17,6 @@ from ncgeo.cochains import (
     cochain_from_slots,
     cochain_slots,
     coefficient,
-    kernel_check_untwisted_deg1,
     make_D,
     site_key,
     twisted_alpha1,
@@ -33,8 +32,6 @@ from ncgeo.solver import (
     coboundary_solve,
     h1_trivialize,
     kernel_dimension,
-    line_eliminate,
-    row_solve,
 )
 
 
@@ -46,6 +43,17 @@ ZF = LatticeFunctional.zero()
 # wrong types where a LatticeFunctional belongs: a series, a pair, and a
 # coefficient rule (the closed form of D(0,0) as a bare function)
 SERIES = TorusElement.monomial(0, 0)
+
+
+def row_of(f):
+    """A functional on one row as {n: c}, the form the line walks take."""
+    return {n: c for (n, _), c in f.terms.items()}
+
+
+def walk(row, s0, window):
+    """Phase 1's line walk of a row at y=s0, as a functional on that row."""
+    gamma = solver._line_walk(row_of(row), s0, window)
+    return LatticeFunctional._of({(n, s0): c for n, c in gamma.items()})
 
 
 def d00_rule(n, m):
@@ -188,6 +196,14 @@ class TestCoboundarySolve:
                 rep = coboundary_solve(d(*site), operator, window)
                 assert rep.status == "unsolvable"
                 self._check_certificate(rep, d(*site), operator, window)
+
+    def test_untwisted_degree1_classes_unsolvable(self):
+        # the two untwisted degree-1 classes are not alpha1 coboundaries
+        for target in (CochainPair(d(-1, 0), ZF), CochainPair(ZF, d(0, -1))):
+            for window in range(4, 9):
+                rep = coboundary_solve(target, "alpha1", window)
+                assert rep.status == "unsolvable"
+                self._check_certificate(rep, target, "alpha1", window)
 
     def test_scalar_products_stay_few(self, monkeypatch):
         # the 49-equation block of a radius-6 refutation, certificate
@@ -454,8 +470,6 @@ class TestWindowType:
             lambda: kernel_dimension("alpha1", 4.0),
             lambda: coboundary_solve(d(0, 0), "twisted_alpha2", 6.0),
             lambda: h1_trivialize(pair, 4.5),
-            lambda: line_eliminate(d(0, 1), 1, 5.5),
-            lambda: row_solve(d(0, 1), 1, "below", 5.0),
             lambda: kernel_dimension("twisted_alpha1", True),
         ]
         for call in calls:
@@ -1273,13 +1287,16 @@ class TestOrderIndependence:
 
 
 class TestLineEliminate:
+    """Phase 1's line walk on one row of the first component, and the
+    first-component rows h1_trivialize refuses."""
+
     def test_zero_row(self):
-        assert line_eliminate(ZF, 2, 5).is_zero()
+        assert solver._line_walk({}, 2, 5) == {}
 
     def test_delta_row_frozen_tail(self):
         # gamma[-1] = 0 below the delta, gamma[1] = 1, then
         # gamma[n+2] = lambda gamma[n] up to the window edge
-        gamma = line_eliminate(d(0, 1), 1, 5)
+        gamma = walk(d(0, 1), 1, 5)
         assert gamma == d(1, 1, 1) + d(3, 1, LAMBDA) + d(5, 1, lambda_pow(2))
 
     def test_row_reproduced_on_interior(self):
@@ -1290,7 +1307,7 @@ class TestLineEliminate:
             row = LatticeFunctional(
                 {(rng.randint(-3, 3), s0): mu_pow(rng.randint(-2, 2)) for _ in range(3)}
             )
-            gamma = line_eliminate(row, s0, window)
+            gamma = walk(row, s0, window)
             out = twisted_alpha1(gamma)
             # first component lives on the row and matches it inside
             for (n, m) in out.first.support():
@@ -1298,23 +1315,20 @@ class TestLineEliminate:
             for n in range(-window + 1, window):
                 assert out.first.coeff(n, s0) == row.coeff(n, s0)
 
-    def test_rejects_off_row_support(self):
-        with pytest.raises(ValueError):
-            line_eliminate(d(0, 1), 2, 5)
-
     def test_rejects_row_outside_window(self):
-        with pytest.raises(ValueError, match=r"\|y\| <= 4"):
-            line_eliminate(d(0, 9), 9, 4)
+        # h1_trivialize refuses a first-component row beyond |y| <= window
+        for s0 in (9, -5):
+            with pytest.raises(ValueError, match="exceeds the window"):
+                h1_trivialize(CochainPair(d(0, s0), ZF), 4)
 
     def test_rejects_rule_backed_row(self):
-        with pytest.raises(TypeError, match="LatticeFunctional"):
-            line_eliminate(d00_rule, 0, 4)
+        with pytest.raises(TypeError, match="finite CochainPair"):
+            h1_trivialize(CochainPair(d00_rule, ZF), 4)
 
     def test_rejects_wrong_type_row(self):
         for row in (SERIES, CochainPair(d(0, 0), ZF)):
-            with pytest.raises(TypeError, match="LatticeFunctional"):
-                line_eliminate(row, 0, 4)
-
+            with pytest.raises(TypeError, match="finite CochainPair"):
+                h1_trivialize(CochainPair(row, ZF), 4)
 
     def test_line_without_finite_preimage_tails_upwards(self):
         # h = c d(-2) + c' d(1) on y = s0: gamma[-1 + 2k] = lambda^(k s0) c and
@@ -1323,7 +1337,7 @@ class TestLineEliminate:
         window, s0 = 7, -2
         c, c2 = MU, Scalar.from_int(-3)
         row = d(-2, s0, c) + d(1, s0, c2)
-        gamma = line_eliminate(row, s0, window)
+        gamma = walk(row, s0, window)
         want = sum((d(-1 + 2 * k, s0, lambda_pow(k * s0) * c) for k in range(5)), ZF)
         want = want + sum((d(2 + 2 * k, s0, lambda_pow(k * s0) * c2) for k in range(3)), ZF)
         assert gamma == want
@@ -1339,12 +1353,31 @@ class TestLineEliminate:
         for window in (4, 7):
             s0 = window - 2
             phi = d(-window + 1, s0, MU) + d(-window + 3, s0, 2) + d(1, s0, -1)
-            assert line_eliminate(twisted_alpha1(phi).first, s0, window) == phi
+            assert walk(twisted_alpha1(phi).first, s0, window) == phi
+
+
+def closed_forms(eta, s0, window):
+    """The per-row closed forms of phase 2, evaluated with lambda_pow
+    products: -lambda^(-kn) eta[n] on row s0-1-2k below and
+    lambda^((k+1)n) eta[n] on row s0+1+2k above, rows |y| <= window."""
+    below, above = {}, {}
+    for (n, _), c in eta.terms.items():
+        for k in range((s0 - 1 + window) // 2 + 1):
+            below[(n, s0 - 1 - 2 * k)] = -(lambda_pow(-k * n) * c)
+        for k in range((window - s0 - 1) // 2 + 1):
+            above[(n, s0 + 1 + 2 * k)] = lambda_pow((k + 1) * n) * c
+    return below, above
 
 
 class TestRowSolve:
+    """Phase 2 on second-component rows: h1_trivialize absorbs a row at
+    y >= 0 below it and a row at y < 0 above it (_absorb), and refuses the
+    rows it cannot take."""
+
     def test_zero_row(self):
-        assert row_solve(ZF, 1, "below", 4).is_zero()
+        for direction in ("below", "above"):
+            assert solver._absorb({}, direction, 4) == {}
+            assert solver._absorb({1: {}}, direction, 4) == {}
 
     def test_periodic_constant_row_below(self):
         # at s0 = 1 the recurrence factor is 1, so 2-periodic rows qualify
@@ -1352,7 +1385,7 @@ class TestRowSolve:
         eta = LatticeFunctional(
             {(n, 1): (ONE if n % 2 == 0 else mu_pow(1)) for n in range(-window, window + 1)}
         )
-        rho = row_solve(eta, 1, "below", window)
+        rho = h1_trivialize(CochainPair(ZF, eta), window).witness
         assert {m for (_, m) in rho.support()} == {0, -2, -4}
         out = twisted_alpha1(rho)
         for n in range(-window, window + 1):
@@ -1369,55 +1402,64 @@ class TestRowSolve:
         eta = LatticeFunctional(
             {(n, -1): lambda_pow(-n) for n in range(-window, window + 1)}
         )
-        rho = row_solve(eta, -1, "above", window)
+        rho = h1_trivialize(CochainPair(ZF, eta), window).witness
         assert {m for (_, m) in rho.support()} == {0, 2, 4}
         out = twisted_alpha1(rho)
         for n in range(-window, window + 1):
             assert out.second.coeff(n, -1) == eta.coeff(n, -1)
 
     def test_closed_form_at_every_row(self):
-        # the recurrence of row_solve's docstring, evaluated with lambda_pow
-        # products: -lambda^(-kn) eta[n] on row s0-1-2k below and
-        # lambda^((k+1)n) eta[n] on row s0+1+2k above, rows |y| <= window;
-        # s0 = -window below and s0 = window above sweep nothing
+        # the witness of a single row is its closed form in the direction
+        # h1_trivialize takes; _absorb gives both, and s0 = -window below
+        # and s0 = window above sweep nothing.  Rows add: the witness of
+        # their sum is the sum of their closed forms
         rng = random.Random(73)
         for window in (3, 4, 6):
+            total, want_total = ZF, ZF
             for s0 in range(-window, window + 1):
                 eta = recurrence_row(rng, s0, window)
-                below, above = {}, {}
-                for (n, _), c in eta.terms.items():
-                    for k in range((s0 - 1 + window) // 2 + 1):
-                        below[(n, s0 - 1 - 2 * k)] = -(lambda_pow(-k * n) * c)
-                    for k in range((window - s0 - 1) // 2 + 1):
-                        above[(n, s0 + 1 + 2 * k)] = lambda_pow((k + 1) * n) * c
+                below, above = closed_forms(eta, s0, window)
                 for direction, want in (("below", below), ("above", above)):
-                    rho = row_solve(eta, s0, direction, window)
-                    assert rho == LatticeFunctional(want)
-                    assert all(abs(m) <= window for _, m in rho.terms)
+                    got = solver._absorb({s0: row_of(eta)}, direction, window)
+                    assert LatticeFunctional(got) == LatticeFunctional(want)
                 assert bool(below) == (s0 > -window) and bool(above) == (s0 < window)
+                want = LatticeFunctional(below if s0 >= 0 else above)
+                rep = h1_trivialize(CochainPair(ZF, eta), window)
+                assert rep.witness == want and rep.residual.is_zero()
+                assert all(abs(m) <= window for _, m in rep.witness.terms)
+                total, want_total = total + eta, want_total + want
+            rep = h1_trivialize(CochainPair(ZF, total), window)
+            assert rep.witness == want_total and rep.residual.is_zero()
 
     def test_recurrence_violation_site(self):
+        # a row off its recurrence inside the window is no cocycle; at
+        # |y| = window no interior equation reads it, and the recurrence
+        # check refuses it
+        with pytest.raises(NotACocycle) as exc:
+            h1_trivialize(CochainPair(ZF, d(0, 2)), 4)
+        assert exc.value.site == (-1, 2)
+        for s0 in (4, -4):
+            with pytest.raises(RecurrenceViolation) as exc:
+                h1_trivialize(CochainPair(ZF, d(0, s0)), 4)
+            assert exc.value.site == (-1, s0)
         with pytest.raises(RecurrenceViolation) as exc:
-            row_solve(d(0, 2), 2, "below", 4)
+            solver._check_recurrence({0: ONE}, 2, 4)
         assert exc.value.site == (-1, 2)
 
-    def test_bad_direction(self):
-        with pytest.raises(ValueError):
-            row_solve(ZF, 0, "sideways", 4)
-
     def test_rejects_row_outside_window(self):
-        for direction in ("below", "above"):
-            with pytest.raises(ValueError, match=r"\|y\| <= 4"):
-                row_solve(d(0, -9), -9, direction, 4)
+        # h1_trivialize refuses a second-component row beyond |y| <= window
+        for s0 in (-9, 9):
+            with pytest.raises(ValueError, match="exceeds the window"):
+                h1_trivialize(CochainPair(ZF, d(0, s0)), 4)
 
     def test_rejects_rule_backed_row(self):
-        with pytest.raises(TypeError, match="LatticeFunctional"):
-            row_solve(d00_rule, 0, "below", 4)
+        with pytest.raises(TypeError, match="finite CochainPair"):
+            h1_trivialize(CochainPair(ZF, d00_rule), 4)
 
     def test_rejects_wrong_type_row(self):
         for row in (SERIES, CochainPair(d(0, 0), ZF)):
-            with pytest.raises(TypeError, match="LatticeFunctional"):
-                row_solve(row, 0, "above", 4)
+            with pytest.raises(TypeError, match="finite CochainPair"):
+                h1_trivialize(CochainPair(ZF, row), 4)
 
 
 class TestH1Trivialize:
@@ -1508,7 +1550,7 @@ class TestH1Trivialize:
                     assert exc.value.site == want
                     refused += 1
                 want = first_violation(untwisted_out, untwisted, window)
-                assert kernel_check_untwisted_deg1(untwisted, window) == (want is None, want)
+                assert cochains._violations(alpha2(untwisted.restrict(window)), window) == want
                 refused += want is not None
         assert refused >= 40
 
@@ -1592,9 +1634,9 @@ def stacked_h1(pair, window):
     acc = {}
     rows = {}
     for (n, m), c in pair.first.terms.items():
-        rows.setdefault(m, {})[(n, m)] = c
-    for s0, terms in rows.items():
-        acc.update(line_eliminate(LatticeFunctional(terms), s0, window).terms)
+        rows.setdefault(m, {})[n] = c
+    for s0, h in rows.items():
+        acc.update({(n, s0): c for n, c in solver._line_walk(h, s0, window).items()})
     leftover = (pair.second - twisted_alpha1(LatticeFunctional(acc)).second).restrict(window)
     for (n, s0), c in leftover.terms.items():
         if s0 >= 0:
@@ -1779,9 +1821,11 @@ class TestLaurentFastPath:
             # the first component of a coboundary on the row: its carries cancel
             image = twisted_alpha1(line).first
             for h in (line, image, line.scale(HALF) + image):
-                assert clean(line_eliminate(h, s0, window))
+                assert clean(walk(h, s0, window))
             for direction in ("below", "above"):
-                assert clean(row_solve(recurrence_row(rng, s0, window), s0, direction, window))
+                eta = recurrence_row(rng, s0, window)
+                assert clean(LatticeFunctional._of(solver._absorb({s0: row_of(eta)}, direction, window)))
+                assert clean(h1_trivialize(CochainPair(ZF, eta), window).witness)
             for w in (6, 10):
                 rep = h1_trivialize(twisted_alpha1(random_functional(rng, radius=w - 2, size=6)), w)
                 # the residual is empty, so it holds no zero either
