@@ -49,15 +49,19 @@ equations by slot, then site.  Each has a dense integer id (_ids): a
 variable (slot, (n, m)) of window W is ((n + W)(2W + 1) + m + W) in_slots +
 slot, an equation the same with out_slots on the box of radius W + reach,
 the largest stencil offset, where membership solves impose equations.  Rows,
-blocks, right sides and gain graphs are keyed by ids, sorted by their keys'
-order and decoded once per output (_keys).  A row is read off its slot's
-table entries.  A coefficient is held as its gain, the entry's terms at the
-site as (sign, k) pairs for sign * u**k: one pair for a twisted entry, two
-for an untwisted binomial.  A product or quotient by one pair is one
-Scalar.shift; a binomial is made a Scalar only to divide.  As no cycle is
-unbalanced, the greedy basis of the frame matroid depends on connectivity
-alone: a union-find without weights (_Frame) grows it in edge order, a
-forest whose trees hold at most one half-edge each.  The forest is walked
+blocks, right sides and gain graphs are keyed by ids and decoded once per
+output (_keys).  They are sorted by an integer key read straight off the id
+(_order_key): ids run by (n, m, slot), so the site's norm in whole boxes plus
+the id is the pivot order, and the slot and the norm in whole site grids plus
+the site's index is the equation order.  A row is read off its slot's table
+entries.  A coefficient is held as its gain, the entry's terms at the site
+as (sign, k) pairs for sign * u**k: one pair for a twisted entry, read off
+the table inline, two for an untwisted binomial.  A product or quotient by
+one pair is one Scalar.shift, and so is a forest step x * (-a/b) between two
+one-pair gains (_ratio); a binomial is made a Scalar only to divide.  As no
+cycle is unbalanced, the greedy basis of the frame matroid depends on
+connectivity alone: a union-find without weights (_Frame) grows it in edge
+order, a forest whose trees hold at most one half-edge each.  The forest is walked
 once (_Forest), each tree from its half-edge or its root, and on the walk's
 steps the kept incidence is triangular: walked forwards they give values on
 the nodes, potentials included, on which the rejected edges are checked;
@@ -172,7 +176,6 @@ from .cochains import (
 from .scalars import ONE, ZERO, Scalar
 from .torus import Site
 
-VarKey = tuple[int, Site]
 EqKey = tuple[int, Site]
 
 
@@ -270,24 +273,30 @@ def _vector_object(op: Operator, window: int, vec: dict[int, Scalar]):
 # windowed systems
 
 
-def _var_order(v: VarKey):
-    """Pivot order: site by (|n|+|m|, n, m), then slot."""
-    return (site_key(v[1]), v[0])
-
-
-def _eq_order(eq: EqKey):
-    """Equation order: slot, then site."""
-    return (eq[0], site_key(eq[1]))
+def _order_key(radius: int, slots: int, eq: bool) -> Callable[[int], int]:
+    """The sort key of the ids of a box: an int in equation order (slot,
+    then site) when eq, else in pivot order (site, then slot), sites by
+    (|n|+|m|, n, m).  Ids already run by (n, m, slot), so a pivot key is the
+    site's norm in whole boxes plus the id, and an equation key is the slot
+    and the norm in whole site grids plus the site's index."""
+    span = 2 * radius + 1
+    cells = span * span
+    if eq:
+        def key(i: int) -> int:
+            k, slot = divmod(i, slots)
+            a, b = divmod(k, span)
+            return (slot * span + abs(a - radius) + abs(b - radius)) * cells + k
+    else:
+        size = cells * slots
+        def key(i: int) -> int:
+            a, b = divmod(i // slots, span)
+            return (abs(a - radius) + abs(b - radius)) * size + i
+    return key
 
 
 def _sites(ns: range, ms: range) -> list[Site]:
     """The sites of the box ns x ms in site order."""
     return sorted(((n, m) for n in ns for m in ms), key=site_key)
-
-
-def _variables(op: Operator, window: int) -> list[VarKey]:
-    span = range(-window, window + 1)
-    return [(slot, s) for s in _sites(span, span) for slot in range(op.stencil.in_slots)]
 
 
 def _equations(op: Operator, window: int) -> list[EqKey]:
@@ -317,15 +326,23 @@ def _vanishes(terms, n: int, m: int) -> bool:
 
 def _rows(op: Operator, window: int, keys: dict[int, EqKey]) -> dict[int, dict]:
     """The rows of equations {id: key} off their slots' table entries: the
-    nonzero coefficients of variables inside the window, as gains keyed as in _ids."""
+    nonzero coefficients of variables inside the window, as gains keyed as in
+    _ids.  A one-term entry never vanishes, and its gain is read inline."""
     span, slots = 2 * window + 1, op.stencil.in_slots
     rows = {}
     for eq, (slot, (n, m)) in keys.items():
         rows[eq] = coeffs = {}
         for in_slot, dn, dm, terms in op.rows[slot]:
             a, b = n + dn, m + dm
-            if -window <= a <= window and -window <= b <= window and not _vanishes(terms, n, m):
-                coeffs[((a + window) * span + b + window) * slots + in_slot] = _gain(terms, n, m)
+            if -window <= a <= window and -window <= b <= window:
+                if len(terms) == 1:
+                    s, p, q, r = terms[0]
+                    gain = ((s, 2 * (p * n + q * m + r)),)
+                elif _vanishes(terms, n, m):
+                    continue
+                else:
+                    gain = _gain(terms, n, m)
+                coeffs[((a + window) * span + b + window) * slots + in_slot] = gain
     return rows
 
 
@@ -352,6 +369,15 @@ def _div(x: Scalar, gain) -> Scalar:
     return x / _mul(ONE, gain)
 
 
+def _ratio(x: Scalar, a, b) -> Scalar:
+    """x times -a/b for gains a and b: one Scalar.shift when both are one
+    pair."""
+    if len(a) == 1 and len(b) == 1:
+        (sa, ka), (sb, kb) = a[0], b[0]
+        return x.shift(ka - kb, -sa * sb)
+    return _div(_mul(x, a, -1), b)
+
+
 def _target_block(op: Operator, window: int, goal) -> dict[int, dict]:
     """Rows of the equations connected to the support of the target, given
     by its slots (goal), by equation id in equation order.  Two rows are
@@ -376,7 +402,7 @@ def _target_block(op: Operator, window: int, goal) -> dict[int, dict]:
                 eq = ((n + radius) * span + m + radius) * slots + o
                 if eq not in found and not _vanishes(terms, n, m):
                     found[eq] = todo[eq] = (o, (n, m))
-    return {eq: block[eq] for eq in _ids(sorted(found.values(), key=_eq_order), radius, slots)}
+    return {eq: block[eq] for eq in sorted(found, key=_order_key(radius, slots, True))}
 
 
 class _Frame:
@@ -452,7 +478,10 @@ class _Forest:
     A step (edge, node, gain at the node, the end it was reached from) is
     one kept edge: a half-edge is its tree's first step, with no end.  On
     these steps the kept incidence is triangular: walked forwards they fix
-    node values, walked backwards, from the leaves, edge values.
+    node values, walked backwards, from the leaves, edge values.  A forward
+    step with no right side carries its end's value by the ratio of the two
+    gains, one Scalar.shift when both are monomials (_ratio), as does the
+    balance check of a rejected edge.
     """
 
     __slots__ = ("steps", "roots")
@@ -481,11 +510,13 @@ class _Forest:
             queue = [start]
             for u in queue:
                 for key in incident.get(u, ()):
-                    ends = kept[key]
-                    end, (v, b) = ends if ends[0][0] == u else ends[::-1]
+                    end, far = kept[key]
+                    if end[0] != u:
+                        end, far = far, end
+                    v = far[0]
                     if v not in seen:
                         seen.add(v)
-                        steps.append((key, v, b, end))
+                        steps.append((key, v, far[1], end))
                         queue.append(v)
 
     def node_values(self, rhs: dict, seed: Scalar) -> dict:
@@ -496,8 +527,10 @@ class _Forest:
         for key, v, b, end in self.steps:
             val = rhs.get(key)
             if end is not None and end[0] in x:
-                t = _mul(x[end[0]], end[1], -1)
-                val = val + t if val else t
+                if not val:
+                    x[v] = _ratio(x[end[0]], end[1], b)
+                    continue
+                val = val + _mul(x[end[0]], end[1], -1)
             if val:
                 x[v] = _div(val, b)
         return x
@@ -532,7 +565,7 @@ class _Forest:
         has an unbalanced cycle."""
         x = self.node_values({}, ONE)
         for (u, a), (v, b) in rejected:
-            if _mul(x.get(u, ZERO), a) != _mul(x.get(v, ZERO), b, -1):
+            if _ratio(x.get(u, ZERO), a, b) != x.get(v, ZERO):
                 raise RuntimeError("the gain graph has an unbalanced cycle")
         steps, roots = self.steps, self.roots
         stops = [first for _, first in roots[1:]] + [len(steps)]
@@ -601,7 +634,9 @@ def kernel_dimension(operator: str, window: int) -> SolveReport:
     _check_window(window)
     keys = _equations(op, window)
     rows = _rows(op, window, dict(zip(_ids(keys, window + op.reach, op.stencil.out_slots), keys)))
-    variables = _ids(_variables(op, window), window, op.stencil.in_slots)
+    in_slots = op.stencil.in_slots
+    pivot_order = _order_key(window, in_slots, False)
+    variables = sorted(range((2 * window + 1) ** 2 * in_slots), key=pivot_order)
     edges, kept, rejected, forest = _setup(op.column_side, rows, variables)
     if op.column_side:
         if rejected:
@@ -636,8 +671,8 @@ def coboundary_solve(target, operator: str, window: int) -> SolveReport:
     radius, slots = window + op.reach, op.stencil.out_slots
     goal = {(slot, s): c for slot, part in enumerate(parts) for s, c in part.terms.items()}
     rhs = dict(zip(_ids(goal, radius, slots), goal.values()))
-    varbox = (window, op.stencil.in_slots)
-    variables = _ids(sorted(_keys(set().union(*rows.values()), *varbox), key=_var_order), *varbox)
+    pivot_order = _order_key(window, op.stencil.in_slots, False)
+    variables = sorted(set().union(*rows.values()), key=pivot_order)
     edges, kept, rejected, forest = _setup(op.column_side, rows, variables)
 
     certificate = None

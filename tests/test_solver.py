@@ -274,12 +274,32 @@ class TestCoboundarySolve:
                 coboundary_solve(target, operator, 4)
 
     def test_never_sets_up_the_whole_window(self, monkeypatch):
-        # a membership system is read off the table around the target alone
+        # a membership system is read off the table around the target alone:
+        # no list of the window's equations is made, and the only ids ever
+        # keyed for sorting are the block's equations and its rows' variables
         def whole_window(*args, **kwargs):
             raise AssertionError("whole-window set-up")
 
+        keyed = {True: [], False: []}
+        blocks = []
+        order_key, target_block = solver._order_key, solver._target_block
+
+        def counting_key(radius, slots, eq):
+            key = order_key(radius, slots, eq)
+
+            def counted(i):
+                keyed[eq].append(i)
+                return key(i)
+
+            return counted
+
+        def recording(*args):
+            blocks.append(target_block(*args))
+            return blocks[-1]
+
         monkeypatch.setattr(solver, "_equations", whole_window)
-        monkeypatch.setattr(solver, "_variables", whole_window)
+        monkeypatch.setattr(solver, "_order_key", counting_key)
+        monkeypatch.setattr(solver, "_target_block", recording)
         statuses = set()
         for name, target in [
             ("twisted_alpha2", d(0, 0)),
@@ -292,6 +312,13 @@ class TestCoboundarySolve:
             ("alpha1", alpha1(d(1, 1))),
         ]:
             statuses.add(coboundary_solve(target, name, 6).status)
+            block = blocks.pop()
+            assert sorted(keyed[True]) == sorted(block)
+            variables = set().union(*block.values())
+            assert sorted(keyed[False]) == sorted(variables)
+            assert len(block) + len(variables) < (2 * 6 + 1) ** 2
+            keyed[True].clear()
+            keyed[False].clear()
         assert statuses == {"solved", "unsolvable"}
 
 
@@ -337,12 +364,25 @@ def first_row_gauss_jordan(rows, var_order, track=True):
     return pivots, rows
 
 
+def pivot_order(key):
+    """Site by (|n|+|m|, n, m), then slot."""
+    return (site_key(key[1]), key[0])
+
+
+def equation_order(key):
+    """Slot, then site by (|n|+|m|, n, m)."""
+    return (key[0], site_key(key[1]))
+
+
+def box_keys(slots, radius):
+    """Every key (slot, (n, m)) of the box |n|, |m| <= radius, by (n, m, slot)."""
+    span = range(-radius, radius + 1)
+    return [(slot, (n, m)) for n in span for m in span for slot in range(slots)]
+
+
 def window_variables(op, window):
-    """Every variable of the window, in pivot order: site by (|n|+|m|, n, m),
-    then slot."""
-    span = range(-window, window + 1)
-    keys = [(slot, (n, m)) for slot in range(op.stencil.in_slots) for n in span for m in span]
-    return sorted(keys, key=lambda v: (site_key(v[1]), v[0]))
+    """Every variable of the window, in pivot order."""
+    return sorted(box_keys(op.stencil.in_slots, window), key=pivot_order)
 
 
 def window_system(op, window, target=None, full_stencil=False):
@@ -366,7 +406,7 @@ def window_system(op, window, target=None, full_stencil=False):
             for m in span
             if keep(inside(n + dn, m + dm) for o, _, dn, dm, _ in entries if o == slot)
         ),
-        key=lambda e: (e[0], site_key(e[1])),
+        key=equation_order,
     )
     goal = None if target is None else cochain_slots(target)
     rows = []
@@ -413,32 +453,32 @@ def _witness(op, pivots, rows):
 
 class TestIds:
     """Dense integer ids of a windowed system's keys: distinct, decoded back
-    to their keys, and in pivot or equation order once sorted by their keys."""
+    to their keys, and in pivot or equation order once sorted by their
+    integer order keys."""
 
     def test_round_trip_and_orders(self):
         for name, op in OPERATORS.items():
             for window in range(3, 9):
-                # every equation a membership solve may impose, one site past the edge
-                radius = window + 1
-                span = range(-radius, radius + 1)
-                imposed = [
-                    (slot, (n, m)) for slot in range(op.stencil.out_slots) for n in span for m in span
-                ]
-                assert set(solver._equations(op, window)) <= set(imposed)
-                cases = (
-                    (window_variables(op, window), window, op.stencil.in_slots, solver._var_order),
-                    (imposed, radius, op.stencil.out_slots, solver._eq_order),
-                )
-                for keys, box, slots, order in cases:
-                    ids = solver._ids(keys, box, slots)
-                    assert sorted(ids) == list(range(len(keys))), (name, window)
-                    assert solver._keys(ids, box, slots) == keys
-                    by_key = sorted(ids, key=lambda i: order(solver._keys([i], box, slots)[0]))
-                    assert solver._keys(by_key, box, slots) == sorted(keys, key=order)
-                # the window's keys come out in pivot and equation order
-                assert solver._variables(op, window) == window_variables(op, window)
+                # every equation a membership solve may impose lies one site
+                # past the edge, on the box of radius window + reach
+                assert op.reach == 1
+                imposed = set(box_keys(op.stencil.out_slots, window + 1))
+                assert set(solver._equations(op, window)) <= imposed
+                for radius in (window, window + 1):
+                    for slots in {op.stencil.in_slots, op.stencil.out_slots}:
+                        keys = box_keys(slots, radius)
+                        ids = solver._ids(keys, radius, slots)
+                        assert ids == list(range(len(keys))), (name, window)
+                        assert solver._keys(ids, radius, slots) == keys
+                        for eq, order in ((False, pivot_order), (True, equation_order)):
+                            key = solver._order_key(radius, slots, eq)
+                            # distinct ints, so no tie is left to the input order
+                            assert len({key(i) for i in reversed(ids)}) == len(ids)
+                            by_key = sorted(reversed(ids), key=key)
+                            assert solver._keys(by_key, radius, slots) == sorted(keys, key=order)
+                # the window's equations come out in equation order
                 eqs = solver._equations(op, window)
-                assert eqs == sorted(eqs, key=lambda e: (e[0], site_key(e[1])))
+                assert eqs == sorted(eqs, key=equation_order)
 
     def test_tables_hold_every_entry_once(self):
         for op in OPERATORS.values():
@@ -526,12 +566,19 @@ class TestPivotRuleOracle:
     greedy basis is the set of pivot columns, and its kernel bases and
     witnesses are those of the reduced echelon form."""
 
-    def test_kernel_bases_match_first_row_rule(self):
+    def test_kernel_bases_match_first_row_rule(self, monkeypatch):
+        setups = []
+        setup = solver._setup
+
+        def recording(column_side, rows, variables):
+            setups.append(variables)
+            return setup(column_side, rows, variables)
+
+        monkeypatch.setattr(solver, "_setup", recording)
         for name in ("twisted_alpha1", "alpha1"):
             op = OPERATORS[name]
             for window in (3, 4, 5, 6):
                 var_order = window_variables(op, window)
-                assert solver._variables(op, window) == var_order
                 eqs, rows = window_system(op, window, full_stencil=True)
                 assert solver._equations(op, window) == eqs
                 pivots, rows = first_row_gauss_jordan(rows, var_order)
@@ -546,6 +593,8 @@ class TestPivotRuleOracle:
                     basis.append(LatticeFunctional(vec))
                 rep = kernel_dimension(name, window)
                 assert list(rep.basis) == basis
+                # the kernel's system took every variable of the window in pivot order
+                assert solver._keys(setups.pop(), window, op.stencil.in_slots) == var_order
 
     def test_solved_witnesses_match_first_row_rule(self):
         targets = [
@@ -570,6 +619,23 @@ class TestPivotRuleOracle:
                 assert rep.witness == _witness(op, pivots, rows)
 
 
+def recombine(rep, target, operator, window):
+    """Re-check a certificate on the original equations alone: summed with
+    its multipliers, their table coefficients (plain lambda_pow products)
+    cancel at every variable of the window, and the right side does not."""
+    op = OPERATORS[operator]
+    left: dict = {}
+    for (slot, (n, m)), mult in rep.certificate:
+        for o, in_slot, dn, dm, terms in op.stencil.entries:
+            if o == slot and abs(n + dn) <= window and abs(m + dm) <= window:
+                c = sum((sign * lambda_pow(p * n + q * m + r) for sign, p, q, r in terms), ZERO)
+                k = (in_slot, n + dn, m + dm)
+                left[k] = left.get(k, ZERO) + mult * c
+    assert left and not any(left.values())
+    goal = cochain_slots(target)
+    assert sum((mult * goal[slot].coeff(*site) for (slot, site), mult in rep.certificate), ZERO)
+
+
 def full_system_solve(target, name, window):
     """Reference membership solve: every imposed equation of the window is
     assembled and eliminated, whatever the target reaches; the certificate
@@ -581,7 +647,7 @@ def full_system_solve(target, name, window):
     if bad is not None:
         certificate = sorted(
             ((eqs[i], c) for i, c in bad.items() if c),
-            key=lambda kv: (kv[0][0], site_key(kv[0][1])),
+            key=lambda kv: equation_order(kv[0]),
         )
         return SolveReport(name, window, "unsolvable", certificate=tuple(certificate))
     witness = _witness(op, pivots, rows)
@@ -636,6 +702,14 @@ class TestTargetBlock:
         assert coboundary_solve(d(0, 2), "alpha2", 6).status == "solved"
         assert 0 < sizes[0] <= 60
         assert sizes[1:] == [1, 1]
+        # far above the CLI sizes the block stays the target's: one
+        # equation for the untwisted probe, the parity class for the twisted
+        del sizes[:]
+        assert coboundary_solve(d(1, 1), "alpha2", 64).status == "unsolvable"
+        rep = coboundary_solve(d(0, 0), "twisted_alpha2", 32)
+        assert rep.status == "unsolvable"
+        assert sizes == [1, len(twisted_delta_block((0, 0), 32))]
+        recombine(rep, d(0, 0), "twisted_alpha2", 32)
 
     def test_zero_tests_read_the_terms(self):
         tables = [op.stencil for op in OPERATORS.values()] + [
@@ -1101,6 +1175,15 @@ def random_kept(rng, nodes):
     return frame, {key: ends for key, ends in edges.items() if frame.add(ends)}
 
 
+def shifted(gain, k):
+    """The gain times u**k."""
+    return tuple((sign, e + k) for sign, e in gain)
+
+
+def negated(gain):
+    return tuple((-sign, e) for sign, e in gain)
+
+
 def random_value(rng):
     return mu_pow(rng.randint(-3, 3)) * rng.choice((1, -1, 2, HALF))
 
@@ -1136,6 +1219,30 @@ class TestForestProperties:
                     left = sum((gain_value(c) * x.get(v, ZERO) for v, c in ends), ZERO)
                     assert left == rhs.get(key, ZERO)
                 assert all(x.get(r, ZERO) == seed for r in roots)
+            # the potentials path: roots at 1 and no right side, so every
+            # kept edge holds with a zero right side
+            x = forest.node_values({}, ONE)
+            assert set(x) == {v for v in nodes if frame.find(v) not in frame.full}
+            for key, ends in kept.items():
+                assert sum((gain_value(c) * x.get(v, ZERO) for v, c in ends), ZERO) == ZERO
+            potentials = forest.potentials([])
+            # one potential per balanced tree, in root order, 1 at its root
+            assert [(r, p[r]) for p, r in zip(potentials, roots)] == [(r, ONE) for r in roots]
+            assert len(potentials) == len(roots)
+            assert {v: c for p in potentials for v, c in p.items()} == x
+            # a rejected edge parallel to a kept one holds, in either
+            # orientation and with both gains moved by one power of u; with
+            # one gain negated it closes an unbalanced cycle
+            for (u, a), (v, b) in (ends for ends in kept.values() if len(ends) == 2):
+                if u not in x:
+                    continue
+                k = rng.randint(-3, 3)
+                moved = ((u, shifted(a, k)), (v, shifted(b, k)))
+                forest.potentials([moved, moved[::-1]])
+                with pytest.raises(RuntimeError, match="unbalanced cycle"):
+                    forest.potentials([((u, negated(a)), (v, b))])
+                with pytest.raises(RuntimeError, match="unbalanced cycle"):
+                    forest.potentials([((v, b), (u, negated(a)))])
             # edge values: the right side at every node but the roots
             rhs = {v: random_value(rng) for v in nodes if rng.random() < 0.7}
             x = forest.edge_values(rhs)
@@ -1144,6 +1251,29 @@ class TestForestProperties:
             for v in nodes:
                 if v not in roots:
                     assert sums.get(v, ZERO) == rhs.get(v, ZERO)
+
+    def test_random_monomial_triangles(self):
+        # a-b and b-c kept, c-a rejected, every gain one pair: from p[c] = 1
+        # the walk steps to b and then to a, each step one shift, and the
+        # closing gain at a that balances the cycle is worked out by hand
+        rng = random.Random(72)
+        for _ in range(100):
+            (sa, ka), (sb, kb), (sc, kc), (sd, kd), (se, ke) = (
+                (rng.choice((1, -1)), rng.randint(-4, 4)) for _ in range(5)
+            )
+            sign_a, power_a = sb * sa * sd * sc, kb - ka + kd - kc
+            balanced = g((-se * sign_a, ke - power_a))
+            kept = {
+                "ab": (("a", g((sa, ka))), ("b", g((sb, kb)))),
+                "bc": (("b", g((sc, kc))), ("c", g((sd, kd)))),
+            }
+            forest = solver._Forest(kept, "abc")
+            assert forest.potentials([(("c", g((se, ke))), ("a", balanced))]) == [
+                {"c": ONE, "b": -sd * sc * mu_pow(kd - kc), "a": sign_a * mu_pow(power_a)}
+            ]
+            for closing in (negated(balanced), shifted(balanced, rng.choice((-1, 1)))):
+                with pytest.raises(RuntimeError, match="unbalanced cycle"):
+                    forest.potentials([(("c", g((se, ke))), ("a", closing))])
 
 
 class TestMonomialGains:
@@ -1206,6 +1336,31 @@ class TestMonomialGains:
         assert coboundary_solve(d(0, 0), "twisted_alpha2", 6).status == "unsolvable"
         assert calls["__truediv__"] == calls["inv"] == 0
         assert calls["__mul__"] < 100
+
+    def test_monomial_forest_steps_shift_once(self, monkeypatch):
+        # a forest step between two one-pair gains, x times -a/b, is one
+        # Scalar.shift; as a product then a quotient it made 1,020 shifts on
+        # the kernel and 448 on the refutation
+        calls = 0
+        shift = Scalar.shift
+
+        def counting(self, *args):
+            nonlocal calls
+            calls += 1
+            return shift(self, *args)
+
+        monkeypatch.setattr(Scalar, "shift", counting)
+        counts = []
+        for _ in range(2):
+            calls = 0
+            assert kernel_dimension("twisted_alpha1", 8).nullity == 4
+            kernel, calls = calls, 0
+            assert coboundary_solve(d(0, 0), "twisted_alpha2", 7).status == "unsolvable"
+            counts.append((kernel, calls))
+        assert counts[0] == counts[1]
+        kernel, refutation = counts[0]
+        assert 0 < kernel <= 510
+        assert 0 < refutation <= 336
 
     def test_twisted_kernel_bases_are_the_closed_form(self):
         # on each parity class the kernel vector is u^(nm - NM), where (N, M)
