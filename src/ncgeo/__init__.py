@@ -47,7 +47,6 @@ from .solver import (
     OPERATORS,
     NotACocycle,
     Operator,
-    RecurrenceViolation,
     SolveReport,
     coboundary_solve,
     h1_trivialize,
@@ -107,7 +106,6 @@ __all__ = [
     "OPERATORS",
     "NotACocycle",
     "Operator",
-    "RecurrenceViolation",
     "SolveReport",
     "coboundary_solve",
     "h1_trivialize",

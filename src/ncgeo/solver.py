@@ -120,15 +120,16 @@ flip-twisted first cohomology vanishes, as the two phases of `h1_trivialize`:
 * phase 1 cancels each row of the first component with a degree-0 cochain
   supported on that row (_line_walk), walking each parity chain upwards from
   its lowest support site n with the gauge gamma[n-1] = 0;
-* phase 2 checks that each surviving second-component row eta at y=s0
-  satisfies the row recurrence eta[w+1] = lambda**(s0-1) eta[w-1]
-  (_check_recurrence: checked, not assumed) and absorbs the rows on the rows
-  of the other parity (_absorb): those at y >= 0 below, down to y = -window,
-  and those at y < 0 above, up to y = window.  Each column of the answer
-  obeys the two-step recurrence of a line, so it is one line walk per
-  direction and column, the sum of the rows' closed forms.
-  The witness's differential reproduces the input exactly at every
-  interior site of the window.
+* phase 2 absorbs the leftover eta of the second component, read on |n| <=
+  window, |m| <= window-1, on the rows of the other parity.  Each column of
+  the answer obeys rho[n, m+1] = lambda**n (rho[n, m-1] + eta[n, m]), the
+  two-step recurrence of a line, so it is one line walk upwards per column
+  (_walk_rows, as in phase 1), up to y = window: the sum of the rows'
+  closed forms.  Its first component vanishes at the interior sites
+  because on a cocycle each row of eta obeys eta[w+1] = lambda**(y-1)
+  eta[w-1] at |w|, |y| <= window-1, which is twisted_alpha2's interior
+  equation there once the band is clear.  The witness's differential
+  reproduces the input exactly at every interior site of the window.
 
 The input's cocycle check is read off the witness re-check when it can be.
 As twisted_alpha2 after twisted_alpha1 is zero (the solver tests check the
@@ -136,12 +137,14 @@ tables), twisted_alpha2(pair) = twisted_alpha2(E) for E = pair -
 twisted_alpha1(gamma), gamma being phase 1's cochain.  At the interior sites
 |n|, |m| <= window-1, twisted_alpha2 reads E.first on the band |n| <=
 window-1, |m| <= window, one row wider than the reported residual, and
-E.second on the window, which is the leftover.  So when no row survives
-phase 1 and E.first vanishes on the band, the input is a cocycle and the
-image of gamma, the re-check, is the only stencil application.  Otherwise
-twisted_alpha2(pair) is applied before any row recurrence is checked.  A
+E.second on |n| <= window, |m| <= window-1, which is the leftover.  So when
+no row survives phase 1 and E.first vanishes on the band, the input is a
+cocycle and the image of gamma, the re-check, is the only stencil
+application.  Otherwise twisted_alpha2(pair) is applied before phase 2.  A
 non-cocycle is refused either way with `NotACocycle` at the smallest
 interior site in site order where twisted_alpha2 of the input is nonzero.
+This is the only check of the input's values: the rows |y| = window of
+E.second are read by no interior equation, and phase 2 never absorbs them.
 
 The witness of twisted_alpha1(phi), for a finite phi inside the window, is
 phi, its only finitely supported preimage.  An input with no finite
@@ -168,7 +171,6 @@ from .cochains import (
     cochain_from_slots,
     cochain_slots,
     coefficient,
-    site_key,
     twisted_alpha1,
     twisted_alpha2,
     _violations,
@@ -177,14 +179,6 @@ from .scalars import ONE, ZERO, Scalar
 from .torus import Site
 
 EqKey = tuple[int, Site]
-
-
-class RecurrenceViolation(ValueError):
-    """A second-component row left for phase 2 fails its defining recurrence."""
-
-    def __init__(self, site: Site, message: str):
-        super().__init__(message)
-        self.site = site
 
 
 class NotACocycle(ValueError):
@@ -294,24 +288,23 @@ def _order_key(radius: int, slots: int, eq: bool) -> Callable[[int], int]:
     return key
 
 
-def _sites(ns: range, ms: range) -> list[Site]:
-    """The sites of the box ns x ms in site order."""
-    return sorted(((n, m) for n in ns for m in ms), key=site_key)
-
-
-def _equations(op: Operator, window: int) -> list[EqKey]:
-    """Equations (out_slot, site) whose stencil reads all of its input sites
-    inside the window, in equation order.  Every table entry counts, also
-    where its coefficient vanishes at that site.  The condition splits by
-    coordinate, so the sites of a slot form the box its offsets' extremes
-    leave inside the window."""
-    out = []
+def _equations(op: Operator, window: int) -> dict[int, EqKey]:
+    """Equations {id: (out_slot, site)} whose stencil reads all of its input
+    sites inside the window, in equation order.  Every table entry counts,
+    also where its coefficient vanishes at that site.  The condition splits
+    by coordinate, so the sites of a slot form the box its offsets' extremes
+    leave inside the window: one run of ids per n, sorted by _order_key."""
+    radius, slots = window + op.reach, op.stencil.out_slots
+    span = 2 * radius + 1
+    ids: list[int] = []
     for slot, entries in enumerate(op.rows):
         dns, dms = zip(*((dn, dm) for _, dn, dm, _ in entries))
-        ns = range(-window - min(dns), window - max(dns) + 1)
-        ms = range(-window - min(dms), window - max(dms) + 1)
-        out += [(slot, s) for s in _sites(ns, ms)]
-    return out
+        lo, hi = radius - window - min(dms), radius + window - max(dms)
+        for n in range(-window - min(dns), window - max(dns) + 1):
+            base = (n + radius) * span
+            ids += range((base + lo) * slots + slot, (base + hi + 1) * slots, slots)
+    ids.sort(key=_order_key(radius, slots, True))
+    return dict(zip(ids, _keys(ids, radius, slots)))
 
 
 def _vanishes(terms, n: int, m: int) -> bool:
@@ -632,8 +625,7 @@ def kernel_dimension(operator: str, window: int) -> SolveReport:
     """
     op = _get_operator(operator)
     _check_window(window)
-    keys = _equations(op, window)
-    rows = _rows(op, window, dict(zip(_ids(keys, window + op.reach, op.stencil.out_slots), keys)))
+    rows = _rows(op, window, _equations(op, window))
     in_slots = op.stencil.in_slots
     pivot_order = _order_key(window, in_slots, False)
     variables = sorted(range((2 * window + 1) ** 2 * in_slots), key=pivot_order)
@@ -752,52 +744,14 @@ def _line_walk(h: dict[int, Scalar], s0: int, window: int) -> dict[int, Scalar]:
     return gamma
 
 
-def _check_recurrence(h: dict[int, Scalar], s0: int, window: int) -> None:
-    """Reject a row h = {n: eta[n]} at y=s0 that fails
-    eta[w+1] = lambda**(s0-1) eta[w-1] at some |w| <= window-1."""
-    for w in range(-window + 1, window):
-        if h.get(w + 1, ZERO) != (h[w - 1].shift(2 * s0 - 2) if w - 1 in h else ZERO):
-            raise RecurrenceViolation(
-                (w, s0),
-                f"row fails eta[w+1] = lambda^(s0-1) eta[w-1] at w={w}, y={s0}",
-            )
-
-
-def _absorb(
-    rows: dict[int, dict[int, Scalar]], direction: str, window: int
-) -> dict[Site, Scalar]:
-    """Degree-0 cochain rho whose twisted differential's second component is
-    the given rows {y: {n: eta[n]}} (first component zero) at all interior
-    sites.  Column n obeys the two-step recurrence of a line, so each column
-    is one _line_walk, cut off at |y| <= window:
-
-        below:  rho[n, r-2] = lambda**-n rho[n, r] - eta[n, r-1]: the walk of
-                {-y: -eta[n, y]} at s0 = -n, its gamma[j] at (n, -j)
-        above:  rho[n, r+2] = lambda**n (rho[n, r] + eta[n, r+1]): the walk of
-                {y: lambda**n eta[n, y]} at s0 = n, its gamma[j] at (n, j)
-    """
-    below = direction == "below"
-    columns: dict[int, dict[int, Scalar]] = {}
-    for y, h in rows.items():
-        for n, c in h.items():
-            if below:
-                columns.setdefault(n, {})[-y] = -c
-            else:
-                columns.setdefault(n, {})[y] = c.shift(2 * n)
-    rho: dict[Site, Scalar] = {}
-    for n, column in columns.items():
-        for j, c in _line_walk(column, -n if below else n, window).items():
-            rho[(n, -j if below else j)] = c
-    return rho
-
-
-def _lines(terms: dict[Site, Scalar]) -> dict[int, dict[int, Scalar]]:
-    """The nonzero terms of a coefficient map, grouped by row: {y: {n: c}}."""
+def _walk_rows(terms: dict[Site, Scalar], window: int) -> dict[Site, Scalar]:
+    """The line walks of the rows of a coefficient map {(n, m): c}: gamma
+    with gamma[n+1, m] - lambda**m gamma[n-1, m] = c[n, m] at every |n| <=
+    window-1 of each row m that holds a term (_line_walk at s0 = m)."""
     rows: dict[int, dict[int, Scalar]] = {}
     for (n, m), c in terms.items():
-        if c:
-            rows.setdefault(m, {})[n] = c
-    return rows
+        rows.setdefault(m, {})[n] = c
+    return {(n, m): g for m, h in rows.items() for n, g in _line_walk(h, m, window).items()}
 
 
 def _gap(
@@ -822,11 +776,12 @@ def _gap(
 
 def _gaps(pair: CochainPair, out: CochainPair, window: int):
     """E = pair - out where twisted_alpha2 reads it at the interior sites:
-    E.first on the band |n| <= window-1, |m| <= window and E.second on the
-    window, the leftover that phase 2 absorbs."""
+    E.first on the band |n| <= window-1, |m| <= window and E.second on
+    |n| <= window, |m| <= window-1, the leftover that phase 2 absorbs.  The
+    rows |m| = window of E.second are read by no interior equation."""
     return (
         _gap(pair.first, out.first, window - 1, window),
-        _gap(pair.second, out.second, window, window),
+        _gap(pair.second, out.second, window, window - 1),
     )
 
 
@@ -835,22 +790,21 @@ def h1_trivialize(pair: CochainPair, window: int) -> SolveReport:
 
     Phase 1 cancels every first-component row with a line walk
     (_line_walk), upwards from the low end of each parity chain; phase 2
-    checks each surviving second-component row's recurrence
-    (_check_recurrence) and absorbs the rows at y >= 0 in one walk per
-    column below and those at y < 0 in one walk per column above (_absorb),
-    down to y = -window and up to y = window.  The returned witness psi
-    satisfies twisted_alpha1(psi) = pair exactly at all sites with |n|, |m|
-    <= window-1; the report's residual is that restriction.
+    absorbs what is left of the second component on |n| <= window, |m| <=
+    window-1 with one line walk per column, also upwards, up to y = window
+    (both _walk_rows).  The returned witness psi satisfies
+    twisted_alpha1(psi) = pair exactly at all sites with |n|, |m| <=
+    window-1; the report's residual is that restriction.
 
     A pair that is not a windowed cocycle raises NotACocycle at the
     smallest interior site in site order where twisted_alpha2(pair) is
-    nonzero.  That check is derived from the re-check when no row survives
-    phase 1 and twisted_alpha1(gamma).first equals pair.first on the band
-    |n| <= window-1, |m| <= window, one row wider than the residual: then
+    nonzero; it is the only check of the input's values.  It is derived
+    from the re-check when no row survives phase 1 and
+    twisted_alpha1(gamma).first equals pair.first on the band |n| <=
+    window-1, |m| <= window, one row wider than the residual: then
     twisted_alpha2(pair), which is twisted_alpha2 of pair -
     twisted_alpha1(gamma), vanishes at every interior site.  Otherwise
-    twisted_alpha2(pair) is applied explicitly, before phase 2 checks any
-    row recurrence.
+    twisted_alpha2(pair) is applied explicitly, before phase 2.
 
     When pair is twisted_alpha1(phi) inside the window for a finitely
     supported phi, phase 1 returns phi row by row, nothing survives it, and
@@ -870,32 +824,26 @@ def h1_trivialize(pair: CochainPair, window: int) -> SolveReport:
         if any(abs(n) > window or abs(m) > window for n, m in f.terms):
             raise ValueError("pair support exceeds the window")
     # phase 1; gamma's rows are disjoint
-    acc: dict[Site, Scalar] = {}
-    for s0, h in _lines(pair.first.terms).items():
-        for n, c in _line_walk(h, s0, window).items():
-            acc[(n, s0)] = c
+    acc = _walk_rows(pair.first.terms, window)
     # psi = gamma until a row survives: its image gives the leftover, the
     # cocycle check and, when none survives, the re-check
     psi = LatticeFunctional._of(acc)
     out = twisted_alpha1(psi)
     band, leftover = _gaps(pair, out, window)
     # twisted_alpha2(pair) = twisted_alpha2(pair - out) as out is a finite
-    # coboundary, and at the interior sites it reads pair - out on the band
-    # and the window alone: when both gaps are empty, the pair is a cocycle
+    # coboundary, and at the interior sites it reads pair - out on the two
+    # gaps' boxes alone: when both gaps are empty, the pair is a cocycle
     if band or leftover:
         site = _violations(twisted_alpha2(pair), window)
         if site is not None:
             raise NotACocycle(site)
 
-    rows = _lines(leftover)
-    if rows:
-        for s0 in sorted(rows):
-            _check_recurrence(rows[s0], s0, window)
-        below = {s0: h for s0, h in rows.items() if s0 >= 0}
-        above = {s0: h for s0, h in rows.items() if s0 < 0}
-        for part in (_absorb(below, "below", window), _absorb(above, "above", window)):
-            for site, c in part.items():
-                acc[site] = acc[site] + c if site in acc else c
+    if leftover:
+        # phase 2: rho[n, m+1] = lambda**n (rho[n, m-1] + eta[n, m]) on
+        # column n is its line walk at s0 = n, run on the transposed map
+        columns = {(m, n): c.shift(2 * n) for (n, m), c in leftover.items()}
+        for (m, n), c in _walk_rows(columns, window).items():
+            acc[(n, m)] = acc[(n, m)] + c if (n, m) in acc else c
         psi = LatticeFunctional._of(acc)
         out = twisted_alpha1(psi)
         band, leftover = _gaps(pair, out, window)

@@ -27,7 +27,6 @@ from ncgeo.torus import TorusElement
 from ncgeo.solver import (
     OPERATORS,
     NotACocycle,
-    RecurrenceViolation,
     SolveReport,
     coboundary_solve,
     h1_trivialize,
@@ -463,7 +462,7 @@ class TestIds:
                 # past the edge, on the box of radius window + reach
                 assert op.reach == 1
                 imposed = set(box_keys(op.stencil.out_slots, window + 1))
-                assert set(solver._equations(op, window)) <= imposed
+                assert set(solver._equations(op, window).values()) <= imposed
                 for radius in (window, window + 1):
                     for slots in {op.stencil.in_slots, op.stencil.out_slots}:
                         keys = box_keys(slots, radius)
@@ -476,9 +475,12 @@ class TestIds:
                             assert len({key(i) for i in reversed(ids)}) == len(ids)
                             by_key = sorted(reversed(ids), key=key)
                             assert solver._keys(by_key, radius, slots) == sorted(keys, key=order)
-                # the window's equations come out in equation order
+                # the window's equations come out in equation order, each
+                # under its own id
                 eqs = solver._equations(op, window)
-                assert eqs == sorted(eqs, key=equation_order)
+                keys = list(eqs.values())
+                assert keys == sorted(keys, key=equation_order)
+                assert list(eqs) == solver._ids(keys, window + 1, op.stencil.out_slots)
 
     def test_tables_hold_every_entry_once(self):
         for op in OPERATORS.values():
@@ -580,7 +582,7 @@ class TestPivotRuleOracle:
             for window in (3, 4, 5, 6):
                 var_order = window_variables(op, window)
                 eqs, rows = window_system(op, window, full_stencil=True)
-                assert solver._equations(op, window) == eqs
+                assert list(solver._equations(op, window).values()) == eqs
                 pivots, rows = first_row_gauss_jordan(rows, var_order)
                 assert set(pivots) == _engine_pivots(op, window, full_stencil=True)
                 basis = []
@@ -1511,37 +1513,44 @@ class TestLineEliminate:
             assert walk(twisted_alpha1(phi).first, s0, window) == phi
 
 
-def closed_forms(eta, s0, window):
-    """The per-row closed forms of phase 2, evaluated with lambda_pow
-    products: -lambda^(-kn) eta[n] on row s0-1-2k below and
-    lambda^((k+1)n) eta[n] on row s0+1+2k above, rows |y| <= window."""
-    below, above = {}, {}
+def closed_form(eta, s0, window):
+    """The per-row closed form of phase 2, evaluated with lambda_pow
+    products: lambda^((k+1)n) eta[n] on row s0+1+2k above the row, rows
+    |y| <= window."""
+    above = {}
     for (n, _), c in eta.terms.items():
-        for k in range((s0 - 1 + window) // 2 + 1):
-            below[(n, s0 - 1 - 2 * k)] = -(lambda_pow(-k * n) * c)
         for k in range((window - s0 - 1) // 2 + 1):
             above[(n, s0 + 1 + 2 * k)] = lambda_pow((k + 1) * n) * c
-    return below, above
+    return above
+
+
+def column_walks(rows, window):
+    """Phase 2's walks of a second-component map: the line walk of each
+    column n scaled by lambda^n at s0 = n, as a functional."""
+    columns = {(m, n): lambda_pow(n) * c for (n, m), c in rows.terms.items()}
+    return LatticeFunctional({(n, m): c for (m, n), c in solver._walk_rows(columns, window).items()})
 
 
 class TestRowSolve:
-    """Phase 2 on second-component rows: h1_trivialize absorbs a row at
-    y >= 0 below it and a row at y < 0 above it (_absorb), and refuses the
-    rows it cannot take."""
+    """Phase 2 on second-component rows: h1_trivialize absorbs every row at
+    |y| <= window-1 above it, one line walk upwards per column, and leaves
+    the rows |y| = window, which no interior equation reads."""
 
     def test_zero_row(self):
-        for direction in ("below", "above"):
-            assert solver._absorb({}, direction, 4) == {}
-            assert solver._absorb({1: {}}, direction, 4) == {}
+        for window in (3, 4, 8):
+            assert solver._walk_rows({}, window) == {}
+            assert column_walks(ZF, window) == ZF
+            assert h1_trivialize(CochainPair(ZF, ZF), window).witness == ZF
 
     def test_periodic_constant_row_below(self):
-        # at s0 = 1 the recurrence factor is 1, so 2-periodic rows qualify
+        # at s0 = 1 the recurrence factor is 1, so 2-periodic rows qualify;
+        # the row is absorbed on the rows above it
         window = 4
         eta = LatticeFunctional(
             {(n, 1): (ONE if n % 2 == 0 else mu_pow(1)) for n in range(-window, window + 1)}
         )
         rho = h1_trivialize(CochainPair(ZF, eta), window).witness
-        assert {m for (_, m) in rho.support()} == {0, -2, -4}
+        assert {m for (_, m) in rho.support()} == {2, 4}
         out = twisted_alpha1(rho)
         for n in range(-window, window + 1):
             assert out.second.coeff(n, 1) == eta.coeff(n, 1)
@@ -1564,21 +1573,19 @@ class TestRowSolve:
             assert out.second.coeff(n, -1) == eta.coeff(n, -1)
 
     def test_closed_form_at_every_row(self):
-        # the witness of a single row is its closed form in the direction
-        # h1_trivialize takes; _absorb gives both, and s0 = -window below
-        # and s0 = window above sweep nothing.  Rows add: the witness of
-        # their sum is the sum of their closed forms
+        # the column walks of a single row are its upward closed form, which
+        # sweeps nothing at s0 = window; h1_trivialize takes it at every
+        # |s0| <= window-1 and absorbs nothing at |s0| = window.  Rows add:
+        # the witness of their sum is the sum of their closed forms
         rng = random.Random(73)
         for window in (3, 4, 6):
             total, want_total = ZF, ZF
             for s0 in range(-window, window + 1):
                 eta = recurrence_row(rng, s0, window)
-                below, above = closed_forms(eta, s0, window)
-                for direction, want in (("below", below), ("above", above)):
-                    got = solver._absorb({s0: row_of(eta)}, direction, window)
-                    assert LatticeFunctional(got) == LatticeFunctional(want)
-                assert bool(below) == (s0 > -window) and bool(above) == (s0 < window)
-                want = LatticeFunctional(below if s0 >= 0 else above)
+                above = LatticeFunctional(closed_form(eta, s0, window))
+                assert column_walks(eta, window) == above
+                assert (above == ZF) == (s0 == window)
+                want = above if abs(s0) < window else ZF
                 rep = h1_trivialize(CochainPair(ZF, eta), window)
                 assert rep.witness == want and rep.residual.is_zero()
                 assert all(abs(m) <= window for _, m in rep.witness.terms)
@@ -1587,19 +1594,19 @@ class TestRowSolve:
             assert rep.witness == want_total and rep.residual.is_zero()
 
     def test_recurrence_violation_site(self):
-        # a row off its recurrence inside the window is no cocycle; at
-        # |y| = window no interior equation reads it, and the recurrence
-        # check refuses it
+        # a row off its recurrence inside the window is no cocycle, refused
+        # where its recurrence first fails; at |y| = window no interior
+        # equation reads it, so it is a cocycle and nothing is absorbed
         with pytest.raises(NotACocycle) as exc:
             h1_trivialize(CochainPair(ZF, d(0, 2)), 4)
         assert exc.value.site == (-1, 2)
+        for s0 in range(-3, 4):
+            with pytest.raises(NotACocycle) as exc:
+                h1_trivialize(CochainPair(ZF, d(1, s0, MU)), 4)
+            assert exc.value.site == (0, s0)
         for s0 in (4, -4):
-            with pytest.raises(RecurrenceViolation) as exc:
-                h1_trivialize(CochainPair(ZF, d(0, s0)), 4)
-            assert exc.value.site == (-1, s0)
-        with pytest.raises(RecurrenceViolation) as exc:
-            solver._check_recurrence({0: ONE}, 2, 4)
-        assert exc.value.site == (-1, 2)
+            rep = h1_trivialize(CochainPair(ZF, d(0, s0)), 4)
+            assert rep.witness == ZF and rep.residual.is_zero()
 
     def test_rejects_row_outside_window(self):
         # h1_trivialize refuses a second-component row beyond |y| <= window
@@ -1615,6 +1622,27 @@ class TestRowSolve:
         for row in (SERIES, CochainPair(d(0, 0), ZF)):
             with pytest.raises(TypeError, match="finite CochainPair"):
                 h1_trivialize(CochainPair(ZF, row), 4)
+
+
+def twisted_out(f, g, n, m):
+    """twisted_alpha2(f, g) at (n, m), off its recurrence."""
+    return (lambda_pow(-n) * f.coeff(n, m + 1) - LAMBDA * f.coeff(n, m - 1)
+            - LAMBDA * g.coeff(n + 1, m) + lambda_pow(m) * g.coeff(n - 1, m))
+
+
+def untwisted_out(f, g, n, m):
+    """alpha2(f, g) at (n, m), off its recurrence."""
+    return ((lambda_pow(n) - LAMBDA) * f.coeff(n, m - 1)
+            + (lambda_pow(m) - LAMBDA) * g.coeff(n - 1, m))
+
+
+def first_violation(out, pair, window):
+    """The first interior site in (|n| + |m|, n, m) order where out of the
+    pair is nonzero, or None."""
+    inner = range(-window + 1, window)
+    sites = sorted(((n, m) for n in inner for m in inner),
+                   key=lambda s: (abs(s[0]) + abs(s[1]), s[0], s[1]))
+    return next((s for s in sites if out(pair.first, pair.second, *s)), None)
 
 
 class TestH1Trivialize:
@@ -1668,20 +1696,6 @@ class TestH1Trivialize:
     def test_non_cocycle_site_is_the_first_interior_violation(self):
         # the expected site is read off the recurrences of the two second
         # differentials, scanned in (|n| + |m|, n, m) order
-        def twisted_out(f, g, n, m):
-            return (lambda_pow(-n) * f.coeff(n, m + 1) - LAMBDA * f.coeff(n, m - 1)
-                    - LAMBDA * g.coeff(n + 1, m) + lambda_pow(m) * g.coeff(n - 1, m))
-
-        def untwisted_out(f, g, n, m):
-            return ((lambda_pow(n) - LAMBDA) * f.coeff(n, m - 1)
-                    + (lambda_pow(m) - LAMBDA) * g.coeff(n - 1, m))
-
-        def first_violation(out, pair, window):
-            inner = range(-window + 1, window)
-            sites = sorted(((n, m) for n in inner for m in inner),
-                           key=lambda s: (abs(s[0]) + abs(s[1]), s[0], s[1]))
-            return next((s for s in sites if out(pair.first, pair.second, *s)), None)
-
         rng = random.Random(29)
         refused = 0
         for window in (4, 6, 8):
@@ -1744,13 +1758,86 @@ class TestH1Trivialize:
                 assert first_violation(twisted_out, pair, window) is None
                 assert h1_trivialize(pair, window).residual.is_zero()
                 solved += 1
-                # a term on the rows |m| = window fails their row recurrence,
-                # which is checked although no interior equation reads it
+                # a term on the rows |m| = window of second is read by no
+                # interior equation either, and phase 2 leaves it
                 pair = bump(cocycle, [(1, (k, g))])
                 assert first_violation(twisted_out, pair, window) is None
-                with pytest.raises(RecurrenceViolation):
-                    h1_trivialize(pair, window)
-        assert (refused, solved) == (72, 24)
+                rep = h1_trivialize(pair, window)
+                assert rep.residual.is_zero()
+                assert rep.witness == h1_trivialize(cocycle, window).witness
+                solved += 1
+        assert (refused, solved) == (72, 48)
+
+    def test_edge_row_bumps_are_cocycles(self):
+        # a finite coboundary bumped on second at (k, +-window): no interior
+        # equation reads the bump, so the pair is a windowed cocycle, solved
+        # with the unbumped witness, its source
+        rng = random.Random(37)
+        solved = 0
+        for window in (4, 6, 8):
+            for i in range(8):
+                phi = random_functional(rng, radius=window - 2, size=5)
+                cocycle = twisted_alpha1(phi)
+                site = (rng.randint(-window, window), window if i % 2 else -window)
+                second = cocycle.second + d(*site, mu_pow(rng.randint(-2, 2)))
+                pair = CochainPair(cocycle.first, second)
+                assert first_violation(twisted_out, pair, window) is None
+                rep = h1_trivialize(pair, window)
+                assert rep.residual.is_zero()
+                assert rep.witness == h1_trivialize(cocycle, window).witness == phi
+                solved += 1
+        assert solved == 24
+
+    def test_cocycle_check_is_the_interior_row_recurrence(self):
+        # seeded windowed inputs: a coboundary of 0-6 sites, 0-3 recurrence
+        # rows at y in [-window, window] and 0-3 bumps in either component.
+        # Phase 1 clears the band, and the input is refused exactly when a
+        # row of what it leaves of second, at |y| <= window-1, fails
+        # E[w+1] = lambda^(y-1) E[w-1] at some |w| <= window-1: the interior
+        # equation of twisted_alpha2 there.  It is refused at the first
+        # interior violation, and solved otherwise, also when a row |y| =
+        # window fails its recurrence (edge)
+        rng = random.Random(47)
+        refused = solved = edge = 0
+        for window in range(3, 11):
+            for _ in range(40):
+                phi = random_functional(rng, radius=window - 1, size=rng.randint(0, 6))
+                pair = twisted_alpha1(phi)
+                for _ in range(rng.randint(0, 3)):
+                    row = recurrence_row(rng, rng.randint(-window, window), window)
+                    pair = pair + CochainPair(ZF, row)
+                halves = [dict(pair.first.terms), dict(pair.second.terms)]
+                for _ in range(rng.randint(0, 3)):
+                    terms = rng.choice(halves)
+                    site = (rng.randint(-window, window), rng.randint(-window, window))
+                    terms[site] = terms.get(site, ZERO) + mu_pow(rng.randint(-2, 2))
+                pair = CochainPair(*map(LatticeFunctional, halves))
+
+                gamma = LatticeFunctional._of(solver._walk_rows(pair.first.terms, window))
+                out = twisted_alpha1(gamma)
+                band = (pair.first - out.first).terms
+                assert not [(n, m) for n, m in band if abs(n) < window and abs(m) <= window]
+                left = pair.second - out.second
+                inner = range(-window + 1, window)
+                broken = any(
+                    left.coeff(w + 1, y) != lambda_pow(y - 1) * left.coeff(w - 1, y)
+                    for y in inner for w in inner
+                )
+                want = first_violation(twisted_out, pair, window)
+                assert (want is not None) == broken
+                if broken:
+                    with pytest.raises(NotACocycle) as exc:
+                        h1_trivialize(pair, window)
+                    assert exc.value.site == want
+                    refused += 1
+                else:
+                    assert h1_trivialize(pair, window).residual.is_zero()
+                    solved += 1
+                    edge += any(
+                        left.coeff(w + 1, y) != lambda_pow(y - 1) * left.coeff(w - 1, y)
+                        for y in (-window, window) for w in inner
+                    )
+        assert (refused, solved, edge) == (230, 90, 10)
 
     def test_witness_is_the_finite_source(self):
         # a finitely supported phi is the one finite preimage of its image;
@@ -1783,9 +1870,8 @@ class TestH1Trivialize:
 
 def stacked_h1(pair, window):
     """Reference trivialization with one closed-form telescoping stack per
-    surviving second-component row: -lambda^(-(k-1)n) eta[n] on row s0-(2k-1)
-    below (s0 >= 0) and lambda^(kn) eta[n] on row s0+(2k-1) above (s0 < 0),
-    rows |y| <= window, all summed into one dict."""
+    surviving second-component row at |s0| <= window-1: lambda^(kn) eta[n] on
+    row s0+(2k-1) above it, rows |y| <= window, all summed into one dict."""
     acc = {}
     rows = {}
     for (n, m), c in pair.first.terms.items():
@@ -1794,14 +1880,11 @@ def stacked_h1(pair, window):
         acc.update({(n, s0): c for n, c in solver._line_walk(h, s0, window).items()})
     leftover = (pair.second - twisted_alpha1(LatticeFunctional(acc)).second).restrict(window)
     for (n, s0), c in leftover.terms.items():
-        if s0 >= 0:
-            stack = [((n, s0 - (2 * k - 1)), -(lambda_pow(-(k - 1) * n) * c))
-                     for k in range(1, (s0 + window + 1) // 2 + 1)]
-        else:
-            stack = [((n, s0 + (2 * k - 1)), lambda_pow(k * n) * c)
-                     for k in range(1, (window - s0 + 1) // 2 + 1)]
-        for site, v in stack:
-            acc[site] = acc.get(site, ZERO) + v
+        if abs(s0) == window:
+            continue
+        for k in range(1, (window - s0 + 1) // 2 + 1):
+            site = (n, s0 + (2 * k - 1))
+            acc[site] = acc.get(site, ZERO) + lambda_pow(k * n) * c
     psi = LatticeFunctional(acc)
     out = twisted_alpha1(psi)
     residual = CochainPair(
@@ -1824,8 +1907,9 @@ def recurrence_row(rng, s0, window):
 
 
 class TestH1Sweep:
-    """h1_trivialize absorbs the surviving rows in one sweep per direction
-    and parity chain; the per-row stacks it replaces are the oracle."""
+    """h1_trivialize absorbs the surviving rows in one upward sweep per
+    column and parity chain; the per-row stacks it replaces are the
+    oracle."""
 
     def test_gamma_is_applied_once(self, monkeypatch):
         # twisted_alpha1 of phase 1's gamma gives the leftover, the cocycle
@@ -1977,9 +2061,10 @@ class TestLaurentFastPath:
             image = twisted_alpha1(line).first
             for h in (line, image, line.scale(HALF) + image):
                 assert clean(walk(h, s0, window))
-            for direction in ("below", "above"):
-                eta = recurrence_row(rng, s0, window)
-                assert clean(LatticeFunctional._of(solver._absorb({s0: row_of(eta)}, direction, window)))
+            for y in (s0, -s0):
+                eta = recurrence_row(rng, y, window)
+                columns = {(m, n): c.shift(2 * n) for (n, m), c in eta.terms.items()}
+                assert clean(LatticeFunctional._of(solver._walk_rows(columns, window)))
                 assert clean(h1_trivialize(CochainPair(ZF, eta), window).witness)
             for w in (6, 10):
                 rep = h1_trivialize(twisted_alpha1(random_functional(rng, radius=w - 2, size=6)), w)
