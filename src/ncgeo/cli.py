@@ -262,10 +262,12 @@ _PROBE_RADII = (4, 5, 6)
 
 def _random_functional(rng: random.Random, radius: int = 8, max_sites: int = 8):
     terms = {}
-    for _ in range(rng.randint(1, max_sites)):
-        n = rng.randint(-radius, radius)
-        m = rng.randint(-radius, radius)
-        terms[(n, m)] = mu_pow(rng.randint(-3, 3)) * rng.choice([1, -1, 2, -2])
+    # randrange(a, b + 1) is the draw randint(a, b) makes, without its call
+    for _ in range(rng.randrange(1, max_sites + 1)):
+        n = rng.randrange(-radius, radius + 1)
+        m = rng.randrange(-radius, radius + 1)
+        k = rng.randrange(-3, 4)
+        terms[(n, m)] = Scalar(k, (rng.choice([1, -1, 2, -2]),))
     return LatticeFunctional(terms)
 
 

@@ -31,8 +31,9 @@ and each recurrence is written down once, as a Stencil: a table of entries
 gains c(n, m) * input[in_slot][n+dn, m+dm]", where c is stored as data: the
 sum of sign * lambda**(p*n + q*m + r) over the terms (sign, p, q, r), each
 product with a term one Scalar.shift.  Everything else is derived from the
-four tables: the apply and, in solver.py, the equation support and the rows
-of every windowed system.  The product formulas above are the defining
+four tables: the residual image - target, of which apply is the case with no
+target, and, in solver.py, the equation support and the rows of every
+windowed system.  The product formulas above are the defining
 identities; the tables are checked against them, written with TorusElement
 products, by tests/test_cochains.py::TestProductOracle.
 
@@ -166,21 +167,39 @@ class Stencil:
         self.out_slots = 1 + max(e[0] for e in entries)
 
     def apply(self, x):
-        """Image of a cochain: each term (sign, p, q, r) of each entry pushes
-        every input term through, moving its power of u as Scalar.shift
-        would.  A term of sign -1 is subtracted, so only the first
-        contribution to a site negates its numerator.  Values that cancel
-        are dropped at the end."""
+        """Image of a cochain: the residual pass with no target."""
+        return cochain_from_slots([LatticeFunctional._of(t) for t in self.residual(x)])
+
+    def residual(self, x, target=None) -> list[dict[Site, Scalar]]:
+        """image(x) - target per output slot, as {site: nonzero Scalar}.
+        Each term (sign, p, q, r) of each entry pushes every input term
+        through, moving its power of u as Scalar.shift would, and meets it
+        against what is left of the target at its site: a match of the power
+        of u, numerator and denominator settles the site with no Scalar
+        built.  Otherwise it is built and taken off what is left, or, where
+        nothing is, added to the image; only the first contribution to a site
+        negates a numerator.  What is left is negated at the end."""
         parts = cochain_slots(x)
         s = self.mirror
         raw = Scalar._raw
         out: list[dict[Site, Scalar]] = [{} for _ in range(self.out_slots)]
+        left = ([{} for _ in out] if target is None
+                else [dict(t.terms) for t in cochain_slots(target)])
         for o, i, dn, dm, terms in self.entries:
-            acc = out[o]
+            acc, goal = out[o], left[o]
             for sign, p, q, r in terms:
                 for (a, b), v in parts[i].terms.items():
                     n, m = site = (s * (a - dn), s * (b - dm))
                     k = v.s + 2 * (p * n + q * m + r)
+                    t = goal.get(site)
+                    if t is not None:
+                        if t.s == k and t.d == v.d and t.n == (v.n if sign == 1 else _pneg(v.n)):
+                            del goal[site]
+                        elif sign == 1:
+                            goal[site] = t - raw(k, v.n, v.d)
+                        else:
+                            goal[site] = t + raw(k, v.n, v.d)
+                        continue
                     prev = acc.get(site)
                     if prev is None:
                         acc[site] = raw(k, v.n if sign == 1 else _pneg(v.n), v.d)
@@ -188,7 +207,10 @@ class Stencil:
                         acc[site] = prev + raw(k, v.n, v.d)
                     else:
                         acc[site] = prev - raw(k, v.n, v.d)
-        return cochain_from_slots([LatticeFunctional._of(t) for t in out])
+        for acc, goal in zip(out, left):
+            for site, t in goal.items():
+                acc[site] = -t
+        return [{site: c for site, c in acc.items() if c.n} for acc in out]
 
 
 TWISTED_ALPHA1 = Stencil(

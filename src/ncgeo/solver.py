@@ -99,10 +99,10 @@ On the row side:
   This rule is the solver's own: Gauss-Jordan's certificate there depends
   on the pivot rows it picks.
 
-Every witness is re-checked by applying the operator, and every certificate
-against the table's original equations, read through `coefficient`, before
-it is returned.  They also guard the row side's membership solves, which
-walk no potentials.
+Every witness is re-checked by one residual pass of the operator against
+the target (`Stencil.residual`), and every certificate against the table's
+original equations, read through `coefficient`, before it is returned.
+They also guard the row side's membership solves, which walk no potentials.
 
 A membership solve sets up only the target's connected block: the equations
 reached from the target's support, two equations being connected when both
@@ -131,20 +131,20 @@ flip-twisted first cohomology vanishes, as the two phases of `h1_trivialize`:
   equation there once the band is clear.  The witness's differential
   reproduces the input exactly at every interior site of the window.
 
-The input's cocycle check is read off the witness re-check when it can be.
-As twisted_alpha2 after twisted_alpha1 is zero (the solver tests check the
-tables), twisted_alpha2(pair) = twisted_alpha2(E) for E = pair -
-twisted_alpha1(gamma), gamma being phase 1's cochain.  At the interior sites
-|n|, |m| <= window-1, twisted_alpha2 reads E.first on the band |n| <=
-window-1, |m| <= window, one row wider than the reported residual, and
-E.second on |n| <= window, |m| <= window-1, which is the leftover.  So when
-no row survives phase 1 and E.first vanishes on the band, the input is a
-cocycle and the image of gamma, the re-check, is the only stencil
-application.  Otherwise twisted_alpha2(pair) is applied before phase 2.  A
-non-cocycle is refused either way with `NotACocycle` at the smallest
-interior site in site order where twisted_alpha2 of the input is nonzero.
-This is the only check of the input's values: the rows |y| = window of
-E.second are read by no interior equation, and phase 2 never absorbs them.
+The re-check and the input's cocycle check are one residual pass, R =
+twisted_alpha1(gamma) - pair, gamma being phase 1's cochain: it meets each
+term of the image against the input and builds no image.  As twisted_alpha2
+after twisted_alpha1 is zero (the solver tests check the tables),
+twisted_alpha2(pair) = -twisted_alpha2(R).  At the interior sites |n|, |m| <=
+window-1 it reads R.first on the band |n| <= window-1, |m| <= window, one row
+wider than the reported residual, and R.second on |n| <= window, |m| <=
+window-1, minus the leftover.  So when R vanishes on both boxes, the input is
+a cocycle and the pass is the only stencil application.  Otherwise
+twisted_alpha2(pair) is applied before phase 2.  A non-cocycle is refused
+either way with `NotACocycle` at the smallest interior site in site order
+where twisted_alpha2 of the input is nonzero.  This is the only check of the
+input's values: the rows |y| = window of R.second are read by no interior
+equation, and phase 2 never absorbs them.
 
 The witness of twisted_alpha1(phi), for a finite phi inside the window, is
 phi, its only finitely supported preimage.  An input with no finite
@@ -177,9 +177,6 @@ from .cochains import (
 )
 from .scalars import ONE, ZERO, Scalar
 from .torus import Site
-
-EqKey = tuple[int, Site]
-
 
 class NotACocycle(ValueError):
     """h1_trivialize was given a pair outside the windowed kernel."""
@@ -288,11 +285,11 @@ def _order_key(radius: int, slots: int, eq: bool) -> Callable[[int], int]:
     return key
 
 
-def _equations(op: Operator, window: int) -> dict[int, EqKey]:
-    """Equations {id: (out_slot, site)} whose stencil reads all of its input
-    sites inside the window, in equation order.  Every table entry counts,
-    also where its coefficient vanishes at that site.  The condition splits
-    by coordinate, so the sites of a slot form the box its offsets' extremes
+def _equations(op: Operator, window: int) -> list[int]:
+    """The ids of the equations whose stencil reads all of its input sites
+    inside the window, in equation order.  Every table entry counts, also
+    where its coefficient vanishes at that site.  The condition splits by
+    coordinate, so the sites of a slot form the box its offsets' extremes
     leave inside the window: one run of ids per n, sorted by _order_key."""
     radius, slots = window + op.reach, op.stencil.out_slots
     span = 2 * radius + 1
@@ -304,7 +301,7 @@ def _equations(op: Operator, window: int) -> dict[int, EqKey]:
             base = (n + radius) * span
             ids += range((base + lo) * slots + slot, (base + hi + 1) * slots, slots)
     ids.sort(key=_order_key(radius, slots, True))
-    return dict(zip(ids, _keys(ids, radius, slots)))
+    return ids
 
 
 def _vanishes(terms, n: int, m: int) -> bool:
@@ -317,13 +314,18 @@ def _vanishes(terms, n: int, m: int) -> bool:
     return s1 != s2 and p1 * n + q1 * m + r1 == p2 * n + q2 * m + r2
 
 
-def _rows(op: Operator, window: int, keys: dict[int, EqKey]) -> dict[int, dict]:
-    """The rows of equations {id: key} off their slots' table entries: the
-    nonzero coefficients of variables inside the window, as gains keyed as in
-    _ids.  A one-term entry never vanishes, and its gain is read inline."""
-    span, slots = 2 * window + 1, op.stencil.in_slots
+def _rows(op: Operator, window: int, ids) -> dict[int, dict]:
+    """The rows of equations, given by their ids, off their slots' table
+    entries: the nonzero coefficients of variables inside the window, as
+    gains keyed as in _ids.  Each equation's slot and site are read off its
+    id; a one-term entry never vanishes, and its gain is read inline."""
+    radius, out_slots = window + op.reach, op.stencil.out_slots
+    ospan, span, slots = 2 * radius + 1, 2 * window + 1, op.stencil.in_slots
     rows = {}
-    for eq, (slot, (n, m)) in keys.items():
+    for eq in ids:
+        k, slot = divmod(eq, out_slots)
+        n, m = divmod(k, ospan)
+        n, m = n - radius, m - radius
         rows[eq] = coeffs = {}
         for in_slot, dn, dm, terms in op.rows[slot]:
             a, b = n + dn, m + dm
@@ -378,15 +380,14 @@ def _target_block(op: Operator, window: int, goal) -> dict[int, dict]:
     variables, decoded as in _keys, lead to the next through their readers."""
     radius, slots, in_slots = window + op.reach, op.stencil.out_slots, op.stencil.in_slots
     span, vspan = 2 * radius + 1, 2 * window + 1
-    keys = [(slot, s) for slot, part in enumerate(goal) for s in part.terms]
-    todo = dict(zip(_ids(keys, radius, slots), keys))
-    found, block, seen = dict(todo), {}, set()
+    todo = _ids([(slot, s) for slot, part in enumerate(goal) for s in part.terms], radius, slots)
+    found, block, seen = set(todo), {}, set()
     while todo:
         rows = _rows(op, window, todo)
         block.update(rows)
         new = set().union(*rows.values()) - seen
         seen |= new
-        todo = {}
+        todo = []
         for k in new:
             k, in_slot = divmod(k, in_slots)
             a, b = divmod(k, vspan)
@@ -394,7 +395,8 @@ def _target_block(op: Operator, window: int, goal) -> dict[int, dict]:
                 n, m = a - window - dn, b - window - dm
                 eq = ((n + radius) * span + m + radius) * slots + o
                 if eq not in found and not _vanishes(terms, n, m):
-                    found[eq] = todo[eq] = (o, (n, m))
+                    found.add(eq)
+                    todo.append(eq)
     return {eq: block[eq] for eq in sorted(found, key=_order_key(radius, slots, True))}
 
 
@@ -708,7 +710,9 @@ def coboundary_solve(target, operator: str, window: int) -> SolveReport:
         return SolveReport(op.name, window, "unsolvable", certificate=certificate)
 
     witness = _vector_object(op, window, vec)
-    residual = op.apply(witness) - target
+    residual = cochain_from_slots(
+        [LatticeFunctional._of(t) for t in op.stencil.residual(witness, target)]
+    )
     if not residual.is_zero():
         raise RuntimeError("the gain-graph solve produced an invalid witness")
     return SolveReport(
@@ -754,34 +758,14 @@ def _walk_rows(terms: dict[Site, Scalar], window: int) -> dict[Site, Scalar]:
     return {(n, m): g for m, h in rows.items() for n, g in _line_walk(h, m, window).items()}
 
 
-def _gap(
-    want: LatticeFunctional, got: LatticeFunctional, rn: int, rm: int
-) -> dict[Site, Scalar]:
-    """The nonzero values of want - got on the box |n| <= rn, |m| <= rm.
-    Stored coefficients are nonzero, so a site of got alone gives -got."""
-    gap = {}
-    w, g = want.terms, got.terms
-    for site, a in w.items():
-        n, m = site
-        if abs(n) <= rn and abs(m) <= rm:
-            b = g.get(site, ZERO)
-            if a != b:
-                gap[site] = a - b
-    for site, b in g.items():
-        n, m = site
-        if site not in w and abs(n) <= rn and abs(m) <= rm:
-            gap[site] = -b
-    return gap
-
-
-def _gaps(pair: CochainPair, out: CochainPair, window: int):
-    """E = pair - out where twisted_alpha2 reads it at the interior sites:
-    E.first on the band |n| <= window-1, |m| <= window and E.second on
-    |n| <= window, |m| <= window-1, the leftover that phase 2 absorbs.  The
-    rows |m| = window of E.second are read by no interior equation."""
+def _boxes(psi: LatticeFunctional, pair: CochainPair, window: int):
+    """twisted_alpha1(psi) - pair, one residual pass, on the two boxes
+    twisted_alpha2 reads at the interior sites: the band and minus the
+    leftover."""
+    first, second = TWISTED_ALPHA1.residual(psi, pair)
     return (
-        _gap(pair.first, out.first, window - 1, window),
-        _gap(pair.second, out.second, window, window - 1),
+        {(n, m): c for (n, m), c in first.items() if abs(n) < window and abs(m) <= window},
+        {(n, m): c for (n, m), c in second.items() if abs(n) <= window and abs(m) < window},
     )
 
 
@@ -796,15 +780,13 @@ def h1_trivialize(pair: CochainPair, window: int) -> SolveReport:
     twisted_alpha1(psi) = pair exactly at all sites with |n|, |m| <=
     window-1; the report's residual is that restriction.
 
-    A pair that is not a windowed cocycle raises NotACocycle at the
-    smallest interior site in site order where twisted_alpha2(pair) is
-    nonzero; it is the only check of the input's values.  It is derived
-    from the re-check when no row survives phase 1 and
-    twisted_alpha1(gamma).first equals pair.first on the band |n| <=
-    window-1, |m| <= window, one row wider than the residual: then
-    twisted_alpha2(pair), which is twisted_alpha2 of pair -
-    twisted_alpha1(gamma), vanishes at every interior site.  Otherwise
-    twisted_alpha2(pair) is applied explicitly, before phase 2.
+    Each pass reads the band and the leftover off one residual pass
+    TWISTED_ALPHA1.residual(psi, pair), which is also the re-check.  A pair
+    that is not a windowed cocycle raises NotACocycle at the smallest
+    interior site in site order where twisted_alpha2(pair) is nonzero; it is
+    the only check of the input's values.  When phase 1's residual vanishes
+    on both boxes, twisted_alpha2(pair) = -twisted_alpha2(residual) vanishes
+    at every interior site; otherwise it is applied, before phase 2.
 
     When pair is twisted_alpha1(phi) inside the window for a finitely
     supported phi, phase 1 returns phi row by row, nothing survives it, and
@@ -825,14 +807,13 @@ def h1_trivialize(pair: CochainPair, window: int) -> SolveReport:
             raise ValueError("pair support exceeds the window")
     # phase 1; gamma's rows are disjoint
     acc = _walk_rows(pair.first.terms, window)
-    # psi = gamma until a row survives: its image gives the leftover, the
+    # psi = gamma until a row survives: its residual gives the leftover, the
     # cocycle check and, when none survives, the re-check
     psi = LatticeFunctional._of(acc)
-    out = twisted_alpha1(psi)
-    band, leftover = _gaps(pair, out, window)
-    # twisted_alpha2(pair) = twisted_alpha2(pair - out) as out is a finite
-    # coboundary, and at the interior sites it reads pair - out on the two
-    # gaps' boxes alone: when both gaps are empty, the pair is a cocycle
+    band, leftover = _boxes(psi, pair, window)
+    # twisted_alpha2(pair) = -twisted_alpha2(residual) as the image of psi is
+    # a finite coboundary, and at the interior sites it reads the residual on
+    # the two boxes alone: when both are empty, the pair is a cocycle
     if band or leftover:
         site = _violations(twisted_alpha2(pair), window)
         if site is not None:
@@ -840,25 +821,19 @@ def h1_trivialize(pair: CochainPair, window: int) -> SolveReport:
 
     if leftover:
         # phase 2: rho[n, m+1] = lambda**n (rho[n, m-1] + eta[n, m]) on
-        # column n is its line walk at s0 = n, run on the transposed map
-        columns = {(m, n): c.shift(2 * n) for (n, m), c in leftover.items()}
+        # column n is its line walk at s0 = n, run on the transposed map,
+        # with eta = -leftover
+        columns = {(m, n): c.shift(2 * n, -1) for (n, m), c in leftover.items()}
         for (m, n), c in _walk_rows(columns, window).items():
             acc[(n, m)] = acc[(n, m)] + c if (n, m) in acc else c
         psi = LatticeFunctional._of(acc)
-        out = twisted_alpha1(psi)
-        band, leftover = _gaps(pair, out, window)
-    # the residual out - pair at |n|, |m| <= window-1, read off the gaps
+        band, leftover = _boxes(psi, pair, window)
+    # the residual at |n|, |m| <= window-1, read off the two boxes
     inner = [
-        {(n, m): -c for (n, m), c in gap.items() if abs(n) < window and abs(m) < window}
-        for gap in (band, leftover)
+        {(n, m): c for (n, m), c in box.items() if abs(n) < window and abs(m) < window}
+        for box in (band, leftover)
     ]
     residual = CochainPair(*map(LatticeFunctional._of, inner))
     if not residual.is_zero():
         raise RuntimeError("trivialization left a nonzero interior residual")
-    return SolveReport(
-        operator="twisted_alpha1",
-        window=window,
-        status="solved",
-        witness=psi,
-        residual=residual,
-    )
+    return SolveReport("twisted_alpha1", window, "solved", witness=psi, residual=residual)

@@ -22,6 +22,9 @@ from ncgeo.cochains import (
     Stencil,
     alpha1,
     alpha2,
+    cochain_from_slots,
+    cochain_slots,
+    coefficient,
     make_D,
     twisted_alpha1,
     twisted_alpha2,
@@ -84,6 +87,63 @@ def by_rule(rule, slots=1):
     return parts[0] if slots == 1 else CochainPair(*parts)
 
 
+VALUES = (ONE, -MU, HALF, Scalar(0, (1, 1), (3, 0, 1)), mu_pow(2), mu_pow(-3))
+
+
+def random_cochain(rng, slots):
+    """Six sites a slot, on the axes, where alpha1 and alpha2 coefficients
+    vanish, and off them, with values over non-unit denominators too."""
+    def functional():
+        sites = [(rng.randint(-4, 4), rng.choice((0, 1, rng.randint(-4, 4)))) for _ in range(6)]
+        return LatticeFunctional({(n, m): rng.choice(VALUES) for n, m in sites})
+
+    return functional() if slots == 1 else CochainPair(functional(), functional())
+
+
+def contributions(table, x):
+    """Per output slot, {site: [contribution, ...]}: every input value times
+    one term of an entry, read through coefficient, at the site the entry
+    sends it to.  Nothing from Stencil's own loop."""
+    s, parts = table.mirror, cochain_slots(x)
+    out = [{} for _ in range(table.out_slots)]
+    for o, i, dn, dm, terms in table.entries:
+        for (a, b), v in parts[i].terms.items():
+            n, m = s * (a - dn), s * (b - dm)
+            for term in terms:
+                out[o].setdefault((n, m), []).append(coefficient((term,), n, m, v))
+    return out
+
+
+def summed(table, x):
+    """The image of x as the per-site sum of its contributions."""
+    sums = [{k: sum(cs, ZERO) for k, cs in c.items()} for c in contributions(table, x)]
+    return cochain_from_slots([LatticeFunctional(t) for t in sums])
+
+
+def residual_targets(table, x, image, rng):
+    """Targets for residual(x, target) against the image of x: the image
+    itself; the image changed at up to three sites (doubled, moved by 1/2,
+    dropped or cut to one contribution); and the image with sites it never
+    reaches, at |n| = 9, beyond the inputs' |n| <= 4 and the offsets' 2."""
+    slots = cochain_slots(image)
+    out = [image]
+    changed = []
+    for part, contrib in zip(slots, contributions(table, x)):
+        terms = dict(part.terms)
+        for site in rng.sample(sorted(terms), min(3, len(terms))):
+            terms[site] = rng.choice(
+                (terms[site] * 2, terms[site] + HALF, ZERO, rng.choice(contrib[site]))
+            )
+        changed.append(LatticeFunctional(terms))
+    out.append(cochain_from_slots(changed))
+    far = cochain_from_slots([
+        LatticeFunctional({(9, rng.randint(-9, 9)): rng.choice(VALUES), (-9, 0): ONE})
+        for _ in slots
+    ])
+    out += [image + far, out[1] + far, far]
+    return out
+
+
 class TestProductOracle:
     """The stencil tables against the defining twisted products, written here
     with TorusElement multiplication and nothing from the tables."""
@@ -141,7 +201,8 @@ class TestProductOracle:
 
     def test_every_table_term_mutation_disagrees(self):
         # flip the sign of one term of one entry, or raise one of its
-        # exponent coefficients p, q, r by 1: the products must notice
+        # exponent coefficients p, q, r by 1: the products must notice, and
+        # the mutant's residual against the true image is never empty
         phi = d(2, 3) + d(-1, 2, MU) + d(1, -2, -2)
         pair = CochainPair(phi, d(3, 1) - d(-2, -1, MU))
         cases = (
@@ -154,6 +215,7 @@ class TestProductOracle:
         for table, oracle, x in cases:
             want = oracle(x)
             assert table.apply(x) == want
+            assert not any(table.residual(x, want))
             for k, (o, i, dn, dm, terms) in enumerate(table.entries):
                 for t, (sign, p, q, r) in enumerate(terms):
                     for term in ((-sign, p, q, r), (sign, p + 1, q, r),
@@ -161,19 +223,46 @@ class TestProductOracle:
                         entries = list(table.entries)
                         entries[k] = (o, i, dn, dm, terms[:t] + (term,) + terms[t + 1:])
                         assert Stencil(*entries).apply(x) != want, (table, k, term)
+                        assert any(Stencil(*entries).residual(x, want)), (table, k, term)
                         mutants += 1
         assert mutants == 4 * (4 + 4 + 2 * 2 + 2 * 2)
 
+    def test_residual_is_image_minus_target(self):
+        # the four differentials against the products, the four pullbacks
+        # against the per-site sum of their coefficients, each at targets
+        # equal to the image, differing from it and reaching past it
+        rng = random.Random(37)
+        cases = (
+            (TWISTED_ALPHA1, self.twisted_alpha1), (TWISTED_ALPHA2, self.twisted_alpha2),
+            (ALPHA1, self.alpha1), (ALPHA2, self.alpha2),
+            *((t, None) for t in (TWISTED_PULLBACK_DEG0, TWISTED_PULLBACK_DEG2,
+                                  UNTWISTED_PULLBACK_DEG2, UNTWISTED_PULLBACK_DEG1)),
+        )
+        checked = 0
+        for table, oracle in cases:
+            for _ in range(10):
+                x = random_cochain(rng, table.in_slots)
+                image = oracle(x) if oracle else summed(table, x)
+                for target in residual_targets(table, x, image, rng):
+                    want = [dict(p.terms) for p in cochain_slots(image - target)]
+                    assert table.residual(x, target) == want, (table.entries, x, target)
+                    checked += 1
+                assert table.residual(x, image) == [{}] * table.out_slots
+                assert table.residual(x) == [dict(p.terms) for p in cochain_slots(image)]
+        assert checked == 8 * 10 * 5
+
 
 class TestStencilOutputs:
-    """Stencil.apply builds its outputs without the constructor's checks;
-    they must still hold only int sites and nonzero canonical Scalars."""
+    """Stencil.apply and Stencil.residual build their outputs without the
+    constructor's checks; they must still hold only int sites and nonzero
+    canonical Scalars."""
 
     @staticmethod
     def clean(f):
+        terms = f if isinstance(f, dict) else f.terms
         return all(
             type(n) is int and type(m) is int and type(c) is Scalar and c.n[0] and c.n[-1]
-            for (n, m), c in f.terms.items()
+            for (n, m), c in terms.items()
         )
 
     def test_all_eight_tables(self):
@@ -191,7 +280,7 @@ class TestStencilOutputs:
             TWISTED_PULLBACK_DEG0: None, TWISTED_PULLBACK_DEG2: None,
             UNTWISTED_PULLBACK_DEG2: None, UNTWISTED_PULLBACK_DEG1: None,
         }
-        terms = 0
+        terms = residuals = 0
         for _ in range(20):
             for table, second in tables.items():
                 x = functional() if table.in_slots == 1 else CochainPair(functional(), functional())
@@ -202,7 +291,22 @@ class TestStencilOutputs:
                 if second is not None:
                     # every term of the composite cancels
                     assert second.apply(out).terms == {}
-        assert terms > 1000
+                for target in residual_targets(table, x, out, rng):
+                    res = table.residual(x, target)
+                    assert all(self.clean(r) for r in res)
+                    residuals += sum(map(len, res))
+        assert terms > 1000 and residuals > 1000
+
+    def test_residual_drops_cancelled_contributions(self):
+        # alpha1 at m = 0 and n = 0: (1 - lambda**m) phi[n-1, m] and
+        # (lambda**n - 1) phi[n, m-1] are two contributions that cancel,
+        # with no target, and where the target holds one of them or another
+        # value
+        phi = d(0, 0, MU) + d(1, 0, HALF)
+        edge = (LAMBDA - ONE) * HALF
+        assert ALPHA1.residual(phi) == [{}, {(1, 1): edge}]
+        target = CochainPair(d(2, 0), d(0, 1, MU))
+        assert ALPHA1.residual(phi, target) == [{(2, 0): -ONE}, {(0, 1): -MU, (1, 1): edge}]
 
 
 class TestFunctional:

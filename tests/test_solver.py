@@ -462,7 +462,9 @@ class TestIds:
                 # past the edge, on the box of radius window + reach
                 assert op.reach == 1
                 imposed = set(box_keys(op.stencil.out_slots, window + 1))
-                assert set(solver._equations(op, window).values()) <= imposed
+                eqs = solver._equations(op, window)
+                eq_keys = solver._keys(eqs, window + 1, op.stencil.out_slots)
+                assert set(eq_keys) <= imposed
                 for radius in (window, window + 1):
                     for slots in {op.stencil.in_slots, op.stencil.out_slots}:
                         keys = box_keys(slots, radius)
@@ -476,11 +478,10 @@ class TestIds:
                             by_key = sorted(reversed(ids), key=key)
                             assert solver._keys(by_key, radius, slots) == sorted(keys, key=order)
                 # the window's equations come out in equation order, each
-                # under its own id
-                eqs = solver._equations(op, window)
-                keys = list(eqs.values())
-                assert keys == sorted(keys, key=equation_order)
-                assert list(eqs) == solver._ids(keys, window + 1, op.stencil.out_slots)
+                # id once
+                assert eq_keys == sorted(eq_keys, key=equation_order)
+                assert len(set(eqs)) == len(eqs)
+                assert solver._ids(eq_keys, window + 1, op.stencil.out_slots) == eqs
 
     def test_tables_hold_every_entry_once(self):
         for op in OPERATORS.values():
@@ -496,7 +497,7 @@ class TestIds:
             window = 4
             eqs, rows = window_system(op, window, full_stencil=True)
             ids = solver._ids(eqs, window + 1, op.stencil.out_slots)
-            got = solver._rows(op, window, dict(zip(ids, eqs)))
+            got = solver._rows(op, window, ids)
             assert len(got) == len(eqs)
             for (coeffs, _), row in zip(rows, got.values()):
                 keys = solver._keys(row, window, op.stencil.in_slots)
@@ -582,7 +583,8 @@ class TestPivotRuleOracle:
             for window in (3, 4, 5, 6):
                 var_order = window_variables(op, window)
                 eqs, rows = window_system(op, window, full_stencil=True)
-                assert list(solver._equations(op, window).values()) == eqs
+                ids = solver._equations(op, window)
+                assert solver._keys(ids, window + 1, op.stencil.out_slots) == eqs
                 pivots, rows = first_row_gauss_jordan(rows, var_order)
                 assert set(pivots) == _engine_pivots(op, window, full_stencil=True)
                 basis = []
@@ -1912,10 +1914,10 @@ class TestH1Sweep:
     oracle."""
 
     def test_gamma_is_applied_once(self, monkeypatch):
-        # twisted_alpha1 of phase 1's gamma gives the leftover, the cocycle
-        # check and, when no row survives, the re-check: one application per
-        # finite coboundary; a surviving row adds the input's explicit
-        # twisted_alpha2 and the witness's re-check
+        # the residual of phase 1's gamma against the input gives the
+        # leftover, the cocycle check and, when no row survives, the
+        # re-check: one kernel pass per finite coboundary; a surviving row
+        # adds the input's explicit twisted_alpha2 and the witness's re-check
         rng = random.Random(61)
         coboundaries = [
             (twisted_alpha1(random_functional(rng, radius=w - 2, size=8)), w)
@@ -1923,14 +1925,14 @@ class TestH1Sweep:
         ]
         rows = [(CochainPair(ZF, recurrence_row(rng, s0, w)), w) for s0, w in ((2, 6), (-3, 10))]
         calls = 0
-        apply = cochains.Stencil.apply
+        residual = cochains.Stencil.residual
 
-        def counting(self, x):
+        def counting(self, x, target=None):
             nonlocal calls
             calls += 1
-            return apply(self, x)
+            return residual(self, x, target)
 
-        monkeypatch.setattr(cochains.Stencil, "apply", counting)
+        monkeypatch.setattr(cochains.Stencil, "residual", counting)
         for pair, window in coboundaries:
             assert h1_trivialize(pair, window).residual.is_zero()
         assert calls == len(coboundaries)
@@ -1938,6 +1940,25 @@ class TestH1Sweep:
         for pair, window in rows:
             assert h1_trivialize(pair, window).residual.is_zero()
         assert calls == 3 * len(rows)
+
+    def test_scalar_constructions_stay_few(self, monkeypatch):
+        # the re-check meets the image of gamma against the input term by
+        # term: on these window-10 coboundaries it builds 37 Scalars, where
+        # building the image and walking it against the input took 163
+        rng = random.Random(61)
+        coboundaries = [twisted_alpha1(random_functional(rng, radius=8, size=8)) for _ in range(4)]
+        built = 0
+        raw = Scalar._raw.__func__
+
+        def counting(cls, *args):
+            nonlocal built
+            built += 1
+            return raw(cls, *args)
+
+        monkeypatch.setattr(Scalar, "_raw", classmethod(counting))
+        for pair in coboundaries:
+            assert h1_trivialize(pair, 10).residual.is_zero()
+        assert built <= 37
 
     def test_matches_per_row_stacks_on_seeded_cocycles(self):
         rng = random.Random(41)
