@@ -63,9 +63,9 @@ cycle is unbalanced, the greedy basis of the frame matroid depends on
 connectivity alone: a union-find without weights (_Frame) grows it in edge
 order, a forest whose trees hold at most one half-edge each.  The forest is walked
 once (_Forest), each tree from its half-edge or its root, and on the walk's
-steps the kept incidence is triangular: walked forwards they give values on
-the nodes, potentials included, on which the rejected edges are checked;
-walked backwards, from the leaves, values on the edges.
+steps the kept incidence is triangular: walked forwards from the roots they
+give the potentials, on which the rejected edges are checked; walked
+backwards, from the leaves, values on the edges.
 
 On the column side the greedy basis is exactly the set of pivot columns
 Gauss-Jordan elimination takes in the pivot order (its pivot columns are the
@@ -84,25 +84,16 @@ every output equals Gauss-Jordan's, byte for byte:
   Of the inconsistent components, the one whose last equation comes first
   is reported, as Gauss-Jordan's first bad row.
 
-On the row side:
-
-* kernel basis: one potential per balanced component, normalized to 1 at its
-  last variable.  Any other set of a component's variables is independent, so
-  that variable is Gauss-Jordan's free one, and the bases are equal;
-* witness: the values along a spanning forest walked from each component's
-  half-edge, or from its last variable, set to 0: Gauss-Jordan's witness;
-* certificate: the first equation, in equation order, that the greedy basis
-  of the equations rejects and that the witness leaves unsatisfied.  Its
-  fundamental circuit, the one combination of it and the kept equations
-  with a zero left side, is found on the edges of the forest, as a
-  column-side kernel vector is, and is normalized to 1 at that equation.
-  This rule is the solver's own: Gauss-Jordan's certificate there depends
-  on the pivot rows it picks.
+On the row side, which is for kernels only, the kernel basis is one
+potential per balanced component, normalized to 1 at its last variable.  Any
+other set of a component's variables is independent, so that variable is
+Gauss-Jordan's free one, and the bases are equal.  A membership solve on the
+row side is refused: the preimages of twisted_alpha1 are h1_trivialize's.
 
 Every witness is re-checked by one residual pass of the operator against
 the target (`Stencil.residual`), and every certificate against the table's
-original equations, read through `coefficient`, before it is returned.
-They also guard the row side's membership solves, which walk no potentials.
+original equations, read through `coefficient` (_recheck), before it is
+returned or raised.
 
 A membership solve sets up only the target's connected block: the equations
 reached from the target's support, two equations being connected when both
@@ -144,7 +135,8 @@ twisted_alpha2(pair) is applied before phase 2.  A non-cocycle is refused
 either way with `NotACocycle` at the smallest interior site in site order
 where twisted_alpha2 of the input is nonzero.  This is the only check of the
 input's values: the rows |y| = window of R.second are read by no interior
-equation, and phase 2 never absorbs them.
+equation, and phase 2 never absorbs them.  The refusal's certificate is
+twisted_alpha2's row at the site as four twisted_alpha1 equations.
 
 The witness of twisted_alpha1(phi), for a finite phi inside the window, is
 phi, its only finitely supported preimage.  An input with no finite
@@ -156,6 +148,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 from typing import Callable
 
 from .cochains import (
@@ -179,11 +172,16 @@ from .scalars import ONE, ZERO, Scalar
 from .torus import Site
 
 class NotACocycle(ValueError):
-    """h1_trivialize was given a pair outside the windowed kernel."""
+    """h1_trivialize was given a pair outside the windowed kernel: at site,
+    twisted_alpha2 of it is nonzero.  certificate, ((slot, site), multiplier)
+    pairs as in SolveReport, is twisted_alpha2's row at site as four
+    twisted_alpha1 equations: a zero left side on all of Z^2, and a right
+    side twisted_alpha2(pair) at site."""
 
-    def __init__(self, site: Site):
+    def __init__(self, site: Site, certificate: tuple):
         super().__init__(f"twisted_alpha2 of the input is nonzero at {site}")
         self.site = site
+        self.certificate = certificate
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +195,8 @@ class Operator:
     slot (rows), the entries (out_slot, dn, dm, terms) reading each input slot
     (readers), the largest offset (reach) and the orientation: the column
     side when every input slot is read by at most two entries, so that every
-    column holds at most two nonzeros, else the row side."""
+    column holds at most two nonzeros, else the row side, which is for
+    kernels only: coboundary_solve refuses it."""
 
     name: str
     apply: Callable
@@ -472,11 +471,11 @@ class _Forest:
     from its root, its last node in nodes, taken from the end backwards.
     A step (edge, node, gain at the node, the end it was reached from) is
     one kept edge: a half-edge is its tree's first step, with no end.  On
-    these steps the kept incidence is triangular: walked forwards they fix
-    node values, walked backwards, from the leaves, edge values.  A forward
-    step with no right side carries its end's value by the ratio of the two
-    gains, one Scalar.shift when both are monomials (_ratio), as does the
-    balance check of a rejected edge.
+    these steps the kept incidence is triangular: walked forwards from a
+    balanced root they fix its potential, walked backwards, from the leaves,
+    edge values.  A forward step carries its end's value by the ratio of the
+    two gains, one Scalar.shift when both are monomials (_ratio), as does
+    the balance check of a rejected edge.
     """
 
     __slots__ = ("steps", "roots")
@@ -514,22 +513,6 @@ class _Forest:
                         steps.append((key, v, far[1], end))
                         queue.append(v)
 
-    def node_values(self, rhs: dict, seed: Scalar) -> dict:
-        """The nonzero x with a x[u] + b x[v] = rhs[e] on every kept edge
-        e = ((u, a), (v, b)) and c x[u] = rhs[e] on a half-edge ((u, c),),
-        every root at seed."""
-        x = {root: seed for root, _ in self.roots} if seed else {}
-        for key, v, b, end in self.steps:
-            val = rhs.get(key)
-            if end is not None and end[0] in x:
-                if not val:
-                    x[v] = _ratio(x[end[0]], end[1], b)
-                    continue
-                val = val + _mul(x[end[0]], end[1], -1)
-            if val:
-                x[v] = _div(val, b)
-        return x
-
     def edge_values(self, rhs: dict) -> dict:
         """The nonzero x with sum_e x[e] A_e = rhs, A_e holding the gains at
         the ends of e, at every node but the balanced roots, where the right
@@ -558,16 +541,19 @@ class _Forest:
         """One potential per balanced tree, 1 at its root, in walk order.
         Every rejected two-ended edge must hold on them, or the gain graph
         has an unbalanced cycle."""
-        x = self.node_values({}, ONE)
+        steps, roots = self.steps, self.roots
+        stops = [first for _, first in roots[1:]] + [len(steps)]
+        potentials, x = [], {}
+        for (root, first), stop in zip(roots, stops):
+            p = {root: ONE}
+            for _, v, b, (u, a) in steps[first:stop]:
+                p[v] = _ratio(p[u], a, b)
+            potentials.append(p)
+            x.update(p)
         for (u, a), (v, b) in rejected:
             if _ratio(x.get(u, ZERO), a, b) != x.get(v, ZERO):
                 raise RuntimeError("the gain graph has an unbalanced cycle")
-        steps, roots = self.steps, self.roots
-        stops = [first for _, first in roots[1:]] + [len(steps)]
-        return [
-            {root: ONE, **{v: x[v] for _, v, _, _ in steps[first:end] if v in x}}
-            for (root, first), end in zip(roots, stops)
-        ]
+        return potentials
 
 
 def _setup(column_side: bool, rows: dict[int, dict], variables: list[int]):
@@ -644,14 +630,36 @@ def kernel_dimension(operator: str, window: int) -> SolveReport:
     return SolveReport(op.name, window, "kernel-basis", nullity=len(basis), basis=basis)
 
 
+def _recheck(op: Operator, radius: int, certificate, parts) -> None:
+    """Check a certificate, ((slot, site), multiplier) pairs, on op's table
+    through coefficient: the equations' sum cancels at every input site of
+    the box of the given radius, and the target's, by slots (parts), not."""
+    lhs: dict[tuple, Scalar] = {}
+    total = ZERO
+    for (slot, (n, m)), mult in certificate:
+        for in_slot, dn, dm, terms in op.rows[slot]:
+            a, b = n + dn, m + dm
+            if abs(a) <= radius and abs(b) <= radius:
+                k, c = (in_slot, a, b), coefficient(terms, n, m, mult)
+                lhs[k] = lhs[k] + c if k in lhs else c
+        b = parts[slot].coeff(n, m)
+        if b:
+            total = total + mult * b
+    if any(lhs.values()) or not total:
+        raise RuntimeError(f"invalid {op.name} certificate")
+
+
 def coboundary_solve(target, operator: str, window: int) -> SolveReport:
     """Exact membership of target in the image of a windowed differential.
 
     The target support must keep a margin of 2 from the window edge.  On
     failure the report carries an equation-combination certificate, checked
-    against the original equations before being returned.
+    against the original equations before being returned.  Only the column
+    side is solved here: a preimage under twisted_alpha1 is h1_trivialize's.
     """
     op = _get_operator(operator)
+    if not op.column_side:
+        raise ValueError(f"coboundary_solve does not solve {op.name}; use h1_trivialize")
     _check_window(window)
     kind = LatticeFunctional if op.stencil.out_slots == 1 else CochainPair
     parts = cochain_slots(target)
@@ -667,49 +675,22 @@ def coboundary_solve(target, operator: str, window: int) -> SolveReport:
     rhs = dict(zip(_ids(goal, radius, slots), goal.values()))
     pivot_order = _order_key(window, op.stencil.in_slots, False)
     variables = sorted(set().union(*rows.values()), key=pivot_order)
-    edges, kept, rejected, forest = _setup(op.column_side, rows, variables)
+    _, _, rejected, forest = _setup(True, rows, variables)
 
+    # a balanced component's potential is its one combination with a zero
+    # left side; the walk yields them from the last equation backwards, so
+    # the last inconsistent one met is the first by last equation
     certificate = None
-    if op.column_side:
-        # a balanced component's potential is its one combination with a zero
-        # left side; the walk yields them from the last equation backwards,
-        # so the last inconsistent one met is the first by last equation
-        for p in forest.potentials(rejected):
-            if sum((p[eq] * r for eq, r in rhs.items() if eq in p), ZERO):
-                certificate = p
-        if certificate is None:
-            vec = forest.edge_values(rhs)
-    else:
-        vec = forest.node_values(rhs, ZERO)
-        for eq in rows:
-            if eq in kept:
-                continue
-            left = sum((_mul(vec[k], c) for k, c in edges[eq] if k in vec), ZERO)
-            if left != rhs.get(eq, ZERO):
-                # the equation's fundamental circuit through the kept ones
-                certificate = forest.circuit(eq, edges[eq])
-                break
-
+    for p in forest.potentials(rejected):
+        if sum((p[eq] * r for eq, r in rhs.items() if eq in p), ZERO):
+            certificate = p
     if certificate is not None:
-        lhs: dict[tuple, Scalar] = {}
-        total = ZERO
-        for (slot, (n, m)), mult in zip(_keys(certificate, radius, slots), certificate.values()):
-            # the original equations, read off the table through coefficient
-            for in_slot, dn, dm, terms in op.rows[slot]:
-                a, b = n + dn, m + dm
-                if abs(a) <= window and abs(b) <= window:
-                    k, c = (in_slot, a, b), coefficient(terms, n, m, mult)
-                    lhs[k] = lhs[k] + c if k in lhs else c
-            b = parts[slot].coeff(n, m)
-            if b:
-                total = total + mult * b
-        if any(lhs.values()) or not total:
-            raise RuntimeError("the gain-graph solve produced an invalid certificate")
         eqs = [eq for eq in rows if certificate.get(eq)]
         certificate = tuple(zip(_keys(eqs, radius, slots), map(certificate.get, eqs)))
+        _recheck(op, window, certificate, parts)
         return SolveReport(op.name, window, "unsolvable", certificate=certificate)
 
-    witness = _vector_object(op, window, vec)
+    witness = _vector_object(op, window, forest.edge_values(rhs))
     residual = cochain_from_slots(
         [LatticeFunctional._of(t) for t in op.stencil.residual(witness, target)]
     )
@@ -786,7 +767,10 @@ def h1_trivialize(pair: CochainPair, window: int) -> SolveReport:
     interior site in site order where twisted_alpha2(pair) is nonzero; it is
     the only check of the input's values.  When phase 1's residual vanishes
     on both boxes, twisted_alpha2(pair) = -twisted_alpha2(residual) vanishes
-    at every interior site; otherwise it is applied, before phase 2.
+    at every interior site; otherwise it is applied, before phase 2.  The
+    refusal's certificate, twisted_alpha2's row at the site as four
+    twisted_alpha1 equations, holds on all of Z^2 and is re-checked before
+    it is raised.
 
     When pair is twisted_alpha1(phi) inside the window for a finitely
     supported phi, phase 1 returns phi row by row, nothing survives it, and
@@ -802,8 +786,9 @@ def h1_trivialize(pair: CochainPair, window: int) -> SolveReport:
         isinstance(p, LatticeFunctional) for p in cochain_slots(pair)
     ):
         raise TypeError("h1_trivialize needs a finite CochainPair")
-    for f in (pair.first, pair.second):
-        if any(abs(n) > window or abs(m) > window for n, m in f.terms):
+    # a plain loop in this frame: a generator frame per term costs more
+    for n, m in chain(pair.first.terms, pair.second.terms):
+        if abs(n) > window or abs(m) > window:
             raise ValueError("pair support exceeds the window")
     # phase 1; gamma's rows are disjoint
     acc = _walk_rows(pair.first.terms, window)
@@ -817,7 +802,14 @@ def h1_trivialize(pair: CochainPair, window: int) -> SolveReport:
     if band or leftover:
         site = _violations(twisted_alpha2(pair), window)
         if site is not None:
-            raise NotACocycle(site)
+            # twisted_alpha2's row at site; its equations read no site past window + 1
+            n, m = site
+            certificate = tuple(
+                ((i, (n + dn, m + dm)), coefficient(terms, n, m))
+                for _, i, dn, dm, terms in TWISTED_ALPHA2.entries
+            )
+            _recheck(OPERATORS["twisted_alpha1"], window + 1, certificate, cochain_slots(pair))
+            raise NotACocycle(site, certificate)
 
     if leftover:
         # phase 2: rho[n, m+1] = lambda**n (rho[n, m-1] + eta[n, m]) on

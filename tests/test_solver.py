@@ -265,12 +265,22 @@ class TestCoboundarySolve:
         for target, operator in (
             (SERIES, "twisted_alpha2"),
             (SERIES, "alpha1"),
-            (d(0, 0), "twisted_alpha1"),
             (CochainPair(SERIES, ZF), "alpha1"),
-            (CochainPair(ZF, SERIES), "twisted_alpha1"),
         ):
             with pytest.raises(TypeError, match="target"):
                 coboundary_solve(target, operator, 4)
+
+    def test_row_side_operator_is_refused(self, monkeypatch):
+        # preimages under twisted_alpha1 are h1_trivialize's: the row side
+        # is refused before any block is set up, whatever the target
+        def no_block(*args):
+            raise AssertionError("block set up")
+
+        monkeypatch.setattr(solver, "_target_block", no_block)
+        for target in (twisted_alpha1(d(1, 0)), CochainPair(d(0, 0), ZF), d(0, 0), SERIES):
+            for window in (4, 6):
+                with pytest.raises(ValueError, match="h1_trivialize"):
+                    coboundary_solve(target, "twisted_alpha1", window)
 
     def test_never_sets_up_the_whole_window(self, monkeypatch):
         # a membership system is read off the table around the target alone:
@@ -305,8 +315,6 @@ class TestCoboundarySolve:
             ("twisted_alpha2", d(0, 0) - d(0, 2, LAMBDA)),
             ("alpha2", d(1, 1)),
             ("alpha2", d(0, 2)),
-            ("twisted_alpha1", CochainPair(d(0, 0), ZF)),
-            ("twisted_alpha1", twisted_alpha1(d(1, 0))),
             ("alpha1", CochainPair(ZF, d(1, 1))),
             ("alpha1", alpha1(d(1, 1))),
         ]:
@@ -608,7 +616,6 @@ class TestPivotRuleOracle:
             ("twisted_alpha2", d(0, 0) - d(0, 2, LAMBDA), (4, 5, 6)),
             ("twisted_alpha2", d(2, 0) - d(0, 0, LAMBDA), (4, 5, 6)),
             ("alpha1", alpha1(d(1, 1) + d(-1, 0, MU)), (4, 5)),
-            ("twisted_alpha1", twisted_alpha1(d(1, 0) - d(0, 1, MU)), (4, 5)),
         ]
         for name, target, windows in targets:
             op = OPERATORS[name]
@@ -732,34 +739,6 @@ class TestTargetBlock:
         assert vanished == 4 * 17
 
 
-def first_inconsistent_circuit(rows):
-    """Reference row-side certificate.  The rows (coeffs, rhs) are taken in
-    order and each is reduced against the independent rows before it; the
-    first that reduces to 0 = c with c != 0 gives its circuit, the
-    combination {row index: multiplier} with multiplier 1 at itself."""
-    basis = []
-    for i, (coeffs, rhs) in enumerate(rows):
-        combo = {i: ONE}
-        # each kept row lacks the pivots of the rows kept before it
-        for v, kc, krhs, kcombo in basis:
-            f = coeffs.get(v)
-            if f:
-                coeffs, rhs, combo = _minus(coeffs, f, kc), rhs - f * krhs, _minus(combo, f, kcombo)
-        if not coeffs:
-            if rhs:
-                return combo
-            continue
-        v = next(iter(coeffs))
-        inv = ONE / coeffs[v]
-        basis.append((
-            v,
-            {k: inv * c for k, c in coeffs.items()},
-            inv * rhs,
-            {k: inv * c for k, c in combo.items()},
-        ))
-    return None
-
-
 def twisted_delta_block(site, window):
     """Sites of the twisted_alpha2 equations connected to the one at site.
     f[a, b] is read at (a, b - 1) and (a, b + 1), g[a, b] at (a - 1, b) and
@@ -794,26 +773,26 @@ class TestCertificateRules:
                 rep = coboundary_solve(d(*site), "twisted_alpha2", window)
                 assert rep.certificate == want
 
-    def test_row_side_certificate_is_the_first_inconsistent_circuit(self):
-        # twisted_alpha1 systems have two-term rows: the certificate is the
-        # fundamental circuit of the first equation, in equation order, that
-        # depends on the ones before it and is inconsistent with them,
-        # normalized to 1 at that equation
-        op = OPERATORS["twisted_alpha1"]
-        targets = [
-            CochainPair(d(0, 0), ZF),
-            CochainPair(ZF, d(1, 1, MU)),
-            twisted_alpha1(d(1, 0) - d(0, 1, LAMBDA)) + CochainPair(d(-1, 2), d(2, -1)),
+    def test_one_recheck_for_every_certificate(self, monkeypatch):
+        # a refuted membership solve and a refused h1 input go through the
+        # same re-check, before the report is returned or the error raised
+        checked = []
+        recheck = solver._recheck
+
+        def recording(op, radius, certificate, parts):
+            checked.append((op.name, radius, certificate))
+            recheck(op, radius, certificate, parts)
+
+        monkeypatch.setattr(solver, "_recheck", recording)
+        rep = coboundary_solve(d(0, 0), "twisted_alpha2", 5)
+        pair = CochainPair(d(0, 1), ZF)
+        with pytest.raises(NotACocycle) as exc:
+            h1_trivialize(pair, 4)
+        assert checked == [
+            ("twisted_alpha2", 5, rep.certificate),
+            ("twisted_alpha1", 5, exc.value.certificate),
         ]
-        for target in targets:
-            for window in (4, 5):
-                eqs, rows = window_system(op, window, target)
-                circuit = first_inconsistent_circuit(rows)
-                rep = coboundary_solve(target, "twisted_alpha1", window)
-                assert rep.status == "unsolvable"
-                assert rep.certificate == tuple((eqs[i], c) for i, c in sorted(circuit.items()) if c)
-                assert rep.certificate[-1][1] == ONE
-                TestCoboundarySolve()._check_certificate(rep, target, "twisted_alpha1", window)
+        check_refusal(exc.value, pair, 4)
 
 
 def S(k):
@@ -1130,30 +1109,27 @@ class TestGainGraph:
         assert forest.edge_values({}) == {}
 
     def test_forest_values_solve_an_unbalanced_component(self):
-        # row side: nodes are variables and each kept edge one equation
-        # a x[u] + b x[v] = rhs[edge]; the half-edge fixes its tree, and the
-        # balanced e-f sets its last node f to 0
+        # the half-edge fixes the tree a-d, which has no potential; the
+        # balanced e-f is walked from its last node f, its potential 1 there
         edges = dict(tree_with_half_edge(), ef=(("e", UNIT), ("f", g((1, 2)))))
         frame = solver._Frame()
         kept = kept_by(frame, edges)
         assert kept == edges
-        rhs = {"ab": S(3), "bc": MU, "cd": S(-1), "b": HALF, "ef": S(4)}
         forest = solver._Forest(kept, ["a", "b", "c", "d", "e", "f"])
         first = forest.roots[0][1]
         trees = [forest.steps[:first], forest.steps[first:]]
         assert [sorted(v for _, v, _, _ in t) for t in trees] == [["a", "b", "c", "d"], ["e"]]
-        x = forest.node_values(rhs, ZERO)
-        for key, ends in kept.items():
-            assert sum((gain_value(c) * x.get(v, ZERO) for v, c in ends), ZERO) == rhs[key]
-        assert "f" not in x and x["e"] == S(4)
-        # the half-edge u - u^3 fixes b
-        assert x["b"] == HALF / (MU - mu_pow(3))
-        # balanced: the last node is the free one, set to 0
-        edges = triangle(MINUS)
-        frame = solver._Frame()
-        kept = kept_by(frame, edges)
-        x = solver._Forest(kept, ["a", "b", "c"]).node_values({"ab": S(3), "bc": MU}, ZERO)
-        assert x == {"b": MU, "a": S(3) - MU}
+        assert forest.potentials([]) == [{"f": ONE, "e": -mu_pow(2)}]
+        # edge values meet the right side at every node but the root f
+        rhs = {"a": ONE, "b": S(2), "c": MU, "d": S(-4), "e": HALF}
+        sums = edge_sums(kept, forest.edge_values(rhs))
+        assert sums.pop("f") == mu_pow(2) * HALF
+        assert sums == rhs
+        # balanced: the last node is the root, and its right side is left over
+        kept = kept_by(solver._Frame(), triangle(MINUS))
+        x = solver._Forest(kept, ["a", "b", "c"]).edge_values({"a": S(3), "b": MU})
+        assert x == {"ab": S(3), "bc": MU - S(3)}
+        assert edge_sums(kept, x) == {"a": S(3), "b": MU, "c": MU - S(3)}
 
 
 def random_gain(rng):
@@ -1214,26 +1190,18 @@ class TestForestProperties:
                     last[root] = v
             roots = [r for r, _ in forest.roots]
             assert roots == sorted(last.values(), key=nodes.index, reverse=True)
-            # node values: every kept edge holds, every root at its seed
-            rhs = {key: random_value(rng) for key in kept if rng.random() < 0.7}
-            for seed in (ZERO, ONE, random_value(rng)):
-                x = forest.node_values(rhs, seed)
-                assert all(x.values())
-                for key, ends in kept.items():
-                    left = sum((gain_value(c) * x.get(v, ZERO) for v, c in ends), ZERO)
-                    assert left == rhs.get(key, ZERO)
-                assert all(x.get(r, ZERO) == seed for r in roots)
-            # the potentials path: roots at 1 and no right side, so every
-            # kept edge holds with a zero right side
-            x = forest.node_values({}, ONE)
-            assert set(x) == {v for v in nodes if frame.find(v) not in frame.full}
-            for key, ends in kept.items():
-                assert sum((gain_value(c) * x.get(v, ZERO) for v, c in ends), ZERO) == ZERO
+            # one potential per balanced tree, in root order, 1 at its root:
+            # together they cover the balanced nodes, and every kept edge
+            # holds on them with a zero right side
             potentials = forest.potentials([])
-            # one potential per balanced tree, in root order, 1 at its root
             assert [(r, p[r]) for p, r in zip(potentials, roots)] == [(r, ONE) for r in roots]
             assert len(potentials) == len(roots)
-            assert {v: c for p in potentials for v, c in p.items()} == x
+            x = {v: c for p in potentials for v, c in p.items()}
+            assert sum(map(len, potentials)) == len(x)
+            assert set(x) == {v for v in nodes if frame.find(v) not in frame.full}
+            assert all(x.values())
+            for key, ends in kept.items():
+                assert sum((gain_value(c) * x.get(v, ZERO) for v, c in ends), ZERO) == ZERO
             # a rejected edge parallel to a kept one holds, in either
             # orientation and with both gains moved by one power of u; with
             # one gain negated it closes an unbalanced cycle
@@ -1647,6 +1615,30 @@ def first_violation(out, pair, window):
     return next((s for s in sites if out(pair.first, pair.second, *s)), None)
 
 
+def check_refusal(refusal, pair, window):
+    """A NotACocycle's certificate is twisted_alpha2's row at its site as
+    four twisted_alpha1 equations, ((slot, site), multiplier) pairs.  It
+    passes recombine at window + 2, where no site its equations read is
+    cut, with twisted_alpha2 of the pair at the site on the right; every
+    single-coefficient corruption fails recombine and the engine's re-check."""
+    (n, m), certificate = refusal.site, refusal.certificate
+    assert [(slot, (a - n, b - m)) for (slot, (a, b)), _ in certificate] == [
+        (0, (0, 1)), (0, (0, -1)), (1, (1, 0)), (1, (-1, 0)),
+    ]
+    radius, goal = window + 2, cochain_slots(pair)
+    recombine(refusal, pair, "twisted_alpha1", radius)
+    right = sum((c * goal[slot].coeff(*site) for (slot, site), c in certificate), ZERO)
+    assert right == twisted_out(pair.first, pair.second, n, m)
+    for i, (key, c) in enumerate(certificate):
+        for bad in (ZERO, -c, c * LAMBDA, c + ONE):
+            corrupt = certificate[:i] + ((key, bad),) + certificate[i + 1:]
+            with pytest.raises(AssertionError):
+                recombine(SolveReport("twisted_alpha1", radius, "unsolvable", certificate=corrupt),
+                          pair, "twisted_alpha1", radius)
+            with pytest.raises(RuntimeError, match="invalid twisted_alpha1 certificate"):
+                solver._recheck(OPERATORS["twisted_alpha1"], radius, corrupt, goal)
+
+
 class TestH1Trivialize:
     def test_zero_pair(self):
         rep = h1_trivialize(CochainPair.zero(), 4)
@@ -1719,6 +1711,7 @@ class TestH1Trivialize:
                     with pytest.raises(NotACocycle) as exc:
                         h1_trivialize(twisted, window)
                     assert exc.value.site == want
+                    check_refusal(exc.value, twisted, window)
                     refused += 1
                 want = first_violation(untwisted_out, untwisted, window)
                 assert cochains._violations(alpha2(untwisted.restrict(window)), window) == want
@@ -1755,6 +1748,7 @@ class TestH1Trivialize:
                     with pytest.raises(NotACocycle) as exc:
                         h1_trivialize(pair, window)
                     assert exc.value.site == want
+                    check_refusal(exc.value, pair, window)
                     refused += 1
                 pair = bump(cocycle, unread_first)
                 assert first_violation(twisted_out, pair, window) is None
@@ -1831,6 +1825,7 @@ class TestH1Trivialize:
                     with pytest.raises(NotACocycle) as exc:
                         h1_trivialize(pair, window)
                     assert exc.value.site == want
+                    check_refusal(exc.value, pair, window)
                     refused += 1
                 else:
                     assert h1_trivialize(pair, window).residual.is_zero()
