@@ -57,7 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scalars import ONE, Scalar, _pneg, lambda_pow
+from .scalars import ONE, Scalar, _pneg, _pnegates, lambda_pow
 from .torus import Series, Site, _halves_from_json
 
 
@@ -175,10 +175,11 @@ class Stencil:
         Each term (sign, p, q, r) of each entry pushes every input term
         through, moving its power of u as Scalar.shift would, and meets it
         against what is left of the target at its site: a match of the power
-        of u, numerator and denominator settles the site with no Scalar
-        built.  Otherwise it is built and taken off what is left, or, where
-        nothing is, added to the image; only the first contribution to a site
-        negates a numerator.  What is left is negated at the end."""
+        of u, numerator (negated for a term of sign -1, compared without
+        building it) and denominator settles the site with no Scalar built.
+        Otherwise it is built and taken off what is left, or, where nothing
+        is, added to the image; only the first contribution to a site negates
+        a numerator.  What is left is negated at the end."""
         parts = cochain_slots(x)
         s = self.mirror
         raw = Scalar._raw
@@ -193,7 +194,7 @@ class Stencil:
                     k = v.s + 2 * (p * n + q * m + r)
                     t = goal.get(site)
                     if t is not None:
-                        if t.s == k and t.d == v.d and t.n == (v.n if sign == 1 else _pneg(v.n)):
+                        if t.s == k and t.d == v.d and (t.n == v.n if sign == 1 else _pnegates(t.n, v.n)):
                             del goal[site]
                         elif sign == 1:
                             goal[site] = t - raw(k, v.n, v.d)

@@ -69,6 +69,14 @@ def _pneg(a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([-x for x in a])
 
 
+def _pnegates(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """Is a == _pneg(b), for nonzero a and b?  Compared coefficient by
+    coefficient, with no tuple built."""
+    return a[0] == -b[0] and len(a) == len(b) and (
+        len(a) == 1 or all(map(operator.eq, a, map(operator.neg, b)))
+    )
+
+
 def _pmul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     if not a or not b:
         return ()
@@ -404,6 +412,15 @@ def _canonical(shift: int, num, den) -> tuple[int, tuple[int, ...], tuple[int, .
     if den[-1] < 0:
         num, den = _pneg(num), _pneg(den)
     return shift, num, den
+
+
+def _cancels(x: "Scalar", j: int, s: int, y: "Scalar", k: int, t: int) -> bool:
+    """Is s * u**j * x + t * u**k * y zero, for nonzero x and y and signs s
+    and t?  The canonical forms are compared: the power of u, the
+    denominator and the numerator, negated when the signs agree.  Nothing
+    is built."""
+    return (x.s + j == y.s + k and x.d == y.d
+            and (x.n == y.n if s != t else _pnegates(x.n, y.n)))
 
 
 def _laurent_add(

@@ -57,15 +57,14 @@ the site's index is the equation order.  A row is read off its slot's table
 entries.  A coefficient is held as its gain, the entry's terms at the site
 as (sign, k) pairs for sign * u**k: one pair for a twisted entry, read off
 the table inline, two for an untwisted binomial.  A product or quotient by
-one pair is one Scalar.shift, and so is a forest step x * (-a/b) between two
-one-pair gains (_ratio); a binomial is made a Scalar only to divide.  As no
-cycle is unbalanced, the greedy basis of the frame matroid depends on
-connectivity alone: a union-find without weights (_Frame) grows it in edge
-order, a forest whose trees hold at most one half-edge each.  The forest is walked
-once (_Forest), each tree from its half-edge or its root, and on the walk's
-steps the kept incidence is triangular: walked forwards from the roots they
-give the potentials, on which the rejected edges are checked; walked
-backwards, from the leaves, values on the edges.
+one pair is one Scalar.shift, and so is a walk step x * (-a/b) between two
+one-pair gains (_ratio); a binomial is made a Scalar only to divide.  The
+potentials are one walk of the gain graph (_potentials), each balanced
+component from its last node, and every closing edge is checked on them.
+Only edge values need the greedy basis of the frame matroid; as no cycle is
+unbalanced it depends on connectivity alone, so a union-find without weights
+(_Frame) grows it in edge order, and its forest, walked backwards from the
+leaves (_Forest), gives the witnesses and the circuits that have ends.
 
 On the column side the greedy basis is exactly the set of pivot columns
 Gauss-Jordan elimination takes in the pivot order (its pivot columns are the
@@ -92,8 +91,9 @@ row side is refused: the preimages of twisted_alpha1 are h1_trivialize's.
 
 Every witness is re-checked by one residual pass of the operator against
 the target (`Stencil.residual`), and every certificate against the table's
-original equations, read through `coefficient` (_recheck), before it is
-returned or raised.
+original equations (_recheck), before it is returned or raised.  Both meet
+one-term contributions by comparing canonical forms and build only what
+does not cancel.
 
 A membership solve sets up only the target's connected block: the equations
 reached from the target's support, two equations being connected when both
@@ -168,7 +168,7 @@ from .cochains import (
     twisted_alpha2,
     _violations,
 )
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, _cancels
 from .torus import Site
 
 class NotACocycle(ValueError):
@@ -407,7 +407,7 @@ class _Frame:
     depends on connectivity alone, and this is a union-find without
     weights.  A component in `full` has taken a half-edge and spans every
     coordinate of its nodes; the others are balanced.  No edge that closes
-    a cycle is kept; the forest walk checks its balance.
+    a cycle is kept; _potentials checks its balance.
     """
 
     __slots__ = ("parent", "size", "full")
@@ -465,20 +465,14 @@ def _graph(column_side: bool, rows: dict[int, dict], variables: list[int]):
 
 
 class _Forest:
-    """The kept forest of a frame-matroid basis, walked once.
+    """The kept forest of a frame-matroid basis, walked once, each tree from
+    its half-edge's node or else its last node in nodes, taken from the end
+    backwards.  A step (edge, node, gain at the node, the end it was reached
+    from) is one kept edge, a half-edge its tree's first step, with no end;
+    on the steps the kept incidence is triangular, so walked backwards, from
+    the leaves, they give edge values: witnesses and fundamental circuits."""
 
-    Each tree is walked from its half-edge's node, or, when it is balanced,
-    from its root, its last node in nodes, taken from the end backwards.
-    A step (edge, node, gain at the node, the end it was reached from) is
-    one kept edge: a half-edge is its tree's first step, with no end.  On
-    these steps the kept incidence is triangular: walked forwards from a
-    balanced root they fix its potential, walked backwards, from the leaves,
-    edge values.  A forward step carries its end's value by the ratio of the
-    two gains, one Scalar.shift when both are monomials (_ratio), as does
-    the balance check of a rejected edge.
-    """
-
-    __slots__ = ("steps", "roots")
+    __slots__ = ("steps",)
 
     def __init__(self, kept: dict, nodes: list):
         incident: dict = {}
@@ -490,16 +484,12 @@ class _Forest:
                 for v, _ in ends:
                     incident.setdefault(v, []).append(key)
         self.steps = steps = []
-        # (root, index of its tree's first step), one per balanced tree
-        self.roots = []
         seen: set = set()
         for start, half in starts + [(v, None) for v in reversed(nodes)]:
             if start in seen:
                 continue
             seen.add(start)
-            if half is None:
-                self.roots.append((start, len(steps)))
-            else:
+            if half is not None:
                 steps.append((half, start, kept[half][0][1], None))
             queue = [start]
             for u in queue:
@@ -537,33 +527,46 @@ class _Forest:
         x[key] = ONE
         return x
 
-    def potentials(self, rejected) -> list[dict]:
-        """One potential per balanced tree, 1 at its root, in walk order.
-        Every rejected two-ended edge must hold on them, or the gain graph
-        has an unbalanced cycle."""
-        steps, roots = self.steps, self.roots
-        stops = [first for _, first in roots[1:]] + [len(steps)]
-        potentials, x = [], {}
-        for (root, first), stop in zip(roots, stops):
-            p = {root: ONE}
-            for _, v, b, (u, a) in steps[first:stop]:
-                p[v] = _ratio(p[u], a, b)
+
+def _potentials(nodes: list, edges: dict) -> list[dict]:
+    """One potential per balanced component of a gain graph, 1 at its root,
+    its last node in nodes, roots taken from the end backwards: one walk over
+    the component's edges, one _ratio per tree step.  As it is unique up to
+    scale, the tree does not matter.  A component holding a half-edge gets
+    none; in the others every closing edge must hold, compared as canonical
+    forms between one-pair gains, or the gain graph has an unbalanced cycle."""
+    incident: dict = {}
+    for key, ends in edges.items():
+        for v, _ in ends:
+            incident.setdefault(v, []).append(key)
+    potentials, seen, walked = [], set(), set()
+    for root in reversed(nodes):
+        if root in seen:
+            continue
+        p, queue, closing, full = {root: ONE}, [root], [], False
+        for u in queue:
+            for key in incident.get(u, ()):
+                if key in walked:
+                    continue
+                walked.add(key)
+                ends = edges[key]
+                if len(ends) == 1:
+                    full = True
+                    continue
+                end, far = ends if ends[0][0] == u else ends[::-1]
+                if far[0] in p:
+                    closing.append((end, far))
+                else:
+                    p[far[0]] = _ratio(p[u], end[1], far[1])
+                    queue.append(far[0])
+        seen.update(p)
+        if not full:
+            for (u, a), (v, b) in closing:
+                if not (_cancels(p[u], a[0][1], a[0][0], p[v], b[0][1], b[0][0])
+                        if len(a) == 1 == len(b) else _ratio(p[u], a, b) == p[v]):
+                    raise RuntimeError("the gain graph has an unbalanced cycle")
             potentials.append(p)
-            x.update(p)
-        for (u, a), (v, b) in rejected:
-            if _ratio(x.get(u, ZERO), a, b) != x.get(v, ZERO):
-                raise RuntimeError("the gain graph has an unbalanced cycle")
-        return potentials
-
-
-def _setup(column_side: bool, rows: dict[int, dict], variables: list[int]):
-    """The gain graph of a system, its greedy basis and the walked forest:
-    (edges, kept, rejected two-ended edges, forest)."""
-    nodes, edges = _graph(column_side, rows, variables)
-    frame = _Frame()
-    kept = {key: ends for key, ends in edges.items() if frame.add(ends)}
-    rejected = [ends for key, ends in edges.items() if len(ends) == 2 and key not in kept]
-    return edges, kept, rejected, _Forest(kept, nodes)
+    return potentials
 
 
 @dataclass(frozen=True)
@@ -617,35 +620,49 @@ def kernel_dimension(operator: str, window: int) -> SolveReport:
     in_slots = op.stencil.in_slots
     pivot_order = _order_key(window, in_slots, False)
     variables = sorted(range((2 * window + 1) ** 2 * in_slots), key=pivot_order)
-    edges, kept, rejected, forest = _setup(op.column_side, rows, variables)
+    nodes, edges = _graph(op.column_side, rows, variables)
     if op.column_side:
-        if rejected:
-            # the basis is the circuits; the potentials only check the balance
-            forest.potentials(rejected)
-        basis = [forest.circuit(f, ends) for f, ends in edges.items() if f not in kept]
+        frame = _Frame()
+        kept = {key: ends for key, ends in edges.items() if frame.add(ends)}
+        free = [(f, ends) for f, ends in edges.items() if f not in kept]
+        if any(len(ends) == 2 for _, ends in free):
+            _potentials(nodes, edges)  # the balance check: the basis is the circuits
+        # an edge with no ends is its own circuit
+        forest = _Forest(kept, nodes) if any(ends for _, ends in free) else None
+        basis = [forest.circuit(f, ends) if ends else {f: ONE} for f, ends in free]
     else:
         # one potential per balanced component, free at its last variable
-        basis = forest.potentials(rejected)[::-1]
+        basis = _potentials(nodes, edges)[::-1]
     basis = tuple(_vector_object(op, window, vec) for vec in basis)
     return SolveReport(op.name, window, "kernel-basis", nullity=len(basis), basis=basis)
 
 
 def _recheck(op: Operator, radius: int, certificate, parts) -> None:
-    """Check a certificate, ((slot, site), multiplier) pairs, on op's table
-    through coefficient: the equations' sum cancels at every input site of
-    the box of the given radius, and the target's, by slots (parts), not."""
-    lhs: dict[tuple, Scalar] = {}
+    """Check a certificate, ((slot, site), multiplier) pairs, on op's table:
+    the equations' sum cancels at every input site of the box of the given
+    radius, and the target's, by slots (parts), not.  A table term's
+    contribution sign * u**k * mult is held as (mult, k, sign) and met by the
+    next at its site, the two compared as canonical forms (_cancels): the
+    site is dropped when they cancel.  What does not cancel is built and
+    summed; a held contribution is lone, and nonzero."""
+    lhs: dict = {}
     total = ZERO
     for (slot, (n, m)), mult in certificate:
-        for in_slot, dn, dm, terms in op.rows[slot]:
-            a, b = n + dn, m + dm
-            if abs(a) <= radius and abs(b) <= radius:
-                k, c = (in_slot, a, b), coefficient(terms, n, m, mult)
-                lhs[k] = lhs[k] + c if k in lhs else c
         b = parts[slot].coeff(n, m)
         if b:
             total = total + mult * b
-    if any(lhs.values()) or not total:
+        for in_slot, dn, dm, terms in op.rows[slot] if mult else ():
+            k = (in_slot, n + dn, m + dm)
+            if abs(k[1]) > radius or abs(k[2]) > radius:
+                continue
+            for s, p, q, r in terms:
+                c, prev = (mult, 2 * (p * n + q * m + r), s), lhs.pop(k, None)
+                if type(prev) is tuple:
+                    if _cancels(*prev, *c):
+                        continue
+                    prev = prev[0].shift(prev[1], prev[2])
+                lhs[k] = c if prev is None else prev + mult.shift(c[1], s)
+    if not total or any(type(v) is tuple or v for v in lhs.values()):
         raise RuntimeError(f"invalid {op.name} certificate")
 
 
@@ -675,13 +692,13 @@ def coboundary_solve(target, operator: str, window: int) -> SolveReport:
     rhs = dict(zip(_ids(goal, radius, slots), goal.values()))
     pivot_order = _order_key(window, op.stencil.in_slots, False)
     variables = sorted(set().union(*rows.values()), key=pivot_order)
-    _, _, rejected, forest = _setup(True, rows, variables)
+    nodes, edges = _graph(True, rows, variables)
 
     # a balanced component's potential is its one combination with a zero
     # left side; the walk yields them from the last equation backwards, so
     # the last inconsistent one met is the first by last equation
     certificate = None
-    for p in forest.potentials(rejected):
+    for p in _potentials(nodes, edges):
         if sum((p[eq] * r for eq, r in rhs.items() if eq in p), ZERO):
             certificate = p
     if certificate is not None:
@@ -690,6 +707,9 @@ def coboundary_solve(target, operator: str, window: int) -> SolveReport:
         _recheck(op, window, certificate, parts)
         return SolveReport(op.name, window, "unsolvable", certificate=certificate)
 
+    # only a witness reads the forest
+    frame = _Frame()
+    forest = _Forest({key: ends for key, ends in edges.items() if frame.add(ends)}, nodes)
     witness = _vector_object(op, window, forest.edge_values(rhs))
     residual = cochain_from_slots(
         [LatticeFunctional._of(t) for t in op.stencil.residual(witness, target)]

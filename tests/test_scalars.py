@@ -185,6 +185,38 @@ class TestLaurentAddition:
                     op()
 
 
+class TestCanonicalCompares:
+    """_pnegates and _cancels decide negation and cancellation on canonical
+    forms without building anything; the arithmetic is the oracle."""
+
+    def test_against_the_arithmetic(self):
+        rng = random.Random(17)
+
+        def poly(size):
+            return (rng.choice((1, -1, 2, -3)),) + tuple(rng.randint(-2, 2) for _ in range(size))
+
+        def value():
+            den = (1,) if rng.random() < 0.5 else poly(rng.randint(1, 2))
+            return Scalar(rng.randint(-3, 3), poly(rng.randint(0, 3)), den)
+
+        cancelled = negated = 0
+        for _ in range(600):
+            x = value()
+            j, k, s, t = rng.randint(-3, 3), rng.randint(-3, 3), rng.choice((1, -1)), rng.choice((1, -1))
+            # the cancelling y, its negation, a power of u off, over another
+            # denominator, or unrelated
+            y = rng.choice((x.shift(j - k, -s * t), x.shift(j - k, s * t),
+                            x.shift(j - k + rng.choice((-1, 1)), -s * t), value()))
+            if rng.random() < 0.2:
+                y = Scalar(y.s, y.n, (1,) if y.d != (1,) else (1, 0, 1))
+            want = not (x.shift(j, s) + y.shift(k, t))
+            assert scalars._cancels(x, j, s, y, k, t) == want
+            assert scalars._pnegates(x.n, y.n) == (x.n == scalars._pneg(y.n))
+            cancelled += want
+            negated += x.n == scalars._pneg(y.n)
+        assert cancelled > 100 and negated > 200
+
+
 class TestArithmetic:
     def test_mu_inverse_plus_mu(self):
         # 1/u + u = (1 + u^2)/u

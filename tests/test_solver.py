@@ -578,14 +578,14 @@ class TestPivotRuleOracle:
     witnesses are those of the reduced echelon form."""
 
     def test_kernel_bases_match_first_row_rule(self, monkeypatch):
-        setups = []
-        setup = solver._setup
+        graphs = []
+        graph = solver._graph
 
         def recording(column_side, rows, variables):
-            setups.append(variables)
-            return setup(column_side, rows, variables)
+            graphs.append(variables)
+            return graph(column_side, rows, variables)
 
-        monkeypatch.setattr(solver, "_setup", recording)
+        monkeypatch.setattr(solver, "_graph", recording)
         for name in ("twisted_alpha1", "alpha1"):
             op = OPERATORS[name]
             for window in (3, 4, 5, 6):
@@ -603,10 +603,12 @@ class TestPivotRuleOracle:
                         if c:
                             vec[pv[1]] = -c
                     basis.append(LatticeFunctional(vec))
+                graphs.clear()
                 rep = kernel_dimension(name, window)
                 assert list(rep.basis) == basis
                 # the kernel's system took every variable of the window in pivot order
-                assert solver._keys(setups.pop(), window, op.stencil.in_slots) == var_order
+                assert len(graphs) == 1
+                assert solver._keys(graphs.pop(), window, op.stencil.in_slots) == var_order
 
     def test_solved_witnesses_match_first_row_rule(self):
         targets = [
@@ -645,6 +647,20 @@ def recombine(rep, target, operator, window):
     assert left and not any(left.values())
     goal = cochain_slots(target)
     assert sum((mult * goal[slot].coeff(*site) for (slot, site), mult in rep.certificate), ZERO)
+
+
+def plain_sum_holds(op, radius, certificate, parts):
+    """The certificate check as a plain Scalar sum: every contribution built
+    through coefficient and added site by site; the left side cancels on the
+    box of the given radius and the right side does not."""
+    left: dict = {}
+    for (slot, (n, m)), mult in certificate:
+        for in_slot, dn, dm, terms in op.rows[slot]:
+            if abs(n + dn) <= radius and abs(m + dm) <= radius:
+                k = (in_slot, n + dn, m + dm)
+                left[k] = left.get(k, ZERO) + coefficient(terms, n, m, mult)
+    right = sum((mult * parts[slot].coeff(*site) for (slot, site), mult in certificate), ZERO)
+    return not any(left.values()) and bool(right)
 
 
 def full_system_solve(target, name, window):
@@ -793,6 +809,76 @@ class TestCertificateRules:
             ("twisted_alpha1", 5, exc.value.certificate),
         ]
         check_refusal(exc.value, pair, 4)
+
+
+    def test_recheck_meets_as_the_plain_sum(self):
+        # the re-check's meet of one-term contributions agrees with the plain
+        # Scalar sum: every refutation certificate passes both, and each of
+        # its single-coefficient corruptions raises once it holds two
+        # equations; one equation with an empty row stays a certificate at
+        # any nonzero multiplier, for both
+        rng = random.Random(79)
+        sites = ((0, 0), (1, 0), (0, 1), (1, 1))
+        cases = [(d(*site), "twisted_alpha2", w) for site in sites for w in range(4, 9)]
+        cases += [(d(1, 1, c), "alpha2", w) for c in (ONE, MU, -HALF) for w in (4, 7)]
+        # alpha1's binomial entries meet four terms at a site, which cancel
+        # only as a sum
+        for name in ("twisted_alpha2", "alpha2", "alpha1"):
+            seeded = []
+            while len(seeded) < 4:
+                window = rng.randint(5, 6)
+                target = random_functional(rng, radius=window - 2, size=rng.randint(2, 5))
+                if name == "alpha1":
+                    target = CochainPair(target, random_functional(rng, radius=window - 2))
+                if coboundary_solve(target, name, window).status == "unsolvable":
+                    seeded.append((target, name, window))
+            cases += seeded
+        for target, name, window in cases:
+            rep = coboundary_solve(target, name, window)
+            op, goal, certificate = OPERATORS[name], cochain_slots(target), rep.certificate
+            assert rep.status == "unsolvable"
+            assert plain_sum_holds(op, window, certificate, goal)
+            solver._recheck(op, window, certificate, goal)
+            for i, (key, c) in enumerate(certificate):
+                for bad in (ZERO, -c, c * LAMBDA, c + ONE):
+                    corrupt = certificate[:i] + ((key, bad),) + certificate[i + 1:]
+                    if len(certificate) == 1 and bad:
+                        assert plain_sum_holds(op, window, corrupt, goal)
+                        solver._recheck(op, window, corrupt, goal)
+                        continue
+                    with pytest.raises(RuntimeError, match=f"invalid {name} certificate"):
+                        solver._recheck(op, window, corrupt, goal)
+
+    def test_recheck_cancels_equal_table_signs(self, monkeypatch):
+        # twisted_alpha2's row at (0, 0) as four twisted_alpha1 equations:
+        # phi(1, 1) is read by first(0, 1), multiplier 1, and by second(1, 0),
+        # multiplier -lambda, both through a table term of sign +1 (1 and
+        # lambda**-n), so the two contributions cancel with opposite
+        # numerators; the plain sum agrees, and each corruption raises
+        op, window = OPERATORS["twisted_alpha1"], 4
+        certificate = tuple(
+            ((i, (dn, dm)), coefficient(terms, 0, 0))
+            for _, i, dn, dm, terms in cochains.TWISTED_ALPHA2.entries
+        )
+        assert certificate[0] == ((0, (0, 1)), ONE) and certificate[2] == ((1, (1, 0)), -LAMBDA)
+        goal = cochain_slots(CochainPair(d(0, 1), ZF))
+        met = []
+        cancels = solver._cancels
+
+        def recording(x, j, s, y, k, t):
+            met.append((x, s, y, t, cancels(x, j, s, y, k, t)))
+            return met[-1][-1]
+
+        monkeypatch.setattr(solver, "_cancels", recording)
+        assert plain_sum_holds(op, window, certificate, goal)
+        solver._recheck(op, window, certificate, goal)
+        assert (ONE, 1, -LAMBDA, 1, True) in met
+        for i, (key, c) in enumerate(certificate):
+            for bad in (ZERO, -c, c * LAMBDA, c + ONE):
+                corrupt = certificate[:i] + ((key, bad),) + certificate[i + 1:]
+                assert not plain_sum_holds(op, window, corrupt, goal)
+                with pytest.raises(RuntimeError, match="invalid twisted_alpha1 certificate"):
+                    solver._recheck(op, window, corrupt, goal)
 
 
 def S(k):
@@ -1039,22 +1125,20 @@ def kept_by(frame, edges):
 
 
 class TestGainGraph:
-    """The frame-matroid pieces on small hand-made gain graphs: balanced
-    cycles, half-edges and the refused unbalanced cycle."""
+    """The frame-matroid pieces and the walk of the potentials on small
+    hand-made gain graphs: balanced cycles, half-edges and the refused
+    unbalanced cycle."""
 
     def test_frame_keeps_the_greedy_basis(self):
         frame = solver._Frame()
         edges = triangle(MINUS)
         assert [frame.add(ends) for ends in edges.values()] == [True, True, False]
-        kept = {key: edges[key] for key in ("ab", "bc")}
-        closing = [edges["ca"]]
-        assert solver._Forest(kept, "abc").potentials(closing) == [{"c": ONE, "b": -ONE, "a": ONE}]
+        assert solver._potentials("abc", edges) == [{"c": ONE, "b": -ONE, "a": ONE}]
         # a half-edge makes the component full: it takes no second half-edge
         # and no edge to another full one, and it has no potential left
         assert frame.add((("b", g((1, 3))),))
         assert frame.full == {frame.find("a")}
-        kept["b"] = (("b", g((1, 3))),)
-        assert solver._Forest(kept, "abc").potentials(closing) == []
+        assert solver._potentials("abc", dict(edges, b=(("b", g((1, 3))),))) == []
         assert not frame.add((("a", g((1, 2))),))
         assert frame.add((("d", UNIT),))
         assert not frame.add((("a", UNIT), ("d", UNIT)))
@@ -1066,9 +1150,10 @@ class TestGainGraph:
         frame = solver._Frame()
         kept = kept_by(frame, edges)
         assert list(kept) == ["ab", "bc"]
-        # one tree per balanced component, from the last node backwards
-        forest = solver._Forest(dict(kept, z=(("z", UNIT), ("y", UNIT))), "abcyz")
-        potentials = forest.potentials([edges["ca"]])
+        # one walk per balanced component over all its edges, roots taken
+        # from the last node backwards: z, then c, each potential 1 there
+        edges["z"] = (("z", UNIT), ("y", UNIT))
+        potentials = solver._potentials("abcyz", edges)
         assert potentials == [
             {"z": ONE, "y": -ONE},
             {"c": ONE, "b": -mu_pow(2), "a": -mu_pow(4)},
@@ -1080,7 +1165,8 @@ class TestGainGraph:
 
     def test_frame_refuses_an_unbalanced_cycle(self):
         # the frame keeps no edge that closes a cycle; the walk of the
-        # potentials checks it and refuses an unbalanced one
+        # potentials checks the edge that closes its own tree and refuses an
+        # unbalanced cycle, with monomial and binomial gains
         for edges in (
             triangle(UNIT), triangle(g((-1, 2))), triangle(g((-1, 0), (1, 2))),
             monomial_triangle(g((-1, -3))), monomial_triangle(g((1, -1))),
@@ -1089,14 +1175,14 @@ class TestGainGraph:
             kept = kept_by(frame, edges)
             assert list(kept) == ["ab", "bc"]
             with pytest.raises(RuntimeError, match="unbalanced cycle"):
-                solver._Forest(kept, "abc").potentials([edges["ca"]])
+                solver._potentials("abc", edges)
         # the same closing edges in a component that a half-edge made full
-        # are not checked: its values are 0
-        edges = triangle(UNIT)
+        # are not checked: it has no potential
+        edges = dict(triangle(UNIT), a=(("a", UNIT),))
         frame = solver._Frame()
-        kept = kept_by(frame, dict(edges, a=(("a", UNIT),)))
+        kept = kept_by(frame, edges)
         assert list(kept) == ["ab", "bc", "a"]
-        assert solver._Forest(kept, "abc").potentials([edges["ca"]]) == []
+        assert solver._potentials("abc", edges) == []
 
     def test_peeling_takes_a_tree_with_a_half_edge(self):
         edges = tree_with_half_edge()
@@ -1115,11 +1201,13 @@ class TestGainGraph:
         frame = solver._Frame()
         kept = kept_by(frame, edges)
         assert kept == edges
-        forest = solver._Forest(kept, ["a", "b", "c", "d", "e", "f"])
-        first = forest.roots[0][1]
-        trees = [forest.steps[:first], forest.steps[first:]]
+        nodes = ["a", "b", "c", "d", "e", "f"]
+        forest = solver._Forest(kept, nodes)
+        # the tree a-d is walked first, from its half-edge, which has no end
+        trees = [forest.steps[:4], forest.steps[4:]]
         assert [sorted(v for _, v, _, _ in t) for t in trees] == [["a", "b", "c", "d"], ["e"]]
-        assert forest.potentials([]) == [{"f": ONE, "e": -mu_pow(2)}]
+        assert forest.steps[0][::3] == ("b", None)
+        assert solver._potentials(nodes, kept) == [{"f": ONE, "e": -mu_pow(2)}]
         # edge values meet the right side at every node but the root f
         rhs = {"a": ONE, "b": S(2), "c": MU, "d": S(-4), "e": HALF}
         sums = edge_sums(kept, forest.edge_values(rhs))
@@ -1170,8 +1258,9 @@ def random_value(rng):
 
 class TestForestProperties:
     """On random forests, with and without half-edges and with monomial and
-    binomial gains, the walk's node and edge values solve their systems and
-    its roots are the last nodes of the balanced trees."""
+    binomial gains, the potentials and the forest's edge values solve their
+    systems and the potentials' roots are the last nodes of the balanced
+    trees."""
 
     def test_random_forests(self):
         rng = random.Random(71)
@@ -1188,33 +1277,36 @@ class TestForestProperties:
                 root = frame.find(v)
                 if root not in frame.full:
                     last[root] = v
-            roots = [r for r, _ in forest.roots]
-            assert roots == sorted(last.values(), key=nodes.index, reverse=True)
+            roots = sorted(last.values(), key=nodes.index, reverse=True)
             # one potential per balanced tree, in root order, 1 at its root:
             # together they cover the balanced nodes, and every kept edge
             # holds on them with a zero right side
-            potentials = forest.potentials([])
-            assert [(r, p[r]) for p, r in zip(potentials, roots)] == [(r, ONE) for r in roots]
-            assert len(potentials) == len(roots)
+            potentials = solver._potentials(nodes, kept)
+            assert [max(p, key=nodes.index) for p in potentials] == roots
+            assert [p[r] for p, r in zip(potentials, roots)] == [ONE] * len(roots)
             x = {v: c for p in potentials for v, c in p.items()}
             assert sum(map(len, potentials)) == len(x)
             assert set(x) == {v for v in nodes if frame.find(v) not in frame.full}
             assert all(x.values())
             for key, ends in kept.items():
                 assert sum((gain_value(c) * x.get(v, ZERO) for v, c in ends), ZERO) == ZERO
-            # a rejected edge parallel to a kept one holds, in either
-            # orientation and with both gains moved by one power of u; with
-            # one gain negated it closes an unbalanced cycle
+            # an edge parallel to a kept one holds, in either orientation
+            # and with both gains moved by one power of u, and leaves the
+            # potentials as they are; with one gain negated it closes an
+            # unbalanced cycle, which is refused in a balanced tree and not
+            # read in a full one
             for (u, a), (v, b) in (ends for ends in kept.values() if len(ends) == 2):
+                bad = ((u, negated(a)), (v, b))
                 if u not in x:
+                    assert solver._potentials(nodes, dict(kept, x=bad, y=bad[::-1])) == potentials
                     continue
                 k = rng.randint(-3, 3)
                 moved = ((u, shifted(a, k)), (v, shifted(b, k)))
-                forest.potentials([moved, moved[::-1]])
+                assert solver._potentials(nodes, dict(kept, x=moved, y=moved[::-1])) == potentials
                 with pytest.raises(RuntimeError, match="unbalanced cycle"):
-                    forest.potentials([((u, negated(a)), (v, b))])
+                    solver._potentials(nodes, dict(kept, x=bad))
                 with pytest.raises(RuntimeError, match="unbalanced cycle"):
-                    forest.potentials([((v, b), (u, negated(a)))])
+                    solver._potentials(nodes, dict(kept, x=bad[::-1]))
             # edge values: the right side at every node but the roots
             rhs = {v: random_value(rng) for v in nodes if rng.random() < 0.7}
             x = forest.edge_values(rhs)
@@ -1224,10 +1316,49 @@ class TestForestProperties:
                 if v not in roots:
                     assert sums.get(v, ZERO) == rhs.get(v, ZERO)
 
+    def test_random_balanced_graphs(self):
+        # planted signed-monomial potentials and edges that hold on them,
+        # cycles and half-edges included: the walk over every edge gives each
+        # component without a half-edge the planted potential, scaled to 1
+        # at its last node, roots taken from the end backwards, and a negated
+        # edge parallel to one of its edges is refused
+        rng = random.Random(73)
+        for _ in range(100):
+            nodes = list("abcdefghij"[: rng.randint(2, 10)])
+            rng.shuffle(nodes)
+            planted = {v: (rng.choice((1, -1)), rng.randint(-3, 3)) for v in nodes}
+            edges = {}
+            for i in range(rng.randint(0, 3 * len(nodes))):
+                u, v = rng.sample(nodes, 2)
+                (su, ku), (sv, kv), (sa, ka) = planted[u], planted[v], (rng.choice((1, -1)), rng.randint(-3, 3))
+                if rng.random() < 0.1:
+                    edges[i] = ((u, g((sa, ka))),)
+                else:
+                    # p[u] a + p[v] b = 0
+                    edges[i] = ((u, g((sa, ka))), (v, g((-su * sa * sv, ku + ka - kv))))
+            component = {v: {v} for v in nodes}
+            for ends in edges.values():
+                if len(ends) == 2:
+                    merged = component[ends[0][0]] | component[ends[1][0]]
+                    component.update(dict.fromkeys(merged, merged))
+            halves = {ends[0][0] for ends in edges.values() if len(ends) == 1}
+            want = []
+            for root in reversed(nodes):
+                c = component[root]
+                if root == max(c, key=nodes.index) and not c & halves:
+                    (sr, kr) = planted[root]
+                    want.append({v: planted[v][0] * sr * mu_pow(planted[v][1] - kr) for v in c})
+            assert solver._potentials(nodes, edges) == want
+            balanced = set().union(*want)
+            for (u, a), (v, b) in (e for e in edges.values() if len(e) == 2 and e[0][0] in balanced):
+                with pytest.raises(RuntimeError, match="unbalanced cycle"):
+                    solver._potentials(nodes, dict(edges, bad=((u, negated(a)), (v, b))))
+                break
+
     def test_random_monomial_triangles(self):
-        # a-b and b-c kept, c-a rejected, every gain one pair: from p[c] = 1
-        # the walk steps to b and then to a, each step one shift, and the
-        # closing gain at a that balances the cycle is worked out by hand
+        # a-b, b-c and c-a, every gain one pair: from p[c] = 1 the walk
+        # steps to b and to a, each step one shift, and a-b closes the
+        # cycle; the gain at a that balances it is worked out by hand
         rng = random.Random(72)
         for _ in range(100):
             (sa, ka), (sb, kb), (sc, kc), (sd, kd), (se, ke) = (
@@ -1239,13 +1370,62 @@ class TestForestProperties:
                 "ab": (("a", g((sa, ka))), ("b", g((sb, kb)))),
                 "bc": (("b", g((sc, kc))), ("c", g((sd, kd)))),
             }
-            forest = solver._Forest(kept, "abc")
-            assert forest.potentials([(("c", g((se, ke))), ("a", balanced))]) == [
+            assert solver._potentials("abc", dict(kept, ca=(("c", g((se, ke))), ("a", balanced)))) == [
                 {"c": ONE, "b": -sd * sc * mu_pow(kd - kc), "a": sign_a * mu_pow(power_a)}
             ]
             for closing in (negated(balanced), shifted(balanced, rng.choice((-1, 1)))):
                 with pytest.raises(RuntimeError, match="unbalanced cycle"):
-                    forest.potentials([(("c", g((se, ke))), ("a", closing))])
+                    solver._potentials("abc", dict(kept, ca=(("c", g((se, ke))), ("a", closing))))
+
+
+class TestWalkWork:
+    """Potentials are one walk of the gain graph: the frame and the forest
+    are built only where an output reads edge values, and the re-check meets
+    one-term contributions without building them."""
+
+    def test_frames_and_forests_only_for_edge_values(self, monkeypatch):
+        built = {"_Frame": 0, "_Forest": 0}
+        for name in built:
+            init = getattr(solver, name).__init__
+
+            def counting(self, *args, _name=name, _init=init):
+                built[_name] += 1
+                _init(self, *args)
+
+            monkeypatch.setattr(getattr(solver, name), "__init__", counting)
+
+        def work(run):
+            built.update(_Frame=0, _Forest=0)
+            run()
+            return built["_Frame"], built["_Forest"]
+
+        for site in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            assert work(lambda: coboundary_solve(d(*site), "twisted_alpha2", 6)) == (0, 0)
+        assert work(lambda: coboundary_solve(d(1, 1), "alpha2", 6)) == (0, 0)
+        for window in (4, 8):
+            assert work(lambda: kernel_dimension("twisted_alpha1", window)) == (0, 0)
+            # its one circuit, phi(0, 0), is the edge with no ends
+            assert work(lambda: kernel_dimension("alpha1", window)) == (1, 0)
+        assert work(lambda: coboundary_solve(d(0, 2), "alpha2", 5)) == (1, 1)
+        assert work(lambda: coboundary_solve(d(0, 0) - d(0, 2, LAMBDA), "twisted_alpha2", 5)) == (1, 1)
+
+    def test_refutation_builds_few_scalars(self, monkeypatch):
+        # one _ratio per tree step, the closing edges compared and the
+        # certificate met without building its contributions: refuting the
+        # twisted delta(0, 0) at W = 7 builds 79 Scalars, where the forest's
+        # potentials, their balance checks through _ratio and the summed
+        # re-check built 339
+        built = 0
+        raw = Scalar._raw.__func__
+
+        def counting(cls, *args):
+            nonlocal built
+            built += 1
+            return raw(cls, *args)
+
+        monkeypatch.setattr(Scalar, "_raw", classmethod(counting))
+        assert coboundary_solve(d(0, 0), "twisted_alpha2", 7).status == "unsolvable"
+        assert built <= 80
 
 
 class TestMonomialGains:
@@ -2024,9 +2204,11 @@ class TestLaurentFastPath:
             assert rep.to_json() == want
 
     def test_h1_negates_few_numerators(self, monkeypatch):
-        # a difference, and a stencil term of sign -1 added to a site that
-        # already holds a value, negate no numerator; one negation per such
-        # term and subtraction made 245 calls on this cocycle
+        # a difference, a stencil term of sign -1 added to a site that
+        # already holds a value, and one met against the target negate no
+        # numerator; one negation per such term and subtraction made 245
+        # calls on this cocycle, and building the negated numerator for
+        # each match 16
         calls = 0
         pneg = scalars._pneg
 
@@ -2046,7 +2228,7 @@ class TestLaurentFastPath:
         rep = h1_trivialize(pair, 16)
         monkeypatch.undo()
         assert rep.witness == phi
-        assert calls < 60
+        assert calls == 0
 
     def test_equal_power_monomials(self):
         # almost every h1 value is a monomial: two of one power of u add to
