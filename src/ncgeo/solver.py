@@ -61,14 +61,17 @@ one pair is one Scalar.shift, and so is a walk step x * (-a/b) between two
 one-pair gains (_ratio); a binomial is made a Scalar only to divide.  The
 potentials are one walk of the gain graph (_potentials), each balanced
 component from its last node, and every closing edge is checked on them.
-Only edge values need the greedy basis of the frame matroid; as no cycle is
-unbalanced it depends on connectivity alone, so a union-find without weights
-(_Frame) grows it in edge order, and its forest, walked backwards from the
-leaves (_Forest), gives the witnesses and the circuits that have ends.
+Edge values need the greedy basis of the frame matroid in edge order.  As
+no cycle is unbalanced, a half-edge acts as an edge to one extra ground
+node, and the independent sets are the forests of that grounded graph: the
+greedy basis is the spanning forest of least edge positions, which one Prim
+walk grows (_Forest).  Its steps, walked backwards from the leaves, give the
+witnesses and the circuits.
 
 On the column side the greedy basis is exactly the set of pivot columns
-Gauss-Jordan elimination takes in the pivot order (its pivot columns are the
-lexicographically first column basis, whichever pivot rows it picks), so
+Gauss-Jordan elimination takes in the pivot order: its pivot columns are the
+lexicographically first column basis, whichever pivot rows it picks, and so
+is the greedy basis of the column matroid, which is the frame matroid.  So
 every output equals Gauss-Jordan's, byte for byte:
 
 * kernel basis: for each non-basis variable f, in pivot order, x[f] = 1 and
@@ -148,8 +151,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from heapq import heappop, heappush
 from itertools import chain
-from typing import Callable
+from typing import Callable, Iterable
 
 from .cochains import (
     ALPHA1,
@@ -399,62 +403,11 @@ def _target_block(op: Operator, window: int, goal) -> dict[int, dict]:
     return {eq: block[eq] for eq in sorted(found, key=_order_key(radius, slots, True))}
 
 
-class _Frame:
-    """Greedy basis of the frame matroid of a gain graph, grown edge by edge.
-
-    An edge is a tuple of (node, gain) ends: two, one (a half-edge) or none.
-    Every cycle of these graphs is balanced, so which edges the basis keeps
-    depends on connectivity alone, and this is a union-find without
-    weights.  A component in `full` has taken a half-edge and spans every
-    coordinate of its nodes; the others are balanced.  No edge that closes
-    a cycle is kept; _potentials checks its balance.
-    """
-
-    __slots__ = ("parent", "size", "full")
-
-    def __init__(self):
-        self.parent = {}
-        self.size = {}
-        self.full = set()
-
-    def find(self, x):
-        """The root of x, compressing the path."""
-        parent = self.parent
-        root = parent.setdefault(x, x)
-        while parent[root] != root:
-            root = parent[root]
-        while x != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def add(self, ends) -> bool:
-        """Offer the next edge; True when the greedy basis keeps it."""
-        full = self.full
-        if len(ends) != 2:
-            if not ends:
-                return False
-            root = self.find(ends[0][0])
-            if root in full:
-                return False
-            full.add(root)
-            return True
-        ru, rv = self.find(ends[0][0]), self.find(ends[1][0])
-        if ru == rv or (ru in full and rv in full):
-            return False
-        size = self.size
-        if size.get(ru, 1) < size.get(rv, 1):
-            ru, rv = rv, ru
-        self.parent[rv] = ru
-        size[ru] = size.get(ru, 1) + size.get(rv, 1)
-        if rv in full:
-            full.add(ru)
-        return True
-
-
-def _graph(column_side: bool, rows: dict[int, dict], variables: list[int]):
-    """The gain graph of a system: (nodes, {edge: ends}), both in order.
-    rows maps every equation, in equation order, to its gains; variables
-    lists every variable, in pivot order."""
+def _graph(column_side: bool, rows: dict[int, dict], variables: Iterable[int]):
+    """The gain graph of a system: (nodes, {edge: ends}), each in the order
+    given.  rows maps every equation, in equation order, to its gains;
+    variables lists every variable, in pivot order wherever it is read: as
+    the row side's nodes or a _Forest's edges, not by a refutation."""
     if not column_side:
         return variables, {eq: tuple(coeffs.items()) for eq, coeffs in rows.items()}
     columns: dict[int, list] = {v: [] for v in variables}
@@ -465,43 +418,52 @@ def _graph(column_side: bool, rows: dict[int, dict], variables: list[int]):
 
 
 class _Forest:
-    """The kept forest of a frame-matroid basis, walked once, each tree from
-    its half-edge's node or else its last node in nodes, taken from the end
-    backwards.  A step (edge, node, gain at the node, the end it was reached
-    from) is one kept edge, a half-edge its tree's first step, with no end;
-    on the steps the kept incidence is triangular, so walked backwards, from
-    the leaves, they give edge values: witnesses and fundamental circuits."""
+    """The greedy basis (kept) of a gain graph's frame matroid in edge order,
+    grown as a forest (steps) by one Prim walk (Prim, Bell Syst. Tech. J.
+    36, 1957): from the ground, then from each node not yet reached, taken
+    from the end of nodes backwards.  An edge is a tuple of (node, gain)
+    ends: two, one (a half-edge, to the ground) or none (never kept).  A
+    step (edge, node, gain at the node, the end it was reached from, None
+    for a half-edge) is one kept edge; each node is reached from an earlier
+    one or a root, so walked backwards, from the leaves, the steps give
+    edge values: witnesses and fundamental circuits."""
 
-    __slots__ = ("steps",)
+    __slots__ = ("steps", "kept")
 
-    def __init__(self, kept: dict, nodes: list):
-        incident: dict = {}
-        starts = []
-        for key, ends in kept.items():
-            if len(ends) == 1:
-                starts.append((ends[0][0], key))
+    def __init__(self, edges: dict, nodes: list):
+        keys, ends = list(edges), list(edges.values())
+        ground, incident = [], {}
+        for pos, e in enumerate(ends):
+            if len(e) == 1:
+                ground.append(pos)
             else:
-                for v, _ in ends:
-                    incident.setdefault(v, []).append(key)
+                for v, _ in e:
+                    incident.setdefault(v, []).append(pos)
         self.steps = steps = []
         seen: set = set()
-        for start, half in starts + [(v, None) for v in reversed(nodes)]:
-            if start in seen:
-                continue
-            seen.add(start)
-            if half is not None:
-                steps.append((half, start, kept[half][0][1], None))
-            queue = [start]
-            for u in queue:
-                for key in incident.get(u, ()):
-                    end, far = kept[key]
-                    if end[0] != u:
-                        end, far = far, end
-                    v = far[0]
-                    if v not in seen:
-                        seen.add(v)
-                        steps.append((key, v, far[1], end))
-                        queue.append(v)
+
+        def grow(heap):
+            # a list in position order is a heap already
+            while heap:
+                pos = heappop(heap)
+                e = ends[pos]
+                end, far = (None, e[0]) if len(e) == 1 else e if e[0][0] in seen else e[::-1]
+                v = far[0]
+                if v in seen:
+                    continue
+                seen.add(v)
+                steps.append((keys[pos], v, far[1], end))
+                for q in incident.get(v, ()):
+                    a, b = ends[q]
+                    if (b if a[0] == v else a)[0] not in seen:
+                        heappush(heap, q)
+
+        grow(ground)
+        for root in reversed(nodes):
+            if root not in seen:
+                seen.add(root)
+                grow(incident.get(root, []))
+        self.kept = {step[0] for step in steps}
 
     def edge_values(self, rhs: dict) -> dict:
         """The nonzero x with sum_e x[e] A_e = rhs, A_e holding the gains at
@@ -522,7 +484,8 @@ class _Forest:
 
     def circuit(self, key, ends) -> dict:
         """The fundamental circuit of a rejected edge: its one combination
-        with the kept edges whose sum is zero, 1 at the edge."""
+        with the kept edges whose sum is zero, 1 at the edge, which is its
+        own circuit when it has no ends."""
         x = self.edge_values({node: _mul(ONE, c, -1) for node, c in ends})
         x[key] = ONE
         return x
@@ -622,14 +585,11 @@ def kernel_dimension(operator: str, window: int) -> SolveReport:
     variables = sorted(range((2 * window + 1) ** 2 * in_slots), key=pivot_order)
     nodes, edges = _graph(op.column_side, rows, variables)
     if op.column_side:
-        frame = _Frame()
-        kept = {key: ends for key, ends in edges.items() if frame.add(ends)}
-        free = [(f, ends) for f, ends in edges.items() if f not in kept]
+        forest = _Forest(edges, nodes)
+        free = [(f, ends) for f, ends in edges.items() if f not in forest.kept]
         if any(len(ends) == 2 for _, ends in free):
             _potentials(nodes, edges)  # the balance check: the basis is the circuits
-        # an edge with no ends is its own circuit
-        forest = _Forest(kept, nodes) if any(ends for _, ends in free) else None
-        basis = [forest.circuit(f, ends) if ends else {f: ONE} for f, ends in free]
+        basis = [forest.circuit(f, ends) for f, ends in free]
     else:
         # one potential per balanced component, free at its last variable
         basis = _potentials(nodes, edges)[::-1]
@@ -690,9 +650,7 @@ def coboundary_solve(target, operator: str, window: int) -> SolveReport:
     radius, slots = window + op.reach, op.stencil.out_slots
     goal = {(slot, s): c for slot, part in enumerate(parts) for s, c in part.terms.items()}
     rhs = dict(zip(_ids(goal, radius, slots), goal.values()))
-    pivot_order = _order_key(window, op.stencil.in_slots, False)
-    variables = sorted(set().union(*rows.values()), key=pivot_order)
-    nodes, edges = _graph(True, rows, variables)
+    nodes, edges = _graph(True, rows, set().union(*rows.values()))
 
     # a balanced component's potential is its one combination with a zero
     # left side; the walk yields them from the last equation backwards, so
@@ -707,9 +665,9 @@ def coboundary_solve(target, operator: str, window: int) -> SolveReport:
         _recheck(op, window, certificate, parts)
         return SolveReport(op.name, window, "unsolvable", certificate=certificate)
 
-    # only a witness reads the forest
-    frame = _Frame()
-    forest = _Forest({key: ends for key, ends in edges.items() if frame.add(ends)}, nodes)
+    # only a witness reads the forest, and so the pivot order of its edges
+    pivot_order = _order_key(window, op.stencil.in_slots, False)
+    forest = _Forest({v: edges[v] for v in sorted(edges, key=pivot_order)}, nodes)
     witness = _vector_object(op, window, forest.edge_values(rhs))
     residual = cochain_from_slots(
         [LatticeFunctional._of(t) for t in op.stencil.residual(witness, target)]

@@ -285,7 +285,8 @@ class TestCoboundarySolve:
     def test_never_sets_up_the_whole_window(self, monkeypatch):
         # a membership system is read off the table around the target alone:
         # no list of the window's equations is made, and the only ids ever
-        # keyed for sorting are the block's equations and its rows' variables
+        # keyed for sorting are the block's equations and, for a witness
+        # alone, its rows' variables: a refutation keys no variable
         def whole_window(*args, **kwargs):
             raise AssertionError("whole-window set-up")
 
@@ -318,11 +319,12 @@ class TestCoboundarySolve:
             ("alpha1", CochainPair(ZF, d(1, 1))),
             ("alpha1", alpha1(d(1, 1))),
         ]:
-            statuses.add(coboundary_solve(target, name, 6).status)
+            status = coboundary_solve(target, name, 6).status
+            statuses.add(status)
             block = blocks.pop()
             assert sorted(keyed[True]) == sorted(block)
             variables = set().union(*block.values())
-            assert sorted(keyed[False]) == sorted(variables)
+            assert sorted(keyed[False]) == (sorted(variables) if status == "solved" else [])
             assert len(block) + len(variables) < (2 * 6 + 1) ** 2
             keyed[True].clear()
             keyed[False].clear()
@@ -431,21 +433,17 @@ def window_system(op, window, target=None, full_stencil=False):
 
 def _engine_pivots(op, window, full_stencil=False):
     """The pivot columns the gain-graph solver picks on the whole window
-    system: the variables its frame keeps on the column side; on the row side
-    every variable but the last of each balanced component."""
+    system: the variables its forest keeps on the column side; on the row side
+    every variable but the last of each balanced component, the components
+    taken from greedy_oracle, as the system's coefficients are Scalars and
+    not gains."""
     eqs, rows = window_system(op, window, full_stencil=full_stencil)
     variables = window_variables(op, window)
-    column_side = op.column_side
-    _, edges = solver._graph(column_side, {eq: c for eq, (c, _) in zip(eqs, rows)}, variables)
-    frame = solver._Frame()
-    kept = {key for key, ends in edges.items() if frame.add(ends)}
-    if column_side:
-        return kept
-    last = {}
-    for v in variables:
-        root = frame.find(v)
-        if root not in frame.full:
-            last[root] = v
+    nodes, edges = solver._graph(op.column_side, {eq: c for eq, (c, _) in zip(eqs, rows)}, variables)
+    if op.column_side:
+        return solver._Forest(edges, nodes).kept
+    _, find = greedy_oracle(edges)
+    last = {find(v): v for v in variables if find(v) != find(None)}
     return set(variables) - set(last.values())
 
 
@@ -1120,36 +1118,58 @@ def edge_sums(edges, x):
     return {node: v for node, v in out.items() if v}
 
 
-def kept_by(frame, edges):
-    return {key: ends for key, ends in edges.items() if frame.add(ends)}
+def greedy_oracle(edges):
+    """The greedy basis of a gain graph whose cycles are all balanced: a
+    plain union-find offered each edge in order, in which a half-edge joins
+    its node to one extra ground node, None, and an edge with no ends is
+    never kept.  The kept keys and the union-find's root of a node."""
+    parent = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            x = parent[x]
+        return x
+
+    kept = set()
+    for key, ends in edges.items():
+        if ends:
+            ru, rv = find(ends[0][0]), find(ends[1][0] if len(ends) == 2 else None)
+            if ru != rv:
+                parent[ru] = rv
+                kept.add(key)
+    return kept, find
 
 
 class TestGainGraph:
-    """The frame-matroid pieces and the walk of the potentials on small
-    hand-made gain graphs: balanced cycles, half-edges and the refused
+    """The frame-matroid basis, its forest and the walk of the potentials on
+    small hand-made gain graphs: balanced cycles, half-edges and the refused
     unbalanced cycle."""
 
     def test_frame_keeps_the_greedy_basis(self):
-        frame = solver._Frame()
         edges = triangle(MINUS)
-        assert [frame.add(ends) for ends in edges.values()] == [True, True, False]
+        assert solver._Forest(edges, "abc").kept == {"ab", "bc"}
         assert solver._potentials("abc", edges) == [{"c": ONE, "b": -ONE, "a": ONE}]
         # a half-edge makes the component full: it takes no second half-edge
         # and no edge to another full one, and it has no potential left
-        assert frame.add((("b", g((1, 3))),))
-        assert frame.full == {frame.find("a")}
-        assert solver._potentials("abc", dict(edges, b=(("b", g((1, 3))),))) == []
-        assert not frame.add((("a", g((1, 2))),))
-        assert frame.add((("d", UNIT),))
-        assert not frame.add((("a", UNIT), ("d", UNIT)))
-        assert frame.add((("d", UNIT), ("e", g((-1, 5)))))
-        assert {frame.find(x) for x in "abcde"} == frame.full and len(frame.full) == 2
+        edges["b"] = (("b", g((1, 3))),)
+        assert solver._Forest(edges, "abc").kept == {"ab", "bc", "b"}
+        assert solver._potentials("abc", edges) == []
+        edges.update(
+            a=(("a", g((1, 2))),),
+            d=(("d", UNIT),),
+            ad=(("a", UNIT), ("d", UNIT)),
+            de=(("d", UNIT), ("e", g((-1, 5)))),
+        )
+        forest = solver._Forest(edges, "abcde")
+        assert forest.kept == {"ab", "bc", "b", "d", "de"}
+        # both components are full: every node is reached from the ground,
+        # through its component's one half-edge, and none is a root
+        assert sorted(v for _, v, _, _ in forest.steps) == list("abcde")
+        assert [(key, v) for key, v, _, end in forest.steps if end is None] == [("b", "b"), ("d", "d")]
 
     def test_walk_gives_balanced_potentials(self):
         edges = monomial_triangle(g((1, -3)))
-        frame = solver._Frame()
-        kept = kept_by(frame, edges)
-        assert list(kept) == ["ab", "bc"]
+        assert solver._Forest(edges, "abc").kept == {"ab", "bc"}
         # one walk per balanced component over all its edges, roots taken
         # from the last node backwards: z, then c, each potential 1 there
         edges["z"] = (("z", UNIT), ("y", UNIT))
@@ -1164,31 +1184,26 @@ class TestGainGraph:
                     assert sum((p[node] * gain_value(c) for node, c in ends), ZERO) == ZERO
 
     def test_frame_refuses_an_unbalanced_cycle(self):
-        # the frame keeps no edge that closes a cycle; the walk of the
+        # the forest keeps no edge that closes a cycle; the walk of the
         # potentials checks the edge that closes its own tree and refuses an
         # unbalanced cycle, with monomial and binomial gains
         for edges in (
             triangle(UNIT), triangle(g((-1, 2))), triangle(g((-1, 0), (1, 2))),
             monomial_triangle(g((-1, -3))), monomial_triangle(g((1, -1))),
         ):
-            frame = solver._Frame()
-            kept = kept_by(frame, edges)
-            assert list(kept) == ["ab", "bc"]
+            assert solver._Forest(edges, "abc").kept == {"ab", "bc"}
             with pytest.raises(RuntimeError, match="unbalanced cycle"):
                 solver._potentials("abc", edges)
         # the same closing edges in a component that a half-edge made full
         # are not checked: it has no potential
         edges = dict(triangle(UNIT), a=(("a", UNIT),))
-        frame = solver._Frame()
-        kept = kept_by(frame, edges)
-        assert list(kept) == ["ab", "bc", "a"]
+        assert solver._Forest(edges, "abc").kept == {"ab", "bc", "a"}
         assert solver._potentials("abc", edges) == []
 
     def test_peeling_takes_a_tree_with_a_half_edge(self):
         edges = tree_with_half_edge()
-        frame = solver._Frame()
-        assert all(frame.add(ends) for ends in edges.values())
         forest = solver._Forest(edges, "abcd")
+        assert forest.kept == set(edges)
         assert len(forest.steps) == len(edges)
         rhs = {"a": ONE, "b": S(2), "c": MU, "d": S(-4)}
         assert edge_sums(edges, forest.edge_values(rhs)) == rhs
@@ -1197,12 +1212,10 @@ class TestGainGraph:
     def test_forest_values_solve_an_unbalanced_component(self):
         # the half-edge fixes the tree a-d, which has no potential; the
         # balanced e-f is walked from its last node f, its potential 1 there
-        edges = dict(tree_with_half_edge(), ef=(("e", UNIT), ("f", g((1, 2)))))
-        frame = solver._Frame()
-        kept = kept_by(frame, edges)
-        assert kept == edges
+        kept = dict(tree_with_half_edge(), ef=(("e", UNIT), ("f", g((1, 2)))))
         nodes = ["a", "b", "c", "d", "e", "f"]
         forest = solver._Forest(kept, nodes)
+        assert forest.kept == set(kept)
         # the tree a-d is walked first, from its half-edge, which has no end
         trees = [forest.steps[:4], forest.steps[4:]]
         assert [sorted(v for _, v, _, _ in t) for t in trees] == [["a", "b", "c", "d"], ["e"]]
@@ -1214,10 +1227,12 @@ class TestGainGraph:
         assert sums.pop("f") == mu_pow(2) * HALF
         assert sums == rhs
         # balanced: the last node is the root, and its right side is left over
-        kept = kept_by(solver._Frame(), triangle(MINUS))
-        x = solver._Forest(kept, ["a", "b", "c"]).edge_values({"a": S(3), "b": MU})
+        edges = triangle(MINUS)
+        forest = solver._Forest(edges, ["a", "b", "c"])
+        assert forest.kept == {"ab", "bc"}
+        x = forest.edge_values({"a": S(3), "b": MU})
         assert x == {"ab": S(3), "bc": MU - S(3)}
-        assert edge_sums(kept, x) == {"a": S(3), "b": MU, "c": MU - S(3)}
+        assert edge_sums(edges, x) == {"a": S(3), "b": MU, "c": MU - S(3)}
 
 
 def random_gain(rng):
@@ -1229,8 +1244,8 @@ def random_gain(rng):
 
 
 def random_kept(rng, nodes):
-    """The greedy basis of a random gain graph on nodes: a forest whose
-    trees hold at most one half-edge each, half-edges offered or not."""
+    """A random gain graph on nodes, half-edges offered or not, and its
+    greedy basis: a forest whose trees hold at most one half-edge each."""
     halves = rng.random() < 0.5
     edges = {}
     for i in range(rng.randint(0, 2 * len(nodes))):
@@ -1239,8 +1254,8 @@ def random_kept(rng, nodes):
             edges[f"e{i}"] = ((u, random_gain(rng)),)
         else:
             edges[f"e{i}"] = ((u, random_gain(rng)), (v, random_gain(rng)))
-    frame = solver._Frame()
-    return frame, {key: ends for key, ends in edges.items() if frame.add(ends)}
+    kept = solver._Forest(edges, nodes).kept
+    return edges, {key: ends for key, ends in edges.items() if key in kept}
 
 
 def shifted(gain, k):
@@ -1267,15 +1282,17 @@ class TestForestProperties:
         for _ in range(150):
             nodes = list("abcdefghij"[: rng.randint(2, 10)])
             rng.shuffle(nodes)
-            frame, kept = random_kept(rng, nodes)
+            edges, kept = random_kept(rng, nodes)
+            oracle_kept, find = greedy_oracle(edges)
+            assert set(kept) == oracle_kept
             forest = solver._Forest(kept, nodes)
-            assert len(forest.steps) == len(kept)
+            assert forest.kept == set(kept) and len(forest.steps) == len(kept)
             # each balanced tree's root is its last node, roots taken from
-            # the end of the node list backwards
+            # the end of the node list backwards; a full tree is the ground's
             last = {}
             for v in nodes:
-                root = frame.find(v)
-                if root not in frame.full:
+                root = find(v)
+                if root != find(None):
                     last[root] = v
             roots = sorted(last.values(), key=nodes.index, reverse=True)
             # one potential per balanced tree, in root order, 1 at its root:
@@ -1286,7 +1303,7 @@ class TestForestProperties:
             assert [p[r] for p, r in zip(potentials, roots)] == [ONE] * len(roots)
             x = {v: c for p in potentials for v, c in p.items()}
             assert sum(map(len, potentials)) == len(x)
-            assert set(x) == {v for v in nodes if frame.find(v) not in frame.full}
+            assert set(x) == {v for v in nodes if find(v) != find(None)}
             assert all(x.values())
             for key, ends in kept.items():
                 assert sum((gain_value(c) * x.get(v, ZERO) for v, c in ends), ZERO) == ZERO
@@ -1315,6 +1332,44 @@ class TestForestProperties:
             for v in nodes:
                 if v not in roots:
                     assert sums.get(v, ZERO) == rhs.get(v, ZERO)
+
+    def test_walk_grows_the_greedy_basis(self):
+        # random gain graphs with half-edges, parallel edges, edges with no
+        # ends and several components: the walk keeps what a plain
+        # union-find with a ground node keeps, offered each edge in order,
+        # and its steps attach each node once, each from a node attached
+        # earlier or from a tree root, the last node of a component that
+        # holds no half-edge
+        rng = random.Random(74)
+        for _ in range(1000):
+            nodes = list(range(rng.randint(1, 12)))
+            rng.shuffle(nodes)
+            edges, pairs = {}, []
+            for i in range(rng.randint(0, 3 * len(nodes))):
+                r = rng.random()
+                if r < 0.1:
+                    edges[i] = ()
+                elif r < 0.3 or len(nodes) == 1:
+                    edges[i] = ((rng.choice(nodes), random_gain(rng)),)
+                else:
+                    u, v = rng.choice(pairs) if pairs and r < 0.45 else rng.sample(nodes, 2)
+                    pairs.append((v, u))
+                    edges[i] = ((u, random_gain(rng)), (v, random_gain(rng)))
+            forest = solver._Forest(edges, nodes)
+            kept, find = greedy_oracle(edges)
+            assert forest.kept == kept
+            attached = [v for _, v, _, _ in forest.steps]
+            assert len(attached) == len(set(attached)) == len(kept)
+            roots = {v for v in nodes if v not in attached}
+            last = {find(v): v for v in nodes}
+            assert roots == {v for root, v in last.items() if root != find(None)}
+            done = set(roots)
+            for key, v, gain, end in forest.steps:
+                if end is None:
+                    assert edges[key] == ((v, gain),)
+                else:
+                    assert end[0] in done and edges[key] in (((v, gain), end), (end, (v, gain)))
+                done.add(v)
 
     def test_random_balanced_graphs(self):
         # planted signed-monomial potentials and edges that hold on them,
@@ -1379,35 +1434,37 @@ class TestForestProperties:
 
 
 class TestWalkWork:
-    """Potentials are one walk of the gain graph: the frame and the forest
-    are built only where an output reads edge values, and the re-check meets
-    one-term contributions without building them."""
+    """Potentials are one walk of the gain graph: the forest is built only
+    where an output reads the greedy basis or edge values, and the re-check
+    meets one-term contributions without building them."""
 
     def test_frames_and_forests_only_for_edge_values(self, monkeypatch):
-        built = {"_Frame": 0, "_Forest": 0}
-        for name in built:
-            init = getattr(solver, name).__init__
+        built = 0
+        init = solver._Forest.__init__
 
-            def counting(self, *args, _name=name, _init=init):
-                built[_name] += 1
-                _init(self, *args)
+        def counting(self, *args):
+            nonlocal built
+            built += 1
+            init(self, *args)
 
-            monkeypatch.setattr(getattr(solver, name), "__init__", counting)
+        monkeypatch.setattr(solver._Forest, "__init__", counting)
 
         def work(run):
-            built.update(_Frame=0, _Forest=0)
+            nonlocal built
+            built = 0
             run()
-            return built["_Frame"], built["_Forest"]
+            return built
 
         for site in ((0, 0), (1, 0), (0, 1), (1, 1)):
-            assert work(lambda: coboundary_solve(d(*site), "twisted_alpha2", 6)) == (0, 0)
-        assert work(lambda: coboundary_solve(d(1, 1), "alpha2", 6)) == (0, 0)
+            assert work(lambda: coboundary_solve(d(*site), "twisted_alpha2", 6)) == 0
+        assert work(lambda: coboundary_solve(d(1, 1), "alpha2", 6)) == 0
         for window in (4, 8):
-            assert work(lambda: kernel_dimension("twisted_alpha1", window)) == (0, 0)
-            # its one circuit, phi(0, 0), is the edge with no ends
-            assert work(lambda: kernel_dimension("alpha1", window)) == (1, 0)
-        assert work(lambda: coboundary_solve(d(0, 2), "alpha2", 5)) == (1, 1)
-        assert work(lambda: coboundary_solve(d(0, 0) - d(0, 2, LAMBDA), "twisted_alpha2", 5)) == (1, 1)
+            assert work(lambda: kernel_dimension("twisted_alpha1", window)) == 0
+            # the forest gives the free edges; the one circuit, phi(0, 0),
+            # is the edge with no ends
+            assert work(lambda: kernel_dimension("alpha1", window)) == 1
+        assert work(lambda: coboundary_solve(d(0, 2), "alpha2", 5)) == 1
+        assert work(lambda: coboundary_solve(d(0, 0) - d(0, 2, LAMBDA), "twisted_alpha2", 5)) == 1
 
     def test_refutation_builds_few_scalars(self, monkeypatch):
         # one _ratio per tree step, the closing edges compared and the
