@@ -48,9 +48,9 @@ D(i,j) is an infinite cocycle; make_D returns it on a window
 at every site with |n|, |m| <= radius - 1.
 
 Pullbacks by the flip element of the equivariant structure are conjugation
-formulas read off degreewise.  Each is a Stencil with mirror s = -1 (output
-(a, b) reads input[in_slot][-a+dn, -b+dm]), applied like a differential; the
-docstring of each public pullback gives its formula on a coefficient map.
+formulas read off degreewise: sigma, (n, m) -> (-n, -m) (Series.sigma), in
+degree 0, else a Stencil applied to sigma of the input like a differential;
+the docstring of each public pullback gives its formula on a coefficient map.
 """
 
 from __future__ import annotations
@@ -153,18 +153,21 @@ def coefficient(terms, n: int, m: int, x: Scalar = ONE) -> Scalar:
 
 
 class Stencil:
-    """A lattice map as a table of entries (out_slot, in_slot, dn, dm, terms)
-    and a mirror s, 1 for the differentials and -1 for the flip pullbacks:
+    """A lattice map as a table of entries (out_slot, in_slot, dn, dm, terms):
     output out_slot at site (n, m) gains coefficient(terms, n, m) *
-    input[in_slot][s*n+dn, s*m+dm]."""
+    input[in_slot][n+dn, m+dm].  Split once by slot, as windowed systems read
+    it: rows holds the entries (in_slot, dn, dm, terms) of each output slot,
+    readers the entries (out_slot, dn, dm, terms) of each input slot."""
 
-    __slots__ = ("entries", "mirror", "in_slots", "out_slots")
+    __slots__ = ("entries", "in_slots", "out_slots", "rows", "readers", "reach")
 
-    def __init__(self, *entries: StencilEntry, mirror: int = 1):
+    def __init__(self, *entries: StencilEntry):
         self.entries = entries
-        self.mirror = mirror
         self.in_slots = 1 + max(e[1] for e in entries)
         self.out_slots = 1 + max(e[0] for e in entries)
+        self.rows = [[(i, *e) for o, i, *e in entries if o == s] for s in range(self.out_slots)]
+        self.readers = [[(o, *e) for o, i, *e in entries if i == s] for s in range(self.in_slots)]
+        self.reach = max(max(abs(dn), abs(dm)) for _, _, dn, dm, _ in entries)
 
     def apply(self, x):
         """Image of a cochain: the residual pass with no target."""
@@ -181,7 +184,6 @@ class Stencil:
         is, added to the image; only the first contribution to a site negates
         a numerator.  What is left is negated at the end."""
         parts = cochain_slots(x)
-        s = self.mirror
         raw = Scalar._raw
         out: list[dict[Site, Scalar]] = [{} for _ in range(self.out_slots)]
         left = ([{} for _ in out] if target is None
@@ -190,7 +192,7 @@ class Stencil:
             acc, goal = out[o], left[o]
             for sign, p, q, r in terms:
                 for (a, b), v in parts[i].terms.items():
-                    n, m = site = (s * (a - dn), s * (b - dm))
+                    n, m = site = (a - dn, b - dm)
                     k = v.s + 2 * (p * n + q * m + r)
                     t = goal.get(site)
                     if t is not None:
@@ -292,36 +294,34 @@ def _violations(out: LatticeFunctional, window: int) -> Site | None:
 # pullbacks by the flip
 
 
-TWISTED_PULLBACK_DEG0 = Stencil((0, 0, 0, 0, ((1, 0, 0, 0),)), mirror=-1)
-TWISTED_PULLBACK_DEG2 = Stencil((0, 0, 0, 0, ((1, -1, 1, -1),)), mirror=-1)  # lambda**(m-n-1)
-UNTWISTED_PULLBACK_DEG2 = Stencil((0, 0, -2, -2, ((1, 1, 1, 2),)), mirror=-1)  # lambda**(n+m+2)
+TWISTED_PULLBACK_DEG2 = Stencil((0, 0, 0, 0, ((1, -1, 1, -1),)))  # lambda**(m-n-1)
+UNTWISTED_PULLBACK_DEG2 = Stencil((0, 0, 2, 2, ((1, 1, 1, 2),)))  # lambda**(n+m+2)
 UNTWISTED_PULLBACK_DEG1 = Stencil(
-    (0, 0, -2, 0, ((-1, 0, 1, 0),)),  # -lambda**m
-    (1, 1, 0, -2, ((-1, 1, 0, 0),)),  # -lambda**n
-    mirror=-1,
+    (0, 0, 2, 0, ((-1, 0, 1, 0),)),  # -lambda**m
+    (1, 1, 0, 2, ((-1, 1, 0, 0),)),  # -lambda**n
 )
 
 
 def twisted_pullback_deg0(phi: LatticeFunctional) -> LatticeFunctional:
     """Flip action on twisted degree-0 cochains: plain coefficient mirror."""
-    return TWISTED_PULLBACK_DEG0.apply(phi)
+    return phi.sigma()
 
 
 def twisted_pullback_deg2(phi: LatticeFunctional) -> LatticeFunctional:
     """Flip action on twisted degree-2 cochains, conjugated through U1*U2:
     psi[a,b] = lambda**(b-a-1) phi[-a,-b]."""
-    return TWISTED_PULLBACK_DEG2.apply(phi)
+    return TWISTED_PULLBACK_DEG2.apply(phi.sigma())
 
 
 def untwisted_pullback_deg2(phi: LatticeFunctional) -> LatticeFunctional:
     """Flip action on untwisted degree-2 cochains, conjugated through
     U1**-1 U2**-1 on one side and U2**-1 U1**-1 on the other:
     psi[a,b] = lambda**(a+b+2) phi[-2-a,-2-b]."""
-    return UNTWISTED_PULLBACK_DEG2.apply(phi)
+    return UNTWISTED_PULLBACK_DEG2.apply(phi.sigma())
 
 
 def untwisted_pullback_deg1(pair: CochainPair) -> CochainPair:
     """Flip action on untwisted degree-1 cochains:
     w1[a,b] = -lambda**b phi1[-2-a,-b], w2[a,b] = -lambda**a phi2[-a,-2-b].
     On the two surviving generator classes this is multiplication by -1."""
-    return UNTWISTED_PULLBACK_DEG1.apply(pair)
+    return UNTWISTED_PULLBACK_DEG1.apply(CochainPair(pair.first.sigma(), pair.second.sigma()))

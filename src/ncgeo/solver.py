@@ -66,7 +66,7 @@ no cycle is unbalanced, a half-edge acts as an edge to one extra ground
 node, and the independent sets are the forests of that grounded graph: the
 greedy basis is the spanning forest of least edge positions, which one Prim
 walk grows (_Forest).  Its steps, walked backwards from the leaves, give the
-witnesses and the circuits.
+witnesses and the circuits, each of which checks its own closing edge.
 
 On the column side the greedy basis is exactly the set of pivot columns
 Gauss-Jordan elimination takes in the pivot order: its pivot columns are the
@@ -149,8 +149,7 @@ change with the window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import chain
 from typing import Callable, Iterable
@@ -194,10 +193,7 @@ class NotACocycle(ValueError):
 
 @dataclass(frozen=True)
 class Operator:
-    """A named differential and the tables its windowed systems read, built
-    once from its stencil: the entries (in_slot, dn, dm, terms) of each output
-    slot (rows), the entries (out_slot, dn, dm, terms) reading each input slot
-    (readers), the largest offset (reach) and the orientation: the column
+    """A named differential and its stencil.  Its orientation is the column
     side when every input slot is read by at most two entries, so that every
     column holds at most two nonzeros, else the row side, which is for
     kernels only: coboundary_solve refuses it."""
@@ -205,18 +201,10 @@ class Operator:
     name: str
     apply: Callable
     stencil: Stencil
-    rows: list = field(init=False, repr=False, compare=False)
-    readers: list = field(init=False, repr=False, compare=False)
-    column_side: bool = field(init=False, repr=False, compare=False)
-    reach: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        st, put = self.stencil, partial(object.__setattr__, self)
-        put("rows", [[(i, *e) for o, i, *e in st.entries if o == s] for s in range(st.out_slots)])
-        put("readers", [[(o, *e) for o, i, *e in st.entries if i == s]
-                        for s in range(st.in_slots)])
-        put("column_side", all(len(r) <= 2 for r in self.readers))
-        put("reach", max(max(abs(e[2]), abs(e[3])) for e in st.entries))
+    @property
+    def column_side(self) -> bool:
+        return all(len(r) <= 2 for r in self.stencil.readers)
 
 
 OPERATORS: dict[str, Operator] = {
@@ -294,10 +282,10 @@ def _equations(op: Operator, window: int) -> list[int]:
     where its coefficient vanishes at that site.  The condition splits by
     coordinate, so the sites of a slot form the box its offsets' extremes
     leave inside the window: one run of ids per n, sorted by _order_key."""
-    radius, slots = window + op.reach, op.stencil.out_slots
+    radius, slots = window + op.stencil.reach, op.stencil.out_slots
     span = 2 * radius + 1
     ids: list[int] = []
-    for slot, entries in enumerate(op.rows):
+    for slot, entries in enumerate(op.stencil.rows):
         dns, dms = zip(*((dn, dm) for _, dn, dm, _ in entries))
         lo, hi = radius - window - min(dms), radius + window - max(dms)
         for n in range(-window - min(dns), window - max(dns) + 1):
@@ -322,7 +310,7 @@ def _rows(op: Operator, window: int, ids) -> dict[int, dict]:
     entries: the nonzero coefficients of variables inside the window, as
     gains keyed as in _ids.  Each equation's slot and site are read off its
     id; a one-term entry never vanishes, and its gain is read inline."""
-    radius, out_slots = window + op.reach, op.stencil.out_slots
+    radius, out_slots = window + op.stencil.reach, op.stencil.out_slots
     ospan, span, slots = 2 * radius + 1, 2 * window + 1, op.stencil.in_slots
     rows = {}
     for eq in ids:
@@ -330,7 +318,7 @@ def _rows(op: Operator, window: int, ids) -> dict[int, dict]:
         n, m = divmod(k, ospan)
         n, m = n - radius, m - radius
         rows[eq] = coeffs = {}
-        for in_slot, dn, dm, terms in op.rows[slot]:
+        for in_slot, dn, dm, terms in op.stencil.rows[slot]:
             a, b = n + dn, m + dm
             if -window <= a <= window and -window <= b <= window:
                 if len(terms) == 1:
@@ -381,7 +369,7 @@ def _target_block(op: Operator, window: int, goal) -> dict[int, dict]:
     by its slots (goal), by equation id in equation order.  Two rows are
     connected when both hold a variable with a nonzero coefficient; a ring's
     variables, decoded as in _keys, lead to the next through their readers."""
-    radius, slots, in_slots = window + op.reach, op.stencil.out_slots, op.stencil.in_slots
+    radius, slots, in_slots = window + op.stencil.reach, op.stencil.out_slots, op.stencil.in_slots
     span, vspan = 2 * radius + 1, 2 * window + 1
     todo = _ids([(slot, s) for slot, part in enumerate(goal) for s in part.terms], radius, slots)
     found, block, seen = set(todo), {}, set()
@@ -394,7 +382,7 @@ def _target_block(op: Operator, window: int, goal) -> dict[int, dict]:
         for k in new:
             k, in_slot = divmod(k, in_slots)
             a, b = divmod(k, vspan)
-            for o, dn, dm, terms in op.readers[in_slot]:
+            for o, dn, dm, terms in op.stencil.readers[in_slot]:
                 n, m = a - window - dn, b - window - dm
                 eq = ((n + radius) * span + m + radius) * slots + o
                 if eq not in found and not _vanishes(terms, n, m):
@@ -467,8 +455,9 @@ class _Forest:
 
     def edge_values(self, rhs: dict) -> dict:
         """The nonzero x with sum_e x[e] A_e = rhs, A_e holding the gains at
-        the ends of e, at every node but the balanced roots, where the right
-        side is left over: it cancels whenever the system is consistent."""
+        the ends of e.  What is left at a balanced root must cancel, as on a
+        consistent system; for a circuit it is -(p[u] a + p[v] b) at its
+        closing edge ((u, a), (v, b)), p the potential 1 at the root."""
         r = dict(rhs)
         x = {}
         for key, v, b, end in reversed(self.steps):
@@ -480,6 +469,8 @@ class _Forest:
                 u, a = end
                 t = _mul(val, a, -1)
                 r[u] = r[u] + t if u in r else t
+        if any(r.values()):
+            raise RuntimeError("the right side does not cancel at a balanced root")
         return x
 
     def circuit(self, key, ends) -> dict:
@@ -586,10 +577,7 @@ def kernel_dimension(operator: str, window: int) -> SolveReport:
     nodes, edges = _graph(op.column_side, rows, variables)
     if op.column_side:
         forest = _Forest(edges, nodes)
-        free = [(f, ends) for f, ends in edges.items() if f not in forest.kept]
-        if any(len(ends) == 2 for _, ends in free):
-            _potentials(nodes, edges)  # the balance check: the basis is the circuits
-        basis = [forest.circuit(f, ends) for f, ends in free]
+        basis = [forest.circuit(f, ends) for f, ends in edges.items() if f not in forest.kept]
     else:
         # one potential per balanced component, free at its last variable
         basis = _potentials(nodes, edges)[::-1]
@@ -611,7 +599,7 @@ def _recheck(op: Operator, radius: int, certificate, parts) -> None:
         b = parts[slot].coeff(n, m)
         if b:
             total = total + mult * b
-        for in_slot, dn, dm, terms in op.rows[slot] if mult else ():
+        for in_slot, dn, dm, terms in op.stencil.rows[slot] if mult else ():
             k = (in_slot, n + dn, m + dm)
             if abs(k[1]) > radius or abs(k[2]) > radius:
                 continue
@@ -647,7 +635,7 @@ def coboundary_solve(target, operator: str, window: int) -> SolveReport:
         raise ValueError("target support must stay 2 sites clear of the window edge")
 
     rows = _target_block(op, window, parts)
-    radius, slots = window + op.reach, op.stencil.out_slots
+    radius, slots = window + op.stencil.reach, op.stencil.out_slots
     goal = {(slot, s): c for slot, part in enumerate(parts) for s, c in part.terms.items()}
     rhs = dict(zip(_ids(goal, radius, slots), goal.values()))
     nodes, edges = _graph(True, rows, set().union(*rows.values()))

@@ -1,9 +1,9 @@
 """Finite lattice series, the algebraic twisted torus and its structure maps.
 
 A Series is a finite coefficient map (n, m) -> Q(u), read as the series
-sum a[n,m] * U1**n * U2**m, with its linear structure and JSON.  Its two
-subclasses are TorusElement, which adds the twisted product, and the
-cochain coefficient map cochains.LatticeFunctional.
+sum a[n,m] * U1**n * U2**m, with its linear structure, the flip sigma and
+JSON.  Its two subclasses are TorusElement, which adds the twisted product,
+and the cochain coefficient map cochains.LatticeFunctional.
 
 In the torus the two unitary generators obey the exchange rule
 U2 * U1 = lambda * U1 * U2 with lambda = u**2, which for monomials in normal
@@ -133,6 +133,10 @@ class Series:
             return self._of({})
         return self._of({k: c * v for k, v in self.terms.items()})
 
+    def sigma(self):
+        """The flip (n, m) -> (-n, -m); on the torus, U1 -> U1**-1, U2 -> U2**-1."""
+        return self._of({(-n, -m): c for (n, m), c in self.terms.items()})
+
     # -- serialization ----------------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -214,10 +218,6 @@ class TorusElement(Series):
         return NotImplemented
 
     # -- structure maps ------------------------------------------------------------
-
-    def sigma(self) -> "TorusElement":
-        """The flip automorphism U1 -> U1**-1, U2 -> U2**-1."""
-        return TorusElement._of({(-n, -m): c for (n, m), c in self.terms.items()})
 
     def star(self) -> "TorusElement":
         """Adjoint; coefficients pass through u -> 1/u and monomials are

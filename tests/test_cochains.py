@@ -13,7 +13,6 @@ from ncgeo.cochains import (
     ALPHA2,
     TWISTED_ALPHA1,
     TWISTED_ALPHA2,
-    TWISTED_PULLBACK_DEG0,
     TWISTED_PULLBACK_DEG2,
     UNTWISTED_PULLBACK_DEG1,
     UNTWISTED_PULLBACK_DEG2,
@@ -104,11 +103,11 @@ def contributions(table, x):
     """Per output slot, {site: [contribution, ...]}: every input value times
     one term of an entry, read through coefficient, at the site the entry
     sends it to.  Nothing from Stencil's own loop."""
-    s, parts = table.mirror, cochain_slots(x)
+    parts = cochain_slots(x)
     out = [{} for _ in range(table.out_slots)]
     for o, i, dn, dm, terms in table.entries:
         for (a, b), v in parts[i].terms.items():
-            n, m = s * (a - dn), s * (b - dm)
+            n, m = a - dn, b - dm
             for term in terms:
                 out[o].setdefault((n, m), []).append(coefficient((term,), n, m, v))
     return out
@@ -228,15 +227,16 @@ class TestProductOracle:
         assert mutants == 4 * (4 + 4 + 2 * 2 + 2 * 2)
 
     def test_residual_is_image_minus_target(self):
-        # the four differentials against the products, the four pullbacks
-        # against the per-site sum of their coefficients, each at targets
-        # equal to the image, differing from it and reaching past it
+        # the four differentials against the products, the three pullback
+        # tables, which the pullbacks apply to sigma of their input, against
+        # the per-site sum of their coefficients, each at targets equal to
+        # the image, differing from it and reaching past it
         rng = random.Random(37)
         cases = (
             (TWISTED_ALPHA1, self.twisted_alpha1), (TWISTED_ALPHA2, self.twisted_alpha2),
             (ALPHA1, self.alpha1), (ALPHA2, self.alpha2),
-            *((t, None) for t in (TWISTED_PULLBACK_DEG0, TWISTED_PULLBACK_DEG2,
-                                  UNTWISTED_PULLBACK_DEG2, UNTWISTED_PULLBACK_DEG1)),
+            *((t, None) for t in (TWISTED_PULLBACK_DEG2, UNTWISTED_PULLBACK_DEG2,
+                                  UNTWISTED_PULLBACK_DEG1)),
         )
         checked = 0
         for table, oracle in cases:
@@ -249,7 +249,7 @@ class TestProductOracle:
                     checked += 1
                 assert table.residual(x, image) == [{}] * table.out_slots
                 assert table.residual(x) == [dict(p.terms) for p in cochain_slots(image)]
-        assert checked == 8 * 10 * 5
+        assert checked == 7 * 10 * 5
 
 
 class TestStencilOutputs:
@@ -265,7 +265,7 @@ class TestStencilOutputs:
             for (n, m), c in terms.items()
         )
 
-    def test_all_eight_tables(self):
+    def test_all_seven_tables(self):
         rng = random.Random(31)
 
         def functional():
@@ -277,8 +277,8 @@ class TestStencilOutputs:
 
         tables = {
             TWISTED_ALPHA1: TWISTED_ALPHA2, ALPHA1: ALPHA2, TWISTED_ALPHA2: None, ALPHA2: None,
-            TWISTED_PULLBACK_DEG0: None, TWISTED_PULLBACK_DEG2: None,
-            UNTWISTED_PULLBACK_DEG2: None, UNTWISTED_PULLBACK_DEG1: None,
+            TWISTED_PULLBACK_DEG2: None, UNTWISTED_PULLBACK_DEG2: None,
+            UNTWISTED_PULLBACK_DEG1: None,
         }
         terms = residuals = 0
         for _ in range(20):
@@ -562,6 +562,58 @@ class TestMakeD:
     def test_bad_class_rejected(self):
         with pytest.raises(ValueError):
             make_D(2, 0, 3)
+
+
+def flipped(x):
+    """sigma of a cochain, slot by slot."""
+    return cochain_from_slots([p.sigma() for p in cochain_slots(x)])
+
+
+def conjugate(table):
+    """The table of sigma after table after sigma, read off its entries: the
+    coefficient of that map at (n, m) is the table's at (-n, -m), so each
+    offset is negated and each term (sign, p, q, r) becomes (sign, -p, -q, r)."""
+    return Stencil(*(
+        (o, i, -dn, -dm, tuple((sign, -p, -q, r) for sign, p, q, r in terms))
+        for o, i, dn, dm, terms in table.entries
+    ))
+
+
+class TestFlip:
+    """The flip sigma, (n, m) -> (-n, -m), on both kinds of Series, as the
+    degree-0 pullback and as the conjugation of the differentials, written
+    as plain tables."""
+
+    def test_sigma_is_an_involution_in_the_class(self):
+        rng = random.Random(41)
+        for _ in range(50):
+            phi = random_cochain(rng, 1)
+            for x in (phi, TorusElement(phi.terms), ZERO_F, TorusElement.zero()):
+                once = x.sigma()
+                assert type(once) is type(x)
+                assert once.terms == {(-n, -m): c for (n, m), c in x.terms.items()}
+                assert once.sigma() == x
+
+    def test_deg0_pullback_is_sigma(self):
+        rng = random.Random(43)
+        for _ in range(50):
+            phi = random_cochain(rng, 1)
+            assert twisted_pullback_deg0(phi) == phi.sigma()
+            assert type(twisted_pullback_deg0(phi)) is LatticeFunctional
+
+    def test_conjugated_tables_are_sigma_d_sigma(self):
+        # on seeded cochains over non-unit denominators, with sites on the
+        # axes, where the untwisted coefficients vanish
+        rng = random.Random(47)
+        nonzero = 0
+        for table in (TWISTED_ALPHA1, TWISTED_ALPHA2, ALPHA1, ALPHA2):
+            conj = conjugate(table)
+            for _ in range(30):
+                x = random_cochain(rng, table.in_slots)
+                got = conj.apply(x)
+                assert got == flipped(table.apply(flipped(x))), (table.entries, x)
+                nonzero += not got.is_zero()
+        assert nonzero == 4 * 30
 
 
 class TestTwistedPullbacks:

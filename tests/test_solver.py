@@ -466,7 +466,7 @@ class TestIds:
             for window in range(3, 9):
                 # every equation a membership solve may impose lies one site
                 # past the edge, on the box of radius window + reach
-                assert op.reach == 1
+                assert op.stencil.reach == 1
                 imposed = set(box_keys(op.stencil.out_slots, window + 1))
                 eqs = solver._equations(op, window)
                 eq_keys = solver._keys(eqs, window + 1, op.stencil.out_slots)
@@ -492,10 +492,11 @@ class TestIds:
     def test_tables_hold_every_entry_once(self):
         for op in OPERATORS.values():
             entries = sorted(op.stencil.entries)
-            assert sorted((o, *e) for o, row in enumerate(op.rows) for e in row) == entries
-            readers = sorted((e[0], i, *e[1:]) for i, rd in enumerate(op.readers) for e in rd)
+            table = op.stencil
+            assert sorted((o, *e) for o, row in enumerate(table.rows) for e in row) == entries
+            readers = sorted((e[0], i, *e[1:]) for i, rd in enumerate(table.readers) for e in rd)
             assert readers == entries
-            assert op.reach == 1
+            assert table.reach == 1
 
     def test_rows_read_the_table(self):
         # each row, decoded, holds the nonzero window coefficients of the table
@@ -653,7 +654,7 @@ def plain_sum_holds(op, radius, certificate, parts):
     box of the given radius and the right side does not."""
     left: dict = {}
     for (slot, (n, m)), mult in certificate:
-        for in_slot, dn, dm, terms in op.rows[slot]:
+        for in_slot, dn, dm, terms in op.stencil.rows[slot]:
             if abs(n + dn) <= radius and abs(m + dm) <= radius:
                 k = (in_slot, n + dn, m + dm)
                 left[k] = left.get(k, ZERO) + coefficient(terms, n, m, mult)
@@ -738,8 +739,8 @@ class TestTargetBlock:
 
     def test_zero_tests_read_the_terms(self):
         tables = [op.stencil for op in OPERATORS.values()] + [
-            cochains.TWISTED_PULLBACK_DEG0, cochains.TWISTED_PULLBACK_DEG2,
-            cochains.UNTWISTED_PULLBACK_DEG2, cochains.UNTWISTED_PULLBACK_DEG1,
+            cochains.TWISTED_PULLBACK_DEG2, cochains.UNTWISTED_PULLBACK_DEG2,
+            cochains.UNTWISTED_PULLBACK_DEG1,
         ]
         vanished = 0
         for table in tables:
@@ -1221,18 +1222,24 @@ class TestGainGraph:
         assert [sorted(v for _, v, _, _ in t) for t in trees] == [["a", "b", "c", "d"], ["e"]]
         assert forest.steps[0][::3] == ("b", None)
         assert solver._potentials(nodes, kept) == [{"f": ONE, "e": -mu_pow(2)}]
-        # edge values meet the right side at every node but the root f
-        rhs = {"a": ONE, "b": S(2), "c": MU, "d": S(-4), "e": HALF}
-        sums = edge_sums(kept, forest.edge_values(rhs))
-        assert sums.pop("f") == mu_pow(2) * HALF
-        assert sums == rhs
-        # balanced: the last node is the root, and its right side is left over
+        # edge values meet the right side at every node, the root f too, when
+        # the value at f cancels its tree: -u^2 rhs[e] + rhs[f] = 0; any
+        # other value there, none included, is refused
+        rhs = {"a": ONE, "b": S(2), "c": MU, "d": S(-4), "e": HALF, "f": mu_pow(2) * HALF}
+        assert edge_sums(kept, forest.edge_values(rhs)) == rhs
+        tree = {k: v for k, v in rhs.items() if k != "f"}
+        for bad in ({}, {"f": ZERO}, {"f": HALF}, {"f": -mu_pow(2) * HALF}):
+            with pytest.raises(RuntimeError, match="does not cancel at a balanced root"):
+                forest.edge_values({**tree, **bad})
+        # balanced: the last node is the root, and its right side must cancel
         edges = triangle(MINUS)
         forest = solver._Forest(edges, ["a", "b", "c"])
         assert forest.kept == {"ab", "bc"}
-        x = forest.edge_values({"a": S(3), "b": MU})
+        x = forest.edge_values({"a": S(3), "b": MU, "c": MU - S(3)})
         assert x == {"ab": S(3), "bc": MU - S(3)}
         assert edge_sums(edges, x) == {"a": S(3), "b": MU, "c": MU - S(3)}
+        with pytest.raises(RuntimeError, match="does not cancel at a balanced root"):
+            forest.edge_values({"a": S(3), "b": MU})
 
 
 def random_gain(rng):
@@ -1324,14 +1331,18 @@ class TestForestProperties:
                     solver._potentials(nodes, dict(kept, x=bad))
                 with pytest.raises(RuntimeError, match="unbalanced cycle"):
                     solver._potentials(nodes, dict(kept, x=bad[::-1]))
-            # edge values: the right side at every node but the roots
+            # edge values: the right side at every node, each balanced
+            # root's value set so that its tree cancels, sum p[v] rhs[v] = 0;
+            # moved by one at a root, it is refused
             rhs = {v: random_value(rng) for v in nodes if rng.random() < 0.7}
+            for p, root in zip(potentials, roots):
+                rhs[root] = -sum((c * rhs[v] for v, c in p.items() if v != root and v in rhs), ZERO)
             x = forest.edge_values(rhs)
             assert set(x) <= set(kept) and all(x.values())
-            sums = edge_sums(kept, x)
-            for v in nodes:
-                if v not in roots:
-                    assert sums.get(v, ZERO) == rhs.get(v, ZERO)
+            assert edge_sums(kept, x) == {v: c for v, c in rhs.items() if c}
+            for root in roots:
+                with pytest.raises(RuntimeError, match="does not cancel at a balanced root"):
+                    forest.edge_values({**rhs, root: rhs[root] + ONE})
 
     def test_walk_grows_the_greedy_basis(self):
         # random gain graphs with half-edges, parallel edges, edges with no
@@ -1491,8 +1502,8 @@ class TestMonomialGains:
 
     def test_gains_equal_coefficients(self):
         tables = [op.stencil for op in OPERATORS.values()] + [
-            cochains.TWISTED_PULLBACK_DEG0, cochains.TWISTED_PULLBACK_DEG2,
-            cochains.UNTWISTED_PULLBACK_DEG2, cochains.UNTWISTED_PULLBACK_DEG1,
+            cochains.TWISTED_PULLBACK_DEG2, cochains.UNTWISTED_PULLBACK_DEG2,
+            cochains.UNTWISTED_PULLBACK_DEG1,
         ]
         x = Scalar.parse("(1 + u)/(2 - u^2)")
         entries = 0
@@ -1509,7 +1520,7 @@ class TestMonomialGains:
                         assert solver._mul(x, gain, -1) == -(x * c)
                         if c:
                             assert solver._div(x, gain) == x / c
-        assert entries == 17
+        assert entries == 16
 
     def test_twisted_solves_divide_no_scalar(self, monkeypatch):
         def refuse(*args):
@@ -1685,7 +1696,7 @@ class TestLineEliminate:
             with pytest.raises(ValueError, match="exceeds the window"):
                 h1_trivialize(CochainPair(d(0, s0), ZF), 4)
 
-    def test_rejects_rule_backed_row(self):
+    def test_rejects_a_bare_function_row(self):
         with pytest.raises(TypeError, match="finite CochainPair"):
             h1_trivialize(CochainPair(d00_rule, ZF), 4)
 
@@ -1800,7 +1811,7 @@ class TestRowSolve:
             rep = h1_trivialize(CochainPair(ZF, total), window)
             assert rep.witness == want_total and rep.residual.is_zero()
 
-    def test_recurrence_violation_site(self):
+    def test_non_cocycle_row_site(self):
         # a row off its recurrence inside the window is no cocycle, refused
         # where its recurrence first fails; at |y| = window no interior
         # equation reads it, so it is a cocycle and nothing is absorbed
@@ -1821,7 +1832,7 @@ class TestRowSolve:
             with pytest.raises(ValueError, match="exceeds the window"):
                 h1_trivialize(CochainPair(ZF, d(0, s0)), 4)
 
-    def test_rejects_rule_backed_row(self):
+    def test_rejects_a_bare_function_row(self):
         with pytest.raises(TypeError, match="finite CochainPair"):
             h1_trivialize(CochainPair(ZF, d00_rule), 4)
 
