@@ -574,19 +574,19 @@ def _bounded(op: str, v: Scalar, w) -> Scalar:
     return out
 
 
-_TOKEN = re.compile(r"\s*(\d+|u|\^|\+|-|\*|/|\(|\))")
+# ASCII only: str.isdigit and int() would read other scripts' digits
+_SPACE = re.compile(r"\s*", re.ASCII)
+_TOKEN = re.compile(r"\d+|u|\^|\+|-|\*|/|\(|\)", re.ASCII)
 
 
 def _tokenize(text: str) -> list[str]:
-    out, pos = [], 0
+    out, pos = [], _SPACE.match(text).end()
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:
-            if text[pos:].strip():
-                raise ValueError(f"bad character in scalar text: {text[pos:]!r}")
-            break
-        out.append(m.group(1))
-        pos = m.end()
+            raise ValueError(f"bad character in scalar text: {text[pos]!r}")
+        out.append(m.group())
+        pos = _SPACE.match(text, m.end()).end()
     return out
 
 

@@ -112,8 +112,10 @@ The second half of the module implements the constructive proof that the
 flip-twisted first cohomology vanishes, as the two phases of `h1_trivialize`:
 
 * phase 1 cancels each row of the first component with a degree-0 cochain
-  supported on that row (_line_walk), walking each parity chain upwards from
-  its lowest support site n with the gauge gamma[n-1] = 0;
+  supported on that row (_line_walk): one ascending sweep over the row's
+  sites, each parity chain starting at its lowest site n with the gauge
+  gamma[n-1] = 0.  A carry that the next site cancels is met by canonical
+  form and builds nothing, and a zero carry jumps to the chain's next site;
 * phase 2 absorbs the leftover eta of the second component, read on |n| <=
   window, |m| <= window-1, on the rows of the other parity.  Each column of
   the answer obeys rho[n, m+1] = lambda**n (rho[n, m-1] + eta[n, m]), the
@@ -604,12 +606,16 @@ def _recheck(op: Operator, radius: int, certificate, parts) -> None:
             if abs(k[1]) > radius or abs(k[2]) > radius:
                 continue
             for s, p, q, r in terms:
-                c, prev = (mult, 2 * (p * n + q * m + r), s), lhs.pop(k, None)
+                j, prev = 2 * (p * n + q * m + r), lhs.pop(k, None)
+                if prev is None:
+                    lhs[k] = (mult, j, s)
+                    continue
                 if type(prev) is tuple:
-                    if _cancels(*prev, *c):
+                    x, i, t = prev
+                    if _cancels(x, i, t, mult, j, s):
                         continue
-                    prev = prev[0].shift(prev[1], prev[2])
-                lhs[k] = c if prev is None else prev + mult.shift(c[1], s)
+                    prev = x.shift(i, t)
+                lhs[k] = prev + mult.shift(j, s)
     if not total or any(type(v) is tuple or v for v in lhs.values()):
         raise RuntimeError(f"invalid {op.name} certificate")
 
@@ -675,23 +681,28 @@ def _line_walk(h: dict[int, Scalar], s0: int, window: int) -> dict[int, Scalar]:
     """gamma with gamma[n+1] - lambda**s0 gamma[n-1] = h[n] at every
     |n| <= window-1 of a row h = {n: h[n]} at y=s0, gamma = {n: gamma[n]}.
 
-    Each parity chain is walked upwards from its lowest support site n, with
-    gamma[n-1] = 0, to the window edge, stopping early once past its highest
-    support site with a zero carry.  The kernel generators are nowhere zero,
-    so a finitely supported row has at most one finitely supported
-    preimage; when it has one the walk returns it."""
+    One ascending sweep over the sorted sites of h, with one carry
+    gamma[n+1] per parity chain.  A chain starts at its lowest site n with
+    gamma[n-1] = 0, so the carry is h[n].  Where h[n] + lambda**s0 carry
+    cancels, the canonical forms say so (_cancels), nothing is built and the
+    chain restarts at its next site; a nonzero carry runs up through the gap,
+    and past the last site to the window edge.  The kernel generators are
+    nowhere zero, so a finitely supported row has at most one finitely
+    supported preimage; when it has one the sweep returns it."""
     gamma: dict[int, Scalar] = {}
-    for parity in (0, 1):
-        chain = [n for n in h if n % 2 == parity]
-        if not chain:
-            continue
-        n, hi = min(chain), max(chain)
-        carry = ZERO
-        while n <= window - 1 and (carry or n <= hi):
-            carry = h.get(n, ZERO) + carry.shift(2 * s0)
-            if carry:
-                gamma[n + 1] = carry
-            n += 2
+    carry, at, k = [None, None], [0, 0], 2 * s0
+    # window and window + 1 end the two chains
+    for n in sorted(h) + [window, window + 1]:
+        p = n & 1
+        c = carry[p]
+        if c is not None:
+            for j in range(at[p] + 2, min(n, window), 2):
+                c = gamma[j + 1] = c.shift(k)
+        if n >= window or c is not None and _cancels(h[n], 0, 1, c, k, 1):
+            carry[p] = None
+        else:
+            gamma[n + 1] = carry[p] = h[n] if c is None else h[n] + c.shift(k)
+            at[p] = n
     return gamma
 
 
@@ -720,10 +731,11 @@ def h1_trivialize(pair: CochainPair, window: int) -> SolveReport:
     """Constructive trivialization of a windowed twisted 1-cocycle.
 
     Phase 1 cancels every first-component row with a line walk
-    (_line_walk), upwards from the low end of each parity chain; phase 2
-    absorbs what is left of the second component on |n| <= window, |m| <=
-    window-1 with one line walk per column, also upwards, up to y = window
-    (both _walk_rows).  The returned witness psi satisfies
+    (_line_walk), one upward sweep over the row's sites that starts each
+    parity chain at its low end and builds nothing where a carry cancels;
+    phase 2 absorbs what is left of the second component on |n| <= window,
+    |m| <= window-1 with one line walk per column, also upwards, up to y =
+    window (both _walk_rows).  The returned witness psi satisfies
     twisted_alpha1(psi) = pair exactly at all sites with |n|, |m| <=
     window-1; the report's residual is that restriction.
 
@@ -740,7 +752,8 @@ def h1_trivialize(pair: CochainPair, window: int) -> SolveReport:
 
     When pair is twisted_alpha1(phi) inside the window for a finitely
     supported phi, phase 1 returns phi row by row, nothing survives it, and
-    the witness is phi itself:
+    the witness is phi itself.  The carry at n is phi[n+1], which the
+    chain's next site cancels wherever phi[n+3] = 0, building nothing:
 
     >>> from ncgeo.cochains import twisted_alpha1
     >>> phi = LatticeFunctional.delta(0, 0) + LatticeFunctional.delta(-3, 2, 4)

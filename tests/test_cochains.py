@@ -356,6 +356,13 @@ class TestFunctional:
         assert again == phi
         assert type(again) is LatticeFunctional
 
+    def test_json_refuses_non_ascii_digits(self):
+        # int() reads "\u0663" as 3, so the text "\u0663u" would come back as "3u"
+        for char in ("\u0663", "\uff13"):
+            data = {"terms": [{"n": 0, "m": 0, "c": f"{char}u"}]}
+            with pytest.raises(ValueError, match=f"series term 0 .*bad character in scalar text: {char!r}"):
+                LatticeFunctional.from_json(data)
+
     def test_non_integer_sites_are_value_errors(self):
         # a float or bool index is refused, not truncated onto (1, 0)
         for key in ((1.7, 0), (True, 0.9), (0, "2")):

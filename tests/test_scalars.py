@@ -352,6 +352,17 @@ class TestTextForm:
             with pytest.raises(ValueError):
                 parse_scalar(bad)
 
+    def test_parse_rejects_non_ascii_digits_and_spaces(self):
+        # int() reads Arabic-Indic and fullwidth digits, so the tokenizer
+        # must not pass them on: "\u0663u" would read as 3u
+        for text, char in (
+            ("\u0663u", "\u0663"), ("\uff13u", "\uff13"), ("u^\uff12", "\uff12"),
+            ("1 + \u0662", "\u0662"), ("3\u3000", "\u3000"),
+        ):
+            with pytest.raises(ValueError) as exc:
+                parse_scalar(text)
+            assert str(exc.value) == f"bad character in scalar text: {char!r}"
+
     @given(small_scalars)
     @settings(max_examples=120, deadline=None)
     def test_round_trip_is_exact(self, a):

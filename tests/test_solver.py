@@ -55,6 +55,26 @@ def walk(row, s0, window):
     return LatticeFunctional._of({(n, s0): c for n, c in gamma.items()})
 
 
+def reference_walk(h, s0, window):
+    """Phase 1's line walk one step at a time, the reference for the sweep:
+    each parity chain from its lowest site n with gamma[n-1] = 0, carry =
+    h[n] + lambda**s0 carry at every step up to n = window-1, stopping once
+    past the chain's highest site with a zero carry."""
+    gamma = {}
+    for parity in (0, 1):
+        chain = [n for n in h if n % 2 == parity]
+        if not chain:
+            continue
+        n, hi = min(chain), max(chain)
+        carry = ZERO
+        while n <= window - 1 and (carry or n <= hi):
+            carry = h.get(n, ZERO) + lambda_pow(s0) * carry
+            if carry:
+                gamma[n + 1] = carry
+            n += 2
+    return gamma
+
+
 def d00_rule(n, m):
     return lambda_pow((n * m) // 2) if n % 2 == 0 and m % 2 == 0 else ZERO
 
@@ -1675,13 +1695,34 @@ class TestLineEliminate:
         assert gamma == d(1, 1, 1) + d(3, 1, LAMBDA) + d(5, 1, lambda_pow(2))
 
     def test_row_reproduced_on_interior(self):
+        # the sweep equals the per-step reference walk; besides random rows:
+        # sites of one parity far apart, sites at n = +-window and
+        # +-(window-1), negative sites of both parities, rows of coboundaries
+        # over non-unit denominators, and a row whose second site negates the
+        # shifted carry's numerator but not its denominator
         rng = random.Random(7)
         window = 6
+        rows = []
         for _ in range(20):
             s0 = rng.randint(-4, 4)
-            row = LatticeFunctional(
+            rows.append((s0, LatticeFunctional(
                 {(rng.randint(-3, 3), s0): mu_pow(rng.randint(-2, 2)) for _ in range(3)}
-            )
+            )))
+
+        def c():
+            return mu_pow(rng.randint(-2, 2)) * rng.choice([1, -1, 3])
+
+        rational = Scalar.parse("(1 + u)/(2 - u^2)")
+        for s0 in (-3, 0, 5):
+            line = LatticeFunctional({(n, s0): c() * rational for n in (-5, -4, -1, 2)})
+            image = twisted_alpha1(line).first
+            for sites in ((-5, -4, 4, 5), (-window, 1 - window, window - 1, window), (-5, -2, -1)):
+                rows.append((s0, LatticeFunctional({(n, s0): c() for n in sites})))
+            rows += [(s0, image), (s0, image + line.restrict(window - 1)), (s0, LatticeFunctional({
+                (-3, s0): Scalar(0, (1,), (1, 1)), (-1, s0): Scalar(2 * s0, (-1,), (2, 1)),
+            }))]
+        for s0, row in rows:
+            assert solver._line_walk(row_of(row), s0, window) == reference_walk(row_of(row), s0, window)
             gamma = walk(row, s0, window)
             out = twisted_alpha1(gamma)
             # first component lives on the row and matches it inside
@@ -2122,7 +2163,7 @@ def stacked_h1(pair, window):
     for (n, m), c in pair.first.terms.items():
         rows.setdefault(m, {})[n] = c
     for s0, h in rows.items():
-        acc.update({(n, s0): c for n, c in solver._line_walk(h, s0, window).items()})
+        acc.update({(n, s0): c for n, c in reference_walk(h, s0, window).items()})
     leftover = (pair.second - twisted_alpha1(LatticeFunctional(acc)).second).restrict(window)
     for (n, s0), c in leftover.terms.items():
         if abs(s0) == window:
@@ -2186,8 +2227,10 @@ class TestH1Sweep:
 
     def test_scalar_constructions_stay_few(self, monkeypatch):
         # the re-check meets the image of gamma against the input term by
-        # term: on these window-10 coboundaries it builds 37 Scalars, where
-        # building the image and walking it against the input took 163
+        # term, and the line walk builds nothing where a carry cancels: on
+        # these window-10 coboundaries an h1 pass builds 6 Scalars, where
+        # building the image and walking it against the input took 163, and
+        # a line walk that built a shift and a sum at every step 37
         rng = random.Random(61)
         coboundaries = [twisted_alpha1(random_functional(rng, radius=8, size=8)) for _ in range(4)]
         built = 0
@@ -2201,7 +2244,7 @@ class TestH1Sweep:
         monkeypatch.setattr(Scalar, "_raw", classmethod(counting))
         for pair in coboundaries:
             assert h1_trivialize(pair, 10).residual.is_zero()
-        assert built <= 37
+        assert built <= 6
 
     def test_matches_per_row_stacks_on_seeded_cocycles(self):
         rng = random.Random(41)
@@ -2226,8 +2269,10 @@ class TestH1Sweep:
 
     def test_scalar_products_stay_few(self, monkeypatch):
         # one stack per surviving row made 586 products here, and a
-        # recurrence check that multiplied by absent entries 176; every
-        # product left is by a power of lambda, so it is a shift
+        # recurrence check that multiplied by absent entries 176; on this
+        # coboundary every carry cancels at its chain's next site, so an h1
+        # pass makes no product and no shift, while a row with no finite
+        # preimage shifts its tail up to the window edge
         calls = {"__mul__": 0, "shift": 0}
 
         def counting(name):
@@ -2245,8 +2290,9 @@ class TestH1Sweep:
             monkeypatch.setattr(Scalar, name, counting(name))
         rep = h1_trivialize(pair, 16)
         assert rep.residual.is_zero()
-        assert calls["__mul__"] == 0
-        assert 0 < calls["__mul__"] + calls["shift"] < 160
+        assert calls == {"__mul__": 0, "shift": 0}
+        assert solver._line_walk({0: MU}, 5, 16) == {n: mu_pow(5 * n - 4) for n in range(1, 17, 2)}
+        assert calls == {"__mul__": 0, "shift": 7}
 
 
 class TestLaurentFastPath:
