@@ -5,13 +5,16 @@ lines); ``main`` alone renders the chosen format, writes it once and sets
 the exit code: 0 all checks pass, 1 mathematical mismatch, 2 usage error.
 Every report embeds a header of the conventions it was computed under, so
 a saved report is self-describing.  JSON is canonical (sorted keys, fixed
-separators), so equal config and seed give equal bytes.  The numeric
-channel is JSON only, a cross-check that never influences exit codes.
+separators), so equal config and seed give equal bytes.  A CSV field that
+holds a comma or a quote is quoted (RFC 4180).  The numeric channel is JSON
+only, a cross-check that never influences exit codes.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import random
@@ -73,6 +76,14 @@ def _mark(ok: bool) -> str:
 def _flag(ok: bool) -> str:
     """Pass/fail field of a CSV line."""
     return "true" if ok else "false"
+
+
+def _csv(rows) -> list[str]:
+    """CSV lines of rows of fields, a field quoted per RFC 4180 where it holds
+    a comma or a quote."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue().splitlines()
 
 
 def _numeric(value: Scalar, theta: float) -> list[float]:
@@ -159,8 +170,8 @@ def cmd_verify_projections(args) -> tuple[dict, bool, list[str], list[str]]:
         report["numeric_theta"] = args.numeric
     text = [f"{c['name']}: {_mark(c['ok'])}" for c in checks]
     text.append(f"{sum(c['ok'] for c in checks)}/{len(checks)} projections verified")
-    csv = ["name,ok", *(f"{c['name']},{_flag(c['ok'])}" for c in checks)]
-    return report, all_ok, text, csv
+    lines = _csv([("name", "ok"), *((c["name"], _flag(c["ok"])) for c in checks)])
+    return report, all_ok, text, lines
 
 
 # -- pairing-table ------------------------------------------------------------
@@ -228,12 +239,14 @@ def cmd_dimension_report(args) -> tuple[dict, bool, list[str], list[str]]:
         f" (expected {r['expected']}) {_mark(r['ok'])}"
         for r in reports
     ]
-    csv = ["operator,window,nullity,expected,ok"]
-    csv += [
-        f"{r['operator']},{r['window']},{r['nullity']},{r['expected']},{_flag(r['ok'])}"
-        for r in reports
-    ]
-    return report, all_ok, text, csv
+    lines = _csv([
+        ("operator", "window", "nullity", "expected", "ok"),
+        *(
+            (r["operator"], r["window"], r["nullity"], r["expected"], _flag(r["ok"]))
+            for r in reports
+        ),
+    ])
+    return report, all_ok, text, lines
 
 
 # -- cohomology-report --------------------------------------------------------
@@ -397,9 +410,11 @@ def cmd_cohomology_report(args) -> tuple[dict, bool, list[str], list[str]]:
         "h1_trials": h1,
         "all_ok": all_ok,
     }
-    csv = ["section,name,computed,expected,ok"]
-    csv += [",".join([*map(str, fields[:-1]), _flag(fields[-1])]) for fields, _ in records]
-    return report, all_ok, [line for _, line in records], csv
+    lines = _csv([
+        ("section", "name", "computed", "expected", "ok"),
+        *((*fields[:-1], _flag(fields[-1])) for fields, _ in records),
+    ])
+    return report, all_ok, [line for _, line in records], lines
 
 
 # -- argument parsing ---------------------------------------------------------

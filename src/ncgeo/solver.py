@@ -48,25 +48,27 @@ Variables are ordered by (|n|+|m|, n, m), then slot (the pivot order), and
 equations by slot, then site.  Each has a dense integer id (_ids): a
 variable (slot, (n, m)) of window W is ((n + W)(2W + 1) + m + W) in_slots +
 slot, an equation the same with out_slots on the box of radius W + reach,
-the largest stencil offset, where membership solves impose equations.  Rows,
-blocks, right sides and gain graphs are keyed by ids and decoded once per
-output (_keys).  They are sorted by an integer key read straight off the id
-(_order_key): ids run by (n, m, slot), so the site's norm in whole boxes plus
-the id is the pivot order, and the slot and the norm in whole site grids plus
-the site's index is the equation order.  A row is read off its slot's table
-entries.  A coefficient is held as its gain, the entry's terms at the site
-as (sign, k) pairs for sign * u**k: one pair for a twisted entry, read off
-the table inline, two for an untwisted binomial.  A product or quotient by
-one pair is one Scalar.shift, and so is a walk step x * (-a/b) between two
-one-pair gains (_ratio); a binomial is made a Scalar only to divide.  The
-potentials are one walk of the gain graph (_potentials), each balanced
-component from its last node, and every closing edge is checked on them.
-Edge values need the greedy basis of the frame matroid in edge order.  As
-no cycle is unbalanced, a half-edge acts as an edge to one extra ground
-node, and the independent sets are the forests of that grounded graph: the
-greedy basis is the spanning forest of least edge positions, which one Prim
-walk grows (_Forest).  Its steps, walked backwards from the leaves, give the
-witnesses and the circuits, each of which checks its own closing edge.
+the largest stencil offset, where membership solves impose equations.  Right
+sides and gain graphs are keyed by ids and decoded once per output (_keys).
+They are sorted by an integer key read straight off the id (_order_key): ids
+run by (n, m, slot), so the site's norm in whole boxes plus the id is the
+pivot order, and the slot and the norm in whole site grids plus the site's
+index is the equation order.  One builder reads both sides of a gain graph
+off the stencil's split table (_ends): an equation's ends off its slot's
+rows, a variable's off its slot's readers.  A coefficient is held as its
+gain, the entry's terms at the site as (sign, k) pairs for sign * u**k: one
+pair for a twisted entry, read off the table inline, two for an untwisted
+binomial.  A product or quotient by one pair is one Scalar.shift, and so is
+a walk step x * (-a/b) between two one-pair gains (_ratio); a binomial is
+made a Scalar only to divide.  The potentials are one walk of the gain graph
+(_potentials), each balanced component from its last node, and every closing
+edge is checked on them.  Edge values need the greedy basis of the frame
+matroid in edge order.  As no cycle is unbalanced, a half-edge acts as an
+edge to one extra ground node, and the independent sets are the forests of
+that grounded graph: the greedy basis is the spanning forest of least edge
+positions, which one Prim walk grows (_Forest).  Its steps, walked backwards
+from the leaves, give the witnesses and the circuits, each of which checks
+its own closing edge.
 
 On the column side the greedy basis is exactly the set of pivot columns
 Gauss-Jordan elimination takes in the pivot order: its pivot columns are the
@@ -102,9 +104,10 @@ A membership solve sets up only the target's connected block: the equations
 reached from the target's support, two equations being connected when both
 hold some variable with a nonzero coefficient.  This cannot change an output:
 an equation outside the block has a zero right side, so it yields neither a
-witness entry nor an inconsistent component.  The block is read off the
-readers of the table around the target alone, one ring of equations at a
-time: no list of the window's equations or variables is set up.
+witness entry nor an inconsistent component.  The block is read around the
+target alone, one ring at a time: the ring's equations lead to their new
+variables and those variables' ends, the block's edges, to the next ring.
+No list of the window's equations or variables is set up.
 Kernel computations still set up every equation, as the nullity needs every
 block.
 
@@ -154,7 +157,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import chain
-from typing import Callable, Iterable
+from typing import Callable
 
 from .cochains import (
     ALPHA1,
@@ -307,22 +310,33 @@ def _vanishes(terms, n: int, m: int) -> bool:
     return s1 != s2 and p1 * n + q1 * m + r1 == p2 * n + q2 * m + r2
 
 
-def _rows(op: Operator, window: int, ids) -> dict[int, dict]:
-    """The rows of equations, given by their ids, off their slots' table
-    entries: the nonzero coefficients of variables inside the window, as
-    gains keyed as in _ids.  Each equation's slot and site are read off its
-    id; a one-term entry never vanishes, and its gain is read inline."""
-    radius, out_slots = window + op.stencil.reach, op.stencil.out_slots
-    ospan, span, slots = 2 * radius + 1, 2 * window + 1, op.stencil.in_slots
-    rows = {}
-    for eq in ids:
-        k, slot = divmod(eq, out_slots)
-        n, m = divmod(k, ospan)
-        n, m = n - radius, m - radius
-        rows[eq] = coeffs = {}
-        for in_slot, dn, dm, terms in op.stencil.rows[slot]:
-            a, b = n + dn, m + dm
-            if -window <= a <= window and -window <= b <= window:
+def _ends(op: Operator, window: int, ids, column_side: bool) -> dict[int, tuple]:
+    """The ends (id, gain) of the gain-graph edges ids, keyed as in _ids, each
+    read off its slot's side of the split table.  On the column side an edge
+    is a variable, read off its readers, and its ends are the equations that
+    hold it; on the row side an edge is an equation, read off its rows, and
+    its ends are the variables inside the window that it holds.  The gain is
+    the entry's coefficient at the equation's site (_gain).  An end whose
+    coefficient vanishes is skipped; a one-term entry never vanishes, and
+    its gain is read inline."""
+    st = op.stencil
+    radius = window + st.reach
+    # a variable's equations sit at minus its readers' offsets
+    table, box, slots, far, far_slots, way = (
+        (st.readers, window, st.in_slots, radius, st.out_slots, -1) if column_side
+        else (st.rows, radius, st.out_slots, window, st.in_slots, 1)
+    )
+    span, far_span = 2 * box + 1, 2 * far + 1
+    out = {}
+    for i in ids:
+        k, slot = divmod(i, slots)
+        x, y = divmod(k, span)
+        x, y = x - box, y - box
+        ends = []
+        for o, dn, dm, terms in table[slot]:
+            a, b = x + way * dn, y + way * dm
+            if -far <= a <= far and -far <= b <= far:
+                n, m = (a, b) if column_side else (x, y)
                 if len(terms) == 1:
                     s, p, q, r = terms[0]
                     gain = ((s, 2 * (p * n + q * m + r)),)
@@ -330,8 +344,9 @@ def _rows(op: Operator, window: int, ids) -> dict[int, dict]:
                     continue
                 else:
                     gain = _gain(terms, n, m)
-                coeffs[((a + window) * span + b + window) * slots + in_slot] = gain
-    return rows
+                ends.append((((a + far) * far_span + b + far) * far_slots + o, gain))
+        out[i] = tuple(ends)
+    return out
 
 
 def _gain(terms, n: int, m: int) -> tuple:
@@ -366,45 +381,23 @@ def _ratio(x: Scalar, a, b) -> Scalar:
     return _div(_mul(x, a, -1), b)
 
 
-def _target_block(op: Operator, window: int, goal) -> dict[int, dict]:
-    """Rows of the equations connected to the support of the target, given
-    by its slots (goal), by equation id in equation order.  Two rows are
-    connected when both hold a variable with a nonzero coefficient; a ring's
-    variables, decoded as in _keys, lead to the next through their readers."""
-    radius, slots, in_slots = window + op.stencil.reach, op.stencil.out_slots, op.stencil.in_slots
-    span, vspan = 2 * radius + 1, 2 * window + 1
+def _target_block(op: Operator, window: int, goal) -> tuple[list[int], dict[int, tuple]]:
+    """The gain graph of the equations connected to the support of the
+    target, given by its slots (goal): (equations in equation order,
+    {variable: ends}).  Two equations are connected when both hold a variable
+    with a nonzero coefficient; one ring at a time, the ring's equations lead
+    to their new variables, whose ends are the next ring and the edges."""
+    radius, slots = window + op.stencil.reach, op.stencil.out_slots
     todo = _ids([(slot, s) for slot, part in enumerate(goal) for s in part.terms], radius, slots)
-    found, block, seen = set(todo), {}, set()
+    found, edges = set(todo), {}
     while todo:
-        rows = _rows(op, window, todo)
-        block.update(rows)
-        new = set().union(*rows.values()) - seen
-        seen |= new
-        todo = []
-        for k in new:
-            k, in_slot = divmod(k, in_slots)
-            a, b = divmod(k, vspan)
-            for o, dn, dm, terms in op.stencil.readers[in_slot]:
-                n, m = a - window - dn, b - window - dm
-                eq = ((n + radius) * span + m + radius) * slots + o
-                if eq not in found and not _vanishes(terms, n, m):
-                    found.add(eq)
-                    todo.append(eq)
-    return {eq: block[eq] for eq in sorted(found, key=_order_key(radius, slots, True))}
-
-
-def _graph(column_side: bool, rows: dict[int, dict], variables: Iterable[int]):
-    """The gain graph of a system: (nodes, {edge: ends}), each in the order
-    given.  rows maps every equation, in equation order, to its gains;
-    variables lists every variable, in pivot order wherever it is read: as
-    the row side's nodes or a _Forest's edges, not by a refutation."""
-    if not column_side:
-        return variables, {eq: tuple(coeffs.items()) for eq, coeffs in rows.items()}
-    columns: dict[int, list] = {v: [] for v in variables}
-    for eq, coeffs in rows.items():
-        for k, c in coeffs.items():
-            columns[k].append((eq, c))
-    return list(rows), {v: tuple(ends) for v, ends in columns.items()}
+        rows = _ends(op, window, todo, False)
+        new = {v for ends in rows.values() for v, _ in ends} - edges.keys()
+        ring = _ends(op, window, new, True)
+        edges.update(ring)
+        todo = {eq for ends in ring.values() for eq, _ in ends} - found
+        found |= todo
+    return sorted(found, key=_order_key(radius, slots, True)), edges
 
 
 class _Forest:
@@ -572,17 +565,21 @@ def kernel_dimension(operator: str, window: int) -> SolveReport:
     """
     op = _get_operator(operator)
     _check_window(window)
-    rows = _rows(op, window, _equations(op, window))
+    eqs = _equations(op, window)
     in_slots = op.stencil.in_slots
     pivot_order = _order_key(window, in_slots, False)
     variables = sorted(range((2 * window + 1) ** 2 * in_slots), key=pivot_order)
-    nodes, edges = _graph(op.column_side, rows, variables)
     if op.column_side:
-        forest = _Forest(edges, nodes)
+        imposed = set(eqs)
+        edges = {
+            v: tuple(end for end in ends if end[0] in imposed)
+            for v, ends in _ends(op, window, variables, True).items()
+        }
+        forest = _Forest(edges, eqs)
         basis = [forest.circuit(f, ends) for f, ends in edges.items() if f not in forest.kept]
     else:
         # one potential per balanced component, free at its last variable
-        basis = _potentials(nodes, edges)[::-1]
+        basis = _potentials(variables, _ends(op, window, eqs, False))[::-1]
     basis = tuple(_vector_object(op, window, vec) for vec in basis)
     return SolveReport(op.name, window, "kernel-basis", nullity=len(basis), basis=basis)
 
@@ -640,11 +637,10 @@ def coboundary_solve(target, operator: str, window: int) -> SolveReport:
     if any(abs(n) > window - 2 or abs(m) > window - 2 for n, m in sites):
         raise ValueError("target support must stay 2 sites clear of the window edge")
 
-    rows = _target_block(op, window, parts)
+    nodes, edges = _target_block(op, window, parts)
     radius, slots = window + op.stencil.reach, op.stencil.out_slots
     goal = {(slot, s): c for slot, part in enumerate(parts) for s, c in part.terms.items()}
     rhs = dict(zip(_ids(goal, radius, slots), goal.values()))
-    nodes, edges = _graph(True, rows, set().union(*rows.values()))
 
     # a balanced component's potential is its one combination with a zero
     # left side; the walk yields them from the last equation backwards, so
@@ -654,7 +650,7 @@ def coboundary_solve(target, operator: str, window: int) -> SolveReport:
         if sum((p[eq] * r for eq, r in rhs.items() if eq in p), ZERO):
             certificate = p
     if certificate is not None:
-        eqs = [eq for eq in rows if certificate.get(eq)]
+        eqs = [eq for eq in nodes if certificate.get(eq)]
         certificate = tuple(zip(_keys(eqs, radius, slots), map(certificate.get, eqs)))
         _recheck(op, window, certificate, parts)
         return SolveReport(op.name, window, "unsolvable", certificate=certificate)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 
 import pytest
@@ -248,6 +249,24 @@ def lines(*rows):
     return "".join(row + "\n" for row in rows)
 
 
+class TestCsvShape:
+    """Every CSV row of every command, read back by csv.reader, has the
+    header's field count: a field holding a comma is quoted."""
+
+    def test_every_row_has_the_header_width(self, capsys):
+        for argv in (
+            ("verify-projections",),
+            ("verify-projections", "--corrupt-r"),
+            ("pairing-table",),
+            ("dimension-report", "--window", "3,4"),
+            ("cohomology-report", "--window", "3,4", "--h1-trials", "2"),
+        ):
+            _, out = run(capsys, *argv, "--format", "csv")
+            header, *rows = csv.reader(out.splitlines())
+            assert rows, argv
+            assert {len(row) for row in rows} == {len(header)}, argv
+
+
 class TestPinnedBytes:
     """Exact text and CSV output, written out from the documented formats."""
 
@@ -357,33 +376,33 @@ class TestPinnedBytes:
             "pullback,twisted_deg2_scaling_10,true,true,true",
             "pullback,twisted_deg2_scaling_01,true,true,true",
             "pullback,twisted_deg2_scaling_11,true,true,true",
-            "pullback,untwisted_deg2_fixes_(-1,-1),true,true,true",
+            'pullback,"untwisted_deg2_fixes_(-1,-1)",true,true,true',
             "pullback,untwisted_deg1_negates_first,true,true,true",
             "pullback,untwisted_deg1_negates_second,true,true,true",
-            "probe,untwisted@(0, 2)@r4,solved,solved,true",
-            "probe,untwisted@(0, 2)@r5,solved,solved,true",
-            "probe,untwisted@(0, 2)@r6,solved,solved,true",
-            "probe,untwisted@(2, 0)@r4,solved,solved,true",
-            "probe,untwisted@(2, 0)@r5,solved,solved,true",
-            "probe,untwisted@(2, 0)@r6,solved,solved,true",
-            "probe,twisted@(0, 0)@r4,unsolvable,unsolvable,true",
-            "probe,twisted@(0, 0)@r5,unsolvable,unsolvable,true",
-            "probe,twisted@(0, 0)@r6,unsolvable,unsolvable,true",
-            "probe,twisted@(1, 0)@r4,unsolvable,unsolvable,true",
-            "probe,twisted@(1, 0)@r5,unsolvable,unsolvable,true",
-            "probe,twisted@(1, 0)@r6,unsolvable,unsolvable,true",
-            "probe,twisted@(0, 1)@r4,unsolvable,unsolvable,true",
-            "probe,twisted@(0, 1)@r5,unsolvable,unsolvable,true",
-            "probe,twisted@(0, 1)@r6,unsolvable,unsolvable,true",
-            "probe,twisted@(1, 1)@r4,unsolvable,unsolvable,true",
-            "probe,twisted@(1, 1)@r5,unsolvable,unsolvable,true",
-            "probe,twisted@(1, 1)@r6,unsolvable,unsolvable,true",
-            "probe,untwisted@(1, 1)@r4,unsolvable,unsolvable,true",
-            "probe,untwisted@(1, 1)@r5,unsolvable,unsolvable,true",
-            "probe,untwisted@(1, 1)@r6,unsolvable,unsolvable,true",
-            "probe,untwisted@(-1, -1)@r4,solved,solved,true",
-            "probe,untwisted@(-1, -1)@r5,solved,solved,true",
-            "probe,untwisted@(-1, -1)@r6,solved,solved,true",
+            'probe,"untwisted@(0, 2)@r4",solved,solved,true',
+            'probe,"untwisted@(0, 2)@r5",solved,solved,true',
+            'probe,"untwisted@(0, 2)@r6",solved,solved,true',
+            'probe,"untwisted@(2, 0)@r4",solved,solved,true',
+            'probe,"untwisted@(2, 0)@r5",solved,solved,true',
+            'probe,"untwisted@(2, 0)@r6",solved,solved,true',
+            'probe,"twisted@(0, 0)@r4",unsolvable,unsolvable,true',
+            'probe,"twisted@(0, 0)@r5",unsolvable,unsolvable,true',
+            'probe,"twisted@(0, 0)@r6",unsolvable,unsolvable,true',
+            'probe,"twisted@(1, 0)@r4",unsolvable,unsolvable,true',
+            'probe,"twisted@(1, 0)@r5",unsolvable,unsolvable,true',
+            'probe,"twisted@(1, 0)@r6",unsolvable,unsolvable,true',
+            'probe,"twisted@(0, 1)@r4",unsolvable,unsolvable,true',
+            'probe,"twisted@(0, 1)@r5",unsolvable,unsolvable,true',
+            'probe,"twisted@(0, 1)@r6",unsolvable,unsolvable,true',
+            'probe,"twisted@(1, 1)@r4",unsolvable,unsolvable,true',
+            'probe,"twisted@(1, 1)@r5",unsolvable,unsolvable,true',
+            'probe,"twisted@(1, 1)@r6",unsolvable,unsolvable,true',
+            'probe,"untwisted@(1, 1)@r4",unsolvable,unsolvable,true',
+            'probe,"untwisted@(1, 1)@r5",unsolvable,unsolvable,true',
+            'probe,"untwisted@(1, 1)@r6",unsolvable,unsolvable,true',
+            'probe,"untwisted@(-1, -1)@r4",solved,solved,true',
+            'probe,"untwisted@(-1, -1)@r5",solved,solved,true',
+            'probe,"untwisted@(-1, -1)@r6",solved,solved,true',
             "h1,trials,2/2,2/2,true",
         )
         assert text.count("\n") == csv.count("\n") == 39

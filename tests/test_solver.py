@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
@@ -341,11 +342,10 @@ class TestCoboundarySolve:
         ]:
             status = coboundary_solve(target, name, 6).status
             statuses.add(status)
-            block = blocks.pop()
-            assert sorted(keyed[True]) == sorted(block)
-            variables = set().union(*block.values())
-            assert sorted(keyed[False]) == (sorted(variables) if status == "solved" else [])
-            assert len(block) + len(variables) < (2 * 6 + 1) ** 2
+            eqs, edges = blocks.pop()
+            assert sorted(keyed[True]) == sorted(eqs)
+            assert sorted(keyed[False]) == (sorted(edges) if status == "solved" else [])
+            assert len(eqs) + len(edges) < (2 * 6 + 1) ** 2
             keyed[True].clear()
             keyed[False].clear()
         assert statuses == {"solved", "unsolvable"}
@@ -453,15 +453,20 @@ def window_system(op, window, target=None, full_stencil=False):
 
 def _engine_pivots(op, window, full_stencil=False):
     """The pivot columns the gain-graph solver picks on the whole window
-    system: the variables its forest keeps on the column side; on the row side
-    every variable but the last of each balanced component, the components
-    taken from greedy_oracle, as the system's coefficients are Scalars and
-    not gains."""
+    system: the variables its forest keeps on the column side, where each
+    variable's edge holds the reference rows' coefficients in it; on the row
+    side every variable but the last of each balanced component, the
+    components taken from greedy_oracle, as the system's coefficients are
+    Scalars and not gains."""
     eqs, rows = window_system(op, window, full_stencil=full_stencil)
     variables = window_variables(op, window)
-    nodes, edges = solver._graph(op.column_side, {eq: c for eq, (c, _) in zip(eqs, rows)}, variables)
     if op.column_side:
-        return solver._Forest(edges, nodes).kept
+        columns = {v: [] for v in variables}
+        for eq, (coeffs, _) in zip(eqs, rows):
+            for v, c in coeffs.items():
+                columns[v].append((eq, c))
+        return solver._Forest({v: tuple(ends) for v, ends in columns.items()}, eqs).kept
+    edges = {eq: tuple(coeffs.items()) for eq, (coeffs, _) in zip(eqs, rows)}
     _, find = greedy_oracle(edges)
     last = {find(v): v for v in variables if find(v) != find(None)}
     return set(variables) - set(last.values())
@@ -519,16 +524,48 @@ class TestIds:
             assert table.reach == 1
 
     def test_rows_read_the_table(self):
-        # each row, decoded, holds the nonzero window coefficients of the table
+        # each equation's ends, decoded, are the nonzero window coefficients
+        # of its row in the table, in the order of the slot's entries
         for name, op in OPERATORS.items():
             window = 4
             eqs, rows = window_system(op, window, full_stencil=True)
             ids = solver._ids(eqs, window + 1, op.stencil.out_slots)
-            got = solver._rows(op, window, ids)
-            assert len(got) == len(eqs)
-            for (coeffs, _), row in zip(rows, got.values()):
-                keys = solver._keys(row, window, op.stencil.in_slots)
-                assert {k: solver._mul(ONE, g) for k, g in zip(keys, row.values())} == coeffs
+            got = solver._ends(op, window, ids, False)
+            assert list(got) == ids
+            for (coeffs, _), ends in zip(rows, got.values()):
+                keys = solver._keys([v for v, _ in ends], window, op.stencil.in_slots)
+                assert {k: solver._mul(ONE, g) for k, (_, g) in zip(keys, ends)} == coeffs
+                assert len(ends) == len(coeffs)
+
+    def test_ends_transpose(self):
+        # each incidence (variable, equation, gain) is read once off the
+        # variable's readers and once off the equation's row, with the same
+        # gain, and that gain is the reference coefficient
+        for name, op in OPERATORS.items():
+            table = op.stencil
+            for window in range(3, 7):
+                radius = window + table.reach
+                variables = range((2 * window + 1) ** 2 * table.in_slots)
+                equations = range((2 * radius + 1) ** 2 * table.out_slots)
+                columns = Counter(
+                    (v, eq, g)
+                    for v, ends in solver._ends(op, window, variables, True).items()
+                    for eq, g in ends
+                )
+                rows = Counter(
+                    (v, eq, g)
+                    for eq, ends in solver._ends(op, window, equations, False).items()
+                    for v, g in ends
+                )
+                assert columns == rows, (name, window)
+                assert set(rows.values()) == {1}
+                eqs, ref = window_system(op, window)
+                want = {
+                    (v, eq): c
+                    for eq, (coeffs, _) in zip(solver._ids(eqs, radius, table.out_slots), ref)
+                    for v, c in zip(solver._ids(coeffs, window, table.in_slots), coeffs.values())
+                }
+                assert {(v, eq): solver._mul(ONE, g) for v, eq, g in rows} == want
 
 
 class TestWindowType:
@@ -597,14 +634,21 @@ class TestPivotRuleOracle:
     witnesses are those of the reduced echelon form."""
 
     def test_kernel_bases_match_first_row_rule(self, monkeypatch):
+        # the variables of each kernel's gain graph: the forest's edges on
+        # the column side, the potentials' nodes on the row side
         graphs = []
-        graph = solver._graph
+        forest, potentials = solver._Forest, solver._potentials
 
-        def recording(column_side, rows, variables):
-            graphs.append(variables)
-            return graph(column_side, rows, variables)
+        def recording_forest(edges, nodes):
+            graphs.append(list(edges))
+            return forest(edges, nodes)
 
-        monkeypatch.setattr(solver, "_graph", recording)
+        def recording_potentials(nodes, edges):
+            graphs.append(list(nodes))
+            return potentials(nodes, edges)
+
+        monkeypatch.setattr(solver, "_Forest", recording_forest)
+        monkeypatch.setattr(solver, "_potentials", recording_potentials)
         for name in ("twisted_alpha1", "alpha1"):
             op = OPERATORS[name]
             for window in (3, 4, 5, 6):
@@ -739,7 +783,7 @@ class TestTargetBlock:
 
         def recording(*args):
             block = target_block(*args)
-            sizes.append(len(block))
+            sizes.append(len(block[0]))
             return block
 
         monkeypatch.setattr(solver, "_target_block", recording)
