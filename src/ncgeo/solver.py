@@ -49,26 +49,20 @@ equations by slot, then site.  Each has a dense integer id (_ids): a
 variable (slot, (n, m)) of window W is ((n + W)(2W + 1) + m + W) in_slots +
 slot, an equation the same with out_slots on the box of radius W + reach,
 the largest stencil offset, where membership solves impose equations.  Right
-sides and gain graphs are keyed by ids and decoded once per output (_keys).
-They are sorted by an integer key read straight off the id (_order_key): ids
-run by (n, m, slot), so the site's norm in whole boxes plus the id is the
-pivot order, and the slot and the norm in whole site grids plus the site's
-index is the equation order.  One builder reads both sides of a gain graph
-off the stencil's split table (_ends): an equation's ends off its slot's
-rows, a variable's off its slot's readers.  A coefficient is held as its
-gain, the entry's terms at the site as (sign, k) pairs for sign * u**k: one
-pair for a twisted entry, read off the table inline, two for an untwisted
-binomial.  A product or quotient by one pair is one Scalar.shift, and so is
-a walk step x * (-a/b) between two one-pair gains (_ratio); a binomial is
-made a Scalar only to divide.  The potentials are one walk of the gain graph
-(_potentials), each balanced component from its last node, and every closing
-edge is checked on them.  Edge values need the greedy basis of the frame
-matroid in edge order.  As no cycle is unbalanced, a half-edge acts as an
-edge to one extra ground node, and the independent sets are the forests of
-that grounded graph: the greedy basis is the spanning forest of least edge
-positions, which one Prim walk grows (_Forest).  Its steps, walked backwards
-from the leaves, give the witnesses and the circuits, each of which checks
-its own closing edge.
+sides and gain graphs are keyed by ids, decoded once per output (_keys) and
+sorted by an integer key read off the id (_order_key).  An edge's ends are
+read off its side of the stencil's split table by a reader made once per
+call (_ender): a variable's off its slot's readers, an equation's off its
+rows.  A coefficient is held as its gain, the entry's terms at the site as
+(sign, k) pairs for sign * u**k: one pair for a twisted entry, two for an
+untwisted binomial.  A product or quotient by one pair is one Scalar.shift,
+and so is a walk step x * (-a/b) between two one-pair gains (_ratio); a
+binomial is made a Scalar only to divide.  The potentials are one walk of
+the gain graph (_potentials), and every closing edge is checked on them.
+Edge values need the greedy basis of the frame matroid in edge order.  As
+no cycle is unbalanced, it is the spanning forest of least edge positions
+of the graph with one ground node for the half-edges, which one Prim walk
+grows (_Forest).
 
 On the column side the greedy basis is exactly the set of pivot columns
 Gauss-Jordan elimination takes in the pivot order: its pivot columns are the
@@ -91,8 +85,7 @@ every output equals Gauss-Jordan's, byte for byte:
 On the row side, which is for kernels only, the kernel basis is one
 potential per balanced component, normalized to 1 at its last variable.  Any
 other set of a component's variables is independent, so that variable is
-Gauss-Jordan's free one, and the bases are equal.  A membership solve on the
-row side is refused: the preimages of twisted_alpha1 are h1_trivialize's.
+Gauss-Jordan's free one, and the bases are equal.
 
 Every witness is re-checked by one residual pass of the operator against
 the target (`Stencil.residual`), and every certificate against the table's
@@ -104,21 +97,18 @@ A membership solve sets up only the target's connected block: the equations
 reached from the target's support, two equations being connected when both
 hold some variable with a nonzero coefficient.  This cannot change an output:
 an equation outside the block has a zero right side, so it yields neither a
-witness entry nor an inconsistent component.  The block is read around the
-target alone, one ring at a time: the ring's equations lead to their new
-variables and those variables' ends, the block's edges, to the next ring.
-No list of the window's equations or variables is set up.
-Kernel computations still set up every equation, as the nullity needs every
-block.
+witness entry nor an inconsistent component.  The block is one breadth-first
+walk from the target's equations (_target_block): an equation's variables
+come off its rows' offsets, and each new variable's ends, built once, are an
+edge and the next equations.  No list of the window's equations or variables
+is set up; a kernel sets up every equation, as the nullity needs every block.
 
 The second half of the module implements the constructive proof that the
 flip-twisted first cohomology vanishes, as the two phases of `h1_trivialize`:
 
 * phase 1 cancels each row of the first component with a degree-0 cochain
-  supported on that row (_line_walk): one ascending sweep over the row's
-  sites, each parity chain starting at its lowest site n with the gauge
-  gamma[n-1] = 0.  A carry that the next site cancels is met by canonical
-  form and builds nothing, and a zero carry jumps to the chain's next site;
+  supported on that row, one ascending sweep over the row's sites that
+  builds nothing where a carry cancels (_line_walk);
 * phase 2 absorbs the leftover eta of the second component, read on |n| <=
   window, |m| <= window-1, on the rows of the other parity.  Each column of
   the answer obeys rho[n, m+1] = lambda**n (rho[n, m-1] + eta[n, m]), the
@@ -127,29 +117,22 @@ flip-twisted first cohomology vanishes, as the two phases of `h1_trivialize`:
   closed forms.  Its first component vanishes at the interior sites
   because on a cocycle each row of eta obeys eta[w+1] = lambda**(y-1)
   eta[w-1] at |w|, |y| <= window-1, which is twisted_alpha2's interior
-  equation there once the band is clear.  The witness's differential
-  reproduces the input exactly at every interior site of the window.
+  equation there once the band is clear.
 
 The re-check and the input's cocycle check are one residual pass, R =
-twisted_alpha1(gamma) - pair, gamma being phase 1's cochain: it meets each
-term of the image against the input and builds no image.  As twisted_alpha2
-after twisted_alpha1 is zero (the solver tests check the tables),
-twisted_alpha2(pair) = -twisted_alpha2(R).  At the interior sites |n|, |m| <=
-window-1 it reads R.first on the band |n| <= window-1, |m| <= window, one row
-wider than the reported residual, and R.second on |n| <= window, |m| <=
-window-1, minus the leftover.  So when R vanishes on both boxes, the input is
-a cocycle and the pass is the only stencil application.  Otherwise
-twisted_alpha2(pair) is applied before phase 2.  A non-cocycle is refused
-either way with `NotACocycle` at the smallest interior site in site order
-where twisted_alpha2 of the input is nonzero.  This is the only check of the
-input's values: the rows |y| = window of R.second are read by no interior
-equation, and phase 2 never absorbs them.  The refusal's certificate is
-twisted_alpha2's row at the site as four twisted_alpha1 equations.
+twisted_alpha1(gamma) - pair, gamma being phase 1's cochain, which builds no
+image (h1_trivialize).  As twisted_alpha2 after twisted_alpha1 is zero (the
+solver tests check the tables), twisted_alpha2(pair) = -twisted_alpha2(R),
+which at the interior sites |n|, |m| <= window-1 reads R.first on the band
+|n| <= window-1, |m| <= window, one row wider than the reported residual,
+and R.second on |n| <= window, |m| <= window-1, minus the leftover (_boxes).
+The rows |y| = window of R.second are read by no interior equation, and
+phase 2 never absorbs them.
 
 The witness of twisted_alpha1(phi), for a finite phi inside the window, is
 phi, its only finitely supported preimage.  An input with no finite
-preimage gets the tails of the walks, fixed choices that
-change with the window.
+preimage gets the tails of the walks, fixed choices that change with the
+window.
 """
 
 from __future__ import annotations
@@ -310,15 +293,13 @@ def _vanishes(terms, n: int, m: int) -> bool:
     return s1 != s2 and p1 * n + q1 * m + r1 == p2 * n + q2 * m + r2
 
 
-def _ends(op: Operator, window: int, ids, column_side: bool) -> dict[int, tuple]:
-    """The ends (id, gain) of the gain-graph edges ids, keyed as in _ids, each
-    read off its slot's side of the split table.  On the column side an edge
-    is a variable, read off its readers, and its ends are the equations that
-    hold it; on the row side an edge is an equation, read off its rows, and
-    its ends are the variables inside the window that it holds.  The gain is
-    the entry's coefficient at the equation's site (_gain).  An end whose
-    coefficient vanishes is skipped; a one-term entry never vanishes, and
-    its gain is read inline."""
+def _plan(op: Operator, window: int, column_side: bool) -> tuple:
+    """One side of the split table, read once per call: (slots, span,
+    far_span, far_slots, plan), plan holding per slot one (offset, bounds,
+    n, m, one, terms) per entry.  An id at (x, y) from its box's corner has
+    its end at (x far_span + y) far_slots + offset, for the equation at
+    (x + n, y + m), where one = (s, p, q, c) gives a one-term gain (s, px +
+    qy + c).  A row-side end lies in the window for (x, y) in bounds."""
     st = op.stencil
     radius = window + st.reach
     # a variable's equations sit at minus its readers' offsets
@@ -326,27 +307,49 @@ def _ends(op: Operator, window: int, ids, column_side: bool) -> dict[int, tuple]
         (st.readers, window, st.in_slots, radius, st.out_slots, -1) if column_side
         else (st.rows, radius, st.out_slots, window, st.in_slots, 1)
     )
-    span, far_span = 2 * box + 1, 2 * far + 1
-    out = {}
-    for i in ids:
+    far_span, plan = 2 * far + 1, []
+    for entries in table:
+        row = []
+        for o, dn, dm, terms in entries:
+            a, b = way * dn - box, way * dm - box
+            n, m = (a, b) if column_side else (-box, -box)
+            (s, p, q, r), *two = terms
+            row.append((
+                ((a + far) * far_span + b + far) * far_slots + o,
+                None if column_side else (-far - a, far - a, -far - b, far - b),
+                n, m, None if two else (s, 2 * p, 2 * q, 2 * (p * n + q * m + r)), terms,
+            ))
+        plan.append(row)
+    return slots, 2 * box + 1, far_span, far_slots, plan
+
+
+def _ender(op: Operator, window: int, column_side: bool, keep=None) -> Callable[[int], tuple]:
+    """The reader of a gain-graph edge's ends (id, gain), ids keyed as in
+    _ids, off its slot's side of the split table (_plan): on the column
+    side a variable's equations, off its readers, those in keep alone when
+    it is given; on the row side an equation's variables inside the
+    window, off its rows.  The gain is the entry's coefficient at the
+    equation's site (_gain); an end whose coefficient vanishes is skipped."""
+    slots, span, far_span, far_slots, plan = _plan(op, window, column_side)
+
+    def ends(i: int) -> tuple:
         k, slot = divmod(i, slots)
         x, y = divmod(k, span)
-        x, y = x - box, y - box
-        ends = []
-        for o, dn, dm, terms in table[slot]:
-            a, b = x + way * dn, y + way * dm
-            if -far <= a <= far and -far <= b <= far:
-                n, m = (a, b) if column_side else (x, y)
-                if len(terms) == 1:
-                    s, p, q, r = terms[0]
-                    gain = ((s, 2 * (p * n + q * m + r)),)
-                elif _vanishes(terms, n, m):
-                    continue
-                else:
-                    gain = _gain(terms, n, m)
-                ends.append((((a + far) * far_span + b + far) * far_slots + o, gain))
-        out[i] = tuple(ends)
-    return out
+        base, out = (x * far_span + y) * far_slots, []
+        for off, bounds, n, m, one, terms in plan[slot]:
+            e = base + off
+            if bounds and not (bounds[0] <= x <= bounds[1] and bounds[2] <= y <= bounds[3]):
+                continue
+            if keep is not None and e not in keep:
+                continue
+            if one:
+                s, p, q, c = one
+                out.append((e, ((s, p * x + q * y + c),)))
+            elif not _vanishes(terms, x + n, y + m):
+                out.append((e, _gain(terms, x + n, y + m)))
+        return tuple(out)
+
+    return ends
 
 
 def _gain(terms, n: int, m: int) -> tuple:
@@ -384,19 +387,29 @@ def _ratio(x: Scalar, a, b) -> Scalar:
 def _target_block(op: Operator, window: int, goal) -> tuple[list[int], dict[int, tuple]]:
     """The gain graph of the equations connected to the support of the
     target, given by its slots (goal): (equations in equation order,
-    {variable: ends}).  Two equations are connected when both hold a variable
-    with a nonzero coefficient; one ring at a time, the ring's equations lead
-    to their new variables, whose ends are the next ring and the edges."""
-    radius, slots = window + op.stencil.reach, op.stencil.out_slots
-    todo = _ids([(slot, s) for slot, part in enumerate(goal) for s in part.terms], radius, slots)
-    found, edges = set(todo), {}
-    while todo:
-        rows = _ends(op, window, todo, False)
-        new = {v for ends in rows.values() for v, _ in ends} - edges.keys()
-        ring = _ends(op, window, new, True)
-        edges.update(ring)
-        todo = {eq for ends in ring.values() for eq, _ in ends} - found
-        found |= todo
+    {variable: ends}), two equations being connected when both hold a
+    variable with a nonzero coefficient.  One breadth-first walk: an
+    equation's window variables come off its rows' offsets, with no gain,
+    and each new one whose coefficient there does not vanish gets its ends
+    once (_ender), an edge and the next equations."""
+    radius = window + op.stencil.reach
+    slots, span, far_span, far_slots, plan = _plan(op, window, False)
+    read = _ender(op, window, True)
+    queue = _ids([(slot, s) for slot, part in enumerate(goal) for s in part.terms], radius, slots)
+    found, edges = set(queue), {}
+    for eq in queue:
+        k, slot = divmod(eq, slots)
+        x, y = divmod(k, span)
+        base = (x * far_span + y) * far_slots
+        for off, (x0, x1, y0, y1), n, m, one, terms in plan[slot]:
+            v = base + off
+            if (x0 <= x <= x1 and y0 <= y <= y1 and v not in edges
+                    and (one or not _vanishes(terms, x + n, y + m))):
+                edges[v] = e = read(v)
+                for u, _ in e:
+                    if u not in found:
+                        found.add(u)
+                        queue.append(u)
     return sorted(found, key=_order_key(radius, slots, True)), edges
 
 
@@ -570,16 +583,14 @@ def kernel_dimension(operator: str, window: int) -> SolveReport:
     pivot_order = _order_key(window, in_slots, False)
     variables = sorted(range((2 * window + 1) ** 2 * in_slots), key=pivot_order)
     if op.column_side:
-        imposed = set(eqs)
-        edges = {
-            v: tuple(end for end in ends if end[0] in imposed)
-            for v, ends in _ends(op, window, variables, True).items()
-        }
+        read = _ender(op, window, True, set(eqs))
+        edges = {v: read(v) for v in variables}
         forest = _Forest(edges, eqs)
         basis = [forest.circuit(f, ends) for f, ends in edges.items() if f not in forest.kept]
     else:
         # one potential per balanced component, free at its last variable
-        basis = _potentials(variables, _ends(op, window, eqs, False))[::-1]
+        read = _ender(op, window, False)
+        basis = _potentials(variables, {eq: read(eq) for eq in eqs})[::-1]
     basis = tuple(_vector_object(op, window, vec) for vec in basis)
     return SolveReport(op.name, window, "kernel-basis", nullity=len(basis), basis=basis)
 
@@ -726,14 +737,12 @@ def _boxes(psi: LatticeFunctional, pair: CochainPair, window: int):
 def h1_trivialize(pair: CochainPair, window: int) -> SolveReport:
     """Constructive trivialization of a windowed twisted 1-cocycle.
 
-    Phase 1 cancels every first-component row with a line walk
-    (_line_walk), one upward sweep over the row's sites that starts each
-    parity chain at its low end and builds nothing where a carry cancels;
-    phase 2 absorbs what is left of the second component on |n| <= window,
-    |m| <= window-1 with one line walk per column, also upwards, up to y =
-    window (both _walk_rows).  The returned witness psi satisfies
-    twisted_alpha1(psi) = pair exactly at all sites with |n|, |m| <=
-    window-1; the report's residual is that restriction.
+    Phase 1 cancels every first-component row with a line walk, phase 2
+    what is left of the second component on |n| <= window, |m| <= window-1
+    with one line walk per column, up to y = window (_walk_rows).  The
+    returned witness psi satisfies twisted_alpha1(psi) = pair exactly at
+    all sites with |n|, |m| <= window-1; the report's residual is that
+    restriction.
 
     Each pass reads the band and the leftover off one residual pass
     TWISTED_ALPHA1.residual(psi, pair), which is also the re-check.  A pair

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
@@ -530,7 +531,8 @@ class TestIds:
             window = 4
             eqs, rows = window_system(op, window, full_stencil=True)
             ids = solver._ids(eqs, window + 1, op.stencil.out_slots)
-            got = solver._ends(op, window, ids, False)
+            read = solver._ender(op, window, False)
+            got = {eq: read(eq) for eq in ids}
             assert list(got) == ids
             for (coeffs, _), ends in zip(rows, got.values()):
                 keys = solver._keys([v for v, _ in ends], window, op.stencil.in_slots)
@@ -547,16 +549,9 @@ class TestIds:
                 radius = window + table.reach
                 variables = range((2 * window + 1) ** 2 * table.in_slots)
                 equations = range((2 * radius + 1) ** 2 * table.out_slots)
-                columns = Counter(
-                    (v, eq, g)
-                    for v, ends in solver._ends(op, window, variables, True).items()
-                    for eq, g in ends
-                )
-                rows = Counter(
-                    (v, eq, g)
-                    for eq, ends in solver._ends(op, window, equations, False).items()
-                    for v, g in ends
-                )
+                column, row = solver._ender(op, window, True), solver._ender(op, window, False)
+                columns = Counter((v, eq, g) for v in variables for eq, g in column(v))
+                rows = Counter((v, eq, g) for eq in equations for v, g in row(eq))
                 assert columns == rows, (name, window)
                 assert set(rows.values()) == {1}
                 eqs, ref = window_system(op, window)
@@ -746,6 +741,19 @@ def full_system_solve(target, name, window):
     )
 
 
+# solved and refuted blocks of each membership operator
+BLOCK_CASES = [
+    ("twisted_alpha2", d(0, 0), 5),
+    ("twisted_alpha2", d(1, 0) + d(0, 1, MU), 6),
+    ("twisted_alpha2", d(0, 0) - d(0, 2, LAMBDA), 5),
+    ("twisted_alpha2", twisted_alpha2(CochainPair(d(1, 1) + d(-2, 0), d(0, 2, MU))), 6),
+    ("alpha2", d(0, 2, ONE - LAMBDA), 5),
+    ("alpha2", alpha2(CochainPair(d(0, 0) + d(1, 2), d(-1, 1))) + d(1, 1), 6),
+    ("alpha1", CochainPair(d(-1, -1), d(0, 2)), 5),
+    ("alpha1", alpha1(d(1, 1) + d(0, -2)), 6),
+]
+
+
 class TestTargetBlock:
     """Membership solves eliminate only the equations connected to the
     target; the other blocks have a zero right side and cannot matter."""
@@ -800,6 +808,79 @@ class TestTargetBlock:
         assert rep.status == "unsolvable"
         assert sizes == [1, len(twisted_delta_block((0, 0), 32))]
         recombine(rep, d(0, 0), "twisted_alpha2", 32)
+
+    def test_walk_is_the_targets_components(self):
+        # the block is the union of the target's components in the whole
+        # window's gain graph, read off the column reader over every
+        # variable: the same equations, in equation order, and the same
+        # {variable: ends}.  Sites on n = 1 or m = 1 hold vanishing alpha2
+        # coefficients, and twisted supports span several parity classes.
+        rng = random.Random(32)
+        covered = set()
+        for name in ("twisted_alpha2", "alpha2"):
+            op = OPERATORS[name]
+            for window in range(4, 9):
+                radius = window + op.stencil.reach
+                column = solver._ender(op, window, True)
+                graph = {v: column(v) for v in range((2 * window + 1) ** 2 * op.stencil.in_slots)}
+                held = {}
+                for v, ends in graph.items():
+                    for eq, _ in ends:
+                        held.setdefault(eq, []).append(v)
+                for _ in range(8):
+                    sites = set()
+                    for _ in range(rng.randint(1, 4)):
+                        n, m = rng.randint(2 - window, window - 2), rng.randint(2 - window, window - 2)
+                        sites.add(rng.choice([(n, m), (n, m), (1, m), (n, 1)]))
+                    found = solver._ids([(0, s) for s in sites], radius, 1)
+                    variables = set()
+                    for eq in found:
+                        for v in held.get(eq, ()):
+                            if v not in variables:
+                                variables.add(v)
+                                found += [u for u, _ in graph[v] if u not in found]
+                    target = sum((d(n, m, mu_pow(rng.randint(-2, 2))) for n, m in sites), ZF)
+                    eqs, edges = solver._target_block(op, window, cochain_slots(target))
+                    assert eqs == sorted(found, key=solver._order_key(radius, 1, True))
+                    assert edges == {v: graph[v] for v in variables}
+                    covered.add((name, "n = 1 or m = 1", any(1 in s for s in sites)))
+                    covered.add((name, "parity classes", len({(n % 2, m % 2) for n, m in sites}) > 1))
+        assert all((name, what, True) in covered for name in ("twisted_alpha2", "alpha2")
+                   for what in ("n = 1 or m = 1", "parity classes"))
+
+    def test_builds_each_variable_once(self, monkeypatch):
+        # the walk reads an equation's variables off its rows and builds
+        # ends only for the block's variables, each once: refuting the
+        # twisted delta(0, 0) at W = 7 builds 112, where the ring walk also
+        # built the ends of its 77 equations
+        built, blocks = [], []
+        ender, target_block = solver._ender, solver._target_block
+
+        def counting(op, window, column_side, keep=None):
+            read = ender(op, window, column_side, keep)
+
+            def counted(i):
+                built.append((column_side, i))
+                return read(i)
+
+            return counted
+
+        def recording(*args):
+            blocks.append(target_block(*args))
+            return blocks[-1]
+
+        monkeypatch.setattr(solver, "_ender", counting)
+        monkeypatch.setattr(solver, "_target_block", recording)
+        for name, target, window in BLOCK_CASES:
+            for w in (window, 8):
+                del built[:]
+                coboundary_solve(target, name, w)
+                _, edges = blocks.pop()
+                assert {column_side for column_side, _ in built} <= {True}
+                assert sorted(i for _, i in built) == sorted(edges), (name, w)
+        del built[:]
+        assert coboundary_solve(d(0, 0), "twisted_alpha2", 7).status == "unsolvable"
+        assert len(built) == 112
 
     def test_zero_tests_read_the_terms(self):
         tables = [op.stencil for op in OPERATORS.values()] + [
@@ -1687,7 +1768,23 @@ permuted_orders = st.sampled_from(
 
 class TestOrderIndependence:
     """Properties of the reference Gauss-Jordan that hold for any variable
-    order, so no choice of pivot order can trade correctness for speed."""
+    order, so no choice of pivot order can trade correctness for speed, and
+    outputs of the engine that no order of a block's edges changes."""
+
+    @given(st.sampled_from(BLOCK_CASES), st.randoms(use_true_random=False))
+    @no_shrink
+    def test_edge_order_changes_no_output(self, case, rnd):
+        # the walk inserts a block's edges in queue order: the potentials
+        # and the report are the same for any insertion order
+        name, target, window = case
+        nodes, edges = solver._target_block(OPERATORS[name], window, cochain_slots(target))
+        keys = list(edges)
+        rnd.shuffle(keys)
+        shuffled = {v: edges[v] for v in keys}
+        assert solver._potentials(nodes, shuffled) == solver._potentials(nodes, edges)
+        want = coboundary_solve(target, name, window).to_json()
+        with mock.patch.object(solver, "_target_block", lambda *args: (nodes, shuffled)):
+            assert coboundary_solve(target, name, window).to_json() == want
 
     @given(permuted_orders)
     @no_shrink
