@@ -49,16 +49,19 @@ equations by slot, then site.  Each has a dense integer id (_ids): a
 variable (slot, (n, m)) of window W is ((n + W)(2W + 1) + m + W) in_slots +
 slot, an equation the same with out_slots on the box of radius W + reach,
 the largest stencil offset, where membership solves impose equations.  Right
-sides and gain graphs are keyed by ids, decoded once per output (_keys) and
-sorted by an integer key read off the id (_order_key).  An edge's ends are
-read off its side of the stencil's split table by a reader made once per
-call (_ender): a variable's off its slot's readers, an equation's off its
-rows.  A coefficient is held as its gain, the entry's terms at the site as
-(sign, k) pairs for sign * u**k: one pair for a twisted entry, two for an
-untwisted binomial.  A product or quotient by one pair is one Scalar.shift,
-and so is a walk step x * (-a/b) between two one-pair gains (_ratio); a
-binomial is made a Scalar only to divide.  The potentials are one walk of
-the gain graph (_potentials), and every closing edge is checked on them.
+sides and gain graphs are keyed by ids and decoded once per output (_keys).
+Only what an output lists is sorted, by an integer key read off the id
+(_order_key): a certificate's equations, and a kernel's or a witness's
+variables.  An edge's ends are read off its side of the stencil's split
+table by a reader made once per call (_ender): a variable's off its slot's
+readers, an equation's off its rows.  A coefficient is held as its gain,
+the entry's terms at the site as (sign, k) pairs for sign * u**k: one pair
+for a twisted entry, two for an untwisted binomial.  A product or quotient
+by one pair is one Scalar.shift.  A potential is held lazily as (x, k,
+sign), sign * u**k * x, so a walk step x * (-a/b) between two one-pair
+gains is integer arithmetic (_step), and a binomial is made a Scalar only
+to divide.  The potentials are one walk of the gain graph, and every
+closing edge is checked on them as canonical forms (_balanced).
 Edge values need the greedy basis of the frame matroid in edge order.  As
 no cycle is unbalanced, it is the spanning forest of least edge positions
 of the graph with one ground node for the half-edges, which one Prim walk
@@ -80,7 +83,9 @@ every output equals Gauss-Jordan's, byte for byte:
   component always cancel with nonzero multipliers, so a variable held by
   one of them is held by two, and the last is never the first to hold it.
   Of the inconsistent components, the one whose last equation comes first
-  is reported, as Gauss-Jordan's first bad row.
+  is reported, as Gauss-Jordan's first bad row.  Pairing a potential with
+  the right side is scale-invariant, so the lazy values decide, and only
+  the reported one is made Scalars.
 
 On the row side, which is for kernels only, the kernel basis is one
 potential per balanced component, normalized to 1 at its last variable.  Any
@@ -98,10 +103,13 @@ reached from the target's support, two equations being connected when both
 hold some variable with a nonzero coefficient.  This cannot change an output:
 an equation outside the block has a zero right side, so it yields neither a
 witness entry nor an inconsistent component.  The block is one breadth-first
-walk from the target's equations (_target_block): an equation's variables
-come off its rows' offsets, and each new variable's ends, built once, are an
-edge and the next equations.  No list of the window's equations or variables
-is set up; a kernel sets up every equation, as the nullity needs every block.
+walk per component from the target's equations (_target_block), and it is
+the solve's only walk: an equation's variables come off its rows' offsets,
+and each new variable's ends, built once, are an edge and the next
+equations.  The walk carries the potentials, and the key of each equation
+it decodes gives the component's root, its last equation.  No list of the
+window's equations or variables is set up; a kernel sets up every equation,
+unsorted, as the nullity needs every block.
 
 The second half of the module implements the constructive proof that the
 flip-twisted first cohomology vanishes, as the two phases of `h1_trivialize`:
@@ -266,10 +274,11 @@ def _order_key(radius: int, slots: int, eq: bool) -> Callable[[int], int]:
 
 def _equations(op: Operator, window: int) -> list[int]:
     """The ids of the equations whose stencil reads all of its input sites
-    inside the window, in equation order.  Every table entry counts, also
-    where its coefficient vanishes at that site.  The condition splits by
-    coordinate, so the sites of a slot form the box its offsets' extremes
-    leave inside the window: one run of ids per n, sorted by _order_key."""
+    inside the window, unsorted: a kernel reads them as a set and as forest
+    roots.  Every table entry counts, also where its coefficient vanishes at
+    that site.  The condition splits by coordinate, so the sites of a slot
+    form the box its offsets' extremes leave inside the window: one run of
+    ids per n."""
     radius, slots = window + op.stencil.reach, op.stencil.out_slots
     span = 2 * radius + 1
     ids: list[int] = []
@@ -279,7 +288,6 @@ def _equations(op: Operator, window: int) -> list[int]:
         for n in range(-window - min(dns), window - max(dns) + 1):
             base = (n + radius) * span
             ids += range((base + lo) * slots + slot, (base + hi + 1) * slots, slots)
-    ids.sort(key=_order_key(radius, slots, True))
     return ids
 
 
@@ -375,42 +383,80 @@ def _div(x: Scalar, gain) -> Scalar:
     return x / _mul(ONE, gain)
 
 
-def _ratio(x: Scalar, a, b) -> Scalar:
-    """x times -a/b for gains a and b: one Scalar.shift when both are one
-    pair."""
-    if len(a) == 1 and len(b) == 1:
+def _step(p: tuple, a, b) -> tuple:
+    """The potential across an edge ((u, a), (v, b)), p[v] = p[u] * -a/b,
+    each held lazily as (x, k, sign) for sign * u**k * x: integer arithmetic
+    between two one-pair gains, one Scalar made for a binomial."""
+    x, k, s = p
+    if len(a) == 1 == len(b):
         (sa, ka), (sb, kb) = a[0], b[0]
-        return x.shift(ka - kb, -sa * sb)
-    return _div(_mul(x, a, -1), b)
+        return x, k + ka - kb, -s * sa * sb
+    return _div(_mul(_value(p), a, -1), b), 0, 1
 
 
-def _target_block(op: Operator, window: int, goal) -> tuple[list[int], dict[int, tuple]]:
-    """The gain graph of the equations connected to the support of the
-    target, given by its slots (goal): (equations in equation order,
-    {variable: ends}), two equations being connected when both hold a
-    variable with a nonzero coefficient.  One breadth-first walk: an
+def _value(p: tuple) -> Scalar:
+    """A lazy potential (x, k, sign) as one Scalar, x itself when k and sign
+    leave it."""
+    x, k, s = p
+    return x if k == 0 and s == 1 else x.shift(k, s)
+
+
+def _balanced(p: dict, closing: list) -> None:
+    """Check that every closing edge ((u, a), (v, b)) of a component holds on
+    its lazy potentials p, the step from u landing on p[v], compared as
+    canonical forms (_cancels): else the gain graph has an unbalanced
+    cycle."""
+    for (u, a), (v, b) in closing:
+        (x, i, s), (y, j, t) = _step(p[u], a, b), p[v]
+        if not _cancels(x, i, s, y, j, -t):
+            raise RuntimeError("the gain graph has an unbalanced cycle")
+
+
+def _target_block(op: Operator, window: int, starts) -> tuple[dict[int, tuple], list[tuple]]:
+    """The gain graph of the equations connected to the target's equation
+    ids (starts), two equations being connected when both hold a variable
+    with a nonzero coefficient, as {variable: ends}, and its balanced
+    components (key, root, p): the root is the component's last equation,
+    key its _order_key, and p holds its lazy potentials (_step), from its
+    first equation met.  One breadth-first walk per component: an
     equation's window variables come off its rows' offsets, with no gain,
     and each new one whose coefficient there does not vanish gets its ends
-    once (_ender), an edge and the next equations."""
+    once (_ender), a tree step, a closing edge or a half-edge.  A component
+    without a half-edge has its closing edges checked (_balanced)."""
     radius = window + op.stencil.reach
     slots, span, far_span, far_slots, plan = _plan(op, window, False)
-    read = _ender(op, window, True)
-    queue = _ids([(slot, s) for slot, part in enumerate(goal) for s in part.terms], radius, slots)
-    found, edges = set(queue), {}
-    for eq in queue:
-        k, slot = divmod(eq, slots)
-        x, y = divmod(k, span)
-        base = (x * far_span + y) * far_slots
-        for off, (x0, x1, y0, y1), n, m, one, terms in plan[slot]:
-            v = base + off
-            if (x0 <= x <= x1 and y0 <= y <= y1 and v not in edges
-                    and (one or not _vanishes(terms, x + n, y + m))):
-                edges[v] = e = read(v)
-                for u, _ in e:
-                    if u not in found:
-                        found.add(u)
-                        queue.append(u)
-    return sorted(found, key=_order_key(radius, slots, True)), edges
+    read, cells = _ender(op, window, True), span * span
+    edges, balanced, seen = {}, [], set()
+    for start in starts:
+        if start in seen:
+            continue
+        p, queue, closing, full, top = {start: (ONE, 0, 1)}, [start], [], False, -1
+        for eq in queue:
+            k, slot = divmod(eq, slots)
+            x, y = divmod(k, span)
+            key = (slot * span + abs(x - radius) + abs(y - radius)) * cells + k
+            if key > top:
+                top, root = key, eq
+            base, here = (x * far_span + y) * far_slots, p[eq]
+            for off, (x0, x1, y0, y1), n, m, one, terms in plan[slot]:
+                v = base + off
+                if (x0 <= x <= x1 and y0 <= y <= y1 and v not in edges
+                        and (one or not _vanishes(terms, x + n, y + m))):
+                    edges[v] = e = read(v)
+                    if len(e) == 1:
+                        full = True
+                        continue
+                    end, far = e if e[0][0] == eq else e[::-1]
+                    if far[0] in p:
+                        closing.append((end, far))
+                    else:
+                        p[far[0]] = _step(here, end[1], far[1])
+                        queue.append(far[0])
+        seen.update(p)
+        if not full:
+            _balanced(p, closing)
+            balanced.append((top, root, p))
+    return edges, balanced
 
 
 class _Forest:
@@ -493,10 +539,9 @@ class _Forest:
 def _potentials(nodes: list, edges: dict) -> list[dict]:
     """One potential per balanced component of a gain graph, 1 at its root,
     its last node in nodes, roots taken from the end backwards: one walk over
-    the component's edges, one _ratio per tree step.  As it is unique up to
+    the component's edges, one _step per tree step.  As it is unique up to
     scale, the tree does not matter.  A component holding a half-edge gets
-    none; in the others every closing edge must hold, compared as canonical
-    forms between one-pair gains, or the gain graph has an unbalanced cycle."""
+    none; in the others every closing edge must hold (_balanced)."""
     incident: dict = {}
     for key, ends in edges.items():
         for v, _ in ends:
@@ -505,7 +550,7 @@ def _potentials(nodes: list, edges: dict) -> list[dict]:
     for root in reversed(nodes):
         if root in seen:
             continue
-        p, queue, closing, full = {root: ONE}, [root], [], False
+        p, queue, closing, full = {root: (ONE, 0, 1)}, [root], [], False
         for u in queue:
             for key in incident.get(u, ()):
                 if key in walked:
@@ -519,15 +564,12 @@ def _potentials(nodes: list, edges: dict) -> list[dict]:
                 if far[0] in p:
                     closing.append((end, far))
                 else:
-                    p[far[0]] = _ratio(p[u], end[1], far[1])
+                    p[far[0]] = _step(p[u], end[1], far[1])
                     queue.append(far[0])
         seen.update(p)
         if not full:
-            for (u, a), (v, b) in closing:
-                if not (_cancels(p[u], a[0][1], a[0][0], p[v], b[0][1], b[0][0])
-                        if len(a) == 1 == len(b) else _ratio(p[u], a, b) == p[v]):
-                    raise RuntimeError("the gain graph has an unbalanced cycle")
-            potentials.append(p)
+            _balanced(p, closing)
+            potentials.append({v: _value(q) for v, q in p.items()})
     return potentials
 
 
@@ -648,27 +690,39 @@ def coboundary_solve(target, operator: str, window: int) -> SolveReport:
     if any(abs(n) > window - 2 or abs(m) > window - 2 for n, m in sites):
         raise ValueError("target support must stay 2 sites clear of the window edge")
 
-    nodes, edges = _target_block(op, window, parts)
     radius, slots = window + op.stencil.reach, op.stencil.out_slots
     goal = {(slot, s): c for slot, part in enumerate(parts) for s, c in part.terms.items()}
     rhs = dict(zip(_ids(goal, radius, slots), goal.values()))
+    edges, balanced = _target_block(op, window, rhs)
 
     # a balanced component's potential is its one combination with a zero
-    # left side; the walk yields them from the last equation backwards, so
-    # the last inconsistent one met is the first by last equation
-    certificate = None
-    for p in _potentials(nodes, edges):
-        if sum((p[eq] * r for eq, r in rhs.items() if eq in p), ZERO):
-            certificate = p
-    if certificate is not None:
-        eqs = [eq for eq in nodes if certificate.get(eq)]
-        certificate = tuple(zip(_keys(eqs, radius, slots), map(certificate.get, eqs)))
+    # left side; pairing it with the right side is scale-invariant, so the
+    # lazy values decide, and the inconsistent one whose root comes first
+    # is reported, 1 at its root
+    bad = []
+    for key, root, p in balanced:
+        total = ZERO
+        for eq, r in rhs.items():
+            if eq in p:
+                x, k, s = p[eq]
+                t = x._mul_shift(r, k)
+                total = total + t if s == 1 else total - t
+        if total:
+            bad.append((key, root, p))
+    if bad:
+        _, root, p = min(bad)
+        xr, kr, sr = p[root]
+        eqs = sorted(p, key=_order_key(radius, slots, True))
+        certificate = tuple(zip(_keys(eqs, radius, slots), [
+            _value((ONE if x is xr else x / xr, k - kr, s * sr)) for x, k, s in map(p.get, eqs)
+        ]))
         _recheck(op, window, certificate, parts)
         return SolveReport(op.name, window, "unsolvable", certificate=certificate)
 
-    # only a witness reads the forest, and so the pivot order of its edges
+    # only a witness reads the forest, and so the pivot order of its edges;
+    # a balanced component needs one root, which cannot change its values
     pivot_order = _order_key(window, op.stencil.in_slots, False)
-    forest = _Forest({v: edges[v] for v in sorted(edges, key=pivot_order)}, nodes)
+    forest = _Forest({v: edges[v] for v in sorted(edges, key=pivot_order)}, [c[1] for c in balanced])
     witness = _vector_object(op, window, forest.edge_values(rhs))
     residual = cochain_from_slots(
         [LatticeFunctional._of(t) for t in op.stencil.residual(witness, target)]

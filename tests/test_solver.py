@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 from unittest import mock
@@ -88,6 +89,18 @@ def clean(f):
         type(n) is int and type(m) is int and type(c) is Scalar and c.n[0] and c.n[-1]
         for (n, m), c in f.terms.items()
     )
+
+
+def block_starts(op, window, target):
+    """The ids of the target's equations, where a membership walk starts."""
+    parts = cochain_slots(target)
+    keys = [(slot, s) for slot, part in enumerate(parts) for s in part.terms]
+    return solver._ids(keys, window + op.stencil.reach, op.stencil.out_slots)
+
+
+def block_equations(starts, edges):
+    """The equations of a membership block: its starts and its edges' ends."""
+    return set(starts) | {eq for ends in edges.values() for eq, _ in ends}
 
 
 def random_functional(rng, radius=3, size=4):
@@ -307,8 +320,9 @@ class TestCoboundarySolve:
     def test_never_sets_up_the_whole_window(self, monkeypatch):
         # a membership system is read off the table around the target alone:
         # no list of the window's equations is made, and the only ids ever
-        # keyed for sorting are the block's equations and, for a witness
-        # alone, its rows' variables: a refutation keys no variable
+        # keyed for sorting are, for a refutation, its certificate's
+        # equations and, for a witness, its block's variables: a refutation
+        # keys no variable and a witness no equation
         def whole_window(*args, **kwargs):
             raise AssertionError("whole-window set-up")
 
@@ -337,16 +351,25 @@ class TestCoboundarySolve:
             ("twisted_alpha2", d(0, 0)),
             ("twisted_alpha2", d(0, 0) - d(0, 2, LAMBDA)),
             ("alpha2", d(1, 1)),
+            ("alpha2", d(1, 1) + d(0, 2)),
             ("alpha2", d(0, 2)),
             ("alpha1", CochainPair(ZF, d(1, 1))),
             ("alpha1", alpha1(d(1, 1))),
         ]:
-            status = coboundary_solve(target, name, 6).status
-            statuses.add(status)
-            eqs, edges = blocks.pop()
-            assert sorted(keyed[True]) == sorted(eqs)
-            assert sorted(keyed[False]) == (sorted(edges) if status == "solved" else [])
-            assert len(eqs) + len(edges) < (2 * 6 + 1) ** 2
+            rep = coboundary_solve(target, name, 6)
+            statuses.add(rep.status)
+            edges, _ = blocks.pop()
+            if rep.status == "unsolvable":
+                table = OPERATORS[name].stencil
+                keys = [key for key, _ in rep.certificate]
+                certified = solver._ids(keys, 6 + table.reach, table.out_slots)
+                assert sorted(keyed[True]) == sorted(certified)
+                assert keyed[False] == []
+            else:
+                assert keyed[True] == []
+                assert sorted(keyed[False]) == sorted(edges)
+            starts = block_starts(OPERATORS[name], 6, target)
+            assert len(block_equations(starts, edges)) + len(edges) < (2 * 6 + 1) ** 2
             keyed[True].clear()
             keyed[False].clear()
         assert statuses == {"solved", "unsolvable"}
@@ -509,9 +532,12 @@ class TestIds:
                             assert len({key(i) for i in reversed(ids)}) == len(ids)
                             by_key = sorted(reversed(ids), key=key)
                             assert solver._keys(by_key, radius, slots) == sorted(keys, key=order)
-                # the window's equations come out in equation order, each
-                # id once
-                assert eq_keys == sorted(eq_keys, key=equation_order)
+                # the window's equations come out each id once, unsorted,
+                # and in equation order once sorted by their integer key
+                by_key = sorted(eqs, key=solver._order_key(window + 1, op.stencil.out_slots, True))
+                assert solver._keys(by_key, window + 1, op.stencil.out_slots) == sorted(
+                    eq_keys, key=equation_order
+                )
                 assert len(set(eqs)) == len(eqs)
                 assert solver._ids(eq_keys, window + 1, op.stencil.out_slots) == eqs
 
@@ -650,6 +676,7 @@ class TestPivotRuleOracle:
                 var_order = window_variables(op, window)
                 eqs, rows = window_system(op, window, full_stencil=True)
                 ids = solver._equations(op, window)
+                ids.sort(key=solver._order_key(window + 1, op.stencil.out_slots, True))
                 assert solver._keys(ids, window + 1, op.stencil.out_slots) == eqs
                 pivots, rows = first_row_gauss_jordan(rows, var_order)
                 assert set(pivots) == _engine_pivots(op, window, full_stencil=True)
@@ -791,7 +818,7 @@ class TestTargetBlock:
 
         def recording(*args):
             block = target_block(*args)
-            sizes.append(len(block[0]))
+            sizes.append(len(block_equations(args[2], block[0])))
             return block
 
         monkeypatch.setattr(solver, "_target_block", recording)
@@ -812,15 +839,19 @@ class TestTargetBlock:
     def test_walk_is_the_targets_components(self):
         # the block is the union of the target's components in the whole
         # window's gain graph, read off the column reader over every
-        # variable: the same equations, in equation order, and the same
-        # {variable: ends}.  Sites on n = 1 or m = 1 hold vanishing alpha2
-        # coefficients, and twisted supports span several parity classes.
+        # variable: the same {variable: ends} and equations, and one
+        # balanced component per connected set of equations without a
+        # half-edge, in the order of the target's equations, with its last
+        # equation in equation order as its root.  Sites on n = 1 or m = 1
+        # hold vanishing alpha2 coefficients, and twisted supports span
+        # several parity classes.
         rng = random.Random(32)
         covered = set()
         for name in ("twisted_alpha2", "alpha2"):
             op = OPERATORS[name]
             for window in range(4, 9):
                 radius = window + op.stencil.reach
+                key = solver._order_key(radius, 1, True)
                 column = solver._ender(op, window, True)
                 graph = {v: column(v) for v in range((2 * window + 1) ** 2 * op.stencil.in_slots)}
                 held = {}
@@ -832,21 +863,54 @@ class TestTargetBlock:
                     for _ in range(rng.randint(1, 4)):
                         n, m = rng.randint(2 - window, window - 2), rng.randint(2 - window, window - 2)
                         sites.add(rng.choice([(n, m), (n, m), (1, m), (n, 1)]))
-                    found = solver._ids([(0, s) for s in sites], radius, 1)
-                    variables = set()
-                    for eq in found:
-                        for v in held.get(eq, ()):
-                            if v not in variables:
-                                variables.add(v)
-                                found += [u for u, _ in graph[v] if u not in found]
-                    target = sum((d(n, m, mu_pow(rng.randint(-2, 2))) for n, m in sites), ZF)
-                    eqs, edges = solver._target_block(op, window, cochain_slots(target))
-                    assert eqs == sorted(found, key=solver._order_key(radius, 1, True))
+                    starts = solver._ids([(0, s) for s in sites], radius, 1)
+                    want, variables = [], set()
+                    for start in starts:
+                        if any(start in nodes for nodes, _ in want):
+                            continue
+                        found, full = [start], False
+                        for eq in found:
+                            for v in held.get(eq, ()):
+                                if v not in variables:
+                                    variables.add(v)
+                                    full |= len(graph[v]) == 1
+                                    found += [u for u, _ in graph[v] if u not in found]
+                        want.append((set(found), full))
+                    edges, components = solver._target_block(op, window, starts)
                     assert edges == {v: graph[v] for v in variables}
+                    assert block_equations(starts, edges) == set().union(*(nodes for nodes, _ in want))
+                    assert [set(p) for _, _, p in components] == [
+                        nodes for nodes, full in want if not full
+                    ]
+                    for top, root, p in components:
+                        assert root == max(p, key=key) and top == key(root)
                     covered.add((name, "n = 1 or m = 1", any(1 in s for s in sites)))
                     covered.add((name, "parity classes", len({(n % 2, m % 2) for n, m in sites}) > 1))
         assert all((name, what, True) in covered for name in ("twisted_alpha2", "alpha2")
                    for what in ("n = 1 or m = 1", "parity classes"))
+
+    def test_walk_carries_the_potentials(self):
+        # the lazy values of a balanced component, divided by their root's,
+        # are the potential _potentials walks from that root, and every edge
+        # holds on them; a component with a half-edge is not returned
+        for name, target, window in BLOCK_CASES:
+            for w in (window, 8):
+                op = OPERATORS[name]
+                starts = block_starts(op, w, target)
+                edges, components = solver._target_block(op, w, starts)
+                nodes = sorted(
+                    block_equations(starts, edges),
+                    key=solver._order_key(w + op.stencil.reach, op.stencil.out_slots, True),
+                )
+                walked = {next(iter(p)): p for p in solver._potentials(nodes, edges)}
+                assert sorted(walked) == sorted(root for _, root, _ in components)
+                for _, root, p in components:
+                    scale = solver._value(p[root])
+                    assert {eq: solver._value(q) / scale for eq, q in p.items()} == walked[root]
+                    for ends in edges.values():
+                        if ends[0][0] in p:
+                            total = sum((solver._mul(solver._value(p[eq]), g) for eq, g in ends), ZERO)
+                            assert total == ZERO, (name, w)
 
     def test_builds_each_variable_once(self, monkeypatch):
         # the walk reads an equation's variables off its rows and builds
@@ -875,7 +939,7 @@ class TestTargetBlock:
             for w in (window, 8):
                 del built[:]
                 coboundary_solve(target, name, w)
-                _, edges = blocks.pop()
+                edges, _ = blocks.pop()
                 assert {column_side for column_side, _ in built} <= {True}
                 assert sorted(i for _, i in built) == sorted(edges), (name, w)
         del built[:]
@@ -1623,11 +1687,12 @@ class TestWalkWork:
         assert work(lambda: coboundary_solve(d(0, 0) - d(0, 2, LAMBDA), "twisted_alpha2", 5)) == 1
 
     def test_refutation_builds_few_scalars(self, monkeypatch):
-        # one _ratio per tree step, the closing edges compared and the
-        # certificate met without building its contributions: refuting the
-        # twisted delta(0, 0) at W = 7 builds 79 Scalars, where the forest's
-        # potentials, their balance checks through _ratio and the summed
-        # re-check built 339
+        # the walk carries its potentials as shifts of one Scalar, the
+        # closing edges compared and the certificate met without building
+        # its contributions: refuting the twisted delta(0, 0) at W = 7
+        # builds 78 Scalars, one per certificate multiplier but the root's,
+        # where the forest's potentials, their balance checks through
+        # _ratio and the summed re-check built 339
         built = 0
         raw = Scalar._raw.__func__
 
@@ -1639,6 +1704,44 @@ class TestWalkWork:
         monkeypatch.setattr(Scalar, "_raw", classmethod(counting))
         assert coboundary_solve(d(0, 0), "twisted_alpha2", 7).status == "unsolvable"
         assert built <= 80
+
+    def test_witness_builds_no_potential(self, monkeypatch):
+        # a solved twisted solve pairs its lazy potentials with the right
+        # side and never builds one: the walk makes no Scalar, and no lazy
+        # value is made one.  This solve builds 55 Scalars, where a second
+        # walk that built every potential made 336
+        rng = random.Random(7)
+        built = {"walk": 0, "value": 0, "all": 0}
+        where = []
+        raw = Scalar._raw.__func__
+        target_block, value = solver._target_block, solver._value
+
+        def counting(cls, *args):
+            built["all"] += 1
+            for name in where:
+                built[name] += 1
+            return raw(cls, *args)
+
+        def inside(name, run):
+            def wrapped(*args):
+                where.append(name)
+                try:
+                    return run(*args)
+                finally:
+                    where.pop()
+
+            return wrapped
+
+        monkeypatch.setattr(Scalar, "_raw", classmethod(counting))
+        monkeypatch.setattr(solver, "_target_block", inside("walk", target_block))
+        monkeypatch.setattr(solver, "_value", inside("value", value))
+        source = CochainPair(random_functional(rng, radius=4), random_functional(rng, radius=4))
+        target = twisted_alpha2(source)
+        built.update(walk=0, value=0, all=0)
+        assert coboundary_solve(target, "twisted_alpha2", 7).status == "solved"
+        assert len(target.terms) > 10
+        assert built["walk"] == built["value"] == 0
+        assert 0 < built["all"] <= 60
 
 
 class TestMonomialGains:
@@ -1777,14 +1880,93 @@ class TestOrderIndependence:
         # the walk inserts a block's edges in queue order: the potentials
         # and the report are the same for any insertion order
         name, target, window = case
-        nodes, edges = solver._target_block(OPERATORS[name], window, cochain_slots(target))
+        op = OPERATORS[name]
+        starts = block_starts(op, window, target)
+        edges, components = solver._target_block(op, window, starts)
+        nodes = sorted(
+            block_equations(starts, edges),
+            key=solver._order_key(window + op.stencil.reach, op.stencil.out_slots, True),
+        )
         keys = list(edges)
         rnd.shuffle(keys)
         shuffled = {v: edges[v] for v in keys}
         assert solver._potentials(nodes, shuffled) == solver._potentials(nodes, edges)
         want = coboundary_solve(target, name, window).to_json()
-        with mock.patch.object(solver, "_target_block", lambda *args: (nodes, shuffled)):
+        with mock.patch.object(solver, "_target_block", lambda *args: (shuffled, components)):
             assert coboundary_solve(target, name, window).to_json() == want
+
+    def test_equation_and_term_order_change_no_byte(self, monkeypatch):
+        # a kernel reads _equations' ids as a set and as forest roots, and a
+        # membership solve starts a component at each of the target's
+        # equations in turn: reversing or shuffling the ids, or reversing
+        # the order the target's terms were inserted in, changes no byte
+        rng = random.Random(33)
+        equations = solver._equations
+        kernels = {
+            (name, window): json.dumps(kernel_dimension(name, window).to_json())
+            for name in OPERATORS for window in (3, 4, 6)
+        }
+        for reorder in (lambda ids: ids[::-1], lambda ids: rng.sample(ids, len(ids))):
+            monkeypatch.setattr(solver, "_equations", lambda *args: reorder(equations(*args)))
+            for (name, window), want in kernels.items():
+                assert json.dumps(kernel_dimension(name, window).to_json()) == want, (name, window)
+        monkeypatch.undo()
+
+        def reversed_terms(target):
+            return cochain_from_slots(
+                [LatticeFunctional(dict(reversed(part.terms.items()))) for part in cochain_slots(target)]
+            )
+
+        statuses = set()
+        cases = BLOCK_CASES + [
+            ("twisted_alpha2", d(1, 1) + d(0, 1, MU) + d(1, 0, LAMBDA) + d(0, 0), 5),
+            ("twisted_alpha2", d(0, 0) + d(0, 2, LAMBDA) + d(2, 0), 6),
+            ("alpha2", d(1, 1) + d(0, 2) + d(1, -1) + d(-1, 1, MU), 6),
+            ("alpha1", CochainPair(d(1, 0) + d(-1, -1), d(0, 1) + d(2, 2, MU)), 5),
+        ]
+        for name, target, window in cases:
+            flipped = reversed_terms(target)
+            assert flipped == target
+            assert [list(p.terms) for p in cochain_slots(flipped)] == [
+                list(p.terms)[::-1] for p in cochain_slots(target)
+            ]
+            rep = coboundary_solve(target, name, window)
+            statuses.add(rep.status)
+            assert json.dumps(coboundary_solve(flipped, name, window).to_json()) == json.dumps(
+                rep.to_json()
+            ), (name, window)
+        assert statuses == {"solved", "unsolvable"}
+
+    def test_potential_scale_changes_no_output(self):
+        # a component's potential is unique up to scale: pairing it with the
+        # right side does not see the scale, and the certificate is 1 at its
+        # root, so rescaling the walk's lazy values by -u**3, which keeps
+        # each x, or by (1 + u)/2, which makes each x its own, changes no
+        # byte, and neither does holding every other value as (-x, k, -s).
+        # The real tables only ever carry the sign +1.
+        half = (ONE + MU) * HALF
+        cases = BLOCK_CASES + [
+            ("twisted_alpha2", d(1, 1) + d(0, 1, MU) + d(1, 0, LAMBDA) + d(0, 0), 5),
+            ("alpha2", d(1, 1) + d(0, 2) + d(-1, 1, MU), 6),
+            ("alpha1", CochainPair(d(1, 0) + d(-1, -1), d(0, 1) + d(2, 2, MU)), 5),
+        ]
+        target_block = solver._target_block
+        for rescale in (
+            lambda i, x, k, s: (x, k + 3, -s),
+            lambda i, x, k, s: (x * half, k, s),
+            lambda i, x, k, s: (-x, k, -s) if i % 2 else (x, k, s),
+        ):
+            def rescaled(*args):
+                edges, balanced = target_block(*args)
+                return edges, [
+                    (key, root, {eq: rescale(i, *q) for i, (eq, q) in enumerate(p.items())})
+                    for key, root, p in balanced
+                ]
+
+            for name, target, window in cases:
+                want = json.dumps(coboundary_solve(target, name, window).to_json())
+                with mock.patch.object(solver, "_target_block", rescaled):
+                    assert json.dumps(coboundary_solve(target, name, window).to_json()) == want
 
     @given(permuted_orders)
     @no_shrink
