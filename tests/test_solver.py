@@ -1690,9 +1690,7 @@ class TestWalkWork:
         # the walk carries its potentials as shifts of one Scalar, the
         # closing edges compared and the certificate met without building
         # its contributions: refuting the twisted delta(0, 0) at W = 7
-        # builds 78 Scalars, one per certificate multiplier but the root's,
-        # where the forest's potentials, their balance checks through
-        # _ratio and the summed re-check built 339
+        # builds 78 Scalars, one per certificate multiplier but the root's
         built = 0
         raw = Scalar._raw.__func__
 
@@ -1708,8 +1706,7 @@ class TestWalkWork:
     def test_witness_builds_no_potential(self, monkeypatch):
         # a solved twisted solve pairs its lazy potentials with the right
         # side and never builds one: the walk makes no Scalar, and no lazy
-        # value is made one.  This solve builds 55 Scalars, where a second
-        # walk that built every potential made 336
+        # value is made one.  This solve builds 55 Scalars in all
         rng = random.Random(7)
         built = {"walk": 0, "value": 0, "all": 0}
         where = []
