@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import math
+import os
 import random
 import sys
 
@@ -52,15 +53,23 @@ DESIGN_HEADER = {
 
 
 def _emit(payload: str, out_path: str | None) -> None:
-    """Write the report; a path that cannot be written is a usage error."""
-    if not out_path:
-        sys.stdout.write(payload)
-        return
+    """Write the report to --out or, flushed, to stdout; a destination that
+    cannot be written is a usage error.  A failed stdout is pointed at the
+    null device, so that the flush at exit fails no more."""
     try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        if out_path:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        else:
+            sys.stdout.write(payload)
+            sys.stdout.flush()
     except OSError as exc:
-        sys.stderr.write(f"ncgeo: cannot write --out {out_path}: {exc.strerror or exc}\n")
+        if not out_path:
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+        where = f"--out {out_path}" if out_path else "stdout"
+        sys.stderr.write(f"ncgeo: cannot write {where}: {exc.strerror or exc}\n")
         raise SystemExit(2) from None
 
 

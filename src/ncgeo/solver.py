@@ -60,8 +60,9 @@ for a twisted entry, two for an untwisted binomial.  A product or quotient
 by one pair is one Scalar.shift.  A potential is held lazily as (x, k,
 sign), sign * u**k * x, so a walk step x * (-a/b) between two one-pair
 gains is integer arithmetic (_step), and a binomial is made a Scalar only
-to divide.  The potentials are one walk of the gain graph, and every
-closing edge is checked on them as canonical forms (_balanced).
+to divide.  The potentials come from one walk of the gain graph on either
+side (_target_block), and every closing edge is checked on them as
+canonical forms (_balanced).
 Edge values need the greedy basis of the frame matroid in edge order.  As
 no cycle is unbalanced, it is the spanning forest of least edge positions
 of the graph with one ground node for the half-edges, which one Prim walk
@@ -90,7 +91,10 @@ every output equals Gauss-Jordan's, byte for byte:
 On the row side, which is for kernels only, the kernel basis is one
 potential per balanced component, normalized to 1 at its last variable.  Any
 other set of a component's variables is independent, so that variable is
-Gauss-Jordan's free one, and the bases are equal.
+Gauss-Jordan's free one, and the bases are equal.  The walk's nodes are then
+the variables and its edges the full-stencil equations, and it starts from
+every variable in descending pivot order, so it meets each component first
+at its last variable, where the potential is 1.
 
 Every witness is re-checked by one residual pass of the operator against
 the target (`Stencil.residual`), and every certificate against the table's
@@ -106,10 +110,12 @@ witness entry nor an inconsistent component.  The block is one breadth-first
 walk per component from the target's equations (_target_block), and it is
 the solve's only walk: an equation's variables come off its rows' offsets,
 and each new variable's ends, built once, are an edge and the next
-equations.  The walk carries the potentials, and the key of each equation
-it decodes gives the component's root, its last equation.  No list of the
-window's equations or variables is set up; a kernel sets up every equation,
-unsorted, as the nullity needs every block.
+equations.  The walk carries the potentials, 1 at the component's first
+equation met; a refutation sorts its certificate's equations and takes the
+last as the root, and a witness's forest grows each balanced component from
+its first equation.  No list of the window's equations or variables is set
+up; a kernel sets up every equation, unsorted, as the nullity needs every
+block.
 
 The second half of the module implements the constructive proof that the
 flip-twisted first cohomology vanishes, as the two phases of `h1_trivialize`:
@@ -412,50 +418,50 @@ def _balanced(p: dict, closing: list) -> None:
             raise RuntimeError("the gain graph has an unbalanced cycle")
 
 
-def _target_block(op: Operator, window: int, starts) -> tuple[dict[int, tuple], list[tuple]]:
-    """The gain graph of the equations connected to the target's equation
-    ids (starts), two equations being connected when both hold a variable
-    with a nonzero coefficient, as {variable: ends}, and its balanced
-    components (key, root, p): the root is the component's last equation,
-    key its _order_key, and p holds its lazy potentials (_step), from its
-    first equation met.  One breadth-first walk per component: an
-    equation's window variables come off its rows' offsets, with no gain,
-    and each new one whose coefficient there does not vanish gets its ends
-    once (_ender), a tree step, a closing edge or a half-edge.  A component
-    without a half-edge has its closing edges checked (_balanced)."""
-    radius = window + op.stencil.reach
-    slots, span, far_span, far_slots, plan = _plan(op, window, False)
-    read, cells = _ender(op, window, True), span * span
+def _target_block(op: Operator, window: int, starts, keep=None) -> tuple[dict[int, tuple], list[dict]]:
+    """The gain graph of the nodes connected to the ids starts, as {edge:
+    ends}, and its balanced components, each as its lazy potentials (_step),
+    1 at the start it was met from.  On the column side the nodes are the
+    equations and the edges the variables, two equations being connected
+    when both hold a variable with a nonzero coefficient; on the row side
+    the nodes are the variables and the edges the equations in keep.  One
+    breadth-first walk per component: a node's edges come off its offsets in
+    the other side's plan (_plan), with no gain, and each new one whose
+    coefficient there does not vanish gets its ends once (_ender), a tree
+    step, a closing edge or a half-edge.  A component without a half-edge
+    has its closing edges checked (_balanced)."""
+    column_side = op.column_side
+    slots, span, far_span, far_slots, plan = _plan(op, window, not column_side)
+    read = _ender(op, window, column_side)
     edges, balanced, seen = {}, [], set()
     for start in starts:
         if start in seen:
             continue
-        p, queue, closing, full, top = {start: (ONE, 0, 1)}, [start], [], False, -1
-        for eq in queue:
-            k, slot = divmod(eq, slots)
+        p, queue, closing, full = {start: (ONE, 0, 1)}, [start], [], False
+        for u in queue:
+            k, slot = divmod(u, slots)
             x, y = divmod(k, span)
-            key = (slot * span + abs(x - radius) + abs(y - radius)) * cells + k
-            if key > top:
-                top, root = key, eq
-            base, here = (x * far_span + y) * far_slots, p[eq]
-            for off, (x0, x1, y0, y1), n, m, one, terms in plan[slot]:
-                v = base + off
-                if (x0 <= x <= x1 and y0 <= y <= y1 and v not in edges
-                        and (one or not _vanishes(terms, x + n, y + m))):
-                    edges[v] = e = read(v)
-                    if len(e) == 1:
-                        full = True
-                        continue
-                    end, far = e if e[0][0] == eq else e[::-1]
-                    if far[0] in p:
-                        closing.append((end, far))
-                    else:
-                        p[far[0]] = _step(here, end[1], far[1])
-                        queue.append(far[0])
+            base, here = (x * far_span + y) * far_slots, p[u]
+            for off, bounds, n, m, one, terms in plan[slot]:
+                e = base + off
+                if (bounds and not (bounds[0] <= x <= bounds[1] and bounds[2] <= y <= bounds[3])
+                        or e in edges or keep is not None and e not in keep
+                        or not one and _vanishes(terms, x + n, y + m)):
+                    continue
+                edges[e] = ends = read(e)
+                if len(ends) == 1:
+                    full = True
+                    continue
+                end, far = ends if ends[0][0] == u else ends[::-1]
+                if far[0] in p:
+                    closing.append((end, far))
+                else:
+                    p[far[0]] = _step(here, end[1], far[1])
+                    queue.append(far[0])
         seen.update(p)
         if not full:
             _balanced(p, closing)
-            balanced.append((top, root, p))
+            balanced.append(p)
     return edges, balanced
 
 
@@ -468,7 +474,9 @@ class _Forest:
     step (edge, node, gain at the node, the end it was reached from, None
     for a half-edge) is one kept edge; each node is reached from an earlier
     one or a root, so walked backwards, from the leaves, the steps give
-    edge values: witnesses and fundamental circuits."""
+    edge values: witnesses and fundamental circuits.  Any node of a balanced
+    component may be its root: the least forest and its values are the
+    same."""
 
     __slots__ = ("steps", "kept")
 
@@ -536,43 +544,6 @@ class _Forest:
         return x
 
 
-def _potentials(nodes: list, edges: dict) -> list[dict]:
-    """One potential per balanced component of a gain graph, 1 at its root,
-    its last node in nodes, roots taken from the end backwards: one walk over
-    the component's edges, one _step per tree step.  As it is unique up to
-    scale, the tree does not matter.  A component holding a half-edge gets
-    none; in the others every closing edge must hold (_balanced)."""
-    incident: dict = {}
-    for key, ends in edges.items():
-        for v, _ in ends:
-            incident.setdefault(v, []).append(key)
-    potentials, seen, walked = [], set(), set()
-    for root in reversed(nodes):
-        if root in seen:
-            continue
-        p, queue, closing, full = {root: (ONE, 0, 1)}, [root], [], False
-        for u in queue:
-            for key in incident.get(u, ()):
-                if key in walked:
-                    continue
-                walked.add(key)
-                ends = edges[key]
-                if len(ends) == 1:
-                    full = True
-                    continue
-                end, far = ends if ends[0][0] == u else ends[::-1]
-                if far[0] in p:
-                    closing.append((end, far))
-                else:
-                    p[far[0]] = _step(p[u], end[1], far[1])
-                    queue.append(far[0])
-        seen.update(p)
-        if not full:
-            _balanced(p, closing)
-            potentials.append({v: _value(q) for v, q in p.items()})
-    return potentials
-
-
 @dataclass(frozen=True)
 class SolveReport:
     """Outcome of a windowed kernel or membership computation.
@@ -630,9 +601,10 @@ def kernel_dimension(operator: str, window: int) -> SolveReport:
         forest = _Forest(edges, eqs)
         basis = [forest.circuit(f, ends) for f, ends in edges.items() if f not in forest.kept]
     else:
-        # one potential per balanced component, free at its last variable
-        read = _ender(op, window, False)
-        basis = _potentials(variables, {eq: read(eq) for eq in eqs})[::-1]
+        # one potential per balanced component, walked from its last
+        # variable, which is free
+        _, balanced = _target_block(op, window, variables[::-1], set(eqs))
+        basis = [{v: _value(q) for v, q in p.items()} for p in balanced[::-1]]
     basis = tuple(_vector_object(op, window, vec) for vec in basis)
     return SolveReport(op.name, window, "kernel-basis", nullity=len(basis), basis=basis)
 
@@ -697,10 +669,10 @@ def coboundary_solve(target, operator: str, window: int) -> SolveReport:
 
     # a balanced component's potential is its one combination with a zero
     # left side; pairing it with the right side is scale-invariant, so the
-    # lazy values decide, and the inconsistent one whose root comes first
-    # is reported, 1 at its root
-    bad = []
-    for key, root, p in balanced:
+    # lazy values decide, and the inconsistent one whose last equation comes
+    # first is reported, 1 there
+    order, bad = _order_key(radius, slots, True), []
+    for p in balanced:
         total = ZERO
         for eq, r in rhs.items():
             if eq in p:
@@ -708,11 +680,11 @@ def coboundary_solve(target, operator: str, window: int) -> SolveReport:
                 t = x._mul_shift(r, k)
                 total = total + t if s == 1 else total - t
         if total:
-            bad.append((key, root, p))
+            eqs = sorted(p, key=order)
+            bad.append((order(eqs[-1]), eqs, p))
     if bad:
-        _, root, p = min(bad)
-        xr, kr, sr = p[root]
-        eqs = sorted(p, key=_order_key(radius, slots, True))
+        _, eqs, p = min(bad)
+        xr, kr, sr = p[eqs[-1]]
         certificate = tuple(zip(_keys(eqs, radius, slots), [
             _value((ONE if x is xr else x / xr, k - kr, s * sr)) for x, k, s in map(p.get, eqs)
         ]))
@@ -720,9 +692,10 @@ def coboundary_solve(target, operator: str, window: int) -> SolveReport:
         return SolveReport(op.name, window, "unsolvable", certificate=certificate)
 
     # only a witness reads the forest, and so the pivot order of its edges;
-    # a balanced component needs one root, which cannot change its values
+    # a balanced component needs one root, which cannot change its values:
+    # its start
     pivot_order = _order_key(window, op.stencil.in_slots, False)
-    forest = _Forest({v: edges[v] for v in sorted(edges, key=pivot_order)}, [c[1] for c in balanced])
+    forest = _Forest({v: edges[v] for v in sorted(edges, key=pivot_order)}, [next(iter(p)) for p in balanced])
     witness = _vector_object(op, window, forest.edge_values(rhs))
     residual = cochain_from_slots(
         [LatticeFunctional._of(t) for t in op.stencil.residual(witness, target)]

@@ -3,16 +3,40 @@
 from __future__ import annotations
 
 import csv
+import errno
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ncgeo
 from ncgeo.cli import _to_json, _window_list, main
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+def console_script(stdout, *argv):
+    """The command line in a child process, as the console script runs it:
+    main's return value is the exit code."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ncgeo.__file__)))
+    code = "import sys; from ncgeo.cli import main; sys.exit(main())"
+    return subprocess.Popen(
+        [sys.executable, "-c", code, *argv], stdout=stdout, stderr=subprocess.PIPE, env=env
+    )
+
+
+def assert_one_usage_line(proc, reason):
+    """The child exits 2 with one ncgeo line on stderr: no traceback, and
+    nothing ignored at interpreter exit."""
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 2, err
+    assert err == f"ncgeo: cannot write stdout: {reason}\n"
 
 
 def assert_numeric_needs_json(capsys, command):
@@ -234,6 +258,18 @@ class TestOutput:
         assert captured.out == ""
         assert str(target) in captured.err
         assert len(captured.err.strip().splitlines()) == 1
+
+    def test_closed_stdout_pipe_is_usage_error(self):
+        # the reader closes the pipe before the report is written
+        proc = console_script(subprocess.PIPE, "dimension-report", "--window", "3")
+        proc.stdout.close()
+        assert_one_usage_line(proc, os.strerror(errno.EPIPE))
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    def test_full_stdout_device_is_usage_error(self):
+        with open("/dev/full", "wb") as full:
+            proc = console_script(full, "dimension-report", "--window", "3")
+        assert_one_usage_line(proc, os.strerror(errno.ENOSPC))
 
     def test_json_never_carries_non_finite_numbers(self):
         with pytest.raises(ValueError):

@@ -321,8 +321,9 @@ class TestCoboundarySolve:
         # a membership system is read off the table around the target alone:
         # no list of the window's equations is made, and the only ids ever
         # keyed for sorting are, for a refutation, its certificate's
-        # equations and, for a witness, its block's variables: a refutation
-        # keys no variable and a witness no equation
+        # equations, and its root once more to pick the reported component,
+        # and, for a witness, its block's variables: a refutation keys no
+        # variable and a witness no equation
         def whole_window(*args, **kwargs):
             raise AssertionError("whole-window set-up")
 
@@ -363,7 +364,7 @@ class TestCoboundarySolve:
                 table = OPERATORS[name].stencil
                 keys = [key for key, _ in rep.certificate]
                 certified = solver._ids(keys, 6 + table.reach, table.out_slots)
-                assert sorted(keyed[True]) == sorted(certified)
+                assert sorted(keyed[True]) == sorted(certified + certified[-1:])
                 assert keyed[False] == []
             else:
                 assert keyed[True] == []
@@ -656,20 +657,20 @@ class TestPivotRuleOracle:
 
     def test_kernel_bases_match_first_row_rule(self, monkeypatch):
         # the variables of each kernel's gain graph: the forest's edges on
-        # the column side, the potentials' nodes on the row side
+        # the column side, the walk's starts, read backwards, on the row side
         graphs = []
-        forest, potentials = solver._Forest, solver._potentials
+        forest, target_block = solver._Forest, solver._target_block
 
         def recording_forest(edges, nodes):
             graphs.append(list(edges))
             return forest(edges, nodes)
 
-        def recording_potentials(nodes, edges):
-            graphs.append(list(nodes))
-            return potentials(nodes, edges)
+        def recording_walk(op, window, starts, keep=None):
+            graphs.append(list(starts)[::-1])
+            return target_block(op, window, starts, keep)
 
         monkeypatch.setattr(solver, "_Forest", recording_forest)
-        monkeypatch.setattr(solver, "_potentials", recording_potentials)
+        monkeypatch.setattr(solver, "_target_block", recording_walk)
         for name in ("twisted_alpha1", "alpha1"):
             op = OPERATORS[name]
             for window in (3, 4, 5, 6):
@@ -781,6 +782,59 @@ BLOCK_CASES = [
 ]
 
 
+def kernel_starts(window):
+    """The starts of twisted_alpha1's row-side kernel walk: every variable
+    of the window, in descending pivot order."""
+    return solver._ids(window_variables(OPERATORS["twisted_alpha1"], window)[::-1], window, 1)
+
+
+def table_graph(name, window):
+    """A table's whole windowed gain graph as {edge: ends}: every variable
+    of the window on the column side, every full-stencil equation on the
+    row side."""
+    op = OPERATORS[name]
+    read = solver._ender(op, window, op.column_side)
+    if op.column_side:
+        return {v: read(v) for v in range((2 * window + 1) ** 2 * op.stencil.in_slots)}
+    return {eq: read(eq) for eq in solver._equations(op, window)}
+
+
+def reread(monkeypatch, change):
+    """Patch _ender, the reader of an edge's ends, so that the walk and the
+    forest see change(i, ends) for the edge with id i."""
+    ender = solver._ender
+
+    def patched(op, window, column_side, keep=None):
+        read = ender(op, window, column_side, keep)
+        return lambda i: change(i, read(i))
+
+    monkeypatch.setattr(solver, "_ender", patched)
+
+
+def on_cycle(graph, ids, edge):
+    """Does the edge of graph lie on a cycle of the two-ended edges ids: are
+    its ends joined without it?"""
+    near = {}
+    for e in ids:
+        if e != edge:
+            (a, _), (b, _) = graph[e]
+            near.setdefault(a, []).append(b)
+            near.setdefault(b, []).append(a)
+    (u, _), (v, _) = graph[edge]
+    seen, todo = {u}, [u]
+    while todo:
+        for w in near.get(todo.pop(), ()):
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return v in seen
+
+
+def times_binomial(gain):
+    """The gain times 1 + u**2."""
+    return tuple((sign, k + j) for sign, k in gain for j in (0, 2))
+
+
 class TestTargetBlock:
     """Membership solves eliminate only the equations connected to the
     target; the other blocks have a zero right side and cannot matter."""
@@ -841,19 +895,17 @@ class TestTargetBlock:
         # window's gain graph, read off the column reader over every
         # variable: the same {variable: ends} and equations, and one
         # balanced component per connected set of equations without a
-        # half-edge, in the order of the target's equations, with its last
-        # equation in equation order as its root.  Sites on n = 1 or m = 1
-        # hold vanishing alpha2 coefficients, and twisted supports span
-        # several parity classes.
+        # half-edge, in the order of the target's equations, each started,
+        # 1, at its first target equation.  Sites on n = 1 or m = 1 hold
+        # vanishing alpha2 coefficients, and twisted supports span several
+        # parity classes.
         rng = random.Random(32)
         covered = set()
         for name in ("twisted_alpha2", "alpha2"):
             op = OPERATORS[name]
             for window in range(4, 9):
                 radius = window + op.stencil.reach
-                key = solver._order_key(radius, 1, True)
-                column = solver._ender(op, window, True)
-                graph = {v: column(v) for v in range((2 * window + 1) ** 2 * op.stencil.in_slots)}
+                graph = table_graph(name, window)
                 held = {}
                 for v, ends in graph.items():
                     for eq, _ in ends:
@@ -879,38 +931,45 @@ class TestTargetBlock:
                     edges, components = solver._target_block(op, window, starts)
                     assert edges == {v: graph[v] for v in variables}
                     assert block_equations(starts, edges) == set().union(*(nodes for nodes, _ in want))
-                    assert [set(p) for _, _, p in components] == [
-                        nodes for nodes, full in want if not full
+                    assert [(set(p), next(iter(p))) for p in components] == [
+                        (nodes, min(nodes & set(starts), key=starts.index)) for nodes, full in want if not full
                     ]
-                    for top, root, p in components:
-                        assert root == max(p, key=key) and top == key(root)
+                    assert all(p[next(iter(p))] == (ONE, 0, 1) for p in components)
                     covered.add((name, "n = 1 or m = 1", any(1 in s for s in sites)))
                     covered.add((name, "parity classes", len({(n % 2, m % 2) for n, m in sites}) > 1))
         assert all((name, what, True) in covered for name in ("twisted_alpha2", "alpha2")
                    for what in ("n = 1 or m = 1", "parity classes"))
 
     def test_walk_carries_the_potentials(self):
-        # the lazy values of a balanced component, divided by their root's,
-        # are the potential _potentials walks from that root, and every edge
-        # holds on them; a component with a half-edge is not returned
-        for name, target, window in BLOCK_CASES:
-            for w in (window, 8):
-                op = OPERATORS[name]
+        # on either side, a balanced component's lazy values are exactly 1 at
+        # the start it was met from and nonzero, and every edge with an end
+        # in it has both ends there and holds on them, which fixes them, as a
+        # balanced potential is unique up to scale; a component with a
+        # half-edge is not returned.  The row-side kernel walks from every
+        # variable in descending pivot order, so each component starts at
+        # its last variable, the kernel's free one, and the four parity
+        # classes cover the window
+        cases = [(name, target, w) for name, target, window in BLOCK_CASES for w in (window, 8)]
+        for name, target, w in cases + [("twisted_alpha1", None, w) for w in range(3, 9)]:
+            op = OPERATORS[name]
+            if target is None:
+                starts = kernel_starts(w)
+                edges, components = solver._target_block(op, w, starts, set(solver._equations(op, w)))
+                position = {v: -i for i, v in enumerate(starts)}
+                assert [next(iter(p)) for p in components] == [max(p, key=position.get) for p in components]
+                assert len(components) == 4 and sum(map(len, components)) == len(starts)
+            else:
                 starts = block_starts(op, w, target)
                 edges, components = solver._target_block(op, w, starts)
-                nodes = sorted(
-                    block_equations(starts, edges),
-                    key=solver._order_key(w + op.stencil.reach, op.stencil.out_slots, True),
-                )
-                walked = {next(iter(p)): p for p in solver._potentials(nodes, edges)}
-                assert sorted(walked) == sorted(root for _, root, _ in components)
-                for _, root, p in components:
-                    scale = solver._value(p[root])
-                    assert {eq: solver._value(q) / scale for eq, q in p.items()} == walked[root]
-                    for ends in edges.values():
-                        if ends[0][0] in p:
-                            total = sum((solver._mul(solver._value(p[eq]), g) for eq, g in ends), ZERO)
-                            assert total == ZERO, (name, w)
+            for p in components:
+                start = next(iter(p))
+                assert start in starts and p[start] == (ONE, 0, 1)
+                values = {v: solver._value(q) for v, q in p.items()}
+                assert all(values.values())
+                for ends in edges.values():
+                    if any(v in p for v, _ in ends):
+                        assert len(ends) == 2 and all(v in p for v, _ in ends), (name, w)
+                        assert sum((values[v] * gain_value(c) for v, c in ends), ZERO) == ZERO, (name, w)
 
     def test_builds_each_variable_once(self, monkeypatch):
         # the walk reads an equation's variables off its rows and builds
@@ -945,6 +1004,32 @@ class TestTargetBlock:
         del built[:]
         assert coboundary_solve(d(0, 0), "twisted_alpha2", 7).status == "unsolvable"
         assert len(built) == 112
+
+    def test_builds_each_equation_once_on_the_row_side(self, monkeypatch):
+        # a row-side kernel's walk reads a variable's equations off its
+        # readers' offsets and builds ends only for the full-stencil
+        # equations, each once, all through the row reader
+        built = []
+        ender = solver._ender
+
+        def counting(op, window, column_side, keep=None):
+            read = ender(op, window, column_side, keep)
+
+            def counted(i):
+                built.append((column_side, i))
+                return read(i)
+
+            return counted
+
+        monkeypatch.setattr(solver, "_ender", counting)
+        op = OPERATORS["twisted_alpha1"]
+        for window in range(3, 9):
+            del built[:]
+            assert kernel_dimension("twisted_alpha1", window).nullity == 4
+            eqs = solver._equations(op, window)
+            assert len(built) == len(eqs), window
+            assert {column_side for column_side, _ in built} == {False}
+            assert sorted(i for _, i in built) == sorted(eqs)
 
     def test_zero_tests_read_the_terms(self):
         tables = [op.stencil for op in OPERATORS.values()] + [
@@ -1351,19 +1436,17 @@ def greedy_oracle(edges):
 
 
 class TestGainGraph:
-    """The frame-matroid basis, its forest and the walk of the potentials on
-    small hand-made gain graphs: balanced cycles, half-edges and the refused
-    unbalanced cycle."""
+    """The frame-matroid basis and its forest on small hand-made gain graphs:
+    balanced cycles, half-edges and unbalanced cycles; and the walk's
+    refusal of an unbalanced cycle on the tables' own graphs."""
 
     def test_frame_keeps_the_greedy_basis(self):
         edges = triangle(MINUS)
         assert solver._Forest(edges, "abc").kept == {"ab", "bc"}
-        assert solver._potentials("abc", edges) == [{"c": ONE, "b": -ONE, "a": ONE}]
         # a half-edge makes the component full: it takes no second half-edge
-        # and no edge to another full one, and it has no potential left
+        # and no edge to another full one
         edges["b"] = (("b", g((1, 3))),)
         assert solver._Forest(edges, "abc").kept == {"ab", "bc", "b"}
-        assert solver._potentials("abc", edges) == []
         edges.update(
             a=(("a", g((1, 2))),),
             d=(("d", UNIT),),
@@ -1380,35 +1463,65 @@ class TestGainGraph:
     def test_walk_gives_balanced_potentials(self):
         edges = monomial_triangle(g((1, -3)))
         assert solver._Forest(edges, "abc").kept == {"ab", "bc"}
-        # one walk per balanced component over all its edges, roots taken
-        # from the last node backwards: z, then c, each potential 1 there
+        # one tree per balanced component, roots taken from the last node
+        # backwards: z, then c, neither reached by a step
         edges["z"] = (("z", UNIT), ("y", UNIT))
-        potentials = solver._potentials("abcyz", edges)
-        assert potentials == [
-            {"z": ONE, "y": -ONE},
-            {"c": ONE, "b": -mu_pow(2), "a": -mu_pow(4)},
+        forest = solver._Forest(edges, "abcyz")
+        assert forest.kept == {"ab", "bc", "z"}
+        assert [(key, v, end[0]) for key, v, _, end in forest.steps] == [
+            ("z", "y", "z"), ("bc", "b", "c"), ("ab", "a", "b")
         ]
-        for p in potentials:
-            for ends in edges.values():
-                if all(node in p for node, _ in ends):
-                    assert sum((p[node] * gain_value(c) for node, c in ends), ZERO) == ZERO
 
-    def test_frame_refuses_an_unbalanced_cycle(self):
-        # the forest keeps no edge that closes a cycle; the walk of the
-        # potentials checks the edge that closes its own tree and refuses an
-        # unbalanced cycle, with monomial and binomial gains
+    def test_frame_refuses_an_unbalanced_cycle(self, monkeypatch):
+        # the forest keeps no edge that closes a cycle, balanced or not
         for edges in (
             triangle(UNIT), triangle(g((-1, 2))), triangle(g((-1, 0), (1, 2))),
             monomial_triangle(g((-1, -3))), monomial_triangle(g((1, -1))),
         ):
             assert solver._Forest(edges, "abc").kept == {"ab", "bc"}
-            with pytest.raises(RuntimeError, match="unbalanced cycle"):
-                solver._potentials("abc", edges)
-        # the same closing edges in a component that a half-edge made full
-        # are not checked: it has no potential
         edges = dict(triangle(UNIT), a=(("a", UNIT),))
         assert solver._Forest(edges, "abc").kept == {"ab", "bc", "a"}
-        assert solver._potentials("abc", edges) == []
+        # the walk checks every edge that closes its tree: one edge of a
+        # table's balanced grid with one gain negated is refused, on either
+        # side and with monomial gains or every gain times 1 + u^2, which
+        # alone changes no output.  The same closing edges in a component
+        # that a half-edge made full are not checked: it has no potential
+        op = OPERATORS["twisted_alpha2"]
+        starts = block_starts(op, 5, d(0, 0))
+        sides = [
+            # the row side at W = 4: equations joining (-1, 0) to (1, 0), and
+            # (1, 0) to (1, 2)
+            (solver._ids([(0, (0, 0)), (1, (1, 1))], 5, 2),
+             lambda: kernel_dimension("twisted_alpha1", 4).to_json(),
+             lambda: kernel_dimension("twisted_alpha1", 4).nullity == 3),
+            # the column side at W = 5: variables joining (0, 0) to (0, 2),
+            # and (0, 0) to (2, 0)
+            (solver._ids([(0, (0, 1)), (1, (1, 0))], 5, 2),
+             lambda: coboundary_solve(d(0, 0), "twisted_alpha2", 5).to_json(),
+             lambda: solver._target_block(op, 5, starts)[1] == []),
+        ]
+        for (edge, half), run, full in sides:
+            want = run()
+            for binomial in (False, True):
+                for negate, drop in ((False, False), (True, False), (True, True)):
+
+                    def change(i, ends):
+                        if binomial:
+                            ends = tuple((v, times_binomial(c)) for v, c in ends)
+                        if negate and i == edge:
+                            (u, a), far = ends
+                            ends = (u, negated(a)), far
+                        return ends[:1] if drop and i == half else ends
+
+                    reread(monkeypatch, change)
+                    if drop:
+                        assert full()
+                    elif negate:
+                        with pytest.raises(RuntimeError, match="unbalanced cycle"):
+                            run()
+                    else:
+                        assert run() == want
+                    monkeypatch.undo()
 
     def test_peeling_takes_a_tree_with_a_half_edge(self):
         edges = tree_with_half_edge()
@@ -1430,7 +1543,6 @@ class TestGainGraph:
         trees = [forest.steps[:4], forest.steps[4:]]
         assert [sorted(v for _, v, _, _ in t) for t in trees] == [["a", "b", "c", "d"], ["e"]]
         assert forest.steps[0][::3] == ("b", None)
-        assert solver._potentials(nodes, kept) == [{"f": ONE, "e": -mu_pow(2)}]
         # edge values meet the right side at every node, the root f too, when
         # the value at f cancels its tree: -u^2 rhs[e] + rhs[f] = 0; any
         # other value there, none included, is refused
@@ -1489,9 +1601,9 @@ def random_value(rng):
 
 class TestForestProperties:
     """On random forests, with and without half-edges and with monomial and
-    binomial gains, the potentials and the forest's edge values solve their
-    systems and the potentials' roots are the last nodes of the balanced
-    trees."""
+    binomial gains, the forest's edge values solve their systems and its
+    roots are the last nodes of the balanced trees; on the tables' own
+    graphs with planted gains the walk's potentials are the plant."""
 
     def test_random_forests(self):
         rng = random.Random(71)
@@ -1503,55 +1615,24 @@ class TestForestProperties:
             assert set(kept) == oracle_kept
             forest = solver._Forest(kept, nodes)
             assert forest.kept == set(kept) and len(forest.steps) == len(kept)
-            # each balanced tree's root is its last node, roots taken from
-            # the end of the node list backwards; a full tree is the ground's
+            # each balanced tree's root is its last node, the one node no
+            # step reaches; a full tree is the ground's
             last = {}
             for v in nodes:
                 root = find(v)
                 if root != find(None):
                     last[root] = v
-            roots = sorted(last.values(), key=nodes.index, reverse=True)
-            # one potential per balanced tree, in root order, 1 at its root:
-            # together they cover the balanced nodes, and every kept edge
-            # holds on them with a zero right side
-            potentials = solver._potentials(nodes, kept)
-            assert [max(p, key=nodes.index) for p in potentials] == roots
-            assert [p[r] for p, r in zip(potentials, roots)] == [ONE] * len(roots)
-            x = {v: c for p in potentials for v, c in p.items()}
-            assert sum(map(len, potentials)) == len(x)
-            assert set(x) == {v for v in nodes if find(v) != find(None)}
-            assert all(x.values())
-            for key, ends in kept.items():
-                assert sum((gain_value(c) * x.get(v, ZERO) for v, c in ends), ZERO) == ZERO
-            # an edge parallel to a kept one holds, in either orientation
-            # and with both gains moved by one power of u, and leaves the
-            # potentials as they are; with one gain negated it closes an
-            # unbalanced cycle, which is refused in a balanced tree and not
-            # read in a full one
-            for (u, a), (v, b) in (ends for ends in kept.values() if len(ends) == 2):
-                bad = ((u, negated(a)), (v, b))
-                if u not in x:
-                    assert solver._potentials(nodes, dict(kept, x=bad, y=bad[::-1])) == potentials
-                    continue
-                k = rng.randint(-3, 3)
-                moved = ((u, shifted(a, k)), (v, shifted(b, k)))
-                assert solver._potentials(nodes, dict(kept, x=moved, y=moved[::-1])) == potentials
-                with pytest.raises(RuntimeError, match="unbalanced cycle"):
-                    solver._potentials(nodes, dict(kept, x=bad))
-                with pytest.raises(RuntimeError, match="unbalanced cycle"):
-                    solver._potentials(nodes, dict(kept, x=bad[::-1]))
-            # edge values: the right side at every node, each balanced
-            # root's value set so that its tree cancels, sum p[v] rhs[v] = 0;
-            # moved by one at a root, it is refused
-            rhs = {v: random_value(rng) for v in nodes if rng.random() < 0.7}
-            for p, root in zip(potentials, roots):
-                rhs[root] = -sum((c * rhs[v] for v, c in p.items() if v != root and v in rhs), ZERO)
-            x = forest.edge_values(rhs)
-            assert set(x) <= set(kept) and all(x.values())
-            assert edge_sums(kept, x) == {v: c for v, c in rhs.items() if c}
+            roots = set(last.values())
+            assert {v for v in nodes if v not in {v for _, v, _, _ in forest.steps}} == roots
+            # edge values: a right side made from random values on the kept
+            # edges gives them back, as a forest's values are unique; moved
+            # by one at a balanced root, it is refused
+            x = {key: random_value(rng) for key in kept if rng.random() < 0.7}
+            rhs = edge_sums(kept, x)
+            assert forest.edge_values(rhs) == x
             for root in roots:
                 with pytest.raises(RuntimeError, match="does not cancel at a balanced root"):
-                    forest.edge_values({**rhs, root: rhs[root] + ONE})
+                    forest.edge_values({**rhs, root: rhs.get(root, ZERO) + ONE})
 
     def test_walk_grows_the_greedy_basis(self):
         # random gain graphs with half-edges, parallel edges, edges with no
@@ -1591,49 +1672,82 @@ class TestForestProperties:
                     assert end[0] in done and edges[key] in (((v, gain), end), (end, (v, gain)))
                 done.add(v)
 
-    def test_random_balanced_graphs(self):
-        # planted signed-monomial potentials and edges that hold on them,
-        # cycles and half-edges included: the walk over every edge gives each
-        # component without a half-edge the planted potential, scaled to 1
-        # at its last node, roots taken from the end backwards, and a negated
-        # edge parallel to one of its edges is refused
+    def test_random_balanced_graphs(self, monkeypatch):
+        # the tables' own graphs on either side, with planted signed-monomial
+        # potentials: each edge gets a random gain at its first end and the
+        # gain at the other that holds on the plant, both sometimes times
+        # 1 + u^2, and some components get a half-edge, one edge losing an
+        # end.  The walk gives each component without a half-edge the plant,
+        # scaled to 1 at its start, and refuses a negated gain on one of its
+        # edges; in a component with a half-edge it checks nothing
         rng = random.Random(73)
-        for _ in range(100):
-            nodes = list("abcdefghij"[: rng.randint(2, 10)])
-            rng.shuffle(nodes)
-            planted = {v: (rng.choice((1, -1)), rng.randint(-3, 3)) for v in nodes}
-            edges = {}
-            for i in range(rng.randint(0, 3 * len(nodes))):
-                u, v = rng.sample(nodes, 2)
-                (su, ku), (sv, kv), (sa, ka) = planted[u], planted[v], (rng.choice((1, -1)), rng.randint(-3, 3))
-                if rng.random() < 0.1:
-                    edges[i] = ((u, g((sa, ka))),)
-                else:
-                    # p[u] a + p[v] b = 0
-                    edges[i] = ((u, g((sa, ka))), (v, g((-su * sa * sv, ku + ka - kv))))
-            component = {v: {v} for v in nodes}
-            for ends in edges.values():
-                if len(ends) == 2:
-                    merged = component[ends[0][0]] | component[ends[1][0]]
-                    component.update(dict.fromkeys(merged, merged))
-            halves = {ends[0][0] for ends in edges.values() if len(ends) == 1}
-            want = []
-            for root in reversed(nodes):
-                c = component[root]
-                if root == max(c, key=nodes.index) and not c & halves:
-                    (sr, kr) = planted[root]
-                    want.append({v: planted[v][0] * sr * mu_pow(planted[v][1] - kr) for v in c})
-            assert solver._potentials(nodes, edges) == want
-            balanced = set().union(*want)
-            for (u, a), (v, b) in (e for e in edges.values() if len(e) == 2 and e[0][0] in balanced):
-                with pytest.raises(RuntimeError, match="unbalanced cycle"):
-                    solver._potentials(nodes, dict(edges, bad=((u, negated(a)), (v, b))))
-                break
+        planted, drop, negate = {}, set(), set()
+
+        def plant(v):
+            return planted.setdefault(v, (rng.choice((1, -1)), rng.randint(-3, 3)))
+
+        def change(i, ends):
+            (u, _), (v, _) = ends
+            (su, ku), (sv, kv), (sa, ka) = plant(u), plant(v), (rng.choice((1, -1)), rng.randint(-3, 3))
+            a, b = g((sa, ka)), g((-su * sa * sv, ku + ka - kv))
+            if rng.random() < 0.3:
+                a, b = times_binomial(a), times_binomial(b)
+            if i in negate:
+                a = negated(a)
+            return ((u, a),) if i in drop else ((u, a), (v, b))
+
+        cases = [("twisted_alpha1", w, kernel_starts(w)) for w in (3, 4, 6)]
+        for w in (4, 5, 6):
+            for _ in range(3):
+                sites = {(rng.randint(2 - w, w - 2), rng.randint(2 - w, w - 2)) for _ in range(rng.randint(1, 4))}
+                cases.append(("twisted_alpha2", w, solver._ids([(0, s) for s in sites], w + 1, 1)))
+        graphs = [table_graph(name, w) for name, w, _ in cases]
+        reread(monkeypatch, change)
+        checked = Counter()
+        for (name, w, starts), graph in zip(cases, graphs):
+            op = OPERATORS[name]
+            keep = None if op.column_side else set(solver._equations(op, w))
+            component = {}
+            for ends in graph.values():
+                merged = set().union(*(component.get(v, {v}) for v, _ in ends))
+                component.update(dict.fromkeys(merged, merged))
+            blocks = []
+            for start in starts:
+                if not any(start in nodes for _, nodes, _ in blocks):
+                    nodes = component[start]
+                    blocks.append((start, nodes, [e for e, ends in graph.items() if ends[0][0] in nodes]))
+            for trial in range(3):
+                planted.clear()
+                drop.clear()
+                negate.clear()
+                drop.update(rng.choice(ids) for _, _, ids in blocks if rng.random() < 0.4)
+                edges, balanced = solver._target_block(op, w, starts, keep)
+                want = []
+                for start, nodes, ids in blocks:
+                    if not drop & set(ids):
+                        sr, kr = planted[start]
+                        want.append({v: planted[v][0] * sr * mu_pow(planted[v][1] - kr) for v in nodes})
+                assert [{v: solver._value(q) for v, q in p.items()} for p in balanced] == want
+                checked[name, "balanced"] += len(want)
+                checked[name, "full"] += len(blocks) - len(want)
+                for _, _, ids in blocks:
+                    negate.clear()
+                    negate.add(next(e for e in rng.sample(ids, len(ids)) if on_cycle(graph, ids, e)))
+                    if drop & set(ids):
+                        solver._target_block(op, w, starts, keep)
+                    else:
+                        with pytest.raises(RuntimeError, match="unbalanced cycle"):
+                            solver._target_block(op, w, starts, keep)
+                        checked[name, "refused"] += 1
+        assert all(checked[name, what] >= 5 for name in ("twisted_alpha1", "twisted_alpha2")
+                   for what in ("balanced", "full", "refused"))
 
     def test_random_monomial_triangles(self):
-        # a-b, b-c and c-a, every gain one pair: from p[c] = 1 the walk
-        # steps to b and to a, each step one shift, and a-b closes the
-        # cycle; the gain at a that balances it is worked out by hand
+        # a-b, b-c and c-a, every gain one pair: from p[c] = 1 the walk's
+        # steps (_step) reach b and a, each only moving the power of u of
+        # the same one Scalar, and c-a closes the cycle (_balanced), in
+        # either orientation; the gain at a that balances it is worked out by
+        # hand, and a negated or shifted one is refused
         rng = random.Random(72)
         for _ in range(100):
             (sa, ka), (sb, kb), (sc, kc), (sd, kd), (se, ke) = (
@@ -1641,16 +1755,20 @@ class TestForestProperties:
             )
             sign_a, power_a = sb * sa * sd * sc, kb - ka + kd - kc
             balanced = g((-se * sign_a, ke - power_a))
-            kept = {
-                "ab": (("a", g((sa, ka))), ("b", g((sb, kb)))),
-                "bc": (("b", g((sc, kc))), ("c", g((sd, kd)))),
+            p = {"c": (ONE, 0, 1)}
+            p["b"] = solver._step(p["c"], g((sd, kd)), g((sc, kc)))  # bc: (b, (sc, kc)), (c, (sd, kd))
+            p["a"] = solver._step(p["b"], g((sb, kb)), g((sa, ka)))  # ab: (a, (sa, ka)), (b, (sb, kb))
+            assert p == {"c": (ONE, 0, 1), "b": (ONE, kd - kc, -sd * sc), "a": (ONE, power_a, sign_a)}
+            assert p["a"][0] is ONE and p["b"][0] is ONE
+            assert {v: solver._value(q) for v, q in p.items()} == {
+                "c": ONE, "b": -sd * sc * mu_pow(kd - kc), "a": sign_a * mu_pow(power_a)
             }
-            assert solver._potentials("abc", dict(kept, ca=(("c", g((se, ke))), ("a", balanced)))) == [
-                {"c": ONE, "b": -sd * sc * mu_pow(kd - kc), "a": sign_a * mu_pow(power_a)}
-            ]
+            ca = (("c", g((se, ke))), ("a", balanced))
+            solver._balanced(p, [ca])
+            solver._balanced(p, [ca[::-1]])
             for closing in (negated(balanced), shifted(balanced, rng.choice((-1, 1)))):
                 with pytest.raises(RuntimeError, match="unbalanced cycle"):
-                    solver._potentials("abc", dict(kept, ca=(("c", g((se, ke))), ("a", closing))))
+                    solver._balanced(p, [(("c", g((se, ke))), ("a", closing))])
 
 
 class TestWalkWork:
@@ -1874,21 +1992,41 @@ class TestOrderIndependence:
     @given(st.sampled_from(BLOCK_CASES), st.randoms(use_true_random=False))
     @no_shrink
     def test_edge_order_changes_no_output(self, case, rnd):
-        # the walk inserts a block's edges in queue order: the potentials
-        # and the report are the same for any insertion order
+        # the walk's tree follows the order of each slot's table entries
+        # (_plan) and of each edge's ends (_ender): shuffling both changes
+        # the tree but not the potentials, 1 at the same starts, nor any
+        # report, kernels included; and no insertion order of a block's
+        # edges changes the report
         name, target, window = case
         op = OPERATORS[name]
+        # one draw of the example's stream seeds the many shuffles below
+        rnd = random.Random(rnd.getrandbits(64))
         starts = block_starts(op, window, target)
         edges, components = solver._target_block(op, window, starts)
-        nodes = sorted(
-            block_equations(starts, edges),
-            key=solver._order_key(window + op.stencil.reach, op.stencil.out_slots, True),
-        )
+        want = coboundary_solve(target, name, window).to_json()
+        kernels = {k: kernel_dimension(k, window).to_json() for k in ("twisted_alpha1", "alpha1")}
+        plan, ender = solver._plan, solver._ender
+
+        def shuffled_plan(*args):
+            *sizes, rows = plan(*args)
+            return (*sizes, [rnd.sample(row, len(row)) for row in rows])
+
+        def shuffled_ender(*args):
+            read = ender(*args)
+            return lambda i: tuple(rnd.sample(read(i), len(read(i))))
+
+        with mock.patch.object(solver, "_plan", shuffled_plan), mock.patch.object(solver, "_ender", shuffled_ender):
+            moved, again = solver._target_block(op, window, starts)
+            assert {v: set(ends) for v, ends in moved.items()} == {v: set(ends) for v, ends in edges.items()}
+            assert [{v: solver._value(q) for v, q in p.items()} for p in again] == [
+                {v: solver._value(q) for v, q in p.items()} for p in components
+            ]
+            assert [next(iter(p)) for p in again] == [next(iter(p)) for p in components]
+            assert coboundary_solve(target, name, window).to_json() == want
+            assert {k: kernel_dimension(k, window).to_json() for k in kernels} == kernels
         keys = list(edges)
         rnd.shuffle(keys)
         shuffled = {v: edges[v] for v in keys}
-        assert solver._potentials(nodes, shuffled) == solver._potentials(nodes, edges)
-        want = coboundary_solve(target, name, window).to_json()
         with mock.patch.object(solver, "_target_block", lambda *args: (shuffled, components)):
             assert coboundary_solve(target, name, window).to_json() == want
 
@@ -1936,8 +2074,8 @@ class TestOrderIndependence:
 
     def test_potential_scale_changes_no_output(self):
         # a component's potential is unique up to scale: pairing it with the
-        # right side does not see the scale, and the certificate is 1 at its
-        # root, so rescaling the walk's lazy values by -u**3, which keeps
+        # right side does not see the scale, the certificate is 1 at its
+        # root and a witness's forest reads only the start, so rescaling the walk's lazy values by -u**3, which keeps
         # each x, or by (1 + u)/2, which makes each x its own, changes no
         # byte, and neither does holding every other value as (-x, k, -s).
         # The real tables only ever carry the sign +1.
@@ -1956,8 +2094,7 @@ class TestOrderIndependence:
             def rescaled(*args):
                 edges, balanced = target_block(*args)
                 return edges, [
-                    (key, root, {eq: rescale(i, *q) for i, (eq, q) in enumerate(p.items())})
-                    for key, root, p in balanced
+                    {eq: rescale(i, *q) for i, (eq, q) in enumerate(p.items())} for p in balanced
                 ]
 
             for name, target, window in cases:
