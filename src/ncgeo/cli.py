@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import math
@@ -54,21 +55,26 @@ DESIGN_HEADER = {
 
 def _emit(payload: str, out_path: str | None) -> None:
     """Write the report to --out or, flushed, to stdout; a destination that
-    cannot be written is a usage error.  A failed stdout is pointed at the
-    null device, so that the flush at exit fails no more."""
+    cannot be written, an empty --out path included, is a usage error.  A
+    failed stdout is pointed at the null device, so that the flush at exit
+    fails no more; a process started with descriptor 1 closed has no
+    sys.stdout, and nothing to flush."""
+    to_stdout = out_path is None
     try:
-        if out_path:
+        if not to_stdout:
             with open(out_path, "w", encoding="utf-8") as fh:
                 fh.write(payload)
+        elif sys.stdout is None:
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         else:
             sys.stdout.write(payload)
             sys.stdout.flush()
     except OSError as exc:
-        if not out_path:
+        if to_stdout and sys.stdout is not None:
             null = os.open(os.devnull, os.O_WRONLY)
             os.dup2(null, sys.stdout.fileno())
             os.close(null)
-        where = f"--out {out_path}" if out_path else "stdout"
+        where = "stdout" if to_stdout else f"--out {out_path}"
         sys.stderr.write(f"ncgeo: cannot write {where}: {exc.strerror or exc}\n")
         raise SystemExit(2) from None
 

@@ -113,9 +113,10 @@ and each new variable's ends, built once, are an edge and the next
 equations.  The walk carries the potentials, 1 at the component's first
 equation met; a refutation sorts its certificate's equations and takes the
 last as the root, and a witness's forest grows each balanced component from
-its first equation.  No list of the window's equations or variables is set
-up; a kernel sets up every equation, unsorted, as the nullity needs every
-block.
+the first end of its first variable in pivot order.  No list of the window's
+equations or variables is set up.  A kernel reads every variable, as the
+nullity needs every block, and the full-stencil rule as bounds of the table
+plan (_plan), so it lists no equations either.
 
 The second half of the module implements the constructive proof that the
 flip-twisted first cohomology vanishes, as the two phases of `h1_trivialize`:
@@ -278,25 +279,6 @@ def _order_key(radius: int, slots: int, eq: bool) -> Callable[[int], int]:
     return key
 
 
-def _equations(op: Operator, window: int) -> list[int]:
-    """The ids of the equations whose stencil reads all of its input sites
-    inside the window, unsorted: a kernel reads them as a set and as forest
-    roots.  Every table entry counts, also where its coefficient vanishes at
-    that site.  The condition splits by coordinate, so the sites of a slot
-    form the box its offsets' extremes leave inside the window: one run of
-    ids per n."""
-    radius, slots = window + op.stencil.reach, op.stencil.out_slots
-    span = 2 * radius + 1
-    ids: list[int] = []
-    for slot, entries in enumerate(op.stencil.rows):
-        dns, dms = zip(*((dn, dm) for _, dn, dm, _ in entries))
-        lo, hi = radius - window - min(dms), radius + window - max(dms)
-        for n in range(-window - min(dns), window - max(dns) + 1):
-            base = (n + radius) * span
-            ids += range((base + lo) * slots + slot, (base + hi + 1) * slots, slots)
-    return ids
-
-
 def _vanishes(terms, n: int, m: int) -> bool:
     """Is coefficient(terms, n, m) zero?  The tables hold one or two terms:
     one term never vanishes, and two vanish exactly where their exponents
@@ -307,13 +289,17 @@ def _vanishes(terms, n: int, m: int) -> bool:
     return s1 != s2 and p1 * n + q1 * m + r1 == p2 * n + q2 * m + r2
 
 
-def _plan(op: Operator, window: int, column_side: bool) -> tuple:
+def _plan(op: Operator, window: int, column_side: bool, interior: bool = False) -> tuple:
     """One side of the split table, read once per call: (slots, span,
     far_span, far_slots, plan), plan holding per slot one (offset, bounds,
     n, m, one, terms) per entry.  An id at (x, y) from its box's corner has
     its end at (x far_span + y) far_slots + offset, for the equation at
     (x + n, y + m), where one = (s, p, q, c) gives a one-term gain (s, px +
-    qy + c).  A row-side end lies in the window for (x, y) in bounds."""
+    qy + c).  Bounds admit an end for (x, y) in them: on the row side a
+    variable inside the window, and on an interior column side a
+    full-stencil equation, every input site its rows read lying in the
+    window, which is the box the extremes of its slot's offsets leave.  A
+    reachable column side has none, and works out no extremes."""
     st = op.stencil
     radius = window + st.reach
     # a variable's equations sit at minus its readers' offsets
@@ -321,30 +307,41 @@ def _plan(op: Operator, window: int, column_side: bool) -> tuple:
         (st.readers, window, st.in_slots, radius, st.out_slots, -1) if column_side
         else (st.rows, radius, st.out_slots, window, st.in_slots, 1)
     )
+    # the extremes of the offsets from an end's site of the input sites it
+    # needs in the window: a row-side end is the variable itself, and an
+    # interior equation needs the sites of its slot's every row
+    pads = (
+        [(0, 0, 0, 0)] * st.in_slots if not column_side
+        else [[f(e[k] for e in row) for k in (1, 2) for f in (min, max)] for row in st.rows] if interior
+        else None
+    )
     far_span, plan = 2 * far + 1, []
     for entries in table:
         row = []
         for o, dn, dm, terms in entries:
             a, b = way * dn - box, way * dm - box
             n, m = (a, b) if column_side else (-box, -box)
+            bounds = None
+            if pads:
+                lo, hi, low, high = pads[o]
+                bounds = (-window - lo - a, window - hi - a, -window - low - b, window - high - b)
             (s, p, q, r), *two = terms
             row.append((
                 ((a + far) * far_span + b + far) * far_slots + o,
-                None if column_side else (-far - a, far - a, -far - b, far - b),
-                n, m, None if two else (s, 2 * p, 2 * q, 2 * (p * n + q * m + r)), terms,
+                bounds, n, m, None if two else (s, 2 * p, 2 * q, 2 * (p * n + q * m + r)), terms,
             ))
         plan.append(row)
     return slots, 2 * box + 1, far_span, far_slots, plan
 
 
-def _ender(op: Operator, window: int, column_side: bool, keep=None) -> Callable[[int], tuple]:
+def _ender(op: Operator, window: int, column_side: bool, interior: bool = False) -> Callable[[int], tuple]:
     """The reader of a gain-graph edge's ends (id, gain), ids keyed as in
     _ids, off its slot's side of the split table (_plan): on the column
-    side a variable's equations, off its readers, those in keep alone when
-    it is given; on the row side an equation's variables inside the
-    window, off its rows.  The gain is the entry's coefficient at the
+    side a variable's equations, off its readers, the full-stencil ones
+    alone when interior; on the row side an equation's variables inside
+    the window, off its rows.  The gain is the entry's coefficient at the
     equation's site (_gain); an end whose coefficient vanishes is skipped."""
-    slots, span, far_span, far_slots, plan = _plan(op, window, column_side)
+    slots, span, far_span, far_slots, plan = _plan(op, window, column_side, interior)
 
     def ends(i: int) -> tuple:
         k, slot = divmod(i, slots)
@@ -353,8 +350,6 @@ def _ender(op: Operator, window: int, column_side: bool, keep=None) -> Callable[
         for off, bounds, n, m, one, terms in plan[slot]:
             e = base + off
             if bounds and not (bounds[0] <= x <= bounds[1] and bounds[2] <= y <= bounds[3]):
-                continue
-            if keep is not None and e not in keep:
                 continue
             if one:
                 s, p, q, c = one
@@ -418,20 +413,21 @@ def _balanced(p: dict, closing: list) -> None:
             raise RuntimeError("the gain graph has an unbalanced cycle")
 
 
-def _target_block(op: Operator, window: int, starts, keep=None) -> tuple[dict[int, tuple], list[dict]]:
+def _target_block(op: Operator, window: int, starts) -> tuple[dict[int, tuple], list[dict]]:
     """The gain graph of the nodes connected to the ids starts, as {edge:
     ends}, and its balanced components, each as its lazy potentials (_step),
     1 at the start it was met from.  On the column side the nodes are the
     equations and the edges the variables, two equations being connected
-    when both hold a variable with a nonzero coefficient; on the row side
-    the nodes are the variables and the edges the equations in keep.  One
-    breadth-first walk per component: a node's edges come off its offsets in
-    the other side's plan (_plan), with no gain, and each new one whose
-    coefficient there does not vanish gets its ends once (_ender), a tree
-    step, a closing edge or a half-edge.  A component without a half-edge
-    has its closing edges checked (_balanced)."""
+    when both hold a variable with a nonzero coefficient; on the row side,
+    which serves kernels only, the nodes are the variables and the edges the
+    full-stencil equations.  One breadth-first walk per component: a node's
+    edges come off its offsets in the other side's plan (_plan), interior on
+    the row side, with no gain, and each new one whose coefficient there
+    does not vanish gets its ends once (_ender), a tree step, a closing edge
+    or a half-edge.  A component without a half-edge has its closing edges
+    checked (_balanced)."""
     column_side = op.column_side
-    slots, span, far_span, far_slots, plan = _plan(op, window, not column_side)
+    slots, span, far_span, far_slots, plan = _plan(op, window, not column_side, not column_side)
     read = _ender(op, window, column_side)
     edges, balanced, seen = {}, [], set()
     for start in starts:
@@ -445,8 +441,7 @@ def _target_block(op: Operator, window: int, starts, keep=None) -> tuple[dict[in
             for off, bounds, n, m, one, terms in plan[slot]:
                 e = base + off
                 if (bounds and not (bounds[0] <= x <= bounds[1] and bounds[2] <= y <= bounds[3])
-                        or e in edges or keep is not None and e not in keep
-                        or not one and _vanishes(terms, x + n, y + m)):
+                        or e in edges or not one and _vanishes(terms, x + n, y + m)):
                     continue
                 edges[e] = ends = read(e)
                 if len(ends) == 1:
@@ -468,19 +463,20 @@ def _target_block(op: Operator, window: int, starts, keep=None) -> tuple[dict[in
 class _Forest:
     """The greedy basis (kept) of a gain graph's frame matroid in edge order,
     grown as a forest (steps) by one Prim walk (Prim, Bell Syst. Tech. J.
-    36, 1957): from the ground, then from each node not yet reached, taken
-    from the end of nodes backwards.  An edge is a tuple of (node, gain)
-    ends: two, one (a half-edge, to the ground) or none (never kept).  A
-    step (edge, node, gain at the node, the end it was reached from, None
-    for a half-edge) is one kept edge; each node is reached from an earlier
-    one or a root, so walked backwards, from the leaves, the steps give
-    edge values: witnesses and fundamental circuits.  Any node of a balanced
-    component may be its root: the least forest and its values are the
-    same."""
+    36, 1957): from the ground, then from each node not yet reached in the
+    order its edges first meet it, so a balanced component's root is the
+    first end of its first two-ended edge.  An edge is a tuple of (node,
+    gain) ends: two, one (a half-edge, to the ground) or none (never kept).  A step
+    (edge, node, gain at the node, the end it was reached from, None for a
+    half-edge) is one kept edge; each node is reached from an earlier one or
+    a root, so walked backwards, from the leaves, the steps give edge
+    values: witnesses and fundamental circuits.  Distinct edge positions
+    make the least forest unique, so the roots change neither it nor its
+    values."""
 
     __slots__ = ("steps", "kept")
 
-    def __init__(self, edges: dict, nodes: list):
+    def __init__(self, edges: dict):
         keys, ends = list(edges), list(edges.values())
         ground, incident = [], {}
         for pos, e in enumerate(ends):
@@ -509,10 +505,10 @@ class _Forest:
                         heappush(heap, q)
 
         grow(ground)
-        for root in reversed(nodes):
+        for root, heap in incident.items():
             if root not in seen:
                 seen.add(root)
-                grow(incident.get(root, []))
+                grow(heap)
         self.kept = {step[0] for step in steps}
 
     def edge_values(self, rhs: dict) -> dict:
@@ -591,19 +587,18 @@ def kernel_dimension(operator: str, window: int) -> SolveReport:
     """
     op = _get_operator(operator)
     _check_window(window)
-    eqs = _equations(op, window)
     in_slots = op.stencil.in_slots
     pivot_order = _order_key(window, in_slots, False)
     variables = sorted(range((2 * window + 1) ** 2 * in_slots), key=pivot_order)
     if op.column_side:
-        read = _ender(op, window, True, set(eqs))
+        read = _ender(op, window, True, True)
         edges = {v: read(v) for v in variables}
-        forest = _Forest(edges, eqs)
+        forest = _Forest(edges)
         basis = [forest.circuit(f, ends) for f, ends in edges.items() if f not in forest.kept]
     else:
         # one potential per balanced component, walked from its last
         # variable, which is free
-        _, balanced = _target_block(op, window, variables[::-1], set(eqs))
+        _, balanced = _target_block(op, window, variables[::-1])
         basis = [{v: _value(q) for v, q in p.items()} for p in balanced[::-1]]
     basis = tuple(_vector_object(op, window, vec) for vec in basis)
     return SolveReport(op.name, window, "kernel-basis", nullity=len(basis), basis=basis)
@@ -691,11 +686,9 @@ def coboundary_solve(target, operator: str, window: int) -> SolveReport:
         _recheck(op, window, certificate, parts)
         return SolveReport(op.name, window, "unsolvable", certificate=certificate)
 
-    # only a witness reads the forest, and so the pivot order of its edges;
-    # a balanced component needs one root, which cannot change its values:
-    # its start
+    # only a witness reads the forest, and so the pivot order of its edges
     pivot_order = _order_key(window, op.stencil.in_slots, False)
-    forest = _Forest({v: edges[v] for v in sorted(edges, key=pivot_order)}, [next(iter(p)) for p in balanced])
+    forest = _Forest({v: edges[v] for v in sorted(edges, key=pivot_order)})
     witness = _vector_object(op, window, forest.edge_values(rhs))
     residual = cochain_from_slots(
         [LatticeFunctional._of(t) for t in op.stencil.residual(witness, target)]

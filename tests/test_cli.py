@@ -20,13 +20,14 @@ def run(capsys, *argv):
     return code, capsys.readouterr().out
 
 
-def console_script(stdout, *argv):
+def console_script(stdout, *argv, preexec_fn=None):
     """The command line in a child process, as the console script runs it:
     main's return value is the exit code."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ncgeo.__file__)))
     code = "import sys; from ncgeo.cli import main; sys.exit(main())"
     return subprocess.Popen(
-        [sys.executable, "-c", code, *argv], stdout=stdout, stderr=subprocess.PIPE, env=env
+        [sys.executable, "-c", code, *argv], stdout=stdout, stderr=subprocess.PIPE, env=env,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -259,11 +260,28 @@ class TestOutput:
         assert str(target) in captured.err
         assert len(captured.err.strip().splitlines()) == 1
 
+    def test_empty_out_is_usage_error(self, capsys):
+        # an empty path is bad input, not a request for stdout
+        with pytest.raises(SystemExit) as exc:
+            main(["pairing-table", "--out", ""])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ncgeo: cannot write --out ")
+        assert len(captured.err.strip().splitlines()) == 1
+
     def test_closed_stdout_pipe_is_usage_error(self):
         # the reader closes the pipe before the report is written
         proc = console_script(subprocess.PIPE, "dimension-report", "--window", "3")
         proc.stdout.close()
         assert_one_usage_line(proc, os.strerror(errno.EPIPE))
+
+    @pytest.mark.skipif(os.name != "posix", reason="closes descriptor 1 between fork and exec")
+    def test_closed_stdout_descriptor_is_usage_error(self):
+        # started with descriptor 1 closed, as by >&-, Python sets sys.stdout
+        # to None
+        proc = console_script(None, "dimension-report", "--window", "3", preexec_fn=lambda: os.close(1))
+        assert_one_usage_line(proc, os.strerror(errno.EBADF))
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
     def test_full_stdout_device_is_usage_error(self):

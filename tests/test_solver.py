@@ -319,17 +319,19 @@ class TestCoboundarySolve:
 
     def test_never_sets_up_the_whole_window(self, monkeypatch):
         # a membership system is read off the table around the target alone:
-        # no list of the window's equations is made, and the only ids ever
-        # keyed for sorting are, for a refutation, its certificate's
+        # no plan of a kernel's full-stencil equations is made, and the only
+        # ids ever keyed for sorting are, for a refutation, its certificate's
         # equations, and its root once more to pick the reported component,
         # and, for a witness, its block's variables: a refutation keys no
         # variable and a witness no equation
-        def whole_window(*args, **kwargs):
-            raise AssertionError("whole-window set-up")
-
         keyed = {True: [], False: []}
         blocks = []
-        order_key, target_block = solver._order_key, solver._target_block
+        order_key, target_block, plan = solver._order_key, solver._target_block, solver._plan
+
+        def reachable_plan(op, window, column_side, interior=False):
+            if interior:
+                raise AssertionError("whole-window set-up")
+            return plan(op, window, column_side)
 
         def counting_key(radius, slots, eq):
             key = order_key(radius, slots, eq)
@@ -344,7 +346,7 @@ class TestCoboundarySolve:
             blocks.append(target_block(*args))
             return blocks[-1]
 
-        monkeypatch.setattr(solver, "_equations", whole_window)
+        monkeypatch.setattr(solver, "_plan", reachable_plan)
         monkeypatch.setattr(solver, "_order_key", counting_key)
         monkeypatch.setattr(solver, "_target_block", recording)
         statuses = set()
@@ -490,7 +492,7 @@ def _engine_pivots(op, window, full_stencil=False):
         for eq, (coeffs, _) in zip(eqs, rows):
             for v, c in coeffs.items():
                 columns[v].append((eq, c))
-        return solver._Forest({v: tuple(ends) for v, ends in columns.items()}, eqs).kept
+        return solver._Forest({v: tuple(ends) for v, ends in columns.items()}).kept
     edges = {eq: tuple(coeffs.items()) for eq, (coeffs, _) in zip(eqs, rows)}
     _, find = greedy_oracle(edges)
     last = {find(v): v for v in variables if find(v) != find(None)}
@@ -518,8 +520,8 @@ class TestIds:
                 # past the edge, on the box of radius window + reach
                 assert op.stencil.reach == 1
                 imposed = set(box_keys(op.stencil.out_slots, window + 1))
-                eqs = solver._equations(op, window)
-                eq_keys = solver._keys(eqs, window + 1, op.stencil.out_slots)
+                eq_keys, _ = window_system(op, window, full_stencil=True)
+                eqs = solver._ids(eq_keys, window + 1, op.stencil.out_slots)
                 assert set(eq_keys) <= imposed
                 for radius in (window, window + 1):
                     for slots in {op.stencil.in_slots, op.stencil.out_slots}:
@@ -533,14 +535,13 @@ class TestIds:
                             assert len({key(i) for i in reversed(ids)}) == len(ids)
                             by_key = sorted(reversed(ids), key=key)
                             assert solver._keys(by_key, radius, slots) == sorted(keys, key=order)
-                # the window's equations come out each id once, unsorted,
-                # and in equation order once sorted by their integer key
-                by_key = sorted(eqs, key=solver._order_key(window + 1, op.stencil.out_slots, True))
-                assert solver._keys(by_key, window + 1, op.stencil.out_slots) == sorted(
-                    eq_keys, key=equation_order
-                )
+                # the window's full-stencil equations get distinct ids, which
+                # decode back and come in equation order once sorted by their
+                # integer key, whatever order they were listed in
+                by_key = sorted(eqs[::-1], key=solver._order_key(window + 1, op.stencil.out_slots, True))
+                assert by_key == eqs
+                assert solver._keys(eqs, window + 1, op.stencil.out_slots) == eq_keys
                 assert len(set(eqs)) == len(eqs)
-                assert solver._ids(eq_keys, window + 1, op.stencil.out_slots) == eqs
 
     def test_tables_hold_every_entry_once(self):
         for op in OPERATORS.values():
@@ -588,6 +589,43 @@ class TestIds:
                     for v, c in zip(solver._ids(coeffs, window, table.in_slots), coeffs.values())
                 }
                 assert {(v, eq): solver._mul(ONE, g) for v, eq, g in rows} == want
+
+
+class TestInteriorPlan:
+    """A kernel's full-stencil rule is the bounds of the interior readers
+    plan: the reader made with interior gives each window variable exactly
+    the equations the reference full-stencil system imposes on it."""
+
+    def test_interior_ends_are_the_full_stencil_equations(self):
+        # each variable's interior ends are the reference equations that hold
+        # it, with their coefficients; the reachable reader gives the same
+        # ends two sites inside the edge and strictly more on the edge, so
+        # the flag is read
+        grew = set()
+        for name, op in OPERATORS.items():
+            table = op.stencil
+            for window in range(3, 9):
+                radius = window + table.reach
+                eqs, rows = window_system(op, window, full_stencil=True)
+                want = {}
+                for eq, (coeffs, _) in zip(solver._ids(eqs, radius, table.out_slots), rows):
+                    for v, c in zip(solver._ids(coeffs, window, table.in_slots), coeffs.values()):
+                        want.setdefault(v, {})[eq] = c
+                interior, reachable = solver._ender(op, window, True, True), solver._ender(op, window, True)
+                edge = [0, 0]
+                for v, (_, (n, m)) in enumerate(box_keys(table.in_slots, window)):
+                    ends, every = interior(v), reachable(v)
+                    assert {eq: solver._mul(ONE, g) for eq, g in ends} == want.get(v, {}), (name, window)
+                    assert len(ends) == len(want.get(v, {}))
+                    assert set(ends) <= set(every)
+                    if max(abs(n), abs(m)) <= window - 2:
+                        assert ends == every, (name, window)
+                    elif max(abs(n), abs(m)) == window:
+                        edge[0] += len(ends)
+                        edge[1] += len(every)
+                if edge[1] > edge[0]:
+                    grew.add((name, window))
+        assert {(name, w) for name in ("twisted_alpha2", "alpha2") for w in range(3, 9)} <= grew
 
 
 class TestWindowType:
@@ -656,18 +694,21 @@ class TestPivotRuleOracle:
     witnesses are those of the reduced echelon form."""
 
     def test_kernel_bases_match_first_row_rule(self, monkeypatch):
-        # the variables of each kernel's gain graph: the forest's edges on
-        # the column side, the walk's starts, read backwards, on the row side
+        # the variables of each kernel's gain graph, the forest's edges on
+        # the column side and the walk's starts, read backwards, on the row
+        # side, and its equations, the ends of the forest's edges or the
+        # walk's edges
         graphs = []
         forest, target_block = solver._Forest, solver._target_block
 
-        def recording_forest(edges, nodes):
-            graphs.append(list(edges))
-            return forest(edges, nodes)
+        def recording_forest(edges):
+            graphs.append((list(edges), {eq for ends in edges.values() for eq, _ in ends}))
+            return forest(edges)
 
-        def recording_walk(op, window, starts, keep=None):
-            graphs.append(list(starts)[::-1])
-            return target_block(op, window, starts, keep)
+        def recording_walk(op, window, starts):
+            block = target_block(op, window, starts)
+            graphs.append((list(starts)[::-1], set(block[0])))
+            return block
 
         monkeypatch.setattr(solver, "_Forest", recording_forest)
         monkeypatch.setattr(solver, "_target_block", recording_walk)
@@ -676,9 +717,8 @@ class TestPivotRuleOracle:
             for window in (3, 4, 5, 6):
                 var_order = window_variables(op, window)
                 eqs, rows = window_system(op, window, full_stencil=True)
-                ids = solver._equations(op, window)
-                ids.sort(key=solver._order_key(window + 1, op.stencil.out_slots, True))
-                assert solver._keys(ids, window + 1, op.stencil.out_slots) == eqs
+                ids = solver._ids(eqs, window + 1, op.stencil.out_slots)
+                imposed = {eq for eq, (coeffs, _) in zip(ids, rows) if coeffs}
                 pivots, rows = first_row_gauss_jordan(rows, var_order)
                 assert set(pivots) == _engine_pivots(op, window, full_stencil=True)
                 basis = []
@@ -692,9 +732,13 @@ class TestPivotRuleOracle:
                 graphs.clear()
                 rep = kernel_dimension(name, window)
                 assert list(rep.basis) == basis
-                # the kernel's system took every variable of the window in pivot order
+                # the kernel's system took every variable of the window in
+                # pivot order, and exactly the full-stencil equations that
+                # hold one of them
                 assert len(graphs) == 1
-                assert solver._keys(graphs.pop(), window, op.stencil.in_slots) == var_order
+                variables, equations = graphs.pop()
+                assert solver._keys(variables, window, op.stencil.in_slots) == var_order
+                assert equations == imposed
 
     def test_solved_witnesses_match_first_row_rule(self):
         targets = [
@@ -790,13 +834,14 @@ def kernel_starts(window):
 
 def table_graph(name, window):
     """A table's whole windowed gain graph as {edge: ends}: every variable
-    of the window on the column side, every full-stencil equation on the
-    row side."""
+    of the window on the column side, every full-stencil equation of the
+    reference system on the row side, by slot, then n, then m."""
     op = OPERATORS[name]
     read = solver._ender(op, window, op.column_side)
     if op.column_side:
         return {v: read(v) for v in range((2 * window + 1) ** 2 * op.stencil.in_slots)}
-    return {eq: read(eq) for eq in solver._equations(op, window)}
+    eqs, _ = window_system(op, window, full_stencil=True)
+    return {eq: read(eq) for eq in solver._ids(sorted(eqs), window + 1, op.stencil.out_slots)}
 
 
 def reread(monkeypatch, change):
@@ -804,8 +849,8 @@ def reread(monkeypatch, change):
     forest see change(i, ends) for the edge with id i."""
     ender = solver._ender
 
-    def patched(op, window, column_side, keep=None):
-        read = ender(op, window, column_side, keep)
+    def patched(*args):
+        read = ender(*args)
         return lambda i: change(i, read(i))
 
     monkeypatch.setattr(solver, "_ender", patched)
@@ -954,7 +999,7 @@ class TestTargetBlock:
             op = OPERATORS[name]
             if target is None:
                 starts = kernel_starts(w)
-                edges, components = solver._target_block(op, w, starts, set(solver._equations(op, w)))
+                edges, components = solver._target_block(op, w, starts)
                 position = {v: -i for i, v in enumerate(starts)}
                 assert [next(iter(p)) for p in components] == [max(p, key=position.get) for p in components]
                 assert len(components) == 4 and sum(map(len, components)) == len(starts)
@@ -979,8 +1024,8 @@ class TestTargetBlock:
         built, blocks = [], []
         ender, target_block = solver._ender, solver._target_block
 
-        def counting(op, window, column_side, keep=None):
-            read = ender(op, window, column_side, keep)
+        def counting(op, window, column_side, interior=False):
+            read = ender(op, window, column_side, interior)
 
             def counted(i):
                 built.append((column_side, i))
@@ -1012,8 +1057,8 @@ class TestTargetBlock:
         built = []
         ender = solver._ender
 
-        def counting(op, window, column_side, keep=None):
-            read = ender(op, window, column_side, keep)
+        def counting(op, window, column_side, interior=False):
+            read = ender(op, window, column_side, interior)
 
             def counted(i):
                 built.append((column_side, i))
@@ -1026,7 +1071,8 @@ class TestTargetBlock:
         for window in range(3, 9):
             del built[:]
             assert kernel_dimension("twisted_alpha1", window).nullity == 4
-            eqs = solver._equations(op, window)
+            keys, _ = window_system(op, window, full_stencil=True)
+            eqs = solver._ids(keys, window + 1, op.stencil.out_slots)
             assert len(built) == len(eqs), window
             assert {column_side for column_side, _ in built} == {False}
             assert sorted(i for _, i in built) == sorted(eqs)
@@ -1435,6 +1481,19 @@ def greedy_oracle(edges):
     return kept, find
 
 
+def first_roots(edges, nodes, find):
+    """The root of each tree of the greedy forest that holds no half-edge,
+    find being greedy_oracle's: the first end of its component's first
+    two-ended edge, in edge order, or its one node when it has none."""
+    roots = {}
+    for ends in edges.values():
+        if len(ends) == 2:
+            roots.setdefault(find(ends[0][0]), ends[0][0])
+    for v in nodes:
+        roots.setdefault(find(v), v)
+    return {v for root, v in roots.items() if root != find(None)}
+
+
 class TestGainGraph:
     """The frame-matroid basis and its forest on small hand-made gain graphs:
     balanced cycles, half-edges and unbalanced cycles; and the walk's
@@ -1442,18 +1501,18 @@ class TestGainGraph:
 
     def test_frame_keeps_the_greedy_basis(self):
         edges = triangle(MINUS)
-        assert solver._Forest(edges, "abc").kept == {"ab", "bc"}
+        assert solver._Forest(edges).kept == {"ab", "bc"}
         # a half-edge makes the component full: it takes no second half-edge
         # and no edge to another full one
         edges["b"] = (("b", g((1, 3))),)
-        assert solver._Forest(edges, "abc").kept == {"ab", "bc", "b"}
+        assert solver._Forest(edges).kept == {"ab", "bc", "b"}
         edges.update(
             a=(("a", g((1, 2))),),
             d=(("d", UNIT),),
             ad=(("a", UNIT), ("d", UNIT)),
             de=(("d", UNIT), ("e", g((-1, 5)))),
         )
-        forest = solver._Forest(edges, "abcde")
+        forest = solver._Forest(edges)
         assert forest.kept == {"ab", "bc", "b", "d", "de"}
         # both components are full: every node is reached from the ground,
         # through its component's one half-edge, and none is a root
@@ -1462,14 +1521,21 @@ class TestGainGraph:
 
     def test_walk_gives_balanced_potentials(self):
         edges = monomial_triangle(g((1, -3)))
-        assert solver._Forest(edges, "abc").kept == {"ab", "bc"}
-        # one tree per balanced component, roots taken from the last node
-        # backwards: z, then c, neither reached by a step
+        assert solver._Forest(edges).kept == {"ab", "bc"}
+        # one tree per balanced component, each rooted at the first end of
+        # its first edge, in edge order: a, then z, neither reached by a step
         edges["z"] = (("z", UNIT), ("y", UNIT))
-        forest = solver._Forest(edges, "abcyz")
+        forest = solver._Forest(edges)
         assert forest.kept == {"ab", "bc", "z"}
         assert [(key, v, end[0]) for key, v, _, end in forest.steps] == [
-            ("z", "y", "z"), ("bc", "b", "c"), ("ab", "a", "b")
+            ("ab", "b", "a"), ("bc", "c", "b"), ("z", "y", "z")
+        ]
+        # the roots move with the order of the ends, the kept edges do not
+        flipped = {key: ends[::-1] for key, ends in edges.items()}
+        forest = solver._Forest(flipped)
+        assert forest.kept == {"ab", "bc", "z"}
+        assert [(key, v, end[0]) for key, v, _, end in forest.steps] == [
+            ("ab", "a", "b"), ("bc", "c", "b"), ("z", "z", "y")
         ]
 
     def test_frame_refuses_an_unbalanced_cycle(self, monkeypatch):
@@ -1478,9 +1544,9 @@ class TestGainGraph:
             triangle(UNIT), triangle(g((-1, 2))), triangle(g((-1, 0), (1, 2))),
             monomial_triangle(g((-1, -3))), monomial_triangle(g((1, -1))),
         ):
-            assert solver._Forest(edges, "abc").kept == {"ab", "bc"}
+            assert solver._Forest(edges).kept == {"ab", "bc"}
         edges = dict(triangle(UNIT), a=(("a", UNIT),))
-        assert solver._Forest(edges, "abc").kept == {"ab", "bc", "a"}
+        assert solver._Forest(edges).kept == {"ab", "bc", "a"}
         # the walk checks every edge that closes its tree: one edge of a
         # table's balanced grid with one gain negated is refused, on either
         # side and with monomial gains or every gain times 1 + u^2, which
@@ -1525,7 +1591,7 @@ class TestGainGraph:
 
     def test_peeling_takes_a_tree_with_a_half_edge(self):
         edges = tree_with_half_edge()
-        forest = solver._Forest(edges, "abcd")
+        forest = solver._Forest(edges)
         assert forest.kept == set(edges)
         assert len(forest.steps) == len(edges)
         rhs = {"a": ONE, "b": S(2), "c": MU, "d": S(-4)}
@@ -1534,27 +1600,26 @@ class TestGainGraph:
 
     def test_forest_values_solve_an_unbalanced_component(self):
         # the half-edge fixes the tree a-d, which has no potential; the
-        # balanced e-f is walked from its last node f, its potential 1 there
+        # balanced e-f is walked from the first end of its edge, e
         kept = dict(tree_with_half_edge(), ef=(("e", UNIT), ("f", g((1, 2)))))
-        nodes = ["a", "b", "c", "d", "e", "f"]
-        forest = solver._Forest(kept, nodes)
+        forest = solver._Forest(kept)
         assert forest.kept == set(kept)
         # the tree a-d is walked first, from its half-edge, which has no end
         trees = [forest.steps[:4], forest.steps[4:]]
-        assert [sorted(v for _, v, _, _ in t) for t in trees] == [["a", "b", "c", "d"], ["e"]]
+        assert [sorted(v for _, v, _, _ in t) for t in trees] == [["a", "b", "c", "d"], ["f"]]
         assert forest.steps[0][::3] == ("b", None)
-        # edge values meet the right side at every node, the root f too, when
+        # edge values meet the right side at every node, the root e too, when
         # the value at f cancels its tree: -u^2 rhs[e] + rhs[f] = 0; any
-        # other value there, none included, is refused
+        # other value at f, none included, is refused
         rhs = {"a": ONE, "b": S(2), "c": MU, "d": S(-4), "e": HALF, "f": mu_pow(2) * HALF}
         assert edge_sums(kept, forest.edge_values(rhs)) == rhs
         tree = {k: v for k, v in rhs.items() if k != "f"}
         for bad in ({}, {"f": ZERO}, {"f": HALF}, {"f": -mu_pow(2) * HALF}):
             with pytest.raises(RuntimeError, match="does not cancel at a balanced root"):
                 forest.edge_values({**tree, **bad})
-        # balanced: the last node is the root, and its right side must cancel
+        # balanced: the first node is the root, and its right side must cancel
         edges = triangle(MINUS)
-        forest = solver._Forest(edges, ["a", "b", "c"])
+        forest = solver._Forest(edges)
         assert forest.kept == {"ab", "bc"}
         x = forest.edge_values({"a": S(3), "b": MU, "c": MU - S(3)})
         assert x == {"ab": S(3), "bc": MU - S(3)}
@@ -1582,7 +1647,7 @@ def random_kept(rng, nodes):
             edges[f"e{i}"] = ((u, random_gain(rng)),)
         else:
             edges[f"e{i}"] = ((u, random_gain(rng)), (v, random_gain(rng)))
-    kept = solver._Forest(edges, nodes).kept
+    kept = solver._Forest(edges).kept
     return edges, {key: ends for key, ends in edges.items() if key in kept}
 
 
@@ -1602,8 +1667,9 @@ def random_value(rng):
 class TestForestProperties:
     """On random forests, with and without half-edges and with monomial and
     binomial gains, the forest's edge values solve their systems and its
-    roots are the last nodes of the balanced trees; on the tables' own
-    graphs with planted gains the walk's potentials are the plant."""
+    roots are the first ends of the balanced trees' first edges; on the
+    tables' own graphs with planted gains the walk's potentials are the
+    plant."""
 
     def test_random_forests(self):
         rng = random.Random(71)
@@ -1613,16 +1679,11 @@ class TestForestProperties:
             edges, kept = random_kept(rng, nodes)
             oracle_kept, find = greedy_oracle(edges)
             assert set(kept) == oracle_kept
-            forest = solver._Forest(kept, nodes)
+            forest = solver._Forest(kept)
             assert forest.kept == set(kept) and len(forest.steps) == len(kept)
-            # each balanced tree's root is its last node, the one node no
-            # step reaches; a full tree is the ground's
-            last = {}
-            for v in nodes:
-                root = find(v)
-                if root != find(None):
-                    last[root] = v
-            roots = set(last.values())
+            # each balanced tree's root is the first end of its first edge,
+            # the one node no step reaches; a full tree is the ground's
+            roots = first_roots(kept, nodes, find)
             assert {v for v in nodes if v not in {v for _, v, _, _ in forest.steps}} == roots
             # edge values: a right side made from random values on the kept
             # edges gives them back, as a forest's values are unique; moved
@@ -1639,8 +1700,8 @@ class TestForestProperties:
         # ends and several components: the walk keeps what a plain
         # union-find with a ground node keeps, offered each edge in order,
         # and its steps attach each node once, each from a node attached
-        # earlier or from a tree root, the last node of a component that
-        # holds no half-edge
+        # earlier or from a tree root, the first end of the first edge of a
+        # component that holds no half-edge
         rng = random.Random(74)
         for _ in range(1000):
             nodes = list(range(rng.randint(1, 12)))
@@ -1656,14 +1717,13 @@ class TestForestProperties:
                     u, v = rng.choice(pairs) if pairs and r < 0.45 else rng.sample(nodes, 2)
                     pairs.append((v, u))
                     edges[i] = ((u, random_gain(rng)), (v, random_gain(rng)))
-            forest = solver._Forest(edges, nodes)
+            forest = solver._Forest(edges)
             kept, find = greedy_oracle(edges)
             assert forest.kept == kept
             attached = [v for _, v, _, _ in forest.steps]
             assert len(attached) == len(set(attached)) == len(kept)
             roots = {v for v in nodes if v not in attached}
-            last = {find(v): v for v in nodes}
-            assert roots == {v for root, v in last.items() if root != find(None)}
+            assert roots == first_roots(edges, nodes, find)
             done = set(roots)
             for key, v, gain, end in forest.steps:
                 if end is None:
@@ -1706,7 +1766,6 @@ class TestForestProperties:
         checked = Counter()
         for (name, w, starts), graph in zip(cases, graphs):
             op = OPERATORS[name]
-            keep = None if op.column_side else set(solver._equations(op, w))
             component = {}
             for ends in graph.values():
                 merged = set().union(*(component.get(v, {v}) for v, _ in ends))
@@ -1721,7 +1780,7 @@ class TestForestProperties:
                 drop.clear()
                 negate.clear()
                 drop.update(rng.choice(ids) for _, _, ids in blocks if rng.random() < 0.4)
-                edges, balanced = solver._target_block(op, w, starts, keep)
+                edges, balanced = solver._target_block(op, w, starts)
                 want = []
                 for start, nodes, ids in blocks:
                     if not drop & set(ids):
@@ -1734,10 +1793,10 @@ class TestForestProperties:
                     negate.clear()
                     negate.add(next(e for e in rng.sample(ids, len(ids)) if on_cycle(graph, ids, e)))
                     if drop & set(ids):
-                        solver._target_block(op, w, starts, keep)
+                        solver._target_block(op, w, starts)
                     else:
                         with pytest.raises(RuntimeError, match="unbalanced cycle"):
-                            solver._target_block(op, w, starts, keep)
+                            solver._target_block(op, w, starts)
                         checked[name, "refused"] += 1
         assert all(checked[name, what] >= 5 for name in ("twisted_alpha1", "twisted_alpha2")
                    for what in ("balanced", "full", "refused"))
@@ -2031,20 +2090,32 @@ class TestOrderIndependence:
             assert coboundary_solve(target, name, window).to_json() == want
 
     def test_equation_and_term_order_change_no_byte(self, monkeypatch):
-        # a kernel reads _equations' ids as a set and as forest roots, and a
-        # membership solve starts a component at each of the target's
-        # equations in turn: reversing or shuffling the ids, or reversing
-        # the order the target's terms were inserted in, changes no byte
+        # a kernel's forest takes its roots in the order its edges' ends
+        # first meet them, and a membership solve starts a component at each
+        # of the target's equations in turn: reversing or shuffling each
+        # edge's ends, which moves the roots, or reversing the order the
+        # target's terms were inserted in, changes no byte
         rng = random.Random(33)
-        equations = solver._equations
+        forest, attached = solver._Forest, []
+
+        def recording_forest(edges):
+            built = forest(edges)
+            attached.append({v for _, v, _, _ in built.steps})
+            return built
+
+        monkeypatch.setattr(solver, "_Forest", recording_forest)
         kernels = {
             (name, window): json.dumps(kernel_dimension(name, window).to_json())
             for name in OPERATORS for window in (3, 4, 6)
         }
-        for reorder in (lambda ids: ids[::-1], lambda ids: rng.sample(ids, len(ids))):
-            monkeypatch.setattr(solver, "_equations", lambda *args: reorder(equations(*args)))
-            for (name, window), want in kernels.items():
-                assert json.dumps(kernel_dimension(name, window).to_json()) == want, (name, window)
+        want_attached = attached[:]
+        for reorder in (lambda ends: ends[::-1], lambda ends: tuple(rng.sample(ends, len(ends)))):
+            del attached[:]
+            with monkeypatch.context() as patch:
+                reread(patch, lambda i, ends: reorder(ends))
+                for (name, window), want in kernels.items():
+                    assert json.dumps(kernel_dimension(name, window).to_json()) == want, (name, window)
+            assert attached != want_attached
         monkeypatch.undo()
 
         def reversed_terms(target):
